@@ -18,6 +18,7 @@ from .rotation import (
     AngleSchedule,
     CouplingSet,
     cosine_ramp_schedule,
+    final_state,
     hr_analytic,
     hr_numeric,
     spherical_to_quats,
@@ -27,7 +28,6 @@ from .solvers import (
     LevelConfig,
     SolvedAngles,
     TargetSpec,
-    coupling_schedules,
     solve_diamond,
     solve_ntype,
     solve_tripod,
@@ -49,9 +49,9 @@ __all__ = [
     "cayley_rotation",
     "compare_with_analytic",
     "cosine_ramp_schedule",
-    "coupling_schedules",
     "decompose_rotation",
     "fidelity",
+    "final_state",
     "hr_analytic",
     "hr_numeric",
     "left_isoclinic",

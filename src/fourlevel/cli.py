@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 validation failure, 2 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,13 +27,13 @@ import numpy as np
 from .hamiltonian import analytic_evolution, phase_operator, total_hamiltonian
 from .propagator import AccuracyError, compare_with_analytic, fidelity, propagate
 from .qo import check_resonance, engineered_to_qo
-from .rotation import hr_analytic, hr_numeric
+from .rotation import final_state, hr_analytic
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solvers import (
-    FORBIDDEN,
     LevelConfig,
     SolvedAngles,
     SolverError,
+    _forbidden_residual,
     solve_diamond,
     solve_ntype,
     solve_tripod,
@@ -99,11 +100,7 @@ def _boundary_dict(solved: SolvedAngles) -> dict:
 
 def cmd_solve(sc: Scenario, out: Path, seed: int) -> int:
     solved = _solve(sc, seed)
-    from .rotation import ur_of_angles
-
-    final_residual = float(
-        np.linalg.norm(ur_of_angles(solved.boundary) @ PSI0.real - sc.target.b)
-    )
+    final_residual = float(np.linalg.norm(final_state(solved.boundary) - sc.target.b))
     payload = {
         "config": sc.config.value,
         "boundary_angles": _boundary_dict(solved),
@@ -189,22 +186,13 @@ def cmd_qomap(sc: Scenario, out: Path, seed: int) -> int:
 
 
 def cmd_verify(sc: Scenario, out: Path, seed: int) -> int:
-    from .rotation import ur_of_angles
-
     solved = _solve(sc, seed)
     checks: list[tuple[str, float, float]] = []  # (name, value, threshold)
 
-    grid = np.linspace(1e-6 * sc.T, sc.T * (1 - 1e-6), 200)
-    forbidden = FORBIDDEN[sc.config]
-    worst = max(
-        max(abs(getattr(hr_numeric(solved.schedule, t, h=1e-6 * sc.T), n)) for n in forbidden)
-        for t in grid
-    )
+    worst = _forbidden_residual(sc.config, solved.schedule, samples=200)
     checks.append(("forbidden_couplings_max", worst, 1e-8))
 
-    round_trip = float(
-        np.linalg.norm(ur_of_angles(solved.boundary) @ PSI0.real - sc.target.b)
-    )
+    round_trip = float(np.linalg.norm(final_state(solved.boundary) - sc.target.b))
     checks.append(("target_round_trip_residual", round_trip, 1e-8))
 
     try:
@@ -255,16 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sc = load_scenario(args.scenario)
         if args.steps is not None:
-            sc = Scenario(
-                config=sc.config,
-                target=sc.target,
-                T=sc.T,
-                phases=sc.phases,
-                ansatz=sc.ansatz,
-                steps=args.steps,
-                initial_guess=sc.initial_guess,
-                omega_levels=sc.omega_levels,
-            )
+            sc = dataclasses.replace(sc, steps=args.steps)
             sc.validate()
     except ScenarioError as exc:
         print(f"validation failure: {exc}")

@@ -10,11 +10,12 @@ generator picks up the phase factors on its off-diagonal couplings:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import CouplingSet
+from .rotation import CouplingSet, ur_of_angles
 from .solvers import SolvedAngles
 
 
@@ -35,8 +36,10 @@ class PhaseSchedule:
         epsp = np.asarray(self.eps_prime, dtype=float)
         if eps.shape != (3,) or epsp.shape != (3,):
             raise ValueError("eps and eps_prime must each hold three phases")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(epsp))):
+            raise ValueError("eps and eps_prime must be finite")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("T must be positive and finite")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "eps_prime", epsp)
 
@@ -71,7 +74,5 @@ def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t: float) -> np
 
 def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t: float) -> np.ndarray:
     """Exact evolution operator U(t) = K(t) U_r(t) K(0)^dag."""
-    from .rotation import ur_of_angles
-
     ur = ur_of_angles(solved.schedule.value(t))
     return phase_operator(ph, t) @ ur @ phase_operator(ph, 0.0).conj().T

@@ -15,6 +15,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from .hamiltonian import analytic_evolution
+
 DEFAULT_STEPS = 2000
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _W_PLUS = 0.25 + _GAUSS_OFFSET
@@ -127,8 +129,6 @@ def fidelity(psi: np.ndarray, target: np.ndarray, mod_global_phase: bool = True)
 def compare_with_analytic(traj: Trajectory, solved, ph) -> float:
     """Max deviation over the grid between the integrated trajectory and
     the exact evolution K(t) U_r(t) K(0)^dag applied to the initial state."""
-    from .hamiltonian import analytic_evolution
-
     psi0 = traj.states[0]
     worst = 0.0
     for t, psi in zip(traj.times, traj.states):

@@ -82,14 +82,25 @@ class Quaternion:
 IDENTITY_QUAT = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
+def hamilton(a: tuple, b: tuple) -> tuple:
+    """Hamilton product of (w, x, y, z) float tuples, i^2 = j^2 = k^2 = ijk = -1.
+
+    Plain floats keep the per-call cost low on the library's hot paths;
+    quat_mul is the same product on Quaternion values.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product, i^2 = j^2 = k^2 = ijk = -1."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return Quaternion(*hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
 
 def quat_exp(u: Quaternion, gamma: float) -> Quaternion:
@@ -100,16 +111,9 @@ def quat_exp(u: Quaternion, gamma: float) -> Quaternion:
     return Quaternion(c, s * u.x, s * u.y, s * u.z)
 
 
-def _require_unit(q: Quaternion, name: str) -> Quaternion:
-    if abs(q.norm - 1.0) > UNIT_NORM_ATOL:
-        raise ValueError(f"{name} must be a unit quaternion (norm {q.norm})")
-    n = q.norm
-    return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
-
-
 def left_isoclinic(q: Quaternion) -> np.ndarray:
     """Matrix of left multiplication by the unit quaternion q."""
-    q = _require_unit(q, "q")
+    q = Quaternion.unit(q.w, q.x, q.y, q.z)
     w, x, y, z = q.w, q.x, q.y, q.z
     return np.array(
         [
@@ -123,7 +127,7 @@ def left_isoclinic(q: Quaternion) -> np.ndarray:
 
 def right_isoclinic(p: Quaternion) -> np.ndarray:
     """Matrix of right multiplication by the unit quaternion p."""
-    p = _require_unit(p, "p")
+    p = Quaternion.unit(p.w, p.x, p.y, p.z)
     w, x, y, z = p.w, p.x, p.y, p.z
     return np.array(
         [
@@ -196,8 +200,8 @@ def decompose_rotation(q: Quaternion, p: Quaternion) -> RotationDecomposition:
     Sign canonicalization: both factor angles are taken in [0, pi], which
     resolves the (q, p) vs (-q, -p) ambiguity deterministically.
     """
-    q = _require_unit(q, "q")
-    p = _require_unit(p, "p")
+    q = Quaternion.unit(q.w, q.x, q.y, q.z)
+    p = Quaternion.unit(p.w, p.x, p.y, p.z)
     u, g1 = _axis_angle(q)
     v, g2 = _axis_angle(p)
 

@@ -7,8 +7,11 @@ in the convention
     H_r = i * hbar * sum_{n<m} Omega_nm (|n><m| - |m><n|),
 
 i.e. Omega_nm is the (n, m) entry (n < m) of the real antisymmetric matrix
-dUr/dt * Ur^T.  Both a closed-form evaluation and a finite-difference route
-are provided; they serve as cross-checks of each other.
+dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
+quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
+product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
+M_R(conj(p) dp/dt) and U_r e_1 = q p.  The finite-difference read-off
+hr_numeric is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat4 import Quaternion, cayley_rotation
+from .quat4 import Quaternion, hamilton
 
 
 @dataclass(frozen=True)
@@ -140,104 +143,79 @@ def cosine_ramp_schedule(final: AnglePair, horizon: float) -> AngleSchedule:
     return AngleSchedule(value=value, rate=rate, horizon=T)
 
 
-def spherical_to_quats(a: AnglePair) -> tuple[Quaternion, Quaternion]:
-    """Map the six angles to the (left, right) unit quaternion pair."""
-    q = Quaternion(
-        math.cos(a.gamma1),
-        math.sin(a.gamma1) * math.cos(a.theta1),
-        math.sin(a.gamma1) * math.sin(a.theta1) * math.cos(a.phi1),
-        math.sin(a.gamma1) * math.sin(a.theta1) * math.sin(a.phi1),
+def _unit_quat(g, th, ph, dg, dth, dph):
+    """Unit quaternion cos(g) + sin(g) n(th, ph) and its time derivative.
+
+    n = (cos th, sin th cos ph, sin th sin ph) is the pure unit axis and
+    (dg, dth, dph) are the angle rates.  Both quaternions come back as
+    (w, x, y, z) float tuples.  This is the one map from angles to
+    quaternions; callers that need no derivative pass zero rates.
+    """
+    cg, sg = math.cos(g), math.sin(g)
+    ct, st = math.cos(th), math.sin(th)
+    cp, sp = math.cos(ph), math.sin(ph)
+    ny, nz = st * cp, st * sp
+    gd, sdt, sdp = cg * dg, sg * dth, sg * dph
+    q = (cg, sg * ct, sg * ny, sg * nz)
+    dq = (
+        -sg * dg,
+        gd * ct - sdt * st,
+        gd * ny + sdt * ct * cp - sdp * nz,
+        gd * nz + sdt * ct * sp + sdp * ny,
     )
-    p = Quaternion(
-        math.cos(a.gamma2),
-        math.sin(a.gamma2) * math.cos(a.theta2),
-        math.sin(a.gamma2) * math.sin(a.theta2) * math.cos(a.phi2),
-        math.sin(a.gamma2) * math.sin(a.theta2) * math.sin(a.phi2),
-    )
+    return q, dq
+
+
+def _quat_pair(a: AnglePair):
+    q, _ = _unit_quat(a.gamma1, a.theta1, a.phi1, 0.0, 0.0, 0.0)
+    p, _ = _unit_quat(a.gamma2, a.theta2, a.phi2, 0.0, 0.0, 0.0)
     return q, p
 
 
+def spherical_to_quats(a: AnglePair) -> tuple[Quaternion, Quaternion]:
+    """Map the six angles to the (left, right) unit quaternion pair."""
+    q, p = _quat_pair(a)
+    return Quaternion(*q), Quaternion(*p)
+
+
 def ur_of_angles(a: AnglePair) -> np.ndarray:
-    """Closed-form evolution operator (real 4x4 rotation matrix).
+    """Evolution operator U_r = M_L(q) M_R(p) (real 4x4 rotation matrix).
 
-    Algebraically identical to cayley_rotation(*spherical_to_quats(a));
-    written out explicitly so the two routes check each other.
+    Column k is the quaternion q e_k p for the basis e_k = 1, i, j, k;
+    cayley_rotation(*spherical_to_quats(a)) builds the same matrix from
+    the isoclinic factors and serves as its check.
     """
-    s1, c1 = math.sin(a.gamma1), math.cos(a.gamma1)
-    s2, c2 = math.sin(a.gamma2), math.cos(a.gamma2)
-    st1, ct1 = math.sin(a.theta1), math.cos(a.theta1)
-    st2, ct2 = math.sin(a.theta2), math.cos(a.theta2)
-    sp1, cp1 = math.sin(a.phi1), math.cos(a.phi1)
-    sp2, cp2 = math.sin(a.phi2), math.cos(a.phi2)
-    cpm = math.cos(a.phi1 - a.phi2)
-    spm = math.sin(a.phi1 - a.phi2)
-    cpp = math.cos(a.phi1 + a.phi2)
-    spp = math.sin(a.phi1 + a.phi2)
+    q, p = _quat_pair(a)
+    w, x, y, z = p
+    # e_k p for e_k = 1, i, j, k: the columns of M_R(p)
+    return np.array(
+        hamilton(q, p)
+        + hamilton(q, (-x, w, -z, y))
+        + hamilton(q, (-y, z, w, -x))
+        + hamilton(q, (-z, -y, x, w))
+    ).reshape(4, 4).T
 
-    u = np.empty((4, 4))
-    u[0, 0] = c1 * c2 - s1 * s2 * (st1 * st2 * cpm + ct1 * ct2)
-    u[1, 0] = s2 * (ct2 * c1 - st1 * st2 * s1 * spm) + ct1 * s1 * c2
-    u[2, 0] = s2 * (s1 * (st1 * ct2 * sp1 - ct1 * st2 * sp2) + st2 * c1 * cp2) \
-        + st1 * s1 * c2 * cp1
-    u[3, 0] = s2 * (s1 * (ct1 * st2 * cp2 - st1 * ct2 * cp1) + st2 * c1 * sp2) \
-        + st1 * s1 * c2 * sp1
-    u[0, 1] = -s2 * (st1 * st2 * s1 * spm + ct2 * c1) - ct1 * s1 * c2
-    u[1, 1] = s1 * s2 * (st1 * st2 * cpm - ct1 * ct2) + c1 * c2
-    u[2, 1] = st1 * s1 * c2 * sp1 \
-        - s2 * (s1 * (st1 * ct2 * cp1 + ct1 * st2 * cp2) + st2 * c1 * sp2)
-    u[3, 1] = st2 * c1 * s2 * cp2 \
-        - s1 * (s2 * (st1 * ct2 * sp1 + ct1 * st2 * sp2) + st1 * c2 * cp1)
-    u[0, 2] = -st1 * s1 * c2 * cp1 \
-        - s2 * (s1 * (ct1 * st2 * sp2 - st1 * ct2 * sp1) + st2 * c1 * cp2)
-    u[1, 2] = st2 * c1 * s2 * sp2 \
-        - s1 * (s2 * (st1 * ct2 * cp1 + ct1 * st2 * cp2) + st1 * c2 * sp1)
-    u[2, 2] = s1 * s2 * (ct1 * ct2 - st1 * st2 * cpp) + c1 * c2
-    u[3, 2] = ct1 * s1 * c2 - s2 * (st1 * st2 * s1 * spp + ct2 * c1)
-    u[0, 3] = -st1 * s1 * c2 * sp1 \
-        - s2 * (s1 * (st1 * ct2 * cp1 - ct1 * st2 * cp2) + st2 * c1 * sp2)
-    u[1, 3] = st1 * s1 * c2 * cp1 \
-        - s2 * (s1 * (st1 * ct2 * sp1 + ct1 * st2 * sp2) + st2 * c1 * cp2)
-    u[2, 3] = ct2 * c1 * s2 - s1 * (st1 * st2 * s2 * spp + ct1 * c2)
-    u[3, 3] = s1 * s2 * (st1 * st2 * cpp + ct1 * ct2) + c1 * c2
-    return u
+
+def final_state(a: AnglePair) -> np.ndarray:
+    """U_r e_1 = q p: the real state reached from level 1."""
+    return np.array(hamilton(*_quat_pair(a)))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
-    """Closed-form couplings of the rotation generator dUr/dt Ur^T."""
-    s1, c1 = math.sin(a.gamma1), math.cos(a.gamma1)
-    s2, c2 = math.sin(a.gamma2), math.cos(a.gamma2)
-    st1, ct1 = math.sin(a.theta1), math.cos(a.theta1)
-    st2, ct2 = math.sin(a.theta2), math.cos(a.theta2)
-    sp1, cp1 = math.sin(a.phi1), math.cos(a.phi1)
-    sp2, cp2 = math.sin(a.phi2), math.cos(a.phi2)
-    dg1, dt1, dp1 = adot.gamma1, adot.theta1, adot.phi1
-    dg2, dt2, dp2 = adot.gamma2, adot.theta2, adot.phi2
+    """Couplings of the rotation generator dUr/dt Ur^T = M_L(l) + M_R(r).
 
-    o12 = s1 * st1 * (dt1 * c1 - dp1 * s1 * st1) \
-        + s2 * st2 * (dt2 * c2 + dp2 * s2 * st2) - dg1 * ct1 - dg2 * ct2
-    o13 = dt1 * s1 * (s1 * sp1 - c1 * ct1 * cp1) \
-        - dt2 * s2 * (s2 * sp2 + c2 * ct2 * cp2) \
-        - dg1 * st1 * cp1 - dg2 * st2 * cp2 \
-        + dp1 * s1 * st1 * (c1 * sp1 + s1 * ct1 * cp1) \
-        + dp2 * s2 * st2 * (c2 * sp2 - s2 * ct2 * cp2)
-    o14 = -dt1 * s1 * (s1 * cp1 + c1 * ct1 * sp1) \
-        + dt2 * s2 * (s2 * cp2 - c2 * ct2 * sp2) \
-        - dg1 * st1 * sp1 - dg2 * st2 * sp2 \
-        - dp1 * s1 * st1 * (c1 * cp1 - s1 * ct1 * sp1) \
-        - dp2 * s2 * st2 * (c2 * cp2 + s2 * ct2 * sp2)
-    o23 = -dt1 * s1 * (s1 * cp1 + c1 * ct1 * sp1) \
-        - dt2 * s2 * (s2 * cp2 - c2 * ct2 * sp2) \
-        - dg1 * st1 * sp1 + dg2 * st2 * sp2 \
-        - dp1 * s1 * st1 * (c1 * cp1 - s1 * ct1 * sp1) \
-        + dp2 * s2 * st2 * (c2 * cp2 + s2 * ct2 * sp2)
-    o24 = -dt1 * s1 * (s1 * sp1 - c1 * ct1 * cp1) \
-        - dt2 * s2 * (s2 * sp2 + c2 * ct2 * cp2) \
-        + dg1 * st1 * cp1 - dg2 * st2 * cp2 \
-        - dp1 * s1 * st1 * (c1 * sp1 + s1 * ct1 * cp1) \
-        + dp2 * s2 * st2 * (c2 * sp2 - s2 * ct2 * cp2)
-    o34 = s1 * st1 * (dt1 * c1 - dp1 * s1 * st1) \
-        - s2 * st2 * (dt2 * c2 + dp2 * s2 * st2) - dg1 * ct1 + dg2 * ct2
-    return CouplingSet(o12, o13, o14, o23, o24, o34)
+    l = dq/dt conj(q) and r = conj(p) dp/dt are pure quaternions, and the
+    upper triangle of M_L(l) + M_R(r) reads off from their components.
+    """
+    (qw, qx, qy, qz), dq = _unit_quat(
+        a.gamma1, a.theta1, a.phi1, adot.gamma1, adot.theta1, adot.phi1
+    )
+    (pw, px, py, pz), dp = _unit_quat(
+        a.gamma2, a.theta2, a.phi2, adot.gamma2, adot.theta2, adot.phi2
+    )
+    _, lx, ly, lz = hamilton(dq, (qw, -qx, -qy, -qz))
+    _, rx, ry, rz = hamilton((pw, -px, -py, -pz), dp)
+    return CouplingSet(-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx)
 
 
 def hr_numeric(

@@ -25,6 +25,7 @@ _ALLOWED_KEYS = {
 }
 _ALLOWED_PHASE_KEYS = {"eps", "eps_prime"}
 _ALLOWED_QO_KEYS = {"omega_levels"}
+_ALLOWED_FREE_PARAMS = {"theta1"}
 _ANSATZ_NAMES = {"cosine_ramp"}
 
 
@@ -106,6 +107,9 @@ def load_scenario(path: str | Path) -> Scenario:
         isinstance(v, (int, float)) for v in free_params.values()
     ):
         raise ScenarioError("free_params must map names to numbers")
+    unknown = set(free_params) - _ALLOWED_FREE_PARAMS
+    if unknown:
+        raise ScenarioError(f"unknown free_params keys: {sorted(unknown)}")
 
     initial_guess = None
     if "initial_guess" in raw:

@@ -18,10 +18,9 @@ import scipy.optimize
 from .rotation import (
     AnglePair,
     AngleSchedule,
-    CouplingSet,
     cosine_ramp_schedule,
+    final_state,
     hr_numeric,
-    ur_of_angles,
 )
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -74,6 +73,8 @@ class TargetSpec:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (4,):
             raise ValueError("target must have four components")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("target components must be finite")
         if abs(b @ b - 1.0) > 1e-10:
             raise ValueError(f"target norm^2 = {b @ b} is not 1 within 1e-10")
         object.__setattr__(self, "b", b)
@@ -199,7 +200,7 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
 
     best, best_res = None, math.inf
     for cand in candidates:
-        res = np.linalg.norm(ur_of_angles(cand) @ E1 - b)
+        res = np.linalg.norm(final_state(cand) - b)
         if res < best_res:
             best, best_res = cand, res
     if best_res > 1e-9:
@@ -220,7 +221,7 @@ def _ntype_residual(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     theta1, theta2, gamma2_T = x
     if abs(math.sin(theta1)) < 1e-9:
         return np.full(4, 1e6)
-    return ur_of_angles(_ntype_boundary(theta1, theta2, gamma2_T)) @ E1 - b
+    return final_state(_ntype_boundary(theta1, theta2, gamma2_T)) - b
 
 
 def solve_ntype(
@@ -277,55 +278,3 @@ def solve_ntype(
         raise ConstraintSingularityError("sin(theta1) = 0 on the returned root")
     boundary = _ntype_boundary(theta1, theta2, gamma2_T)
     return _finish(LevelConfig.N_TYPE, boundary, horizon)
-
-
-def coupling_schedules(
-    config: LevelConfig, solved: SolvedAngles, t: float
-) -> CouplingSet:
-    """Closed-form coupling waveforms for a configuration.
-
-    These are the per-topology closed forms; for the diamond and N-type
-    they coincide with the generator read-off of hr_analytic, while the
-    tripod form is the spherical-coordinate pulse (gamma-rate times the
-    direction cosines), which differs from the raw generator by a factor
-    of -2 (the generator rotates the state through 2*gamma).
-    """
-    T = solved.schedule.horizon
-    if not 0.0 <= t <= T:
-        raise ValueError(f"t={t} outside [0, {T}]")
-    a = solved.schedule.value(t)
-    adot = solved.schedule.rate(t)
-    if config is LevelConfig.INVERSE_TRIPOD:
-        dg, th, ph = adot.gamma1, a.theta1, a.phi1
-        return CouplingSet(
-            dg * math.cos(th),
-            dg * math.sin(th) * math.cos(ph),
-            dg * math.sin(th) * math.sin(ph),
-            0.0,
-            0.0,
-            0.0,
-        )
-    if config is LevelConfig.DIAMOND:
-        dg1, dg2 = adot.gamma1, adot.gamma2
-        t1, t2 = a.theta1, a.theta2
-        return CouplingSet(
-            -(dg1 * math.cos(t1) + dg2 * math.cos(t2)),
-            -(dg1 * math.sin(t1) + dg2 * math.sin(t2)),
-            0.0,
-            0.0,
-            dg1 * math.sin(t1) - dg2 * math.sin(t2),
-            -(dg1 * math.cos(t1) - dg2 * math.cos(t2)),
-        )
-    if config is LevelConfig.N_TYPE:
-        dg2 = adot.gamma2
-        t1, t2 = a.theta1, a.theta2
-        cot1 = math.cos(t1) / math.sin(t1)
-        return CouplingSet(
-            dg2 * (math.sin(t2) * cot1 - math.cos(t2)),
-            0.0,
-            0.0,
-            2.0 * dg2 * math.sin(t2),
-            0.0,
-            dg2 * (math.sin(t2) * cot1 + math.cos(t2)),
-        )
-    raise ValueError(f"unknown configuration {config}")

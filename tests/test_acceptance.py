@@ -28,7 +28,6 @@ from fourlevel.solvers import (
     FORBIDDEN,
     LevelConfig,
     TargetSpec,
-    coupling_schedules,
     solve_diamond,
     solve_ntype,
     solve_tripod,
@@ -137,7 +136,7 @@ def test_criterion_3_ntype_example():
     T = 1.0
     wave_err = 0.0
     for t in np.linspace(0, T, 101):
-        cs = coupling_schedules(LevelConfig.N_TYPE, solved, t)
+        cs = hr_analytic(solved.schedule.value(t), solved.schedule.rate(t))
         s = math.sin(math.pi * t / T)
         wave_err = max(
             wave_err,

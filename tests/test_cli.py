@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fourlevel.cli
+import fourlevel.rotation
+import fourlevel.solvers
 from fourlevel.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -132,6 +135,22 @@ class TestVerify:
         report = capsys.readouterr().out
         assert "FAIL" not in report
         assert report.count("PASS") == 5
+
+    def test_one_generator_evaluation_per_grid_point(self, tmp_path, monkeypatch):
+        # the solver's residual check samples 50 points and verify's 200;
+        # each point needs one finite-difference generator, whatever the
+        # number of forbidden couplings
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fourlevel.rotation.hr_numeric(*args, **kwargs)
+
+        # count the calls whichever module makes them
+        for module in (fourlevel.solvers, fourlevel.cli):
+            monkeypatch.setattr(module, "hr_numeric", counting, raising=False)
+        assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
+        assert len(calls) == 50 + 200
 
 
 class TestExitCodes:

@@ -42,6 +42,19 @@ class TestPhaseSchedule:
         with pytest.raises(ValueError):
             PhaseSchedule(eps=np.zeros(3), eps_prime=np.zeros(3), T=0.0)
 
+    @pytest.mark.parametrize(
+        "eps, eps_prime, T",
+        [
+            (np.zeros(3), np.ones(3), math.nan),
+            (np.zeros(3), np.ones(3), math.inf),
+            (np.array([0.0, math.nan, 0.0]), np.ones(3), 1.0),
+            (np.zeros(3), np.array([0.0, 0.0, math.inf]), 1.0),
+        ],
+    )
+    def test_rejects_non_finite(self, eps, eps_prime, T):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseSchedule(eps=eps, eps_prime=eps_prime, T=T)
+
 
 class TestPhaseOperator:
     def test_identity_for_zero_phases(self):

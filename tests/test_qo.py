@@ -16,7 +16,9 @@ from fourlevel.qo import (
     rwa_hamiltonian,
 )
 from fourlevel.rotation import CouplingSet, hr_analytic
-from fourlevel.solvers import LevelConfig, TargetSpec, coupling_schedules, solve_diamond
+from fourlevel.solvers import LevelConfig, TargetSpec, solve_diamond
+
+from conftest import topology_couplings
 
 
 def silent_params(omega_levels=(5.0, 6.0, 10.0), omega_fields=None):
@@ -195,7 +197,7 @@ class TestEngineeredToQO:
         solved, ph, _ = diamond_setup()
 
         def couplings(t):
-            return coupling_schedules(LevelConfig.DIAMOND, solved, t)
+            return topology_couplings(LevelConfig.DIAMOND, solved, t)
 
         qo = engineered_to_qo(couplings, ph, [1000.0, 1350.0, 2600.0])
         for t in (0.2, 0.8):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fourlevel.quat4 import cayley_rotation, is_rotation_matrix
+from fourlevel.quat4 import cayley_rotation, is_rotation_matrix, quat_mul
 from fourlevel.rotation import (
     AnglePair,
     AngleSchedule,
     CouplingSet,
     constant_schedule,
     cosine_ramp_schedule,
+    final_state,
     hr_analytic,
     hr_numeric,
     spherical_to_quats,
@@ -76,6 +77,20 @@ class TestUrOfAngles:
     def test_always_rotation(self, rng):
         for _ in range(100):
             assert is_rotation_matrix(ur_of_angles(random_angle_pair(rng)), atol=1e-10)
+
+
+class TestFinalState:
+    def test_is_first_column_of_rotation(self, rng):
+        # U_r e_1 = q p, checked against the isoclinic matrices
+        for _ in range(200):
+            a = random_angle_pair(rng)
+            q, p = spherical_to_quats(a)
+            np.testing.assert_allclose(
+                final_state(a), cayley_rotation(q, p)[:, 0], atol=1e-12
+            )
+            np.testing.assert_allclose(
+                final_state(a), quat_mul(q, p).as_array(), atol=1e-15
+            )
 
 
 class TestHrAnalytic:

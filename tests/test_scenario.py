@@ -82,6 +82,12 @@ class TestLoadScenario:
         sc = load_scenario(write_scenario(tmp_path, payload))
         assert sc.target.free_params == {"theta1": 1.0}
 
+    def test_unknown_free_param_rejected(self, tmp_path):
+        payload = minimal(config="diamond", target=[0, 1, 0, 0])
+        payload["free_params"] = {"theta_1": 0.3}  # deliberate typo
+        with pytest.raises(ScenarioError, match="theta_1"):
+            load_scenario(write_scenario(tmp_path, payload))
+
     def test_qo_levels_parsed(self, tmp_path):
         payload = minimal(config="diamond", target=[0, 1, 0, 0])
         payload["qo"] = {"omega_levels": [10.0, 13.5, 26.0]}

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from fourlevel.rotation import hr_numeric, ur_of_angles
+from fourlevel.rotation import hr_analytic, hr_numeric, ur_of_angles
 from fourlevel.solvers import (
     FORBIDDEN,
     LevelConfig,
     NoSolutionFoundError,
     SingularParameterizationError,
     TargetSpec,
-    coupling_schedules,
     solve_diamond,
     solve_ntype,
     solve_tripod,
 )
+
+from conftest import topology_couplings
 
 E1 = np.array([1.0, 0, 0, 0])
 SQRT3 = math.sqrt(3.0)
@@ -34,6 +35,11 @@ class TestTargetSpec:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             TargetSpec(np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TargetSpec(np.array([bad, 0.0, 0.0, 0.0]))
 
 
 class TestSolveTripod:
@@ -184,12 +190,12 @@ class TestCouplingSchedules:
         ):
             solved = solver(random_target(rng))
             np.testing.assert_allclose(
-                coupling_schedules(config, solved, 0.0).as_array(), 0, atol=1e-12
+                topology_couplings(config, solved, 0.0).as_array(), 0, atol=1e-12
             )
 
     def test_tripod_peak(self):
         solved = solve_tripod(TargetSpec(np.array([0, 1, 1, 1]) / SQRT3))
-        cs = coupling_schedules(LevelConfig.INVERSE_TRIPOD, solved, 0.5)
+        cs = topology_couplings(LevelConfig.INVERSE_TRIPOD, solved, 0.5)
         peak = math.pi**2 / (8 * SQRT3)
         np.testing.assert_allclose(
             [cs.omega12, cs.omega13, cs.omega14], [peak] * 3, atol=1e-12
@@ -203,7 +209,7 @@ class TestCouplingSchedules:
         )
         T = 1.0
         for t in np.linspace(0, T, 17):
-            cs = coupling_schedules(LevelConfig.N_TYPE, solved, t)
+            cs = topology_couplings(LevelConfig.N_TYPE, solved, t)
             s = math.sin(math.pi * t / T)
             assert abs(cs.omega12 + SQRT3 * math.pi**2 / (4 * T) * s) < 1e-9
             assert abs(cs.omega34 + SQRT3 * math.pi**2 / (4 * T) * s) < 1e-9
@@ -215,7 +221,7 @@ class TestCouplingSchedules:
         solved = solve_tripod(target)
         b = solved.boundary
         area, _ = scipy.integrate.quad(
-            lambda t: coupling_schedules(
+            lambda t: topology_couplings(
                 LevelConfig.INVERSE_TRIPOD, solved, t
             ).omega12,
             0.0,
@@ -223,7 +229,18 @@ class TestCouplingSchedules:
         )
         assert abs(area - b.gamma1 * math.cos(b.theta1)) < 1e-8
 
-    def test_rejects_out_of_range_time(self, rng):
-        solved = solve_tripod(random_target(rng))
-        with pytest.raises(ValueError):
-            coupling_schedules(LevelConfig.INVERSE_TRIPOD, solved, 1.5)
+    def test_generator_matches_closed_forms(self, rng):
+        # the generator equals the closed forms for the diamond and N-type
+        # and is -2 times the tripod's spherical-coordinate pulse
+        for config, solver, factor in (
+            (LevelConfig.INVERSE_TRIPOD, solve_tripod, -2.0),
+            (LevelConfig.DIAMOND, solve_diamond, 1.0),
+            (LevelConfig.N_TYPE, solve_ntype, 1.0),
+        ):
+            solved = solver(random_target(rng))
+            for t in np.linspace(0.0, 1.0, 11):
+                np.testing.assert_allclose(
+                    hr_analytic(solved.schedule.value(t), solved.schedule.rate(t)).as_array(),
+                    factor * topology_couplings(config, solved, t).as_array(),
+                    atol=1e-9,
+                )
