@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonian import analytic_evolution, phase_operator, total_hamiltonian
+from .hamiltonian import total_hamiltonian
 from .propagator import AccuracyError, compare_with_analytic, fidelity, propagate
 from .qo import check_resonance, engineered_to_qo
 from .rotation import final_state, hr_analytic
@@ -73,7 +73,7 @@ def _hamiltonian_of_t(solved: SolvedAngles, sc: Scenario):
 
 
 def _expected_final(sc: Scenario) -> np.ndarray:
-    return phase_operator(sc.phases, sc.T) @ sc.target.b.astype(complex)
+    return sc.phases.frame(sc.T) * sc.target.b
 
 
 def _fmt(x: float) -> str:
@@ -86,24 +86,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _boundary_dict(solved: SolvedAngles) -> dict:
-    b = solved.boundary
-    return {
-        "gamma1": float(b.gamma1),
-        "theta1": float(b.theta1),
-        "phi1": float(b.phi1),
-        "gamma2": float(b.gamma2),
-        "theta2": float(b.theta2),
-        "phi2": float(b.phi2),
-    }
-
-
 def cmd_solve(sc: Scenario, out: Path, seed: int) -> int:
     solved = _solve(sc, seed)
     final_residual = float(np.linalg.norm(final_state(solved.boundary) - sc.target.b))
     payload = {
         "config": sc.config.value,
-        "boundary_angles": _boundary_dict(solved),
+        "boundary_angles": dataclasses.asdict(solved.boundary),
         "constraint_residual": float(solved.constraint_residual),
         "final_state_residual": final_residual,
         "within_canonical_ranges": bool(solved.within_canonical_ranges),
@@ -158,12 +146,7 @@ def cmd_qomap(sc: Scenario, out: Path, seed: int) -> int:
         "omega_levels": list(qo.omega_levels),
         "laser_frequencies": qo.omega_fields,
         "field_phases": qo.field_phases,
-        "rwa_detunings": {
-            "delta2": 2.0 * (qo.omega_levels[0] - qo.omega_fields["12"]),
-            "delta3": 2.0 * (qo.omega_levels[1] - qo.omega_fields["13"]),
-            "delta4": 2.0
-            * (qo.omega_levels[2] - qo.omega_fields["12"] - qo.omega_fields["24"]),
-        },
+        "rwa_detunings": dict(zip(("delta2", "delta3", "delta4"), qo.rwa_detunings)),
         "resonance_residual": check_resonance(qo),
     }
     (out / "qomap.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -171,11 +154,8 @@ def cmd_qomap(sc: Scenario, out: Path, seed: int) -> int:
     times = np.linspace(0.0, sc.T, sc.steps + 1)
     rows = []
     for t in times:
-        row = [t]
-        for key in ("12", "13", "24", "34"):
-            re, im = qo.rabi[key](t)
-            row.extend([re, im])
-        rows.append(row)
+        z = qo.rabi(t)
+        rows.append([t, *np.column_stack((z.real, z.imag)).ravel()])
     _write_csv(
         out / "rabi.csv",
         ["t", "re12", "im12", "re13", "im13", "re24", "im24", "re34", "im34"],
@@ -244,7 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         sc = load_scenario(args.scenario)
         if args.steps is not None:
             sc = dataclasses.replace(sc, steps=args.steps)
-            sc.validate()
     except ScenarioError as exc:
         print(f"validation failure: {exc}")
         return EXIT_VALIDATION

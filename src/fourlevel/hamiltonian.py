@@ -51,11 +51,14 @@ class PhaseSchedule:
         """phi_k(t) for k = 2, 3, 4."""
         return self.eps + self.detunings * t
 
+    def frame(self, t: float) -> np.ndarray:
+        """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0."""
+        return np.exp(1j * np.concatenate([[0.0], self.phases(t)]))
+
 
 def phase_operator(ph: PhaseSchedule, t: float) -> np.ndarray:
     """Diagonal unitary K(t) = diag(1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4})."""
-    phases = np.concatenate([[0.0], ph.phases(t)])
-    return np.diag(np.exp(1j * phases))
+    return np.diag(ph.frame(t))
 
 
 def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t: float) -> np.ndarray:
@@ -64,15 +67,14 @@ def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t: float) -> np
     Diagonal is (0, -Delta_2, -Delta_3, -Delta_4); off-diagonal (n, m) is
     i * Omega_nm * e^{i (phi_n - phi_m)} with phi_1 = 0.
     """
-    phases = np.concatenate([[0.0], ph.phases(t)])
     hr = 1j * couplings.to_matrix()  # Hermitian: i * (real antisymmetric)
-    k = np.exp(1j * phases)
+    k = ph.frame(t)
     h = (k[:, None] * hr) * k.conj()[None, :]
-    h += np.diag(np.concatenate([[0.0], -ph.detunings]))
+    h[1:, 1:] -= np.diag(ph.detunings)
     return h
 
 
 def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t: float) -> np.ndarray:
     """Exact evolution operator U(t) = K(t) U_r(t) K(0)^dag."""
     ur = ur_of_angles(solved.schedule.value(t))
-    return phase_operator(ph, t) @ ur @ phase_operator(ph, 0.0).conj().T
+    return ph.frame(t)[:, None] * ur * ph.frame(0.0).conj()

@@ -71,6 +71,8 @@ def propagate(
     """Integrate i d/dt psi = H(t) psi from 0 to T on a uniform grid."""
     if steps < 100:
         raise ValueError("steps must be at least 100")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
     psi = np.asarray(psi0, dtype=complex).copy()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")

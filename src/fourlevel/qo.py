@@ -23,9 +23,8 @@ from .rotation import CouplingSet
 
 TRANSITIONS = ("12", "13", "24", "34")
 _IDX = {"12": (0, 1), "13": (0, 2), "24": (1, 3), "34": (2, 3)}
-
-#: Pair of real quadrature amplitudes (in-phase, out-of-phase) at time t.
-QuadraturePair = Callable[[float], tuple[float, float]]
+#: Lower and upper level index of each transition, in TRANSITIONS order.
+_ROWS, _COLS = np.array([_IDX[k] for k in TRANSITIONS]).T
 
 
 class ResonanceViolationError(ValueError):
@@ -36,36 +35,55 @@ class UnsupportedConfigurationError(ValueError):
     pass
 
 
-def _zero_pair(t: float) -> tuple[float, float]:
-    return (0.0, 0.0)
+def _no_drive(t: float) -> np.ndarray:
+    return np.zeros(len(TRANSITIONS), dtype=complex)
+
+
+def _per_transition(values: dict[str, float]) -> np.ndarray:
+    return np.array([values[k] for k in TRANSITIONS], dtype=float)
 
 
 @dataclass(frozen=True)
 class QOParams:
-    """Level frequencies, field frequencies/phases and Rabi quadratures."""
+    """Level frequencies, field frequencies/phases and the laser drive.
+
+    rabi(t) returns the four complex Rabi amplitudes re + i im in
+    TRANSITIONS order; re and im are the in-phase and out-of-phase
+    quadratures of each field.
+    """
 
     omega_levels: np.ndarray  # (3,): omega_2, omega_3, omega_4 (omega_1 = 0)
     omega_fields: dict[str, float]  # keys "12", "13", "24", "34"
     field_phases: dict[str, float] = field(
         default_factory=lambda: {k: 0.0 for k in TRANSITIONS}
     )
-    rabi: dict[str, QuadraturePair] = field(
-        default_factory=lambda: {k: _zero_pair for k in TRANSITIONS}
-    )
+    rabi: Callable[[float], np.ndarray] = _no_drive
 
     def __post_init__(self):
         levels = np.asarray(self.omega_levels, dtype=float)
         if levels.shape != (3,):
             raise ValueError("omega_levels must hold omega_2, omega_3, omega_4")
         object.__setattr__(self, "omega_levels", levels)
-        for d in (self.omega_fields, self.field_phases, self.rabi):
+        for d in (self.omega_fields, self.field_phases):
             if set(d) != set(TRANSITIONS):
                 raise ValueError(f"expected exactly the transitions {TRANSITIONS}")
+        values = [*levels, *self.omega_fields.values(), *self.field_phases.values()]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("level and field frequencies and phases must be finite")
 
     @property
     def closed_loop_phase(self) -> float:
         p = self.field_phases
         return p["12"] - p["13"] + p["24"] - p["34"]
+
+    @property
+    def rwa_detunings(self) -> np.ndarray:
+        """delta_k = 2 (omega_k - the field frequencies on the path 1 -> k),
+        k = 2, 3, 4."""
+        (w2, w3, w4), wf = self.omega_levels, self.omega_fields
+        return 2.0 * np.array(
+            [w2 - wf["12"], w3 - wf["13"], w4 - wf["12"] - wf["24"]]
+        )
 
 
 def check_resonance(qo: QOParams) -> float:
@@ -75,17 +93,25 @@ def check_resonance(qo: QOParams) -> float:
     return abs(w["13"] + w["34"] - w["12"] - w["24"])
 
 
+def _drive(qo: QOParams, t: float) -> np.ndarray:
+    """The four complex Rabi amplitudes at t, checked for shape."""
+    z = np.array(qo.rabi(t), dtype=complex)
+    if z.shape != (len(TRANSITIONS),):
+        raise ValueError(
+            f"rabi(t) must return {len(TRANSITIONS)} amplitudes, got shape {z.shape}"
+        )
+    return z
+
+
 def lab_hamiltonian(qo: QOParams, t: float) -> np.ndarray:
     """Schrodinger-picture Hamiltonian with explicit carrier oscillations."""
+    z = _drive(qo, t)
+    phase = _per_transition(qo.omega_fields) * t + _per_transition(qo.field_phases)
+    drive = z.real * np.cos(phase) - z.imag * np.sin(phase)
     h = np.zeros((4, 4))
     h[1, 1], h[2, 2], h[3, 3] = qo.omega_levels
-    for key in TRANSITIONS:
-        i, j = _IDX[key]
-        phase = qo.omega_fields[key] * t + qo.field_phases[key]
-        re, im = qo.rabi[key](t)
-        drive = re * np.cos(phase) - im * np.sin(phase)
-        h[i, j] += drive
-        h[j, i] += drive
+    h[_ROWS, _COLS] = drive
+    h[_COLS, _ROWS] = drive
     return h.astype(complex)
 
 
@@ -122,26 +148,12 @@ def rwa_hamiltonian(qo: QOParams, t: float) -> np.ndarray:
         raise ResonanceViolationError(
             f"four-photon resonance violated by {check_resonance(qo):.3e}"
         )
-    w2, w3, w4 = qo.omega_levels
-    wf = qo.omega_fields
-    d2 = 2.0 * (w2 - wf["12"])
-    d3 = 2.0 * (w3 - wf["13"])
-    d4 = 2.0 * (w4 - wf["12"] - wf["24"])
-
-    def complex_rabi(key: str) -> complex:
-        re, im = qo.rabi[key](t)
-        return re + 1j * im
-
+    z = _drive(qo, t)
+    z[3] *= np.exp(-1j * qo.closed_loop_phase)  # the 3-4 field closes the loop
     h = np.zeros((4, 4), dtype=complex)
-    h[1, 1], h[2, 2], h[3, 3] = d2, d3, d4
-    h[0, 1] = complex_rabi("12")
-    h[0, 2] = complex_rabi("13")
-    h[1, 3] = complex_rabi("24")
-    h[2, 3] = complex_rabi("34") * np.exp(-1j * qo.closed_loop_phase)
-    h[1, 0] = np.conj(h[0, 1])
-    h[2, 0] = np.conj(h[0, 2])
-    h[3, 1] = np.conj(h[1, 3])
-    h[3, 2] = np.conj(h[2, 3])
+    h[1, 1], h[2, 2], h[3, 3] = qo.rwa_detunings
+    h[_ROWS, _COLS] = z
+    h[_COLS, _ROWS] = z.conj()
     return 0.5 * h
 
 
@@ -155,8 +167,10 @@ def engineered_to_qo(
     Laser frequencies absorb the constant detunings (so the RWA
     Hamiltonian's diagonal reproduces -Delta_k), the fourth frequency is
     fixed by four-photon resonance, the driving-field phases are zero
-    (closed-loop phase 0), and each complex Rabi amplitude is
-    2i e^{i(phi_j - phi_k)t} Omega_jk with phi_1 = 0.
+    (closed-loop phase 0), and each complex Rabi amplitude is twice the
+    engineered Hamiltonian's entry, 2i e^{i(phi_j - phi_k)} Omega_jk with
+    phi_1 = 0, so one evaluation of the couplings and of K(t) gives all
+    four.
     """
     levels = np.asarray(omega_levels, dtype=float)
     if levels.shape != (3,):
@@ -184,20 +198,12 @@ def engineered_to_qo(
                 stacklevel=2,
             )
 
-    def make_pair(key: str) -> QuadraturePair:
-        i, j = _IDX[key]
-
-        def pair(t: float) -> tuple[float, float]:
-            phases = np.concatenate([[0.0], ph.phases(t)])
-            omega = getattr(couplings(t), f"omega{key}")
-            z = 2j * np.exp(1j * (phases[i] - phases[j])) * omega
-            return (float(z.real), float(z.imag))
-
-        return pair
+    def rabi(t: float) -> np.ndarray:
+        return 2.0 * total_hamiltonian(couplings(t), ph, t)[_ROWS, _COLS]
 
     return QOParams(
         omega_levels=levels,
         omega_fields=omega_fields,
         field_phases={k: 0.0 for k in TRANSITIONS},
-        rabi={k: make_pair(k) for k in TRANSITIONS},
+        rabi=rabi,
     )

@@ -44,20 +44,29 @@ class Scenario:
     initial_guess: tuple[float, float, float] | None = None
     omega_levels: np.ndarray | None = None
 
-    def validate(self) -> None:
-        if self.T <= 0:
+    def __post_init__(self):
+        if _require_number(self.T, "T") <= 0:
             raise ScenarioError("T must be positive")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
+            raise ScenarioError("steps must be an integer")
         if self.steps < 100:
             raise ScenarioError("steps must be at least 100")
         if self.ansatz not in _ANSATZ_NAMES:
             raise ScenarioError(f"unknown ansatz {self.ansatz!r}")
-        b = self.target.b
-        if not math.isclose(float(b @ b), 1.0, abs_tol=1e-10):
-            raise ScenarioError("target is not normalized")
+
+
+def _require_number(obj, name: str) -> float:
+    number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+    if not (number and math.isfinite(obj)):
+        raise ScenarioError(f"{name} must be a finite number")
+    return float(obj)
 
 
 def _require_floats(obj, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be {n} finite numbers") from exc
     if arr.shape != (n,) or not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{name} must be {n} finite numbers")
     return arr
@@ -83,9 +92,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"unknown config {raw['config']!r}") from exc
 
     b = _require_floats(raw["target"], 4, "target")
-    T = float(raw["T"])
-    if not (math.isfinite(T) and T > 0):
-        raise ScenarioError("T must be a positive number")
+    T = _require_number(raw["T"], "T")
 
     phases_raw = raw["phases"]
     if not isinstance(phases_raw, dict) or set(phases_raw) - _ALLOWED_PHASE_KEYS:
@@ -103,13 +110,14 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"unknown ansatz keys: {sorted(extra)}")
 
     free_params = raw.get("free_params", {})
-    if not isinstance(free_params, dict) or not all(
-        isinstance(v, (int, float)) for v in free_params.values()
-    ):
+    if not isinstance(free_params, dict):
         raise ScenarioError("free_params must map names to numbers")
     unknown = set(free_params) - _ALLOWED_FREE_PARAMS
     if unknown:
         raise ScenarioError(f"unknown free_params keys: {sorted(unknown)}")
+    free_params = {
+        k: _require_number(v, f"free_params.{k}") for k, v in free_params.items()
+    }
 
     initial_guess = None
     if "initial_guess" in raw:
@@ -118,24 +126,23 @@ def load_scenario(path: str | Path) -> Scenario:
     omega_levels = None
     if "qo" in raw:
         qo_raw = raw["qo"]
-        if not isinstance(qo_raw, dict) or set(qo_raw) - _ALLOWED_QO_KEYS:
+        if not isinstance(qo_raw, dict) or set(qo_raw) != _ALLOWED_QO_KEYS:
             raise ScenarioError("qo must be an object with key omega_levels")
         omega_levels = _require_floats(qo_raw["omega_levels"], 3, "qo.omega_levels")
 
     try:
-        target = TargetSpec(b, dict(free_params))
+        target = TargetSpec(b, free_params)
+        phases = PhaseSchedule(eps=eps, eps_prime=epsp, T=T)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    scenario = Scenario(
+    return Scenario(
         config=config,
         target=target,
         T=T,
-        phases=PhaseSchedule(eps=eps, eps_prime=epsp, T=T),
+        phases=phases,
         ansatz=str(ansatz_raw["name"]),
-        steps=int(raw.get("steps", 2000)),
+        steps=raw.get("steps", 2000),
         initial_guess=initial_guess,
         omega_levels=omega_levels,
     )
-    scenario.validate()
-    return scenario

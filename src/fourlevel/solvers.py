@@ -273,7 +273,7 @@ def solve_ntype(
         raise NoSolutionFoundError(
             "N-type boundary-value solve did not converge", best_res
         )
-    theta1, theta2, gamma2_T = best_x
+    theta1, theta2, gamma2_T = (float(v) for v in best_x)
     if abs(math.sin(theta1)) < 1e-9:
         raise ConstraintSingularityError("sin(theta1) = 0 on the returned root")
     boundary = _ntype_boundary(theta1, theta2, gamma2_T)

@@ -9,6 +9,8 @@ import fourlevel.cli
 import fourlevel.rotation
 import fourlevel.solvers
 from fourlevel.cli import main
+from fourlevel.qo import engineered_to_qo, lab_hamiltonian, rwa_hamiltonian
+from fourlevel.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -111,6 +113,28 @@ class TestQomap:
         header, data = read_csv(tmp_path / "rabi.csv")
         assert header[0] == "t" and len(header) == 9
         np.testing.assert_allclose(data[0, 1:], 0, atol=1e-12)  # pulses start at zero
+
+    def test_one_coupling_evaluation_per_sample(self, tmp_path, monkeypatch):
+        # one drive read gives all four Rabi amplitudes: each Hamiltonian
+        # sample and each rabi.csv row evaluates the couplings once
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return fourlevel.rotation.hr_analytic(*args)
+
+        monkeypatch.setattr(fourlevel.cli, "hr_analytic", counting)
+        assert run("qomap", SCENARIO_DIR / "diamond.json", tmp_path, "--steps", "100") == 0
+        assert len(calls) == 3 + 101  # the diamond-type probe, then one per row
+
+        sc = load_scenario(SCENARIO_DIR / "diamond.json")
+        solved = fourlevel.cli._solve(sc, 0)
+        couplings = fourlevel.cli._couplings_of_t(solved)
+        qo = engineered_to_qo(couplings, sc.phases, sc.omega_levels)
+        for hamiltonian in (lab_hamiltonian, rwa_hamiltonian):
+            calls.clear()
+            hamiltonian(qo, 0.3)
+            assert len(calls) == 1
 
     def test_rejects_non_diamond(self, tmp_path):
         assert run("qomap", SCENARIO_DIR / "tripod.json", tmp_path) == 1

@@ -48,6 +48,11 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), complex), PSI0, 1.0, steps=10)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_horizon(self, T):
+        with pytest.raises(ValueError, match="T must be"):
+            propagate(lambda t: np.zeros((4, 4), complex), PSI0, T, steps=100)
+
     def test_rejects_unnormalized_initial_state(self):
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), complex), 2 * PSI0, 1.0)

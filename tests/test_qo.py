@@ -56,6 +56,20 @@ class TestQOParams:
                 omega_fields={"12": 1.0, "13": 1.0, "24": 1.0},
             )
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("omega_levels", np.array([1.0, math.nan, 2.0])),
+            ("omega_fields", {"12": 1.0, "13": math.inf, "24": 1.0, "34": 1.0}),
+            ("field_phases", {"12": 0.0, "13": 0.0, "24": math.nan, "34": 0.0}),
+        ],
+    )
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = {"omega_levels": np.ones(3), "omega_fields": dict.fromkeys(TRANSITIONS, 1.0)}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            QOParams(**kwargs)
+
     def test_closed_loop_phase(self):
         qo = QOParams(
             omega_levels=np.zeros(3),
@@ -84,12 +98,7 @@ class TestLabHamiltonian:
         qo = QOParams(
             omega_levels=np.array([5.0, 6.0, 10.0]),
             omega_fields={"12": 5.0, "13": 6.0, "24": 5.0, "34": 4.0},
-            rabi={
-                "12": lambda t: (0.7, 0.0),
-                "13": lambda t: (0.0, 0.0),
-                "24": lambda t: (0.0, 0.0),
-                "34": lambda t: (0.0, 0.0),
-            },
+            rabi=lambda t: np.array([0.7, 0.0, 0.0, 0.0], dtype=complex),
         )
         h = lab_hamiltonian(qo, 0.0)
         assert h[0, 1] == pytest.approx(0.7)
@@ -100,10 +109,7 @@ class TestLabHamiltonian:
             omega_levels=rng.normal(size=3),
             omega_fields={k: float(rng.normal()) for k in TRANSITIONS},
             field_phases={k: float(rng.normal()) for k in TRANSITIONS},
-            rabi={
-                k: (lambda t, a=rng.normal(), b=rng.normal(): (a, b))
-                for k in TRANSITIONS
-            },
+            rabi=lambda t, ab=rng.normal(size=(4, 2)): ab[:, 0] + 1j * ab[:, 1],
         )
         h = lab_hamiltonian(qo, 0.7)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
@@ -112,7 +118,7 @@ class TestLabHamiltonian:
         qo = QOParams(
             omega_levels=np.zeros(3),
             omega_fields={k: 1.0 for k in TRANSITIONS},
-            rabi={k: (lambda t: (1.0, 1.0)) for k in TRANSITIONS},
+            rabi=lambda t: np.full(4, 1.0 + 1.0j),
         )
         h = lab_hamiltonian(qo, 0.2)
         assert h[0, 3] == 0.0 and h[1, 2] == 0.0
@@ -126,6 +132,7 @@ class TestRwaHamiltonian:
         )
         h = rwa_hamiltonian(qo, 0.0)
         assert h[1, 1] == pytest.approx(0.5 * 2 * (5.0 - 4.9))  # (hbar/2) * 0.2
+        np.testing.assert_array_equal(np.diag(h)[1:], 0.5 * qo.rwa_detunings)
 
     def test_resonant_silent_fields_zero(self):
         qo = silent_params(
@@ -137,7 +144,7 @@ class TestRwaHamiltonian:
         qo = QOParams(
             omega_levels=rng.normal(size=3),
             omega_fields={"12": 1.0, "13": 1.5, "24": 2.0, "34": 1.5},
-            rabi={k: (lambda t: (1.0, -1.0)) for k in TRANSITIONS},
+            rabi=lambda t: np.full(4, 1.0 - 1.0j),
         )
         h = rwa_hamiltonian(qo, 0.4)
         assert h[0, 3] == 0.0 and h[1, 2] == 0.0
@@ -146,6 +153,18 @@ class TestRwaHamiltonian:
         qo = silent_params(omega_fields={"12": 1.0, "24": 1.0, "13": 1.0, "34": 1.5})
         with pytest.raises(ResonanceViolationError):
             rwa_hamiltonian(qo, 0.0)
+
+
+@pytest.mark.parametrize("hamiltonian", [lab_hamiltonian, rwa_hamiltonian])
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+def test_rejects_wrong_drive_shape(hamiltonian, shape):
+    qo = QOParams(
+        omega_levels=np.array([5.0, 6.0, 10.0]),
+        omega_fields={"12": 5.0, "13": 6.0, "24": 5.0, "34": 4.0},
+        rabi=lambda t: np.zeros(shape, dtype=complex),
+    )
+    with pytest.raises(ValueError, match="amplitudes"):
+        hamiltonian(qo, 0.3)
 
 
 class TestEngineeredToQO:

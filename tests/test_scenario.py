@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -125,3 +126,28 @@ class TestScenarioValidate:
         payload["ansatz"] = {"name": "linear_ramp"}
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("T", "abc"),
+            ("T", [1]),
+            ("steps", "abc"),
+            ("steps", 150.7),
+            ("target", [1, 0, 0, "x"]),
+            ("qo", {}),
+            ("free_params", {"theta1": True}),
+            ("free_params", {"theta1": math.nan}),
+        ],
+    )
+    def test_malformed_value_rejected(self, tmp_path, key, value):
+        payload = minimal(config="diamond", target=[0, 1, 0, 0])
+        payload[key] = value
+        with pytest.raises(ScenarioError):
+            load_scenario(write_scenario(tmp_path, payload))
+
+    def test_replace_revalidates(self):
+        sc = load_scenario(SCENARIO_DIR / "tripod.json")
+        assert dataclasses.replace(sc, steps=500).steps == 500
+        with pytest.raises(ScenarioError, match="steps"):
+            dataclasses.replace(sc, steps=10)

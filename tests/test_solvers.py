@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,11 @@ class TestSolveNType:
             target = random_target(rng)
             solved = solve_ntype(target, seed=3)
             assert np.linalg.norm(ur_of_angles(solved.boundary) @ E1 - target.b) < 1e-8
+
+    def test_boundary_is_python_floats(self, rng):
+        # numpy scalars would double the cost of every generator evaluation
+        boundary = solve_ntype(random_target(rng), seed=3).boundary
+        assert all(type(v) is float for v in dataclasses.astuple(boundary))
 
     def test_deterministic_for_fixed_seed(self, rng):
         target = random_target(rng)
