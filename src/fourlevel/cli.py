@@ -57,7 +57,7 @@ def _solve(sc: Scenario, seed: int) -> SolvedAngles:
 def _couplings_of_t(solved: SolvedAngles):
     sched = solved.schedule
 
-    def couplings(t: float):
+    def couplings(t):
         return hr_analytic(sched.value(t), sched.rate(t))
 
     return couplings
@@ -66,7 +66,7 @@ def _couplings_of_t(solved: SolvedAngles):
 def _hamiltonian_of_t(solved: SolvedAngles, sc: Scenario):
     couplings = _couplings_of_t(solved)
 
-    def h(t: float):
+    def h(t):
         return total_hamiltonian(couplings(t), sc.phases, t)
 
     return h
@@ -106,22 +106,15 @@ def cmd_simulate(sc: Scenario, out: Path, seed: int) -> int:
     couplings = _couplings_of_t(solved)
     traj = propagate(_hamiltonian_of_t(solved, sc), PSI0, sc.T, sc.steps)
 
-    rows = []
-    for t in traj.times:
-        rows.append([t, *couplings(t).as_array()])
     _write_csv(
         out / "couplings.csv",
         ["t", "omega12", "omega13", "omega14", "omega23", "omega24", "omega34"],
-        rows,
+        np.column_stack((traj.times, couplings(traj.times).as_array())),
     )
-    rows = [
-        [t, *pops, *phis]
-        for t, pops, phis in zip(traj.times, traj.populations, traj.phases)
-    ]
     _write_csv(
         out / "populations.csv",
         ["t", "p1", "p2", "p3", "p4", "phi2", "phi3", "phi4"],
-        rows,
+        np.column_stack((traj.times, traj.populations, traj.phases)),
     )
     print(f"wrote {out / 'couplings.csv'} and {out / 'populations.csv'}")
 
@@ -152,14 +145,11 @@ def cmd_qomap(sc: Scenario, out: Path, seed: int) -> int:
     (out / "qomap.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     times = np.linspace(0.0, sc.T, sc.steps + 1)
-    rows = []
-    for t in times:
-        z = qo.rabi(t)
-        rows.append([t, *np.column_stack((z.real, z.imag)).ravel()])
+    z = qo.rabi(times)
     _write_csv(
         out / "rabi.csv",
         ["t", "re12", "im12", "re13", "im13", "re24", "im24", "re34", "im34"],
-        rows,
+        np.column_stack((times, np.stack((z.real, z.imag), axis=-1).reshape(len(times), -1))),
     )
     print(f"wrote {out / 'qomap.json'} and {out / 'rabi.csv'}")
     return 0

@@ -6,6 +6,9 @@ become constant detunings Delta_k on the diagonal, and the real rotation
 generator picks up the phase factors on its off-diagonal couplings:
 
     H(t) = -hbar * sum_k Delta_k |k><k| + K(t) H_r(t) K(t)^dag,  hbar = 1.
+
+Every function of t broadcasts over an array of times: the results gain
+the time axes in front, e.g. total_hamiltonian returns (..., 4, 4).
 """
 
 from __future__ import annotations
@@ -47,21 +50,23 @@ class PhaseSchedule:
     def detunings(self) -> np.ndarray:
         return (self.eps_prime - self.eps) / self.T
 
-    def phases(self, t: float) -> np.ndarray:
-        """phi_k(t) for k = 2, 3, 4."""
-        return self.eps + self.detunings * t
+    def phases(self, t) -> np.ndarray:
+        """phi_k(t) for k = 2, 3, 4, shape (..., 3)."""
+        return self.eps + np.multiply.outer(t, self.detunings)
 
-    def frame(self, t: float) -> np.ndarray:
+    def frame(self, t) -> np.ndarray:
         """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0."""
-        return np.exp(1j * np.concatenate([[0.0], self.phases(t)]))
+        k = np.ones(np.shape(t) + (4,), dtype=complex)
+        k[..., 1:] = np.exp(1j * self.phases(t))
+        return k
 
 
-def phase_operator(ph: PhaseSchedule, t: float) -> np.ndarray:
+def phase_operator(ph: PhaseSchedule, t) -> np.ndarray:
     """Diagonal unitary K(t) = diag(1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4})."""
-    return np.diag(ph.frame(t))
+    return np.where(np.eye(4, dtype=bool), ph.frame(t)[..., None], 0)
 
 
-def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t: float) -> np.ndarray:
+def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray:
     """Hermitian H(t) from the rotation couplings and the phase schedule.
 
     Diagonal is (0, -Delta_2, -Delta_3, -Delta_4); off-diagonal (n, m) is
@@ -69,12 +74,12 @@ def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t: float) -> np
     """
     hr = 1j * couplings.to_matrix()  # Hermitian: i * (real antisymmetric)
     k = ph.frame(t)
-    h = (k[:, None] * hr) * k.conj()[None, :]
-    h[1:, 1:] -= np.diag(ph.detunings)
+    h = (k[..., :, None] * hr) * k.conj()[..., None, :]
+    h[..., 1:, 1:] -= np.diag(ph.detunings)
     return h
 
 
-def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t: float) -> np.ndarray:
+def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t) -> np.ndarray:
     """Exact evolution operator U(t) = K(t) U_r(t) K(0)^dag."""
     ur = ur_of_angles(solved.schedule.value(t))
-    return ph.frame(t)[:, None] * ur * ph.frame(0.0).conj()
+    return ph.frame(t)[..., :, None] * ur * ph.frame(0.0).conj()

@@ -7,7 +7,8 @@ the rotating wave approximation under the four-photon resonance
 condition, and maps the engineered Hamiltonian's detunings and couplings
 to laser frequencies and complex Rabi amplitudes (and back).
 
-hbar = 1 throughout.
+hbar = 1 throughout.  Every function of t broadcasts over an array of
+times, with the time axes in front of the matrix or amplitude axes.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class UnsupportedConfigurationError(ValueError):
     pass
 
 
-def _no_drive(t: float) -> np.ndarray:
-    return np.zeros(len(TRANSITIONS), dtype=complex)
+def _no_drive(t) -> np.ndarray:
+    return np.zeros(np.shape(t) + (len(TRANSITIONS),), dtype=complex)
 
 
 def _per_transition(values: dict[str, float]) -> np.ndarray:
@@ -48,8 +49,8 @@ class QOParams:
     """Level frequencies, field frequencies/phases and the laser drive.
 
     rabi(t) returns the four complex Rabi amplitudes re + i im in
-    TRANSITIONS order; re and im are the in-phase and out-of-phase
-    quadratures of each field.
+    TRANSITIONS order, shape np.shape(t) + (4,); re and im are the
+    in-phase and out-of-phase quadratures of each field.
     """
 
     omega_levels: np.ndarray  # (3,): omega_2, omega_3, omega_4 (omega_1 = 0)
@@ -57,7 +58,7 @@ class QOParams:
     field_phases: dict[str, float] = field(
         default_factory=lambda: {k: 0.0 for k in TRANSITIONS}
     )
-    rabi: Callable[[float], np.ndarray] = _no_drive
+    rabi: Callable[[np.ndarray], np.ndarray] = _no_drive
 
     def __post_init__(self):
         levels = np.asarray(self.omega_levels, dtype=float)
@@ -93,52 +94,49 @@ def check_resonance(qo: QOParams) -> float:
     return abs(w["13"] + w["34"] - w["12"] - w["24"])
 
 
-def _drive(qo: QOParams, t: float) -> np.ndarray:
+def _drive(qo: QOParams, t) -> np.ndarray:
     """The four complex Rabi amplitudes at t, checked for shape."""
     z = np.array(qo.rabi(t), dtype=complex)
-    if z.shape != (len(TRANSITIONS),):
+    if z.shape != np.shape(t) + (len(TRANSITIONS),):
         raise ValueError(
-            f"rabi(t) must return {len(TRANSITIONS)} amplitudes, got shape {z.shape}"
+            f"rabi(t) must return {len(TRANSITIONS)} amplitudes per time, got shape {z.shape}"
         )
     return z
 
 
-def lab_hamiltonian(qo: QOParams, t: float) -> np.ndarray:
+def lab_hamiltonian(qo: QOParams, t) -> np.ndarray:
     """Schrodinger-picture Hamiltonian with explicit carrier oscillations."""
     z = _drive(qo, t)
-    phase = _per_transition(qo.omega_fields) * t + _per_transition(qo.field_phases)
+    wf, fp = _per_transition(qo.omega_fields), _per_transition(qo.field_phases)
+    phase = np.multiply.outer(t, wf) + fp
     drive = z.real * np.cos(phase) - z.imag * np.sin(phase)
-    h = np.zeros((4, 4))
-    h[1, 1], h[2, 2], h[3, 3] = qo.omega_levels
-    h[_ROWS, _COLS] = drive
-    h[_COLS, _ROWS] = drive
+    h = np.zeros(np.shape(t) + (4, 4))
+    h[..., [1, 2, 3], [1, 2, 3]] = qo.omega_levels
+    h[..., _ROWS, _COLS] = drive
+    h[..., _COLS, _ROWS] = drive
     return h.astype(complex)
 
 
-def interaction_frame(qo: QOParams, t: float) -> np.ndarray:
+def interaction_frame(qo: QOParams, t) -> np.ndarray:
     """Diagonal unitary of the laser-adapted rotating frame."""
     w, p = qo.omega_fields, qo.field_phases
-    args = np.array(
-        [
-            0.0,
-            w["12"] * t + p["12"],
-            w["13"] * t + p["13"],
-            (w["12"] + w["24"]) * t + p["12"] + p["24"],
-        ]
-    )
-    return np.diag(np.exp(1j * args))
+    args = np.zeros(np.shape(t) + (4,))
+    args[..., 1] = w["12"] * t + p["12"]
+    args[..., 2] = w["13"] * t + p["13"]
+    args[..., 3] = (w["12"] + w["24"]) * t + p["12"] + p["24"]
+    return np.where(np.eye(4, dtype=bool), np.exp(1j * args)[..., None], 0)
 
 
-def interaction_hamiltonian(qo: QOParams, t: float) -> np.ndarray:
+def interaction_hamiltonian(qo: QOParams, t) -> np.ndarray:
     """Full interaction-picture Hamiltonian U0 H U0^dag + i dU0/dt U0^dag,
     counter-rotating terms included."""
     u0 = interaction_frame(qo, t)
     w = qo.omega_fields
     shift = -np.diag([0.0, w["12"], w["13"], w["12"] + w["24"]])
-    return u0 @ lab_hamiltonian(qo, t) @ u0.conj().T + shift
+    return u0 @ lab_hamiltonian(qo, t) @ np.swapaxes(u0.conj(), -1, -2) + shift
 
 
-def rwa_hamiltonian(qo: QOParams, t: float) -> np.ndarray:
+def rwa_hamiltonian(qo: QOParams, t) -> np.ndarray:
     """Interaction-picture Hamiltonian after the rotating wave approximation.
 
     Requires the four-photon resonance condition; entries (1, 4) and
@@ -149,11 +147,13 @@ def rwa_hamiltonian(qo: QOParams, t: float) -> np.ndarray:
             f"four-photon resonance violated by {check_resonance(qo):.3e}"
         )
     z = _drive(qo, t)
-    z[3] *= np.exp(-1j * qo.closed_loop_phase)  # the 3-4 field closes the loop
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1], h[2, 2], h[3, 3] = qo.rwa_detunings
-    h[_ROWS, _COLS] = z
-    h[_COLS, _ROWS] = z.conj()
+    # the 3-4 field closes the loop; not *=, which on one time (a 0-d view)
+    # rounds differently from the array product
+    z[..., 3] = z[..., 3] * np.exp(-1j * qo.closed_loop_phase)
+    h = np.zeros(np.shape(t) + (4, 4), dtype=complex)
+    h[..., [1, 2, 3], [1, 2, 3]] = qo.rwa_detunings
+    h[..., _ROWS, _COLS] = z
+    h[..., _COLS, _ROWS] = z.conj()
     return 0.5 * h
 
 
@@ -170,13 +170,13 @@ def engineered_to_qo(
     (closed-loop phase 0), and each complex Rabi amplitude is twice the
     engineered Hamiltonian's entry, 2i e^{i(phi_j - phi_k)} Omega_jk with
     phi_1 = 0, so one evaluation of the couplings and of K(t) gives all
-    four.
+    four.  couplings(t) must broadcast over an array of times.
     """
     levels = np.asarray(omega_levels, dtype=float)
     if levels.shape != (3,):
         raise ValueError("omega_levels must hold omega_2, omega_3, omega_4")
-    probe = [couplings(s * ph.T) for s in (0.25, 0.5, 0.75)]
-    if any(abs(c.omega14) > 1e-10 or abs(c.omega23) > 1e-10 for c in probe):
+    probe = couplings(np.array([0.25, 0.5, 0.75]) * ph.T)
+    if np.any(np.abs(probe.omega14) > 1e-10) or np.any(np.abs(probe.omega23) > 1e-10):
         raise UnsupportedConfigurationError(
             "couplings are not of diamond type (omega14, omega23 must vanish)"
         )
@@ -198,8 +198,8 @@ def engineered_to_qo(
                 stacklevel=2,
             )
 
-    def rabi(t: float) -> np.ndarray:
-        return 2.0 * total_hamiltonian(couplings(t), ph, t)[_ROWS, _COLS]
+    def rabi(t) -> np.ndarray:
+        return 2.0 * total_hamiltonian(couplings(t), ph, t)[..., _ROWS, _COLS]
 
     return QOParams(
         omega_levels=levels,

@@ -11,12 +11,13 @@ dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
 quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
 product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
 M_R(conj(p) dp/dt) and U_r e_1 = q p.  The finite-difference read-off
-hr_numeric is kept as an independent check.
+hr_numeric is kept as an independent check.  A schedule evaluated on a
+time array gives an AnglePair of arrays, and the maps above then return
+one result per time, on the leading axes.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -26,12 +27,24 @@ import numpy as np
 from .quat4 import Quaternion, hamilton
 
 
+#: Row and column of the couplings (1,2), (1,3), (1,4), (2,3), (2,4), (3,4).
+_UPPER = np.triu_indices(4, 1)
+
+
+def _stack_last(parts) -> np.ndarray:
+    """np.stack(parts, axis=-1) for parts of one shape, at np.array's cost on floats."""
+    a = np.array(parts)
+    return a.transpose(*range(1, a.ndim), 0)
+
+
 @dataclass(frozen=True)
 class AnglePair:
     """Generalized spherical angles of the two quaternion factors (radians).
 
     All real values are accepted; the solvers occasionally need angles
     outside [0, pi] (e.g. theta2 = -3*pi/4 for the diamond example).
+    The fields may also be arrays of one shape (one entry per time
+    sample); as_array stacks them on the last axis.
     """
 
     gamma1: float
@@ -42,9 +55,7 @@ class AnglePair:
     phi2: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.gamma1, self.theta1, self.phi1, self.gamma2, self.theta2, self.phi2]
-        )
+        return _stack_last(tuple(vars(self).values()))
 
     @classmethod
     def from_array(cls, a) -> "AnglePair":
@@ -53,7 +64,8 @@ class AnglePair:
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """The six real couplings of the rotation Hamiltonian (hbar = 1)."""
+    """The six real couplings of the rotation Hamiltonian (hbar = 1), floats
+    or arrays of one shape."""
 
     omega12: float
     omega13: float
@@ -63,16 +75,7 @@ class CouplingSet:
     omega34: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.omega12,
-                self.omega13,
-                self.omega14,
-                self.omega23,
-                self.omega24,
-                self.omega34,
-            ]
-        )
+        return _stack_last(tuple(vars(self).values()))
 
     @classmethod
     def from_matrix(cls, omega: np.ndarray) -> "CouplingSet":
@@ -81,23 +84,25 @@ class CouplingSet:
         return cls(o[0, 1], o[0, 2], o[0, 3], o[1, 2], o[1, 3], o[2, 3])
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4))
-        m[0, 1], m[0, 2], m[0, 3] = self.omega12, self.omega13, self.omega14
-        m[1, 2], m[1, 3] = self.omega23, self.omega24
-        m[2, 3] = self.omega34
-        return m - m.T
+        """The antisymmetric matrix (..., 4, 4), one per sample."""
+        o = self.as_array()
+        m = np.zeros(o.shape[:-1] + (4, 4))
+        m[..., _UPPER[0], _UPPER[1]] = o
+        return m - np.swapaxes(m, -1, -2)
 
 
 @dataclass(frozen=True)
 class AngleSchedule:
     """Time-dependent angles as paired (value, rate) closures over [0, T].
 
-    The closures must be side-effect-free and mutually consistent; see
-    check_consistency for the finite-difference test.
+    The closures take a time or an array of times and return an AnglePair
+    whose fields are floats or arrays of t's shape.  They must be
+    side-effect-free and mutually consistent; see check_consistency for the
+    finite-difference test.
     """
 
-    value: Callable[[float], AnglePair]
-    rate: Callable[[float], AnglePair]
+    value: Callable[[np.ndarray], AnglePair]
+    rate: Callable[[np.ndarray], AnglePair]
     horizon: float
 
     def check_consistency(self, samples: int = 33, rtol: float = 1e-6) -> float:
@@ -105,13 +110,10 @@ class AngleSchedule:
         T = self.horizon
         h = 1e-6 * T
         grid = np.linspace(h, T - h, samples)
-        worst = 0.0
-        scale = max(
-            1.0, max(np.max(np.abs(self.rate(t).as_array())) for t in grid)
-        )
-        for t in grid:
-            fd = (self.value(t + h).as_array() - self.value(t - h).as_array()) / (2 * h)
-            worst = max(worst, np.max(np.abs(fd - self.rate(t).as_array())))
+        rate = self.rate(grid).as_array()
+        scale = max(1.0, np.max(np.abs(rate)))
+        fd = (self.value(grid + h).as_array() - self.value(grid - h).as_array()) / (2 * h)
+        worst = np.max(np.abs(fd - rate))
         if worst > rtol * scale:
             raise ValueError(
                 f"angle schedule value/rate mismatch {worst:.3e} exceeds {rtol * scale:.3e}"
@@ -130,33 +132,38 @@ def cosine_ramp_schedule(final: AnglePair, horizon: float) -> AngleSchedule:
     T = horizon
     gf1, gf2 = final.gamma1, final.gamma2
 
-    def value(t: float) -> AnglePair:
-        ramp = 0.5 * (1.0 - math.cos(math.pi * t / T))
+    def value(t) -> AnglePair:
+        ramp = 0.5 * (1.0 - np.cos(np.pi * t / T))
+        one = 0.0 * ramp + 1.0  # 1 in t's shape, for the constant angles
         return AnglePair(
-            gf1 * ramp, final.theta1, final.phi1, gf2 * ramp, final.theta2, final.phi2
+            gf1 * ramp, final.theta1 * one, final.phi1 * one,
+            gf2 * ramp, final.theta2 * one, final.phi2 * one,
         )
 
-    def rate(t: float) -> AnglePair:
-        dramp = 0.5 * math.pi / T * math.sin(math.pi * t / T)
-        return AnglePair(gf1 * dramp, 0.0, 0.0, gf2 * dramp, 0.0, 0.0)
+    def rate(t) -> AnglePair:
+        dramp = 0.5 * np.pi / T * np.sin(np.pi * t / T)
+        zero = 0.0 * dramp + 0.0  # +0 in t's shape
+        return AnglePair(gf1 * dramp, zero, zero, gf2 * dramp, zero, zero)
 
     return AngleSchedule(value=value, rate=rate, horizon=T)
 
 
-def _unit_quat(g, th, ph, dg, dth, dph):
-    """Unit quaternion cos(g) + sin(g) n(th, ph) and its time derivative.
+def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
+    """Unit quaternion cos(g) + sin(g) n(th, ph), and given the angle rates
+    (dg, dth, dph) the pair (quaternion, its time derivative).
 
-    n = (cos th, sin th cos ph, sin th sin ph) is the pure unit axis and
-    (dg, dth, dph) are the angle rates.  Both quaternions come back as
-    (w, x, y, z) float tuples.  This is the one map from angles to
-    quaternions; callers that need no derivative pass zero rates.
+    n = (cos th, sin th cos ph, sin th sin ph) is the pure unit axis.  The
+    quaternions are (w, x, y, z) tuples of floats or of broadcast arrays.
+    This is the one map from angles to quaternions.
     """
-    cg, sg = math.cos(g), math.sin(g)
-    ct, st = math.cos(th), math.sin(th)
-    cp, sp = math.cos(ph), math.sin(ph)
+    cg, sg = np.cos(g), np.sin(g)
+    ct, st = np.cos(th), np.sin(th)
+    cp, sp = np.cos(ph), np.sin(ph)
     ny, nz = st * cp, st * sp
-    gd, sdt, sdp = cg * dg, sg * dth, sg * dph
     q = (cg, sg * ct, sg * ny, sg * nz)
+    if dg is None:
+        return q
+    gd, sdt, sdp = cg * dg, sg * dth, sg * dph
     dq = (
         -sg * dg,
         gd * ct - sdt * st,
@@ -167,9 +174,7 @@ def _unit_quat(g, th, ph, dg, dth, dph):
 
 
 def _quat_pair(a: AnglePair):
-    q, _ = _unit_quat(a.gamma1, a.theta1, a.phi1, 0.0, 0.0, 0.0)
-    p, _ = _unit_quat(a.gamma2, a.theta2, a.phi2, 0.0, 0.0, 0.0)
-    return q, p
+    return _unit_quat(a.gamma1, a.theta1, a.phi1), _unit_quat(a.gamma2, a.theta2, a.phi2)
 
 
 def spherical_to_quats(a: AnglePair) -> tuple[Quaternion, Quaternion]:
@@ -179,7 +184,7 @@ def spherical_to_quats(a: AnglePair) -> tuple[Quaternion, Quaternion]:
 
 
 def ur_of_angles(a: AnglePair) -> np.ndarray:
-    """Evolution operator U_r = M_L(q) M_R(p) (real 4x4 rotation matrix).
+    """Evolution operator U_r = M_L(q) M_R(p) (real rotation, (..., 4, 4)).
 
     Column k is the quaternion q e_k p for the basis e_k = 1, i, j, k;
     cayley_rotation(*spherical_to_quats(a)) builds the same matrix from
@@ -188,17 +193,18 @@ def ur_of_angles(a: AnglePair) -> np.ndarray:
     q, p = _quat_pair(a)
     w, x, y, z = p
     # e_k p for e_k = 1, i, j, k: the columns of M_R(p)
-    return np.array(
+    u = _stack_last(
         hamilton(q, p)
         + hamilton(q, (-x, w, -z, y))
         + hamilton(q, (-y, z, w, -x))
         + hamilton(q, (-z, -y, x, w))
-    ).reshape(4, 4).T
+    )  # u[..., 4 k + i] = (q e_k p)_i
+    return np.swapaxes(u.reshape(u.shape[:-1] + (4, 4)), -1, -2)
 
 
 def final_state(a: AnglePair) -> np.ndarray:
-    """U_r e_1 = q p: the real state reached from level 1."""
-    return np.array(hamilton(*_quat_pair(a)))
+    """U_r e_1 = q p: the real state reached from level 1, shape (..., 4)."""
+    return _stack_last(hamilton(*_quat_pair(a)))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:

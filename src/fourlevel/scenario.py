@@ -63,13 +63,9 @@ def _require_number(obj, name: str) -> float:
 
 
 def _require_floats(obj, n: int, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be {n} finite numbers") from exc
-    if arr.shape != (n,) or not np.all(np.isfinite(arr)):
+    if not (isinstance(obj, list) and len(obj) == n):
         raise ScenarioError(f"{name} must be {n} finite numbers")
-    return arr
+    return np.array([_require_number(v, f"{name}[{i}]") for i, v in enumerate(obj)])
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .rotation import (
     AnglePair,
     AngleSchedule,
     cosine_ramp_schedule,
     final_state,
-    hr_numeric,
+    hr_analytic,
 )
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -105,16 +104,11 @@ def _within_canonical_ranges(a: AnglePair) -> bool:
 def _forbidden_residual(
     config: LevelConfig, schedule: AngleSchedule, samples: int = 50
 ) -> float:
-    """Max forbidden-coupling magnitude from the finite-difference generator."""
+    """Max forbidden-coupling magnitude of the generator on a grid inside (0, T)."""
     T = schedule.horizon
-    h = 1e-6 * T
-    grid = np.linspace(h, T - h, samples)
-    names = FORBIDDEN[config]
-    worst = 0.0
-    for t in grid:
-        cs = hr_numeric(schedule, t, h=h)
-        worst = max(worst, max(abs(getattr(cs, n)) for n in names))
-    return worst
+    grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)
+    cs = hr_analytic(schedule.value(grid), schedule.rate(grid))
+    return float(max(np.max(np.abs(getattr(cs, n))) for n in FORBIDDEN[config]))
 
 
 def _finish(
@@ -240,6 +234,8 @@ def solve_ntype(
     coarse grid plus seeded random draws, and selection is deterministic
     (lowest residual, ties by start order).
     """
+    import scipy.optimize  # here, not at the top: 0.3 s of every CLI start
+
     b = target.b
 
     starts: list[tuple[float, float, float]] = []

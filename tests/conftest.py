@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -34,46 +32,48 @@ def unit_quaternions(draw):
     return Quaternion.from_array(v / n)
 
 
-def topology_couplings(config: LevelConfig, solved, t: float) -> CouplingSet:
+def topology_couplings(config: LevelConfig, solved, t) -> CouplingSet:
     """Per-topology closed-form coupling waveforms, an oracle for hr_analytic.
 
     For the diamond and N-type these are the generator read-off.  The tripod
     form is the spherical-coordinate pulse (gamma rate times the direction
     cosines); the generator rotates the state through 2*gamma, so it is -2
     times this form, which satisfies the pulse-area identity
-    integral of Omega_12 dt = gamma(T) cos(theta).
+    integral of Omega_12 dt = gamma(T) cos(theta).  Like the library's
+    functions of time, it takes a time or an array of times.
     """
     a = solved.schedule.value(t)
     adot = solved.schedule.rate(t)
+    zero = np.zeros_like(adot.gamma1)
     if config is LevelConfig.INVERSE_TRIPOD:
         dg, th, ph = adot.gamma1, a.theta1, a.phi1
         return CouplingSet(
-            dg * math.cos(th),
-            dg * math.sin(th) * math.cos(ph),
-            dg * math.sin(th) * math.sin(ph),
-            0.0,
-            0.0,
-            0.0,
+            dg * np.cos(th),
+            dg * np.sin(th) * np.cos(ph),
+            dg * np.sin(th) * np.sin(ph),
+            zero,
+            zero,
+            zero,
         )
     if config is LevelConfig.DIAMOND:
         dg1, dg2 = adot.gamma1, adot.gamma2
         t1, t2 = a.theta1, a.theta2
         return CouplingSet(
-            -(dg1 * math.cos(t1) + dg2 * math.cos(t2)),
-            -(dg1 * math.sin(t1) + dg2 * math.sin(t2)),
-            0.0,
-            0.0,
-            dg1 * math.sin(t1) - dg2 * math.sin(t2),
-            -(dg1 * math.cos(t1) - dg2 * math.cos(t2)),
+            -(dg1 * np.cos(t1) + dg2 * np.cos(t2)),
+            -(dg1 * np.sin(t1) + dg2 * np.sin(t2)),
+            zero,
+            zero,
+            dg1 * np.sin(t1) - dg2 * np.sin(t2),
+            -(dg1 * np.cos(t1) - dg2 * np.cos(t2)),
         )
     dg2 = adot.gamma2
     t1, t2 = a.theta1, a.theta2
-    cot1 = math.cos(t1) / math.sin(t1)
+    cot1 = np.cos(t1) / np.sin(t1)
     return CouplingSet(
-        dg2 * (math.sin(t2) * cot1 - math.cos(t2)),
-        0.0,
-        0.0,
-        2.0 * dg2 * math.sin(t2),
-        0.0,
-        dg2 * (math.sin(t2) * cot1 + math.cos(t2)),
+        dg2 * (np.sin(t2) * cot1 - np.cos(t2)),
+        zero,
+        zero,
+        2.0 * dg2 * np.sin(t2),
+        zero,
+        dg2 * (np.sin(t2) * cot1 + np.cos(t2)),
     )

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,27 +117,30 @@ class TestQomap:
         assert header[0] == "t" and len(header) == 9
         np.testing.assert_allclose(data[0, 1:], 0, atol=1e-12)  # pulses start at zero
 
-    def test_one_coupling_evaluation_per_sample(self, tmp_path, monkeypatch):
-        # one drive read gives all four Rabi amplitudes: each Hamiltonian
-        # sample and each rabi.csv row evaluates the couplings once
-        calls = []
+    def test_one_coupling_evaluation_per_grid(self, tmp_path, monkeypatch):
+        # one drive read gives all four Rabi amplitudes, and it takes the
+        # whole time array: the diamond-type probe and all rabi.csv rows
+        # evaluate the couplings once each, and so does a Hamiltonian
+        # evaluated at one time or on a grid
+        shapes = []
 
-        def counting(*args):
-            calls.append(1)
-            return fourlevel.rotation.hr_analytic(*args)
+        def counting(a, adot):
+            shapes.append(np.shape(a.gamma1))
+            return fourlevel.rotation.hr_analytic(a, adot)
 
         monkeypatch.setattr(fourlevel.cli, "hr_analytic", counting)
         assert run("qomap", SCENARIO_DIR / "diamond.json", tmp_path, "--steps", "100") == 0
-        assert len(calls) == 3 + 101  # the diamond-type probe, then one per row
+        assert shapes == [(3,), (101,)]  # the probe, then all rows
 
         sc = load_scenario(SCENARIO_DIR / "diamond.json")
         solved = fourlevel.cli._solve(sc, 0)
         couplings = fourlevel.cli._couplings_of_t(solved)
         qo = engineered_to_qo(couplings, sc.phases, sc.omega_levels)
         for hamiltonian in (lab_hamiltonian, rwa_hamiltonian):
-            calls.clear()
-            hamiltonian(qo, 0.3)
-            assert len(calls) == 1
+            for t in (0.3, np.linspace(0.0, 1.0, 7)):
+                shapes.clear()
+                hamiltonian(qo, t)
+                assert shapes == [np.shape(t)]
 
     def test_rejects_non_diamond(self, tmp_path):
         assert run("qomap", SCENARIO_DIR / "tripod.json", tmp_path) == 1
@@ -160,21 +166,42 @@ class TestVerify:
         assert "FAIL" not in report
         assert report.count("PASS") == 5
 
-    def test_one_generator_evaluation_per_grid_point(self, tmp_path, monkeypatch):
-        # the solver's residual check samples 50 points and verify's 200;
-        # each point needs one finite-difference generator, whatever the
-        # number of forbidden couplings
-        calls = []
+    def test_one_generator_evaluation_per_grid(self, tmp_path, monkeypatch):
+        # the solver's residual check samples 50 points, verify's 200 and
+        # the propagation 2 Gauss nodes per step; each grid is one call of
+        # the exact generator, and the finite-difference one stays a test
+        # oracle
+        shapes = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return fourlevel.rotation.hr_numeric(*args, **kwargs)
+        def counting(a, adot):
+            shapes.append(np.shape(a.gamma1))
+            return fourlevel.rotation.hr_analytic(a, adot)
 
-        # count the calls whichever module makes them
+        def oracle(*args, **kwargs):
+            raise AssertionError("hr_numeric called outside the tests")
+
         for module in (fourlevel.solvers, fourlevel.cli):
-            monkeypatch.setattr(module, "hr_numeric", counting, raising=False)
+            monkeypatch.setattr(module, "hr_analytic", counting)
+        for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
+            monkeypatch.setattr(module, "hr_numeric", oracle, raising=False)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
-        assert len(calls) == 50 + 200
+        assert sorted(shapes) == [(50,), (200,), (200,)]
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only the N-type solver needs scipy.optimize, whose import costs about
+    # 0.3 s; every other command starts without it
+    code = "import sys, fourlevel.cli; print('scipy.optimize' in sys.modules)"
+    src = Path(fourlevel.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestExitCodes:

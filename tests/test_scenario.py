@@ -138,6 +138,11 @@ class TestScenarioValidate:
             ("qo", {}),
             ("free_params", {"theta1": True}),
             ("free_params", {"theta1": math.nan}),
+            ("target", [True, 0, 0, 0]),
+            ("phases", {"eps": [0, True, 0], "eps_prime": [0, 0, 0]}),
+            ("phases", {"eps": [0, 0, 0], "eps_prime": [False, 0, 0]}),
+            ("initial_guess", [0.5, True, -1.5]),
+            ("qo", {"omega_levels": [1000.0, 1350.0, True]}),
         ],
     )
     def test_malformed_value_rejected(self, tmp_path, key, value):

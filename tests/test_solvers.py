@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from fourlevel.rotation import hr_analytic, hr_numeric, ur_of_angles
+from fourlevel.rotation import (
+    AnglePair,
+    cosine_ramp_schedule,
+    hr_analytic,
+    hr_numeric,
+    ur_of_angles,
+)
 from fourlevel.solvers import (
     FORBIDDEN,
     LevelConfig,
     NoSolutionFoundError,
     SingularParameterizationError,
     TargetSpec,
+    _forbidden_residual,
     solve_diamond,
     solve_ntype,
     solve_tripod,
@@ -185,6 +192,32 @@ class TestForbiddenCouplings:
             cs = hr_numeric(solved.schedule, t, h=1e-6 * T)
             for name in FORBIDDEN[config]:
                 assert abs(getattr(cs, name)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "config, boundary",
+        [
+            # tripod factors with different theta
+            (LevelConfig.INVERSE_TRIPOD, AnglePair(0.9, 0.4, 0.3, 0.9, 1.3, 0.3)),
+            # diamond with phi1 != 0
+            (LevelConfig.DIAMOND, AnglePair(0.9, math.pi / 2, 0.5, 0.7, 1.0, 0.0)),
+            # N-type with phi2 != pi/2 and unlocked gamma rates
+            (LevelConfig.N_TYPE, AnglePair(0.9, 0.6, math.pi / 2, 0.7, 1.1, 0.2)),
+        ],
+    )
+    def test_residual_sees_broken_constraint(self, config, boundary):
+        # the solvers' residual check reads the exact generator; on a
+        # schedule that breaks the topology's constraint it must report the
+        # forbidden couplings the finite-difference oracle finds on its grid
+        sched = cosine_ramp_schedule(boundary, 1.0)
+        residual = _forbidden_residual(config, sched)
+        h = 1e-6
+        oracle = max(
+            abs(getattr(hr_numeric(sched, t, h=h), name))
+            for t in np.linspace(h, 1.0 - h, 50)
+            for name in FORBIDDEN[config]
+        )
+        assert residual > 1e-8
+        assert abs(residual - oracle) < 1e-8
 
 
 class TestCouplingSchedules:
