@@ -44,6 +44,11 @@ def _per_transition(values: dict[str, float]) -> np.ndarray:
     return np.array([values[k] for k in TRANSITIONS], dtype=float)
 
 
+def _path_to_levels(values: dict[str, float]) -> np.ndarray:
+    """A per-field quantity summed on the path 1 -> k: 0, x12, x13, x12 + x24."""
+    return np.array([0.0, values["12"], values["13"], values["12"] + values["24"]])
+
+
 @dataclass(frozen=True)
 class QOParams:
     """Level frequencies, field frequencies/phases and the laser drive.
@@ -81,10 +86,7 @@ class QOParams:
     def rwa_detunings(self) -> np.ndarray:
         """delta_k = 2 (omega_k - the field frequencies on the path 1 -> k),
         k = 2, 3, 4."""
-        (w2, w3, w4), wf = self.omega_levels, self.omega_fields
-        return 2.0 * np.array(
-            [w2 - wf["12"], w3 - wf["13"], w4 - wf["12"] - wf["24"]]
-        )
+        return 2.0 * (self.omega_levels - _path_to_levels(self.omega_fields)[1:])
 
 
 def check_resonance(qo: QOParams) -> float:
@@ -119,11 +121,8 @@ def lab_hamiltonian(qo: QOParams, t) -> np.ndarray:
 
 def interaction_frame(qo: QOParams, t) -> np.ndarray:
     """Diagonal unitary of the laser-adapted rotating frame."""
-    w, p = qo.omega_fields, qo.field_phases
-    args = np.zeros(np.shape(t) + (4,))
-    args[..., 1] = w["12"] * t + p["12"]
-    args[..., 2] = w["13"] * t + p["13"]
-    args[..., 3] = (w["12"] + w["24"]) * t + p["12"] + p["24"]
+    args = np.multiply.outer(t, _path_to_levels(qo.omega_fields))
+    args += _path_to_levels(qo.field_phases)
     return np.where(np.eye(4, dtype=bool), np.exp(1j * args)[..., None], 0)
 
 
@@ -131,8 +130,7 @@ def interaction_hamiltonian(qo: QOParams, t) -> np.ndarray:
     """Full interaction-picture Hamiltonian U0 H U0^dag + i dU0/dt U0^dag,
     counter-rotating terms included."""
     u0 = interaction_frame(qo, t)
-    w = qo.omega_fields
-    shift = -np.diag([0.0, w["12"], w["13"], w["12"] + w["24"]])
+    shift = -np.diag(_path_to_levels(qo.omega_fields))
     return u0 @ lab_hamiltonian(qo, t) @ np.swapaxes(u0.conj(), -1, -2) + shift
 
 

@@ -14,15 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quat4 import hamilton
 from .rotation import (
     AnglePair,
     AngleSchedule,
+    _unit_quat,
     cosine_ramp_schedule,
     final_state,
     hr_analytic,
 )
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+#: N-type Levenberg-Marquardt: iteration cap, initial damping, least |sin(theta1)|.
+_NTYPE_MAX_ITER = 40
+_NTYPE_DAMPING = 1e-2
+_NTYPE_MIN_SIN = 1e-6
 
 
 class LevelConfig(enum.Enum):
@@ -49,10 +56,6 @@ class SingularParameterizationError(SolverError):
 
 class DegenerateBranchError(SolverError):
     """A degenerate sub-case was hit and no documented branch applies."""
-
-
-class ConstraintSingularityError(SolverError):
-    """The constraint manifold itself is singular (e.g. sin(theta1) = 0)."""
 
 
 class NoSolutionFoundError(SolverError):
@@ -204,18 +207,53 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     return _finish(LevelConfig.DIAMOND, best, horizon)
 
 
-def _ntype_boundary(theta1: float, theta2: float, gamma2_T: float) -> AnglePair:
-    gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
-    return AnglePair(
-        gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2
-    )
+def _ntype_residual(x: np.ndarray, b: np.ndarray):
+    """q p - b (n, 4) at x = (theta1, theta2, gamma2(T)) (n, 3), gamma1 set by the
+    lock, and its exact Jacobian d(q p)/dx = (dq) p + q (dp) (n, 4, 3)."""
+    th1, th2, g2 = x[:, 0:1], x[:, 1:2], x[:, 2:3]
+    s1, s2 = np.sin(th1), np.sin(th2)
+    g1 = -s2 / s1 * g2
+    dg1 = np.concatenate((-g1 * np.cos(th1) / s1, -np.cos(th2) / s1 * g2, -s2 / s1), axis=1)
+    q, dq = _unit_quat(g1, th1, math.pi / 2, dg1, np.eye(3)[0], 0.0)
+    p, dp = _unit_quat(g2, th2, math.pi / 2, np.eye(3)[2], np.eye(3)[1], 0.0)
+    # columns q p, (dq) p and q (dp), all from one product
+    left = [np.concatenate((u, du, u, u, u), axis=1) for u, du in zip(q, dq)]
+    right = [np.concatenate((v, v, v, v, dv), axis=1) for v, dv in zip(p, dp)]
+    prod = np.stack(hamilton(left, right), axis=1)
+    return prod[:, :, 0] - b, prod[:, :, 1:4] + prod[:, :, 4:]
 
 
-def _ntype_residual(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    theta1, theta2, gamma2_T = x
-    if abs(math.sin(theta1)) < 1e-9:
-        return np.full(4, 1e6)
-    return final_state(_ntype_boundary(theta1, theta2, gamma2_T)) - b
+def _ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
+    """Levenberg-Marquardt on every start of x (n, 3) at once.
+
+    A step is taken if it lowers the residual and is regular: finite, with
+    |sin(theta1)| >= _NTYPE_MIN_SIN (nearer 0, one rounding of theta1 moves
+    the lock's gamma1 beyond the tolerance).  A start leaves at an irregular
+    step or once converged (residual <= residual_tol, no further decrease).
+    Returns the end points, theta in [0, 2 pi), and residuals, inf if never
+    regular."""
+    x, x_new, i = x.copy(), x.copy(), np.arange(len(x))
+    f, jac = np.zeros((len(x), 4)), np.zeros((len(x), 4, 3))
+    res, damping = np.full(len(x), np.inf), np.full(len(x), _NTYPE_DAMPING)
+    for _ in range(_NTYPE_MAX_ITER + 1):
+        x_new[:, :2] %= 2 * math.pi
+        f_new, jac_new = _ntype_residual(x_new, b)
+        res_new = np.linalg.norm(f_new, axis=1)
+        regular = np.isfinite(res_new) & np.all(np.isfinite(jac_new), axis=(1, 2))
+        regular &= np.abs(np.sin(x_new[:, 0])) >= _NTYPE_MIN_SIN
+        ok = regular & (res_new < res[i])
+        x[i[ok]], f[i[ok]], jac[i[ok]] = x_new[ok], f_new[ok], jac_new[ok]
+        res[i[ok]] = res_new[ok]
+        damping[i] = np.where(ok, damping[i] / 10.0, damping[i] * 10.0)
+        i = i[regular & (ok | (res[i] > residual_tol))]
+        if i.size == 0:
+            break
+        # damped step -V diag(s / (s^2 + damping)) U^T f from J = U diag(s) V^T,
+        # finite for every finite J, rank-deficient or not
+        u, sv, vt = np.linalg.svd(jac[i], full_matrices=False)
+        uf = np.einsum("nki,nk->ni", u, f[i]) * sv / (sv * sv + damping[i, None])
+        x_new = x[i] - np.einsum("nij,ni->nj", vt, uf)
+    return x, res
 
 
 def solve_ntype(
@@ -229,48 +267,33 @@ def solve_ntype(
 
     Constraints: phi1 = phi2 = pi/2, constant thetas, and the gamma rates
     locked by gamma1 = -(sin(theta2)/sin(theta1)) gamma2 (both start at 0).
-    The unknowns (theta1, theta2, gamma2(T)) are found by multi-start
-    Levenberg-Marquardt on the final-state residual; starts are a fixed
-    coarse grid plus seeded random draws, and selection is deterministic
-    (lowest residual, ties by start order).
+    (theta1, theta2, gamma2(T)) solve q p = b by Levenberg-Marquardt, run at
+    once on the caller's initial_guess, a fixed grid and seeded random
+    starts.  Root rule: a converged initial_guess (final-state residual at
+    most residual_tol) wins; otherwise the converged start with the least
+    pulse area |gamma1(T)| + |gamma2(T)|, ties going to the earlier start.
+    theta1, theta2 are returned modulo 2 pi, in [0, 2 pi), as the state and
+    the lock are 2 pi-periodic in both.
     """
-    import scipy.optimize  # here, not at the top: 0.3 s of every CLI start
-
-    b = target.b
-
-    starts: list[tuple[float, float, float]] = []
-    if initial_guess is not None:
-        starts.append(tuple(float(v) for v in initial_guess))
-    grid = [math.pi / 6, math.pi / 3, 2 * math.pi / 3, 5 * math.pi / 6]
-    gammas = [-math.pi / 2, math.pi / 2]
-    starts.extend((t1, t2, g) for t1 in grid for t2 in grid for g in gammas)
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        t1 = rng.uniform(0.15, math.pi - 0.15)
-        t2 = rng.uniform(0.15, math.pi - 0.15)
-        g = rng.uniform(-math.pi, math.pi)
-        starts.append((t1, t2, g))
-
-    best_x, best_res = None, math.inf
-    for x0 in starts:
-        try:
-            sol = scipy.optimize.least_squares(
-                _ntype_residual, x0, args=(b,), method="lm", xtol=1e-14, ftol=1e-14
-            )
-        except Exception:
-            continue
-        res = np.linalg.norm(_ntype_residual(sol.x, b))
-        if res < best_res - 1e-15:
-            best_x, best_res = sol.x, res
-        if best_res < residual_tol and initial_guess is not None:
-            break  # honor the caller's seed: keep the first converged root
-
-    if best_x is None or best_res > residual_tol:
+    k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
+    grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
+    low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
+    draws = np.random.default_rng(seed).uniform(low, high, size=(8, 3))
+    guess = np.reshape([] if initial_guess is None else initial_guess, (-1, 3))
+    starts = np.concatenate((guess, grid.reshape(-1, 3), draws))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
+        x, res = _ntype_lm(starts, target.b, residual_tol)
+        t1, t2, g2 = x.T
+        area = np.abs(g2) * (1.0 + np.abs(np.sin(t2) / np.sin(t1)))
+    converged = res <= residual_tol
+    if not np.any(converged):
         raise NoSolutionFoundError(
-            "N-type boundary-value solve did not converge", best_res
+            "N-type boundary-value solve did not converge", float(np.min(res))
         )
-    theta1, theta2, gamma2_T = (float(v) for v in best_x)
-    if abs(math.sin(theta1)) < 1e-9:
-        raise ConstraintSingularityError("sin(theta1) = 0 on the returned root")
-    boundary = _ntype_boundary(theta1, theta2, gamma2_T)
+    area[~converged] = np.inf
+    if len(guess) and converged[0]:
+        area[0] = -1.0  # the caller's converged root wins
+    theta1, theta2, gamma2_T = (float(v) for v in x[np.argmin(area)])
+    gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
+    boundary = AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)
     return _finish(LevelConfig.N_TYPE, boundary, horizon)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import strategies as st
 
 from fourlevel.quat4 import Quaternion
@@ -77,3 +80,28 @@ def topology_couplings(config: LevelConfig, solved, t) -> CouplingSet:
         zero,
         dg2 * (np.sin(t2) * cot1 + np.cos(t2)),
     )
+
+
+def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
+    """Rotation angles of a 4D rotation matrix, from its real Schur form.
+
+    Independent of the quaternion route: an oracle for decompose_rotation.
+    Returns the two angles sorted ascending.
+    """
+    t, _ = scipy.linalg.schur(np.asarray(r, dtype=float), output="real")
+    block_angles = []
+    real_eigs = []
+    i = 0
+    while i < 4:
+        if i < 3 and abs(t[i + 1, i]) > 1e-12:
+            block_angles.append(abs(math.atan2(t[i + 1, i], t[i, i])))
+            i += 2
+        else:
+            real_eigs.append(t[i, i])
+            i += 1
+    # Real eigenvalues of a rotation are +-1 and pair up into planes with
+    # angle 0 (for +1, +1) or pi (for -1, -1).
+    real_eigs.sort()
+    for j in range(0, len(real_eigs), 2):
+        block_angles.append(0.0 if real_eigs[j] > 0 else math.pi)
+    return tuple(sorted(block_angles))

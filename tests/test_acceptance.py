@@ -21,7 +21,6 @@ from fourlevel.quat4 import (
     left_isoclinic,
     quat_mul,
     right_isoclinic,
-    rotation_angles_from_matrix,
 )
 from fourlevel.rotation import hr_analytic, hr_numeric, ur_of_angles
 from fourlevel.solvers import (
@@ -32,6 +31,8 @@ from fourlevel.solvers import (
     solve_ntype,
     solve_tripod,
 )
+
+from conftest import rotation_angles_from_matrix
 
 SQRT3 = math.sqrt(3.0)
 PSI0 = np.array([1.0, 0, 0, 0], dtype=complex)

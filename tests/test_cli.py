@@ -188,20 +188,35 @@ class TestVerify:
         assert sorted(shapes) == [(50,), (200,), (200,)]
 
 
-def test_import_leaves_out_scipy_optimize():
-    # only the N-type solver needs scipy.optimize, whose import costs about
-    # 0.3 s; every other command starts without it
-    code = "import sys, fourlevel.cli; print('scipy.optimize' in sys.modules)"
+def test_commands_run_without_scipy(tmp_path):
+    # the library needs numpy alone: with scipy made unimportable, solve,
+    # simulate and verify run on the three bundled scenarios and qomap on
+    # the diamond, each exiting 0
+    commands = [
+        (command, name)
+        for name in ("tripod", "diamond", "ntype")
+        for command in ("solve", "simulate", "verify")
+    ] + [("qomap", "diamond")]
+    runs = [
+        [command, "--scenario", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path / name)]
+        for command, name in commands
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from fourlevel.cli import main\n"
+        f"print(json.dumps([main(argv) for argv in {runs!r}]))\n"
+    )
     src = Path(fourlevel.cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
-        check=True,
-        timeout=120,
+        timeout=300,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
 
 
 class TestExitCodes:

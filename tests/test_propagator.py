@@ -63,6 +63,18 @@ class TestPropagate:
         with pytest.raises(InvalidHamiltonianError):
             propagate(lambda t: bad, PSI0, 1.0, steps=100)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_sample(self, value):
+        # one bad node among finite ones names its time, and no exponential
+        # of a non-finite stack is attempted
+        def h(t):
+            out = np.zeros(np.shape(t) + (4, 4), complex)
+            out[7, 1, 1] = value
+            return out
+
+        with pytest.raises(InvalidHamiltonianError, match="not finite"):
+            propagate(h, PSI0, 1.0, steps=100)
+
     def test_fourth_order_convergence(self):
         solved = solve_tripod(TargetSpec(np.array([0, 1, 1, 1]) / SQRT3))
         h = hamiltonian_of(solved, phases([math.pi / 3] * 3))

@@ -14,10 +14,9 @@ from fourlevel.quat4 import (
     quat_exp,
     quat_mul,
     right_isoclinic,
-    rotation_angles_from_matrix,
 )
 
-from conftest import random_unit_quaternion, unit_quaternions
+from conftest import random_unit_quaternion, rotation_angles_from_matrix, unit_quaternions
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)

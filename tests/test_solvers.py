@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fourlevel.solvers
 from fourlevel.rotation import (
     AnglePair,
     cosine_ramp_schedule,
+    final_state,
     hr_analytic,
     hr_numeric,
     ur_of_angles,
@@ -17,6 +21,7 @@ from fourlevel.solvers import (
     LevelConfig,
     NoSolutionFoundError,
     SingularParameterizationError,
+    SolverError,
     TargetSpec,
     _forbidden_residual,
     solve_diamond,
@@ -28,6 +33,10 @@ from conftest import topology_couplings
 
 E1 = np.array([1.0, 0, 0, 0])
 SQRT3 = math.sqrt(3.0)
+
+
+#: initial-guess angles, sin(theta) = 0 included
+GUESS_ANGLES = st.sampled_from([0.0, math.pi]) | st.floats(-7.0, 7.0)
 
 
 def random_target(rng) -> TargetSpec:
@@ -168,13 +177,72 @@ class TestSolveNType:
         b = solve_ntype(target, seed=7).boundary
         assert a == b
 
-    def test_failure_carries_best_residual(self):
-        # an unreachable "target" cannot exist on the sphere, so force a
-        # failure by shrinking the residual tolerance below attainable
+    def test_failure_carries_best_residual(self, monkeypatch):
+        # every target on the sphere is reachable, and the solver may reach
+        # a residual of exactly 0, so force a failure by allowing no
+        # iterations: no start is a root of this target
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_MAX_ITER", 0)
         target = TargetSpec(np.array([0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(NoSolutionFoundError) as info:
-            solve_ntype(target, residual_tol=1e-18)
-        assert info.value.best_residual >= 0.0
+            solve_ntype(target)
+        assert 1e-8 < info.value.best_residual < math.inf
+
+    def test_singular_initial_guess_falls_back_to_the_starts(self):
+        # sin(theta1) = 0 is valid scenario input; that start leaves the
+        # batch and the other starts still find a root
+        target = TargetSpec(np.array([0.0, 0.0, 0.0, 1.0]))
+        solved = solve_ntype(target, initial_guess=(0.0, 1.0, 1.0))
+        assert np.linalg.norm(final_state(solved.boundary) - target.b) < 1e-8
+        assert math.sin(solved.boundary.theta1) != 0.0
+
+    def test_initial_guess_wins_when_it_converges(self):
+        # the caller's root is kept although the grid has one of smaller area
+        guess = (math.pi / 6, math.pi / 2, -math.pi / 2)
+        target = TargetSpec(np.array([0.0, 0.0, 0.0, 1.0]))
+        seeded = solve_ntype(target, initial_guess=guess).boundary
+        free = solve_ntype(target).boundary
+        assert abs(seeded.theta1 - guess[0]) < 1e-9
+        assert abs(free.gamma1) + abs(free.gamma2) < abs(seeded.gamma1) + abs(seeded.gamma2)
+
+    def test_angles_returned_modulo_two_pi(self, rng):
+        for _ in range(10):
+            b = solve_ntype(random_target(rng), seed=3).boundary
+            assert 0.0 <= b.theta1 < 2 * math.pi and 0.0 <= b.theta2 < 2 * math.pi
+
+    def test_pulse_area_below_two_pi(self):
+        # the smallest-area root rule keeps |gamma1(T)| + |gamma2(T)| < 2 pi
+        rng = np.random.default_rng(50)
+        for _ in range(50):
+            b = solve_ntype(random_target(rng), seed=int(rng.integers(1 << 31))).boundary
+            assert abs(b.gamma1) + abs(b.gamma2) < 2 * math.pi
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_signed_axis_targets(self, k, sign):
+        check_root_or_solver_error(sign * np.eye(4)[k], seed=0, initial_guess=None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        v=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        seed=st.integers(0, 2**31 - 1),
+        initial_guess=st.none() | st.tuples(*[GUESS_ANGLES] * 3),
+    )
+    def test_random_targets_give_root_or_solver_error(self, v, seed, initial_guess):
+        check_root_or_solver_error(np.array(v) / np.linalg.norm(v), seed, initial_guess)
+
+
+def check_root_or_solver_error(b, seed, initial_guess):
+    """solve_ntype gives a finite root within 1e-8 or a SolverError, never
+    NaN and never another error (numpy's LinAlgError among them)."""
+    try:
+        solved = solve_ntype(TargetSpec(b), seed=seed, initial_guess=initial_guess)
+    except SolverError:
+        return
+    assert np.all(np.isfinite(dataclasses.astuple(solved.boundary)))
+    assert np.linalg.norm(final_state(solved.boundary) - b) < 1e-8
+    assert solved.constraint_residual < 1e-8
 
 
 class TestForbiddenCouplings:
