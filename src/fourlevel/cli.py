@@ -76,13 +76,11 @@ def _expected_final(sc: Scenario) -> np.ndarray:
     return sc.phases.frame(sc.T) * sc.target.b
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of floats with 12 significant digits ("%.12g") per cell."""
+    row = ",".join(["%.12g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row % tuple(values) for values in np.asarray(rows, dtype=float).tolist())
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

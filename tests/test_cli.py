@@ -98,6 +98,16 @@ class TestSimulate:
         assert b"\r" not in raw  # LF-only line endings
         assert raw.endswith(b"\n")
 
+    def test_csv_cells_are_python_12g_format(self, tmp_path, rng):
+        # the row template must print every value as f"{x:.12g}" does
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 1e-13]
+        scales = 10.0 ** rng.integers(-300, 300, size=100_000)
+        values = np.concatenate((special, rng.normal(size=100_000) * scales))
+        rows = values[: len(values) // 3 * 3].reshape(-1, 3)
+        fourlevel.cli._write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+        expected = ["a,b,c"] + [",".join(f"{x:.12g}" for x in row) for row in rows.tolist()]
+        assert (tmp_path / "x.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_steps_override(self, tmp_path):
         assert run("simulate", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "500") == 0
         _, data = read_csv(tmp_path / "populations.csv")

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
 from fourlevel.propagator import (
+    _CHUNK,
     InvalidHamiltonianError,
+    _scan,
+    _step_exponentials,
+    _taylor_degree,
     compare_with_analytic,
     fidelity,
     propagate,
@@ -39,8 +44,6 @@ class TestPropagate:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h0 = a + a.conj().T
         traj = propagate(lambda t: h0, PSI0, 1.0, steps=400)
-        import scipy.linalg
-
         expected = scipy.linalg.expm(-1j * h0) @ PSI0
         np.testing.assert_allclose(traj.final_state, expected, atol=1e-10)
 
@@ -75,6 +78,11 @@ class TestPropagate:
         with pytest.raises(InvalidHamiltonianError, match="not finite"):
             propagate(h, PSI0, 1.0, steps=100)
 
+    def test_rejects_hamiltonian_too_large_to_exponentiate(self):
+        huge = np.diag([1e200, 0, 0, 0]).astype(complex)
+        with pytest.raises(InvalidHamiltonianError, match="too large"):
+            propagate(lambda t: huge, PSI0, 1.0, steps=100)
+
     def test_fourth_order_convergence(self):
         solved = solve_tripod(TargetSpec(np.array([0, 1, 1, 1]) / SQRT3))
         h = hamiltonian_of(solved, phases([math.pi / 3] * 3))
@@ -92,6 +100,80 @@ class TestPropagate:
         )
         traj = propagate(hamiltonian_of(solved, phases([0, math.pi / 2, 0])), PSI0, 1.0)
         assert traj.norm_drift < 1e-8
+
+
+def random_hermitian(rng, n):
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return a + np.swapaxes(a.conj(), -1, -2)
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0]
+
+
+def soa(stack):
+    """(n, 4, 4) -> the (4, 4, n) layout of the propagator's kernels."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+
+
+# dt |H| (Frobenius) of the stacks below: every Taylor degree 1..12 without
+# squaring, and the squaring path above 0.33
+STEP_NORMS = [0, 1e-9, 1e-6, 1e-4, 1e-3, 4e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 3, 50]
+
+
+class TestStepExponentials:
+    def test_norms_cover_every_degree_and_squaring(self):
+        degrees = [_taylor_degree(norm) for norm in STEP_NORMS]
+        assert {m for m, s in degrees if s == 0} == set(range(1, 13))
+        assert degrees[-1][1] > 0
+
+    @pytest.mark.parametrize("norm", STEP_NORMS)
+    def test_matches_expm_and_is_unitary(self, rng, norm):
+        h = random_hermitian(rng, 50)
+        h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
+        dt = float(norm)
+        got = np.moveaxis(_step_exponentials(soa(h), dt), -1, 0)
+        expected = scipy.linalg.expm(-1j * dt * h)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
+        assert np.max(np.abs(unitarity)) <= 1e-13
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("steps", [1, 2, 100, 101, 4097])
+    def test_matches_sequential_product(self, rng, steps):
+        maps = random_unitary(rng, steps)
+        psi0 = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+        psi, expected = psi0, []
+        for m in maps:
+            psi = m @ psi
+            expected.append(psi)
+        got = _scan(soa(maps), psi0)
+        assert got.shape == (steps, 4)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+
+    def test_propagate_across_chunks_matches_sequential_magnus(self, rng):
+        # every state of a run longer than two chunks against a plain
+        # step-by-step CF4 Magnus product with scipy's expm
+        steps, T = 2 * _CHUNK + 37, 1.3
+        a, b = random_hermitian(rng, 2)
+
+        def h(t):
+            t = np.asarray(t)[..., None, None]
+            return np.cos(3 * t) * a + t**2 * b
+
+        traj = propagate(h, PSI0, T, steps)
+        dt = T / steps
+        c = math.sqrt(3.0) / 6
+        early = h((np.arange(steps) + 0.5 - c) * dt)
+        late = h((np.arange(steps) + 0.5 + c) * dt)
+        right = scipy.linalg.expm(-1j * dt * ((0.25 + c) * early + (0.25 - c) * late))
+        left = scipy.linalg.expm(-1j * dt * ((0.25 - c) * early + (0.25 + c) * late))
+        psi, expected = PSI0, [PSI0]
+        for n in range(steps):
+            psi = left[n] @ (right[n] @ psi)
+            expected.append(psi)
+        assert np.max(np.abs(traj.states - expected)) <= 1e-13
 
 
 class TestScenarios:
