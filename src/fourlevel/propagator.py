@@ -71,12 +71,22 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# The squarings leave each step map unitary to about 1e-15 dt |H|: past this
+# step norm, the fewest steps allowed (100) would exceed the norm-drift gate.
+_MAX_STEP_NORM = 1e8
+
+
 def _taylor_degree(r: float) -> tuple[int, int]:
     """The smallest squaring count s, then the smallest degree m <= 12, with
     the Taylor remainder bound x^(m+1)/(m+1)! e^x <= 2^-53 at x = r / 2^s."""
     if not math.isfinite(r):
         raise InvalidHamiltonianError("dt * |H| overflows; H is too large")
-    s = 0
+    if r > _MAX_STEP_NORM:
+        raise AccuracyError(
+            f"dt * |H| = {r:.3e} exceeds {_MAX_STEP_NORM:.0e}; increase the step count"
+        )
+    # no degree suffices at x >= 2 (nor at x > 0.33), so start from x < 4
+    s = max(0, math.frexp(r)[1] - 2)
     while True:
         x = r / 2.0**s
         for m in range(1, 13):

@@ -255,5 +255,15 @@ class TestExitCodes:
         )
         assert run("solve", scenario, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("eps_prime", [1e5, 1e12])
+    def test_step_too_coarse_for_the_phases(self, tmp_path, eps_prime):
+        # dt * |H| about 1e3 integrates and fails the fidelity check; about
+        # 1e10 is rejected before any exponential
+        payload = json.loads((SCENARIO_DIR / "tripod.json").read_text())
+        payload["phases"]["eps_prime"] = [eps_prime] * 3
+        payload["steps"] = 100
+        scenario = write_scenario(tmp_path, payload)
+        assert run("simulate", scenario, tmp_path / "out") == 3
+
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1

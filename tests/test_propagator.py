@@ -7,6 +7,7 @@ import scipy.linalg
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
 from fourlevel.propagator import (
     _CHUNK,
+    AccuracyError,
     InvalidHamiltonianError,
     _scan,
     _step_exponentials,
@@ -83,6 +84,14 @@ class TestPropagate:
         with pytest.raises(InvalidHamiltonianError, match="too large"):
             propagate(lambda t: huge, PSI0, 1.0, steps=100)
 
+    @pytest.mark.parametrize("norm", [1e9, 1e200])
+    def test_rejects_step_norm_past_the_squaring_range(self, norm):
+        # a finite dt |H| too large for the step map to stay unitary; each
+        # Magnus factor takes half of H
+        h = np.diag([2.0, 0, 0, 0]).astype(complex)
+        with pytest.raises(AccuracyError, match=r"dt \* \|H\| = .* increase the step"):
+            propagate(lambda t: h, PSI0, 100 * norm, steps=100)
+
     def test_fourth_order_convergence(self):
         solved = solve_tripod(TargetSpec(np.array([0, 1, 1, 1]) / SQRT3))
         h = hamiltonian_of(solved, phases([math.pi / 3] * 3))
@@ -137,6 +146,19 @@ class TestStepExponentials:
         assert np.max(np.abs(got - expected)) <= 1e-13
         unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
         assert np.max(np.abs(unitarity)) <= 1e-13
+
+
+    @pytest.mark.parametrize("norm", [700, 1e3, 1e6])
+    def test_large_step_norms_match_expm(self, rng, norm):
+        # rounding in the s squarings grows linearly with dt |H|, and so
+        # does expm's own error
+        h = random_hermitian(rng, 50)
+        h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
+        got = np.moveaxis(_step_exponentials(soa(h), float(norm)), -1, 0)
+        expected = scipy.linalg.expm(-1j * norm * h)
+        assert np.max(np.abs(got - expected)) <= 5e-15 * norm
+        unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
+        assert np.max(np.abs(unitarity)) <= 5e-15 * norm
 
 
 class TestBlockedScan:
