@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import CouplingSet, ur_of_angles
+from .rotation import _UPPER, CouplingSet, ur_of_angles
 from .solvers import SolvedAngles
 
 
@@ -66,16 +66,24 @@ def phase_operator(ph: PhaseSchedule, t) -> np.ndarray:
     return np.where(np.eye(4, dtype=bool), ph.frame(t)[..., None], 0)
 
 
+def coupling_entries(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray:
+    """The six upper entries i * Omega_nm * e^{i (phi_n - phi_m)} of H(t),
+    phi_1 = 0, in the order (1,2), (1,3), (1,4), (2,3), (2,4), (3,4): (..., 6)."""
+    k = ph.frame(t)
+    return (k[..., _UPPER[0]] * (1j * couplings.as_array())) * k[..., _UPPER[1]].conj()
+
+
 def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray:
     """Hermitian H(t) from the rotation couplings and the phase schedule.
 
-    Diagonal is (0, -Delta_2, -Delta_3, -Delta_4); off-diagonal (n, m) is
-    i * Omega_nm * e^{i (phi_n - phi_m)} with phi_1 = 0.
+    Diagonal is (0, -Delta_2, -Delta_3, -Delta_4); the upper entries come
+    from coupling_entries and the lower ones are their conjugates.
     """
-    hr = 1j * couplings.to_matrix()  # Hermitian: i * (real antisymmetric)
-    k = ph.frame(t)
-    h = (k[..., :, None] * hr) * k.conj()[..., None, :]
-    h[..., 1:, 1:] -= np.diag(ph.detunings)
+    z = coupling_entries(couplings, ph, t)
+    h = np.zeros(z.shape[:-1] + (4, 4), dtype=complex)
+    h[..., [1, 2, 3], [1, 2, 3]] = -ph.detunings
+    h[..., _UPPER[0], _UPPER[1]] = z
+    h[..., _UPPER[1], _UPPER[0]] = z.conj()
     return h
 
 

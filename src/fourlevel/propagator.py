@@ -5,8 +5,10 @@ matrix exponentials of Gauss-node-sampled Hamiltonian combinations H.
 Each exp(-i dt H) is a Taylor polynomial of degree at most 12, with
 scaling and squaring, evaluated by Paterson-Stockmeyer on stacks of 4x4
 matrices stored as (4, 4, n) arrays, so that a stacked product is four
-broadcast multiply-adds.  The truncation error is below 2^-53, so each step
-map is unitary to rounding and the norm is conserved to machine precision.
+broadcast multiply-adds.  A real symmetric H (real dtype) keeps its powers
+and Horner stage in real arithmetic.  The truncation error is below 2^-53,
+so each step map is unitary to rounding and the norm is conserved to
+machine precision.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonian import analytic_evolution
+from .rotation import _UPPER
 
 DEFAULT_STEPS = 2000
 _CHUNK = 1024  # steps per chunk: bounds the temporaries of exponentials and scan
@@ -53,10 +56,18 @@ class Trajectory:
 
 
 def _check_hermitian(h: np.ndarray, times: np.ndarray, atol: float = 1e-9) -> None:
-    """Raise for the first sample of h (n, 4, 4) that is not finite and Hermitian."""
+    """Raise for the first sample of h (n, 4, 4) that is not finite and Hermitian.
+
+    Compares the six upper entries with the conjugated lower ones and, for
+    a complex stack, the diagonal with its conjugate.
+    """
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite sample
-        asymmetry = np.max(np.abs(h - np.swapaxes(h.conj(), -1, -2)), axis=(-2, -1))
-    bad = ~(asymmetry <= atol)
+        gap = np.abs(h[:, _UPPER[0], _UPPER[1]] - h[:, _UPPER[1], _UPPER[0]].conj())
+    asymmetry = np.max(gap, axis=-1)
+    if np.iscomplexobj(h):
+        diagonal = h[:, range(4), range(4)].imag
+        asymmetry = np.maximum(asymmetry, 2.0 * np.max(np.abs(diagonal), axis=-1))
+    bad = ~(asymmetry <= atol) | ~np.all(np.isfinite(h), axis=(-2, -1))
     if np.any(bad):
         raise InvalidHamiltonianError(
             f"H(t={times[np.argmax(bad)]}) is not finite and Hermitian within {atol}"
@@ -95,37 +106,62 @@ def _taylor_degree(r: float) -> tuple[int, int]:
         s += 1
 
 
+def _taylor(x: np.ndarray, m: int, parts: int, coefficient) -> list[np.ndarray]:
+    """sum_{k <= m} c_k x^k for a stack x, its terms split over several parts.
+
+    coefficient(k) gives the part that takes the term of degree k and c_k.
+    Paterson-Stockmeyer: with p = ceil(sqrt(m)) this takes the powers
+    x^2..x^p and runs Horner's rule in x^p over blocks of p terms, top block
+    first.  Each part is one accumulator.
+    """
+    p = math.isqrt(m - 1) + 1
+    powers = [None, x]  # x^1..x^p; x^0 goes on the diagonal
+    for _ in range(p - 1):
+        powers.append(_matmul(powers[-1], x))
+    q, rem = divmod(m, p)
+    top = []
+    if not rem:  # the top block is c_m x^0 alone: c_m x^p heads the block below
+        q, top = q - 1, [(p, m)]
+    acc = [np.zeros_like(x) for _ in range(parts)]
+    for j in range(q, -1, -1):
+        if j < q:
+            acc = [_matmul(a, powers[p]) for a in acc]
+        block = [(i, j * p + i) for i in range(1, min(p, m - j * p + 1))]
+        for i, k in (top if j == q else []) + block:
+            part, c = coefficient(k)
+            acc[part] += powers[i] * c
+        part, c = coefficient(j * p)
+        acc[part][range(4), range(4)] += c
+    return acc
+
+
 def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) for a Hermitian stack H in the (4, 4, ...) layout.
 
-    r is the largest Frobenius norm of -i dt H.  The Taylor polynomial
-    sum_k X^k / k! of X = -i dt H / 2^s is evaluated by Paterson-Stockmeyer:
-    with p = ceil(sqrt(m)) it takes the powers X^2..X^p and runs Horner's
-    rule in X^p over blocks of p terms; the result is squared s times.
+    r is the largest Frobenius norm of dt H, and _taylor_degree gives the
+    degree m and the squaring count s.  A complex H takes the Taylor
+    polynomial sum_k X^k / k! of X = -i dt H / 2^s.  A real symmetric H
+    keeps its powers real: the terms (-i)^k Y^k / k! of Y = dt H / 2^s go
+    to the even part C and the odd part S in real products, with Horner's
+    rule in Y^p, and exp(-iY) = C - iS, equal to the complex result bit for
+    bit.  The result is squared s times.
     """
     with np.errstate(over="ignore"):  # an overflow is rejected below
         r = dt * float(np.max(np.linalg.norm(h, axis=(0, 1))))
     m, s = _taylor_degree(r)
-    p = math.isqrt(m - 1) + 1
-    powers = [None, h * (-1j * dt / 2.0**s)]  # X^1..X^p; X^0 goes on the diagonal
-    for _ in range(p - 1):
-        powers.append(_matmul(powers[-1], powers[1]))
-
-    def add_block(e: np.ndarray, j: int) -> np.ndarray:
-        # e + sum_{i < p, jp + i <= m} X^i / (jp + i)!, in place
-        for i in range(1, min(p, m - j * p + 1)):
-            e += powers[i] * (1.0 / math.factorial(j * p + i))
-        e[range(4), range(4)] += 1.0 / math.factorial(j * p)
-        return e
-
-    q, rem = divmod(m, p)
-    if rem:
-        e = add_block(np.zeros_like(powers[1]), q)
-    else:  # the top block is X^0 / m! alone: start from X^p / m! in its place
-        q -= 1
-        e = add_block(powers[p] * (1.0 / math.factorial(m)), q)
-    for j in range(q - 1, -1, -1):
-        e = add_block(_matmul(e, powers[p]), j)
+    if np.iscomplexobj(h):
+        (e,) = _taylor(h * (-1j * dt / 2.0**s), m, 1, lambda k: (0, 1.0 / math.factorial(k)))
+    else:
+        # (-i)^k = (-1)^(k // 2) for even k, -i (-1)^(k // 2) for odd k
+        c, odd = _taylor(
+            h * (dt / 2.0**s),
+            m,
+            2,
+            lambda k: (k % 2, (-1.0 if k % 4 > 1 else 1.0) / math.factorial(k)),
+        )
+        e = np.empty(c.shape, dtype=complex)
+        e.real = c
+        np.negative(odd, out=e.imag)
     for _ in range(s):
         e = _matmul(e, e)
     return e
@@ -174,8 +210,10 @@ def propagate(
 
     h_of_t is called once, on the array of the 2 * steps Gauss nodes in
     time order; its result must broadcast to (2 * steps, 4, 4), so a
-    constant Hamiltonian may return one 4x4 matrix.  Every node is checked
-    before any exponential is taken.  Then, chunk by chunk, both Magnus
+    constant Hamiltonian may return one 4x4 matrix.  A real result (a real
+    symmetric H) stays real up to the step exponentials, and gives the same
+    states, bit for bit, as its complex cast.  Every node is checked before
+    any exponential is taken.  Then, chunk by chunk, both Magnus
     factors of every step come from one stacked Taylor exponential, and the
     states from a blocked scan of the step maps.
     """
@@ -192,7 +230,9 @@ def propagate(
     states = np.empty((steps + 1, 4), dtype=complex)
     states[0] = psi
     nodes = (times[:-1, None] + _NODES * dt).ravel()
-    h = np.broadcast_to(np.asarray(h_of_t(nodes), dtype=complex), (2 * steps, 4, 4))
+    h = np.asarray(h_of_t(nodes))
+    h = h.astype(float if h.dtype.kind in "biuf" else complex, copy=False)
+    h = np.broadcast_to(h, (2 * steps, 4, 4))
     _check_hermitian(h, nodes)
     for lo in range(0, steps, _CHUNK):
         hi = min(lo + _CHUNK, steps)

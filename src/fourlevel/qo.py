@@ -19,13 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import PhaseSchedule, total_hamiltonian
+from .hamiltonian import PhaseSchedule, coupling_entries
 from .rotation import CouplingSet
 
 TRANSITIONS = ("12", "13", "24", "34")
 _IDX = {"12": (0, 1), "13": (0, 2), "24": (1, 3), "34": (2, 3)}
 #: Lower and upper level index of each transition, in TRANSITIONS order.
 _ROWS, _COLS = np.array([_IDX[k] for k in TRANSITIONS]).T
+#: Position of each transition among coupling_entries' six upper entries.
+_ENTRIES = [0, 1, 4, 5]
 
 
 class ResonanceViolationError(ValueError):
@@ -107,7 +109,12 @@ def _drive(qo: QOParams, t) -> np.ndarray:
 
 
 def lab_hamiltonian(qo: QOParams, t) -> np.ndarray:
-    """Schrodinger-picture Hamiltonian with explicit carrier oscillations."""
+    """Schrodinger-picture Hamiltonian with explicit carrier oscillations.
+
+    Real symmetric: float64 (..., 4, 4), level frequencies on the diagonal
+    and each field's real carrier-modulated drive on its transition, so
+    propagate exponentiates it in real arithmetic.
+    """
     z = _drive(qo, t)
     wf, fp = _per_transition(qo.omega_fields), _per_transition(qo.field_phases)
     phase = np.multiply.outer(t, wf) + fp
@@ -116,7 +123,7 @@ def lab_hamiltonian(qo: QOParams, t) -> np.ndarray:
     h[..., [1, 2, 3], [1, 2, 3]] = qo.omega_levels
     h[..., _ROWS, _COLS] = drive
     h[..., _COLS, _ROWS] = drive
-    return h.astype(complex)
+    return h
 
 
 def interaction_frame(qo: QOParams, t) -> np.ndarray:
@@ -167,8 +174,10 @@ def engineered_to_qo(
     fixed by four-photon resonance, the driving-field phases are zero
     (closed-loop phase 0), and each complex Rabi amplitude is twice the
     engineered Hamiltonian's entry, 2i e^{i(phi_j - phi_k)} Omega_jk with
-    phi_1 = 0, so one evaluation of the couplings and of K(t) gives all
-    four.  couplings(t) must broadcast over an array of times.
+    phi_1 = 0: rabi(t) reads these four of the six upper entries that
+    hamiltonian.coupling_entries gives total_hamiltonian, so one
+    evaluation of the couplings and of K(t) gives all four and no 4x4
+    matrix is built.  couplings(t) must broadcast over an array of times.
     """
     levels = np.asarray(omega_levels, dtype=float)
     if levels.shape != (3,):
@@ -197,7 +206,7 @@ def engineered_to_qo(
             )
 
     def rabi(t) -> np.ndarray:
-        return 2.0 * total_hamiltonian(couplings(t), ph, t)[..., _ROWS, _COLS]
+        return 2.0 * coupling_entries(couplings(t), ph, t)[..., _ENTRIES]
 
     return QOParams(
         omega_levels=levels,

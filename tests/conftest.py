@@ -82,6 +82,17 @@ def topology_couplings(config: LevelConfig, solved, t) -> CouplingSet:
     )
 
 
+def full_matrix_total_hamiltonian(couplings: CouplingSet, ph, t) -> np.ndarray:
+    """H(t) = K(t) (i Omega) K(t)^dag - diag(0, Delta_k) as full 4x4 complex
+    products, an oracle for total_hamiltonian.  Its two triangles are rounded
+    separately, so it is Hermitian only to rounding."""
+    hr = 1j * couplings.to_matrix()
+    k = ph.frame(t)
+    h = (k[..., :, None] * hr) * k.conj()[..., None, :]
+    h[..., 1:, 1:] -= np.diag(ph.detunings)
+    return h
+
+
 def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     """Rotation angles of a 4D rotation matrix, from its real Schur form.
 

@@ -9,8 +9,10 @@ from fourlevel.hamiltonian import (
     phase_operator,
     total_hamiltonian,
 )
-from fourlevel.rotation import CouplingSet, hr_analytic
+from fourlevel.rotation import _UPPER, CouplingSet, hr_analytic
 from fourlevel.solvers import TargetSpec, solve_tripod
+
+from conftest import full_matrix_total_hamiltonian
 
 SQRT3 = math.sqrt(3.0)
 ZERO_COUPLINGS = CouplingSet(0, 0, 0, 0, 0, 0)
@@ -98,6 +100,23 @@ class TestTotalHamiltonian:
         ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=1.0)
         h = total_hamiltonian(cs, ph, 0.6)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
+
+    def test_matches_full_matrix_oracle(self, rng):
+        # upper triangle and diagonal bit for bit; the lower triangle is the
+        # exact conjugate, which the oracle's separately rounded lower
+        # triangle meets to rounding
+        t = rng.uniform(0.0, 1.0, size=(40, 3))
+        cs = CouplingSet(*rng.normal(size=(6, 40, 3)))
+        ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=1.0)
+        h = total_hamiltonian(cs, ph, t)
+        oracle = full_matrix_total_hamiltonian(cs, ph, t)
+        rows, cols = _UPPER
+        diagonal = (..., range(4), range(4))
+        assert h.shape == oracle.shape == (40, 3, 4, 4)
+        assert np.array_equal(h[..., rows, cols], oracle[..., rows, cols])
+        assert np.array_equal(h[diagonal], oracle[diagonal])
+        assert np.array_equal(h[..., cols, rows], h[..., rows, cols].conj())
+        assert np.max(np.abs(h[..., cols, rows] - oracle[..., cols, rows])) < 1e-14
 
     def test_phase_factors_on_couplings(self):
         cs = CouplingSet(1.0, 0, 0, 0, 0, 0)

@@ -9,6 +9,7 @@ from fourlevel.propagator import (
     _CHUNK,
     AccuracyError,
     InvalidHamiltonianError,
+    _check_hermitian,
     _scan,
     _step_exponentials,
     _taylor_degree,
@@ -116,6 +117,11 @@ def random_hermitian(rng, n):
     return a + np.swapaxes(a.conj(), -1, -2)
 
 
+def random_symmetric(rng, n):
+    a = rng.normal(size=(n, 4, 4))
+    return a + np.swapaxes(a, -1, -2)
+
+
 def random_unitary(rng, n):
     return np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0]
 
@@ -147,6 +153,26 @@ class TestStepExponentials:
         unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
         assert np.max(np.abs(unitarity)) <= 1e-13
 
+
+    @pytest.mark.parametrize("norm", STEP_NORMS)
+    def test_real_symmetric_matches_expm_and_is_unitary(self, rng, norm):
+        h = random_symmetric(rng, 50)
+        h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
+        dt = float(norm)
+        got = np.moveaxis(_step_exponentials(soa(h), dt), -1, 0)
+        expected = scipy.linalg.expm(-1j * dt * h)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
+        assert np.max(np.abs(unitarity)) <= 1e-13
+
+    @pytest.mark.parametrize("norm", STEP_NORMS + [700])
+    def test_real_path_equals_complex_path(self, rng, norm):
+        # a real stack takes its powers and Horner stage in real arithmetic
+        h = random_symmetric(rng, 50)
+        h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
+        real = _step_exponentials(soa(h), float(norm))
+        assert real.dtype == complex
+        assert np.array_equal(real, _step_exponentials(soa(h).astype(complex), float(norm)))
 
     @pytest.mark.parametrize("norm", [700, 1e3, 1e6])
     def test_large_step_norms_match_expm(self, rng, norm):
@@ -196,6 +222,85 @@ class TestBlockedScan:
             psi = left[n] @ (right[n] @ psi)
             expected.append(psi)
         assert np.max(np.abs(traj.states - expected)) <= 1e-13
+
+
+    def test_real_hamiltonian_propagates_like_its_complex_cast(self, rng):
+        # the real path over more than two chunks, bit for bit
+        steps, T = 2 * _CHUNK + 37, 1.3
+        a, b = random_symmetric(rng, 2)
+
+        def h(t):
+            t = np.asarray(t)[..., None, None]
+            return np.cos(3 * t) * a + t**2 * b
+
+        real = propagate(h, PSI0, T, steps)
+        cast = propagate(lambda t: h(t).astype(complex), PSI0, T, steps)
+        assert np.array_equal(real.states, cast.states)
+        assert real.norm_drift == cast.norm_drift
+
+
+def full_matrix_hermitian(h, atol=1e-9):
+    """Per sample: |H - H^dag| <= atol over all 16 entries, the full-matrix
+    form of the check (False for a non-finite sample)."""
+    with np.errstate(invalid="ignore"):
+        return np.max(np.abs(h - np.swapaxes(h.conj(), -1, -2)), axis=(-2, -1)) <= atol
+
+
+# one defect each: NaN or inf in one entry, an asymmetry in one pair, a
+# non-real diagonal; the imaginary ones only in complex stacks
+DEFECTS = [
+    ((3, 1), math.nan),
+    ((0, 3), math.nan),
+    ((2, 2), math.inf),
+    ((1, 1), -math.inf),
+    ((0, 2), 2e-9),
+    ((2, 0), -2e-9),
+]
+COMPLEX_DEFECTS = [((1, 3), 2e-9j), ((3, 1), math.nan * 1j), ((2, 2), 1e-9j)]
+# within atol = 1e-9: a diagonal entry is off its conjugate by twice its
+# imaginary part
+TOLERATED = [((0, 2), 5e-10), ((2, 0), -9.9e-10)]
+COMPLEX_TOLERATED = [((1, 3), 9.9e-10j), ((3, 3), 4.9e-10j)]
+
+
+def one_of_each_dtype(real, complex_only):
+    return [(float, *d) for d in real] + [(complex, *d) for d in real + complex_only]
+
+
+class TestCheckHermitian:
+    TIMES = np.linspace(0.0, 1.0, 20)
+
+    def stack(self, rng, dtype, entry, value, sample=7):
+        h = random_hermitian(rng, 20) if dtype is complex else random_symmetric(rng, 20)
+        h = h.astype(dtype)
+        h[(sample, *entry)] += value
+        return h
+
+    @pytest.mark.parametrize(
+        "dtype, entry, value", one_of_each_dtype(DEFECTS, COMPLEX_DEFECTS)
+    )
+    def test_rejects_one_defect_at_its_time(self, rng, dtype, entry, value):
+        h = self.stack(rng, dtype, entry, value)
+        assert list(np.flatnonzero(~full_matrix_hermitian(h))) == [7]
+        with pytest.raises(InvalidHamiltonianError, match=rf"H\(t={self.TIMES[7]}\)"):
+            _check_hermitian(h, self.TIMES)
+
+    @pytest.mark.parametrize(
+        "dtype, entry, value", one_of_each_dtype(TOLERATED, COMPLEX_TOLERATED)
+    )
+    def test_accepts_asymmetry_within_tolerance(self, rng, dtype, entry, value):
+        h = self.stack(rng, dtype, entry, value)
+        assert np.all(full_matrix_hermitian(h))
+        _check_hermitian(h, self.TIMES)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_names_the_first_bad_time(self, rng, dtype):
+        h = self.stack(rng, dtype, (1, 0), math.nan, sample=12)
+        h[5, 3, 2] += 1e-6
+        with pytest.raises(
+            InvalidHamiltonianError, match=rf"H\(t={self.TIMES[5]}\) is not finite"
+        ):
+            _check_hermitian(h, self.TIMES)
 
 
 class TestScenarios:

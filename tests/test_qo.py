@@ -5,6 +5,8 @@ import pytest
 
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
 from fourlevel.qo import (
+    _COLS,
+    _ROWS,
     QOParams,
     ResonanceViolationError,
     TRANSITIONS,
@@ -114,6 +116,13 @@ class TestLabHamiltonian:
         h = lab_hamiltonian(qo, 0.7)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
+    def test_real_symmetric_float64(self, rng):
+        _, ph, couplings = diamond_setup()
+        qo = engineered_to_qo(couplings, ph, [1000.0, 1350.0, 2600.0])
+        h = lab_hamiltonian(qo, rng.uniform(0.0, 1.0, size=(30, 2)))
+        assert h.dtype == np.float64 and h.shape == (30, 2, 4, 4)
+        assert np.array_equal(h, np.swapaxes(h, -1, -2))
+
     def test_no_drive_on_forbidden_transitions(self, rng):
         qo = QOParams(
             omega_levels=np.zeros(3),
@@ -190,6 +199,15 @@ class TestEngineeredToQO:
                 total_hamiltonian(couplings(t), ph, t),
                 atol=1e-10,
             )
+
+    def test_rabi_reads_the_engineered_hamiltonian(self, rng):
+        # one coupling route: the amplitudes are twice total_hamiltonian's
+        # entries on the four transitions, bit for bit
+        _, ph, couplings = diamond_setup(eps_prime=(0.4, math.pi / 2, -0.3))
+        qo = engineered_to_qo(couplings, ph, [1000.0, 1350.0, 2600.0])
+        t = np.sort(rng.uniform(0.0, 1.0, 64))
+        expected = 2 * total_hamiltonian(couplings(t), ph, t)[..., _ROWS, _COLS]
+        assert np.array_equal(qo.rabi(t), expected)
 
     def test_closed_loop_phase_zero(self):
         _, ph, couplings = diamond_setup()
