@@ -208,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="multi-start RNG seed")
     args = parser.parse_args(argv)
 
+    if args.seed < 0:
+        print(f"validation failure: --seed must be a non-negative integer, got {args.seed}")
+        return EXIT_VALIDATION
     try:
         sc = load_scenario(args.scenario)
         if args.steps is not None:

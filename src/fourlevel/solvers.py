@@ -114,6 +114,11 @@ def _forbidden_residual(
     return float(max(np.max(np.abs(getattr(cs, n))) for n in FORBIDDEN[config]))
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+
+
 def _finish(
     config: LevelConfig, boundary: AnglePair, horizon: float
 ) -> SolvedAngles:
@@ -134,6 +139,7 @@ def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     b1 = cos(2 gamma(T)), b2 = sin(2 gamma(T)) cos(theta), etc.  Degenerate
     targets resolve the undetermined angles to zero.
     """
+    _check_horizon(horizon)
     b1, b2, b3, b4 = target.b
     B = math.sqrt(b2 * b2 + b3 * b3 + b4 * b4)
     gamma_T = 0.5 * math.atan2(B, b1)
@@ -155,6 +161,7 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     the target coefficients; the square-root branch of sin(gamma2(T)) is
     chosen by checking the reconstruction residual.
     """
+    _check_horizon(horizon)
     theta1 = float(target.free_params.get("theta1", math.pi / 2))
     b = target.b
     b1, b2, b3, b4 = b
@@ -256,6 +263,33 @@ def _ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
     return x, res
 
 
+def _ntype_root(b, initial_guess, seed: int, residual_tol: float) -> np.ndarray:
+    """The chosen (theta1, theta2, gamma2(T)) of solve_ntype, in two stages."""
+    guess_residual = math.inf
+    if initial_guess is not None:  # stage 1: the caller's guess alone
+        guess = np.reshape(np.asarray(initial_guess, dtype=float), (1, 3))
+        x, res = _ntype_lm(guess, b, residual_tol)
+        if res[0] <= residual_tol:
+            return x[0]
+        guess_residual = res[0]
+    # stage 2: the grid and the seeded draws in one batch
+    k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
+    grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
+    low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
+    draws = np.random.default_rng(seed).uniform(low, high, size=(8, 3))
+    x, res = _ntype_lm(np.concatenate((grid.reshape(-1, 3), draws)), b, residual_tol)
+    converged = res <= residual_tol
+    if not np.any(converged):
+        raise NoSolutionFoundError(
+            "N-type boundary-value solve did not converge",
+            float(min(guess_residual, np.min(res))),
+        )
+    t1, t2, g2 = x.T
+    area = np.abs(g2) * (1.0 + np.abs(np.sin(t2) / np.sin(t1)))
+    area[~converged] = np.inf
+    return x[np.argmin(area)]
+
+
 def solve_ntype(
     target: TargetSpec,
     horizon: float = 1.0,
@@ -267,33 +301,22 @@ def solve_ntype(
 
     Constraints: phi1 = phi2 = pi/2, constant thetas, and the gamma rates
     locked by gamma1 = -(sin(theta2)/sin(theta1)) gamma2 (both start at 0).
-    (theta1, theta2, gamma2(T)) solve q p = b by Levenberg-Marquardt, run at
-    once on the caller's initial_guess, a fixed grid and seeded random
-    starts.  Root rule: a converged initial_guess (final-state residual at
-    most residual_tol) wins; otherwise the converged start with the least
-    pulse area |gamma1(T)| + |gamma2(T)|, ties going to the earlier start.
+    (theta1, theta2, gamma2(T)) solve q p = b by Levenberg-Marquardt in two
+    stages.  Stage 1 runs it on the caller's initial_guess alone; if that
+    converges (final-state residual at most residual_tol), it is the root.
+    Otherwise, or with no guess, stage 2 runs it at once on a fixed grid and
+    seeded random starts, and the converged start with the least pulse area
+    |gamma1(T)| + |gamma2(T)| wins, ties going to the earlier start.  A
+    failed solve reports the least residual over the guess and every start.
     theta1, theta2 are returned modulo 2 pi, in [0, 2 pi), as the state and
     the lock are 2 pi-periodic in both.
     """
-    k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
-    grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
-    low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
-    draws = np.random.default_rng(seed).uniform(low, high, size=(8, 3))
-    guess = np.reshape([] if initial_guess is None else initial_guess, (-1, 3))
-    starts = np.concatenate((guess, grid.reshape(-1, 3), draws))
+    _check_horizon(horizon)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
-        x, res = _ntype_lm(starts, target.b, residual_tol)
-        t1, t2, g2 = x.T
-        area = np.abs(g2) * (1.0 + np.abs(np.sin(t2) / np.sin(t1)))
-    converged = res <= residual_tol
-    if not np.any(converged):
-        raise NoSolutionFoundError(
-            "N-type boundary-value solve did not converge", float(np.min(res))
-        )
-    area[~converged] = np.inf
-    if len(guess) and converged[0]:
-        area[0] = -1.0  # the caller's converged root wins
-    theta1, theta2, gamma2_T = (float(v) for v in x[np.argmin(area)])
+        root = _ntype_root(target.b, initial_guess, seed, residual_tol)
+    theta1, theta2, gamma2_T = (float(v) for v in root)
     gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
     boundary = AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)
     return _finish(LevelConfig.N_TYPE, boundary, horizon)

@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 from hypothesis import strategies as st
 
+import fourlevel.solvers
 from fourlevel.quat4 import Quaternion
-from fourlevel.rotation import CouplingSet
-from fourlevel.solvers import LevelConfig
+from fourlevel.rotation import AnglePair, CouplingSet
+from fourlevel.solvers import LevelConfig, NoSolutionFoundError
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
@@ -116,3 +117,32 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     for j in range(0, len(real_eigs), 2):
         block_angles.append(0.0 if real_eigs[j] > 0 else math.pi)
     return tuple(sorted(block_angles))
+
+
+def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) -> AnglePair:
+    """The N-type boundary from one Levenberg-Marquardt batch over the guess,
+    the grid and the seeded draws: a converged guess wins, else the converged
+    start of least pulse area, ties going to the earlier start.  An oracle
+    for solve_ntype's two stages; a failure reports the least residual over
+    the guess and every start."""
+    k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
+    grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
+    low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
+    draws = np.random.default_rng(seed).uniform(low, high, size=(8, 3))
+    guess = np.reshape([] if initial_guess is None else initial_guess, (-1, 3))
+    starts = np.concatenate((guess, grid.reshape(-1, 3), draws))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, res = fourlevel.solvers._ntype_lm(starts, np.asarray(b, dtype=float), residual_tol)
+        t1, t2, g2 = x.T
+        area = np.abs(g2) * (1.0 + np.abs(np.sin(t2) / np.sin(t1)))
+    converged = res <= residual_tol
+    if not np.any(converged):
+        raise NoSolutionFoundError(
+            "N-type boundary-value solve did not converge", float(np.min(res))
+        )
+    area[~converged] = np.inf
+    if len(guess) and converged[0]:
+        area[0] = -1.0
+    theta1, theta2, gamma2_T = (float(v) for v in x[np.argmin(area)])
+    gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
+    return AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)

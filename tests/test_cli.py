@@ -265,5 +265,10 @@ class TestExitCodes:
         scenario = write_scenario(tmp_path, payload)
         assert run("simulate", scenario, tmp_path / "out") == 3
 
+    def test_negative_seed(self, tmp_path, capsys):
+        code = run("solve", SCENARIO_DIR / "ntype.json", tmp_path / "out", "--seed", "-1")
+        assert code == fourlevel.cli.EXIT_VALIDATION
+        assert capsys.readouterr().out.startswith("validation failure:")
+
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1

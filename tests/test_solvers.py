@@ -29,7 +29,7 @@ from fourlevel.solvers import (
     solve_tripod,
 )
 
-from conftest import topology_couplings
+from conftest import ntype_single_batch_root, topology_couplings
 
 E1 = np.array([1.0, 0, 0, 0])
 SQRT3 = math.sqrt(3.0)
@@ -37,6 +37,10 @@ SQRT3 = math.sqrt(3.0)
 
 #: initial-guess angles, sin(theta) = 0 included
 GUESS_ANGLES = st.sampled_from([0.0, math.pi]) | st.floats(-7.0, 7.0)
+
+#: the bundled ntype.json target and its initial guess, an exact root
+E4 = np.array([0.0, 0.0, 0.0, 1.0])
+E4_ROOT = (math.pi / 6, math.pi / 2, -math.pi / 2)
 
 
 def random_target(rng) -> TargetSpec:
@@ -187,6 +191,65 @@ class TestSolveNType:
             solve_ntype(target)
         assert 1e-8 < info.value.best_residual < math.inf
 
+    def test_failure_best_residual_covers_the_guess(self, monkeypatch):
+        # a guess near the root starts closer than every grid or random
+        # start, so the least residual of a failed solve is the guess's
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_MAX_ITER", 0)
+        guess = (E4_ROOT[0] + 1e-3, E4_ROOT[1], E4_ROOT[2])
+        with pytest.raises(NoSolutionFoundError) as guessed:
+            solve_ntype(TargetSpec(E4), initial_guess=guess)
+        with pytest.raises(NoSolutionFoundError) as free:
+            solve_ntype(TargetSpec(E4))
+        with pytest.raises(NoSolutionFoundError) as oracle:
+            ntype_single_batch_root(E4, guess)
+        assert guessed.value.best_residual == oracle.value.best_residual
+        assert 1e-8 < guessed.value.best_residual < free.value.best_residual
+
+    @pytest.mark.parametrize(
+        "kind, rng_seed", [("none", 0), ("converging", 1), ("failing", 2), ("irregular", 3)]
+    )
+    def test_staged_solve_equals_single_batch(self, kind, rng_seed):
+        # the guess alone, then the grid and draws, pick the root that one
+        # batch over all starts picks, bit for bit
+        rng = np.random.default_rng(rng_seed)
+        for _ in range(10):
+            x0 = rng.uniform([0.2, 0.2, -3.0], [2.9, 2.9, 3.0])
+            g1 = -math.sin(x0[1]) / math.sin(x0[0]) * x0[2]
+            b = final_state(AnglePair(g1, x0[0], math.pi / 2, x0[2], x0[1], math.pi / 2))
+            b = b / np.linalg.norm(b)
+            guess = ntype_guess(kind, x0, b, rng)
+            seed = int(rng.integers(1 << 31))
+            try:
+                expected = ntype_single_batch_root(b, guess, seed)
+            except NoSolutionFoundError as exc:
+                with pytest.raises(NoSolutionFoundError) as info:
+                    solve_ntype(TargetSpec(b), initial_guess=guess, seed=seed)
+                assert info.value.best_residual == exc.best_residual
+                continue
+            assert solve_ntype(TargetSpec(b), initial_guess=guess, seed=seed).boundary == expected
+
+    def test_converged_guess_skips_the_batch(self, monkeypatch):
+        calls = []
+        lm = fourlevel.solvers._ntype_lm
+
+        def spy(x, b, residual_tol):
+            calls.append(len(x))
+            return lm(x, b, residual_tol)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_lm", spy)
+        solve_ntype(TargetSpec(E4), initial_guess=E4_ROOT)
+        assert calls == [1]
+        calls.clear()
+        solve_ntype(TargetSpec(E4), initial_guess=(0.0, 1.0, 1.0))  # sin(theta1) = 0
+        assert calls == [1, 40]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("guess", [E4_ROOT, None])
+    def test_rejects_bad_seed(self, seed, guess):
+        # whether or not the guess alone converges
+        with pytest.raises(ValueError, match="seed"):
+            solve_ntype(TargetSpec(E4), initial_guess=guess, seed=seed)
+
     def test_singular_initial_guess_falls_back_to_the_starts(self):
         # sin(theta1) = 0 is valid scenario input; that start leaves the
         # batch and the other starts still find a root
@@ -233,6 +296,25 @@ class TestSolveNType:
         check_root_or_solver_error(np.array(v) / np.linalg.norm(v), seed, initial_guess)
 
 
+def ntype_guess(kind, root, b, rng):
+    """An initial guess of the given kind for a target b with the given root:
+    none, a perturbed root that converges alone, one that does not, or one
+    with sin(theta1) = 0."""
+    if kind == "none":
+        return None
+    if kind == "irregular":
+        return (0.0, *rng.uniform(-7.0, 7.0, 2))
+    while True:
+        if kind == "converging":
+            guess = root + rng.normal(scale=1e-2, size=3)
+        else:
+            guess = rng.uniform(-7.0, 7.0, 3)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, res = fourlevel.solvers._ntype_lm(guess[None, :], b, 1e-8)
+        if (res[0] <= 1e-8) == (kind == "converging"):
+            return tuple(float(v) for v in guess)
+
+
 def check_root_or_solver_error(b, seed, initial_guess):
     """solve_ntype gives a finite root within 1e-8 or a SolverError, never
     NaN and never another error (numpy's LinAlgError among them)."""
@@ -243,6 +325,13 @@ def check_root_or_solver_error(b, seed, initial_guess):
     assert np.all(np.isfinite(dataclasses.astuple(solved.boundary)))
     assert np.linalg.norm(final_state(solved.boundary) - b) < 1e-8
     assert solved.constraint_residual < 1e-8
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("solver", [solve_tripod, solve_diamond, solve_ntype])
+def test_solvers_reject_bad_horizon(solver, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
 
 
 class TestForbiddenCouplings:
