@@ -205,7 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--steps", type=int, default=None, help="override scenario steps")
-    parser.add_argument("--seed", type=int, default=0, help="multi-start RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="non-negative integer; accepted, but no solver draws random numbers",
+    )
     args = parser.parse_args(argv)
 
     if args.seed < 0:

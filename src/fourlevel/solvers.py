@@ -26,10 +26,17 @@ from .rotation import (
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 
-#: N-type Levenberg-Marquardt: iteration cap, initial damping, least |sin(theta1)|.
+#: N-type Levenberg-Marquardt iteration cap and initial damping, and the least
+#: |sin(theta1)| of a root.
 _NTYPE_MAX_ITER = 40
 _NTYPE_DAMPING = 1e-2
 _NTYPE_MIN_SIN = 1e-6
+#: N-type loop search: lock samples, 16-part bracket cuts, and the turns k, m
+#: added to gamma1(T), gamma2(T) in units of 2 pi (every root of pulse area
+#: at most 3 pi has k, m in -1..1).
+_NTYPE_LOOP_POINTS = 128
+_NTYPE_REFINE_STEPS = 11
+_NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
 
 
 class LevelConfig(enum.Enum):
@@ -263,7 +270,102 @@ def _ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
     return x, res
 
 
-def _ntype_root(b, initial_guess, seed: int, residual_tol: float) -> np.ndarray:
+def _ntype_loop(psi, b):
+    """(gamma1, theta1, gamma2, theta2) at psi on the loop of states with q p = b.
+
+    With c_i = cos(gamma_i), s_i = sin(gamma_i) and Delta = theta1 - theta2,
+    q p = (c1 c2 - s1 s2 cos Delta, c1 s2 cos theta2 + c2 s1 cos theta1,
+    s1 s2 sin Delta, c1 s2 sin theta2 + c2 s1 sin theta1).  For b of unit
+    norm and gamma2 in (0, pi) that gives c1 = b1 c2 +- root, root =
+    sqrt(s2^2 (b2^2 + b4^2) - c2^2 b3^2), gamma1 in [0, pi], and from
+    b2 + i b4 = e^(i theta2) (c1 s2 + c2 s1 e^(i Delta)), with w = atan2(b4, b2),
+    theta2 = w - atan2(c2 b3, c1 - b1 c2) and theta1 = w + atan2(c1 b3,
+    c2 - b1 c1); c2 - b1 c1 = c2 (1 - b1^2) - b1 root keeps its accuracy
+    near b = +-e1.  Real roots need gamma2 in [pi/2 - h, pi/2 + h],
+    h = atan2(hypot(b2, b4), |b3|).  The loop runs gamma2 = pi/2 - h cos(psi)
+    with the sign of root that of sin(psi), so that the two branches join
+    smoothly at the folds root = 0 (psi = 0, pi).  root is the product form
+    |(b2, b3, b4)| sqrt(sin(h - u) sin(h + u)), u = h cos(psi), with
+    h - u = 2 h sin^2(psi/2) and h + u = 2 h cos^2(psi/2): it keeps its
+    relative accuracy at the folds.
+    """
+    b1, b2, b3, b4 = b
+    r = math.hypot(b2, b4)
+    h = math.atan2(r, abs(b3))
+    u = h * np.cos(psi)
+    c2, s2 = np.sin(u), np.cos(u)
+    root = np.sqrt(np.sin(2 * h * np.sin(psi / 2) ** 2) * np.sin(2 * h * np.cos(psi / 2) ** 2))
+    root = np.copysign(math.hypot(r, b3) * root, np.sin(psi))
+    c1 = b1 * c2 + root
+    s1 = np.hypot(c2 * root - b1 * s2 * s2, b3) / s2  # s1 s2 = |(c1 c2 - b1, b3)|
+    w = math.atan2(b4, b2)
+    theta1 = w + np.arctan2(c1 * b3, c2 * (r * r + b3 * b3) - b1 * root)
+    theta2 = w - np.arctan2(c2 * b3, root)
+    return np.arctan2(s1, c1), theta1, math.pi / 2 - u, theta2
+
+
+def _ntype_lock(psi, b, k, m):
+    """The lock gamma1 sin(theta1) + gamma2 sin(theta2) on the loop, with
+    gamma1 = gamma1(psi) + 2 pi k and gamma2 = gamma2(psi) + 2 pi m."""
+    g1, theta1, g2, theta2 = _ntype_loop(psi, b)
+    return (g1 + 2 * math.pi * k) * np.sin(theta1) + (g2 + 2 * math.pi * m) * np.sin(theta2)
+
+
+def _ntype_loop_roots(b) -> np.ndarray:
+    """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
+    along the loop, for every turn pair (k, m), refined all at once.
+
+    The lock is sampled at _NTYPE_LOOP_POINTS points; each bracket is then cut
+    into 16 parts _NTYPE_REFINE_STEPS times, keeping the part where the sign
+    first changes.  Candidates come out in the order k, m, psi.
+    """
+    step = 2 * math.pi / _NTYPE_LOOP_POINTS
+    psi = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * step  # closed: last = first + 2 pi
+    f = _ntype_lock(psi, b, _NTYPE_TURNS[:, None, None], _NTYPE_TURNS[:, None])
+    pos, finite = f > 0, np.isfinite(f)
+    ki, mi, j = np.nonzero(
+        (pos[..., :-1] != pos[..., 1:]) & finite[..., :-1] & finite[..., 1:]
+    )
+    k, m, sign = _NTYPE_TURNS[ki, None], _NTYPE_TURNS[mi, None], pos[ki, mi, j, None]
+    left, cut = psi[j], np.arange(1, 16) / 16
+    for _ in range(_NTYPE_REFINE_STEPS):
+        flip = (_ntype_lock(left[:, None] + step * cut, b, k, m) > 0) != sign
+        flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
+        left = left + step / 16 * np.argmax(flip, axis=1)
+        step /= 16
+    _, theta1, g2, theta2 = _ntype_loop(left + step / 2, b)
+    return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
+
+
+def _ntype_axis_roots(b) -> np.ndarray:
+    """(theta1, theta2, gamma2(T)) (n, 3) of the root families the loop
+    cannot reach, where the lock rather than b sets one angle.
+
+    One factor is +-1, gamma_i(T) = j pi: the other is (-1)^j b, which
+    needs b3 = 0, and the lock sets theta_i, sin(theta_i) =
+    -gamma_o sin(theta_o) / (j pi) (theta_i = pi/2 if j = 0).  Both
+    gamma_i(T) odd multiples of pi/2: q p = b needs b2 = b4 = 0, and the
+    lock sets theta2.  Each candidate ignores the components it needs to
+    vanish; the residual check decides.
+    """
+    b1, b2, b3, b4 = b
+    j = np.arange(-2.0, 3.0)[:, None]
+    sign = 1.0 - 2.0 * (j % 2)
+    g = np.arctan2(math.hypot(b2, b4), sign * b1) + 2 * math.pi * _NTYPE_TURNS
+    theta = np.arctan2(sign * b4, sign * b2)
+    free = np.where(j == 0, math.pi / 2, np.arcsin(-g * np.sin(theta) / (math.pi * j)))
+    unit_q = np.broadcast_arrays(free, theta, g)  # q = +-1
+    unit_p = np.broadcast_arrays(theta, free, math.pi * j)  # p = +-1
+    half = (np.arange(-2.0, 2.0) + 0.5) * math.pi
+    g1, g2 = half[:, None], half
+    s = np.sin(g1) * np.sin(g2)
+    delta = np.arctan2(s * b3, -s * b1)
+    theta2 = np.arctan2(-g1 * np.sin(delta), g1 * np.cos(delta) + g2)
+    quarter = np.broadcast_arrays(theta2 + delta, theta2, g2)
+    return np.concatenate([np.stack(f, axis=-1).reshape(-1, 3) for f in (unit_q, unit_p, quarter)])
+
+
+def _ntype_root(b, initial_guess, residual_tol: float) -> np.ndarray:
     """The chosen (theta1, theta2, gamma2(T)) of solve_ntype, in two stages."""
     guess_residual = math.inf
     if initial_guess is not None:  # stage 1: the caller's guess alone
@@ -272,21 +374,22 @@ def _ntype_root(b, initial_guess, seed: int, residual_tol: float) -> np.ndarray:
         if res[0] <= residual_tol:
             return x[0]
         guess_residual = res[0]
-    # stage 2: the grid and the seeded draws in one batch
-    k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
-    grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
-    low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
-    draws = np.random.default_rng(seed).uniform(low, high, size=(8, 3))
-    x, res = _ntype_lm(np.concatenate((grid.reshape(-1, 3), draws)), b, residual_tol)
+    # stage 2: the lock's roots along the loop, and the axis families
+    unit_b = b / np.linalg.norm(b)
+    x = np.concatenate((_ntype_loop_roots(unit_b), _ntype_axis_roots(unit_b)))
+    x[:, :2] %= 2 * math.pi
+    t1, t2, g2 = x.T
+    g1 = -np.sin(t2) / np.sin(t1) * g2
+    state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
+    res = np.linalg.norm(state - b, axis=1)
+    res = np.where(np.isfinite(res) & (np.abs(np.sin(t1)) >= _NTYPE_MIN_SIN), res, np.inf)
     converged = res <= residual_tol
     if not np.any(converged):
         raise NoSolutionFoundError(
             "N-type boundary-value solve did not converge",
             float(min(guess_residual, np.min(res))),
         )
-    t1, t2, g2 = x.T
-    area = np.abs(g2) * (1.0 + np.abs(np.sin(t2) / np.sin(t1)))
-    area[~converged] = np.inf
+    area = np.where(converged, np.abs(g1) + np.abs(g2), np.inf)
     return x[np.argmin(area)]
 
 
@@ -297,25 +400,34 @@ def solve_ntype(
     seed: int = 0,
     residual_tol: float = 1e-8,
 ) -> SolvedAngles:
-    """Numeric boundary angles for the N-type (chain) topology.
+    """Boundary angles for the N-type (chain) topology.
 
     Constraints: phi1 = phi2 = pi/2, constant thetas, and the gamma rates
     locked by gamma1 = -(sin(theta2)/sin(theta1)) gamma2 (both start at 0).
-    (theta1, theta2, gamma2(T)) solve q p = b by Levenberg-Marquardt in two
-    stages.  Stage 1 runs it on the caller's initial_guess alone; if that
+    (theta1, theta2, gamma2(T)) solve q p = b in two stages.  Stage 1 runs
+    Levenberg-Marquardt on the caller's initial_guess alone; if that
     converges (final-state residual at most residual_tol), it is the root.
-    Otherwise, or with no guess, stage 2 runs it at once on a fixed grid and
-    seeded random starts, and the converged start with the least pulse area
-    |gamma1(T)| + |gamma2(T)| wins, ties going to the earlier start.  A
-    failed solve reports the least residual over the guess and every start.
-    theta1, theta2 are returned modulo 2 pi, in [0, 2 pi), as the state and
-    the lock are 2 pi-periodic in both.
+    Otherwise, or with no guess, stage 2 needs no start: for each gamma2(T)
+    the state q p = b fixes gamma1(T), theta1 and theta2 in closed form, on
+    a loop through both square-root branches (_ntype_loop), so the lock is
+    one scalar equation in gamma2(T).  Its sign changes along the loop, for
+    gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in -1..1 (every
+    root of pulse area at most 3 pi), are refined at once and joined by the
+    axis families (_ntype_axis_roots).  A candidate is a root if its
+    residual is at most residual_tol and |sin(theta1)| >= 1e-6; the root
+    returned has the least pulse area |gamma1(T)| + |gamma2(T)| among the
+    roots found in this searched box, ties going to the earlier candidate
+    (loop roots in the order k, m, psi, then the axis families).
+    seed is validated but changes no result.  A failed solve reports the
+    least residual over the guess and every regular candidate.  theta1,
+    theta2 are returned modulo 2 pi, in [0, 2 pi), as the state and the
+    lock are 2 pi-periodic in both.
     """
     _check_horizon(horizon)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
-        root = _ntype_root(target.b, initial_guess, seed, residual_tol)
+        root = _ntype_root(target.b, initial_guess, residual_tol)
     theta1, theta2, gamma2_T = (float(v) for v in root)
     gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
     boundary = AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)

@@ -122,9 +122,10 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
 def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) -> AnglePair:
     """The N-type boundary from one Levenberg-Marquardt batch over the guess,
     the grid and the seeded draws: a converged guess wins, else the converged
-    start of least pulse area, ties going to the earlier start.  An oracle
-    for solve_ntype's two stages; a failure reports the least residual over
-    the guess and every start."""
+    start of least pulse area, ties going to the earlier start; a failure
+    reports the least residual over the guess and every start.  A reference
+    for solve_ntype: equal to it where the guess converges alone, and of no
+    smaller pulse area than its loop-search root otherwise."""
     k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
     grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
     low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
