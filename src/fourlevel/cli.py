@@ -157,7 +157,7 @@ def cmd_verify(sc: Scenario, out: Path, seed: int) -> int:
     solved = _solve(sc, seed)
     checks: list[tuple[str, float, float]] = []  # (name, value, threshold)
 
-    worst = _forbidden_residual(sc.config, solved.schedule, samples=200)
+    worst = _forbidden_residual(sc.config, solved.boundary, sc.T, samples=200)
     checks.append(("forbidden_couplings_max", worst, 1e-8))
 
     round_trip = float(np.linalg.norm(final_state(solved.boundary) - sc.target.b))

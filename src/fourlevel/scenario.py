@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import PhaseSchedule
-from .solvers import LevelConfig, TargetSpec
+from .solvers import LevelConfig, TargetSpec, _check_horizon
 
 _ALLOWED_KEYS = {
     "config",
@@ -45,8 +45,7 @@ class Scenario:
     omega_levels: np.ndarray | None = None
 
     def __post_init__(self):
-        if _require_number(self.T, "T") <= 0:
-            raise ScenarioError("T must be positive")
+        _require_horizon(self.T)
         if isinstance(self.steps, bool) or not isinstance(self.steps, int):
             raise ScenarioError("steps must be an integer")
         if self.steps < 100:
@@ -60,6 +59,15 @@ def _require_number(obj, name: str) -> float:
     if not (number and math.isfinite(obj)):
         raise ScenarioError(f"{name} must be a finite number")
     return float(obj)
+
+
+def _require_horizon(obj) -> float:
+    T = _require_number(obj, "T")
+    try:
+        _check_horizon(T)
+    except ValueError as exc:
+        raise ScenarioError(f"T: {exc}") from exc
+    return T
 
 
 def _require_floats(obj, n: int, name: str) -> np.ndarray:
@@ -88,7 +96,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"unknown config {raw['config']!r}") from exc
 
     b = _require_floats(raw["target"], 4, "target")
-    T = _require_number(raw["T"], "T")
+    T = _require_horizon(raw["T"])
 
     phases_raw = raw["phases"]
     if not isinstance(phases_raw, dict) or set(phases_raw) - _ALLOWED_PHASE_KEYS:

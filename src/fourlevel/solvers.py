@@ -111,30 +111,53 @@ def _within_canonical_ranges(a: AnglePair) -> bool:
     )
 
 
+#: max sin(pi u) over the unit grid u = linspace(1e-6, 1 - 1e-6, samples), by samples
+_RAMP_PEAK: dict[int, float] = {}
+
+
 def _forbidden_residual(
-    config: LevelConfig, schedule: AngleSchedule, samples: int = 50
+    config: LevelConfig, boundary: AnglePair, horizon: float, samples: int = 50
 ) -> float:
-    """Max forbidden-coupling magnitude of the generator on a grid inside (0, T)."""
-    T = schedule.horizon
-    grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)
-    cs = hr_analytic(schedule.value(grid), schedule.rate(grid))
-    return float(max(np.max(np.abs(getattr(cs, n))) for n in FORBIDDEN[config]))
+    """Max forbidden-coupling magnitude of the cosine-ramp generator on a
+    grid of `samples` times inside (0, T).
+
+    The ramp keeps theta and phi constant, so q(t) = exp(gamma1(T) r(t) n1)
+    about a fixed axis n1 and dq/dt conj(q) = gamma1(T) r'(t) n1; likewise
+    conj(p) dp/dt = gamma2(T) r'(t) n2, with r(t) = (1 - cos(pi t/T))/2.  The
+    generator is therefore r'(t) G with one constant matrix
+    G = gamma1(T) M_L(n1) + gamma2(T) M_R(n2), and as left- and
+    right-isoclinic matrices commute (Cayley's factorization),
+    U_r(t) = exp(r(t) G).  G is read by one hr_analytic call at the boundary
+    angles with rates (gamma1(T), 0, 0, gamma2(T), 0, 0), and the grid enters
+    only through the peak of r'(t) = pi/(2T) sin(pi t/T) on it.
+    """
+    peak = _RAMP_PEAK.get(samples)
+    if peak is None:
+        unit = np.linspace(1e-6, 1.0 - 1e-6, samples)
+        peak = _RAMP_PEAK[samples] = float(np.max(np.sin(np.pi * unit)))
+    rates = AnglePair(boundary.gamma1, 0.0, 0.0, boundary.gamma2, 0.0, 0.0)
+    g = hr_analytic(boundary, rates)
+    worst = max(abs(getattr(g, n)) for n in FORBIDDEN[config])
+    return float(worst * (0.5 * math.pi / horizon * peak))
 
 
 def _check_horizon(horizon: float) -> None:
+    """Reject a horizon T that is not finite and positive, or so near 0 or
+    the float range that pi/T or pi*T overflows (the ramp's rate and phase)."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not (math.isfinite(math.pi / horizon) and math.isfinite(math.pi * horizon)):
+        raise ValueError(f"horizon {horizon} out of range: pi/T or pi*T overflows")
 
 
 def _finish(
     config: LevelConfig, boundary: AnglePair, horizon: float
 ) -> SolvedAngles:
-    schedule = cosine_ramp_schedule(boundary, horizon)
     return SolvedAngles(
         config=config,
-        schedule=schedule,
+        schedule=cosine_ramp_schedule(boundary, horizon),
         boundary=boundary,
-        constraint_residual=_forbidden_residual(config, schedule),
+        constraint_residual=_forbidden_residual(config, boundary, horizon),
         within_canonical_ranges=_within_canonical_ranges(boundary),
     )
 

@@ -177,10 +177,10 @@ class TestVerify:
         assert report.count("PASS") == 5
 
     def test_one_generator_evaluation_per_grid(self, tmp_path, monkeypatch):
-        # the solver's residual check samples 50 points, verify's 200 and
-        # the propagation 2 Gauss nodes per step; each grid is one call of
-        # the exact generator, and the finite-difference one stays a test
-        # oracle
+        # the solver's and verify's residual checks read the constant
+        # generator of the ramp once each, and the propagation takes 2 Gauss
+        # nodes per step in one call of the exact generator; the
+        # finite-difference one stays a test oracle
         shapes = []
 
         def counting(a, adot):
@@ -195,7 +195,7 @@ class TestVerify:
         for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
             monkeypatch.setattr(module, "hr_numeric", oracle, raising=False)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
-        assert sorted(shapes) == [(50,), (200,), (200,)]
+        assert sorted(shapes) == [(), (), (200,)]
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -269,6 +269,16 @@ class TestExitCodes:
         code = run("solve", SCENARIO_DIR / "ntype.json", tmp_path / "out", "--seed", "-1")
         assert code == fourlevel.cli.EXIT_VALIDATION
         assert capsys.readouterr().out.startswith("validation failure:")
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+    @pytest.mark.parametrize("horizon", [1e-310, 1.7e308])
+    def test_overflowing_horizon(self, tmp_path, capsys, command, horizon):
+        payload = json.loads((SCENARIO_DIR / "tripod.json").read_text())
+        payload["T"] = horizon
+        scenario = write_scenario(tmp_path, payload)
+        assert run(command, scenario, tmp_path / "out") == fourlevel.cli.EXIT_VALIDATION
+        assert "overflows" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1

@@ -3,9 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourlevel.quat4 import cayley_rotation, is_rotation_matrix, quat_mul
+from fourlevel.quat4 import (
+    Quaternion,
+    cayley_rotation,
+    is_rotation_matrix,
+    left_isoclinic,
+    quat_mul,
+    right_isoclinic,
+)
 from fourlevel.rotation import (
     AnglePair,
     AngleSchedule,
@@ -215,6 +224,45 @@ class TestSchedules:
         )
         with pytest.raises(ValueError):
             bad.check_consistency()
+
+
+def _ramp_generator_matrix(final: AnglePair) -> np.ndarray:
+    """G = gamma1(T) M_L(n1) + gamma2(T) M_R(n2) for the pure unit axes
+    n = (cos theta, sin theta cos phi, sin theta sin phi)."""
+
+    def axis(th, ph):
+        return Quaternion(
+            0.0, math.cos(th), math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph)
+        )
+
+    return final.gamma1 * left_isoclinic(axis(final.theta1, final.phi1)) + (
+        final.gamma2 * right_isoclinic(axis(final.theta2, final.phi2))
+    )
+
+
+class TestCosineRampGenerator:
+    # with theta and phi constant the two factors turn about fixed axes, so
+    # the generator is r'(t) G for one constant G, and the commuting
+    # isoclinic factors give U_r(t) = exp(r(t) G), r(t) = (1 - cos(pi t/T))/2
+    @given(
+        st.tuples(*(angle_floats for _ in range(6))),
+        st.floats(0.1, 10.0),
+        st.floats(1e-6, 1.0 - 1e-6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generator_is_ramp_rate_times_constant_matrix(self, angles, T, u):
+        final = AnglePair(*angles)
+        sched = cosine_ramp_schedule(final, T)
+        t = u * T
+        g = _ramp_generator_matrix(final)
+        rate = 0.5 * math.pi / T * math.sin(math.pi * t / T)
+        ramp = 0.5 * (1.0 - math.cos(math.pi * t / T))
+        generator = hr_analytic(sched.value(t), sched.rate(t)).to_matrix()
+        scale = max(1.0, np.linalg.norm(g))
+        np.testing.assert_allclose(generator, rate * g, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(
+            ur_of_angles(sched.value(t)), scipy.linalg.expm(ramp * g), rtol=0, atol=1e-12
+        )
 
 
 class TestCouplingSet:

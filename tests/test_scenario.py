@@ -115,6 +115,13 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, payload))
 
+    @pytest.mark.parametrize("horizon", [1e-310, 1.7e308])
+    def test_rejects_overflowing_horizon(self, tmp_path, horizon):
+        payload = minimal()
+        payload["T"] = horizon
+        with pytest.raises(ScenarioError, match="overflows"):
+            load_scenario(write_scenario(tmp_path, payload))
+
     def test_rejects_too_few_steps(self, tmp_path):
         payload = minimal()
         payload["steps"] = 10

@@ -413,6 +413,24 @@ def test_solvers_reject_bad_horizon(solver, horizon):
         solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
 
 
+@pytest.mark.parametrize("horizon", [1e-310, 1.7e308])
+@pytest.mark.parametrize("solver", [solve_tripod, solve_diamond, solve_ntype])
+def test_solvers_reject_overflowing_horizon(solver, horizon):
+    # pi/T overflows at a subnormal T and pi*T at the top of the float
+    # range: the ramp's rate or phase would turn the residual into NaN
+    with pytest.raises(ValueError, match="overflows"):
+        solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
+
+
+@pytest.mark.parametrize("horizon", [1.75e-308, 5.72e307])
+@pytest.mark.parametrize("solver", [solve_tripod, solve_diamond, solve_ntype])
+def test_extreme_accepted_horizon_gives_a_finite_residual(solver, horizon):
+    # the least and the largest T accepted: the ramp's peak rate pi/(2T)
+    # stays finite, so a zero entry of G cannot make the residual NaN
+    solved = solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
+    assert math.isfinite(solved.constraint_residual)
+
+
 class TestForbiddenCouplings:
     @pytest.mark.parametrize("config", list(LevelConfig))
     def test_forbidden_vanish_on_grid(self, config, rng):
@@ -445,7 +463,7 @@ class TestForbiddenCouplings:
         # schedule that breaks the topology's constraint it must report the
         # forbidden couplings the finite-difference oracle finds on its grid
         sched = cosine_ramp_schedule(boundary, 1.0)
-        residual = _forbidden_residual(config, sched)
+        residual = _forbidden_residual(config, boundary, 1.0)
         h = 1e-6
         oracle = max(
             abs(getattr(hr_numeric(sched, t, h=h), name))
@@ -454,6 +472,21 @@ class TestForbiddenCouplings:
         )
         assert residual > 1e-8
         assert abs(residual - oracle) < 1e-8
+
+    @pytest.mark.parametrize("config", list(LevelConfig))
+    @pytest.mark.parametrize("samples", [2, 50, 200])
+    def test_residual_equals_the_generator_on_its_grid(self, config, samples, rng):
+        # G read once and scaled by the ramp's peak rate equals the largest
+        # forbidden entry of the exact generator on the sampling grid
+        for _ in range(50):
+            boundary = AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, 6))
+            T = float(rng.uniform(0.1, 10.0))
+            sched = cosine_ramp_schedule(boundary, T)
+            grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)
+            cs = hr_analytic(sched.value(grid), sched.rate(grid))
+            expected = max(np.max(np.abs(getattr(cs, n))) for n in FORBIDDEN[config])
+            residual = _forbidden_residual(config, boundary, T, samples)
+            assert abs(residual - expected) <= 1e-14 * max(1.0, expected)
 
 
 class TestCouplingSchedules:
