@@ -10,7 +10,9 @@ qomap     write the quantum-optics mapping of a diamond scenario
           (qomap.json, rabi.csv)
 verify    run the scenario's invariant checks and report pass/fail
 
-Exit codes: 0 success, 1 validation failure, 2 solver failure,
+Exit codes: 0 success, 1 validation failure (a bad scenario or option,
+or a Hamiltonian the propagator rejects as not finite, for instance at a
+horizon so short that the pulse rates overflow), 2 solver failure,
 3 accuracy failure.
 """
 
@@ -25,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import total_hamiltonian
-from .propagator import AccuracyError, compare_with_analytic, fidelity, propagate
+from .propagator import (
+    AccuracyError,
+    InvalidHamiltonianError,
+    compare_with_analytic,
+    fidelity,
+    propagate,
+)
 from .qo import check_resonance, engineered_to_qo
 from .rotation import final_state, hr_analytic
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -225,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](sc, args.out, args.seed)
+    except InvalidHamiltonianError as exc:
+        print(f"validation failure: {exc}")
+        return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver failure: {exc}")
         return EXIT_SOLVER

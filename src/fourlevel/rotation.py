@@ -18,6 +18,7 @@ one result per time, on the leading axes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -155,10 +156,25 @@ def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
     n = (cos th, sin th cos ph, sin th sin ph) is the pure unit axis.  The
     quaternions are (w, x, y, z) tuples of floats or of broadcast arrays.
     This is the one map from angles to quaternions.
+
+    cos and sin come from math when all three angles are exact Python
+    floats (the solvers' boundary angles), and from numpy otherwise.  On
+    the math route every later product is float arithmetic, several times
+    cheaper than on numpy scalars.  The two routes give the same bits
+    (tests/test_rotation.py checks this as a property), except that math
+    raises ValueError on an infinite angle where numpy gives NaN.
+    np.float64 is a float subclass but stays on numpy: a schedule evaluated
+    at a scalar time gives np.float64 angles, so such a call takes the
+    array call's route, and "a float time equals the array call bit for
+    bit" does not rest on the two trig sources agreeing.
     """
-    cg, sg = np.cos(g), np.sin(g)
-    ct, st = np.cos(th), np.sin(th)
-    cp, sp = np.cos(ph), np.sin(ph)
+    if type(g) is float and type(th) is float and type(ph) is float:
+        cos, sin = math.cos, math.sin
+    else:
+        cos, sin = np.cos, np.sin
+    cg, sg = cos(g), sin(g)
+    ct, st = cos(th), sin(th)
+    cp, sp = cos(ph), sin(ph)
     ny, nz = st * cp, st * sp
     q = (cg, sg * ct, sg * ny, sg * nz)
     if dg is None:

@@ -25,7 +25,6 @@ _ALLOWED_KEYS = {
 }
 _ALLOWED_PHASE_KEYS = {"eps", "eps_prime"}
 _ALLOWED_QO_KEYS = {"omega_levels"}
-_ALLOWED_FREE_PARAMS = {"theta1"}
 _ANSATZ_NAMES = {"cosine_ramp"}
 
 
@@ -113,16 +112,6 @@ def load_scenario(path: str | Path) -> Scenario:
     if extra:
         raise ScenarioError(f"unknown ansatz keys: {sorted(extra)}")
 
-    free_params = raw.get("free_params", {})
-    if not isinstance(free_params, dict):
-        raise ScenarioError("free_params must map names to numbers")
-    unknown = set(free_params) - _ALLOWED_FREE_PARAMS
-    if unknown:
-        raise ScenarioError(f"unknown free_params keys: {sorted(unknown)}")
-    free_params = {
-        k: _require_number(v, f"free_params.{k}") for k, v in free_params.items()
-    }
-
     initial_guess = None
     if "initial_guess" in raw:
         initial_guess = tuple(_require_floats(raw["initial_guess"], 3, "initial_guess"))
@@ -135,7 +124,8 @@ def load_scenario(path: str | Path) -> Scenario:
         omega_levels = _require_floats(qo_raw["omega_levels"], 3, "qo.omega_levels")
 
     try:
-        target = TargetSpec(b, free_params)
+        # TargetSpec checks free_params' names (solvers.FREE_PARAMS) and values
+        target = TargetSpec(b, raw.get("free_params", {}))
         phases = PhaseSchedule(eps=eps, eps_prime=epsp, T=T)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +25,6 @@ from .rotation import (
     final_state,
     hr_analytic,
 )
-
-E1 = np.array([1.0, 0.0, 0.0, 0.0])
 
 #: N-type Levenberg-Marquardt iteration cap and initial damping, and the least
 #: |sin(theta1)| of a root.
@@ -71,9 +71,15 @@ class NoSolutionFoundError(SolverError):
         self.best_residual = best_residual
 
 
+#: Names a TargetSpec's free_params may set: theta1 is the diamond's free
+#: angle (default pi/2); the other topologies have no free parameter.
+FREE_PARAMS = frozenset({"theta1"})
+
+
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target final amplitudes b1..b4 (real, normalized)."""
+    """Target final amplitudes b1..b4 (real, normalized), and free
+    parameters by name (FREE_PARAMS), each a finite real number."""
 
     b: np.ndarray
     free_params: dict = field(default_factory=dict)
@@ -87,6 +93,22 @@ class TargetSpec:
         if abs(b @ b - 1.0) > 1e-10:
             raise ValueError(f"target norm^2 = {b @ b} is not 1 within 1e-10")
         object.__setattr__(self, "b", b)
+        if not isinstance(self.free_params, Mapping):
+            raise ValueError("free_params must map names to numbers")
+        unknown = set(self.free_params) - FREE_PARAMS
+        if unknown:
+            raise ValueError(
+                f"unknown free_params keys: {sorted(map(str, unknown))}"
+                f" (allowed: {sorted(FREE_PARAMS)})"
+            )
+        for name, value in self.free_params.items():
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            try:
+                finite = real and math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"free_params.{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +192,7 @@ def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     targets resolve the undetermined angles to zero.
     """
     _check_horizon(horizon)
-    b1, b2, b3, b4 = target.b
+    b1, b2, b3, b4 = target.b.tolist()
     B = math.sqrt(b2 * b2 + b3 * b3 + b4 * b4)
     gamma_T = 0.5 * math.atan2(B, b1)
     if B < 1e-15:
@@ -193,10 +215,10 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     """
     _check_horizon(horizon)
     theta1 = float(target.free_params.get("theta1", math.pi / 2))
-    b = target.b
+    b = target.b.tolist()
     b1, b2, b3, b4 = b
 
-    if np.linalg.norm(b - E1) < 1e-12:
+    if math.hypot(b1 - 1.0, b2, b3, b4) < 1e-12:
         # Identity target: the closed form is 0/0 here.
         boundary = AnglePair(0.0, theta1, 0.0, 0.0, 0.0, 0.0)
         return _finish(LevelConfig.DIAMOND, boundary, horizon)
@@ -234,7 +256,7 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
 
     best, best_res = None, math.inf
     for cand in candidates:
-        res = np.linalg.norm(final_state(cand) - b)
+        res = math.dist(final_state(cand).tolist(), b)
         if res < best_res:
             best, best_res = cand, res
     if best_res > 1e-9:

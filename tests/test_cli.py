@@ -280,5 +280,27 @@ class TestExitCodes:
         assert "overflows" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("name, horizon", [("tripod", 1e-300), ("diamond", 1.75e-308)])
+    def test_horizon_too_short_to_propagate(self, tmp_path, command, name, horizon):
+        # accepted horizons whose H(t) the propagator rejects: dt |H| overflows
+        # (tripod), or the ramp's rate overflows to a non-finite H (diamond,
+        # with RuntimeWarnings on the way, so in a fresh interpreter)
+        payload = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        payload["T"] = horizon
+        scenario = write_scenario(tmp_path, payload)
+        src = Path(fourlevel.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fourlevel.cli", command,
+             "--scenario", str(scenario), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == fourlevel.cli.EXIT_VALIDATION
+        assert proc.stdout.startswith("validation failure:")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1

@@ -265,6 +265,33 @@ class TestCosineRampGenerator:
         )
 
 
+class TestFloatRoute:
+    # Python-float angles take math's cos and sin, np.float64 ones numpy's:
+    # the solvers' boundary calls must give the bits of the per-time calls
+    @given(
+        st.tuples(*(angle_floats for _ in range(6))),
+        st.tuples(*(st.floats(-1e3, 1e3) for _ in range(6))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_call_equals_float64_call(self, angles, rates):
+        a, adot = AnglePair(*angles), AnglePair(*rates)
+        a64 = AnglePair(*map(np.float64, angles))
+        adot64 = AnglePair(*map(np.float64, rates))
+        g, g64 = hr_analytic(a, adot), hr_analytic(a64, adot64)
+        assert type(g.omega12) is float and type(g64.omega12) is np.float64
+        pairs = [
+            (g.as_array(), g64.as_array()),
+            (final_state(a), final_state(a64)),
+            (ur_of_angles(a), ur_of_angles(a64)),
+        ]
+        for x, y in pairs:
+            assert x.tobytes() == y.tobytes()
+
+    def test_infinite_float_angle_raises(self):
+        with pytest.raises(ValueError, match="math domain error"):
+            final_state(AnglePair(math.inf, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
 class TestCouplingSet:
     def test_matrix_round_trip(self, rng):
         cs = CouplingSet(*rng.normal(size=6))

@@ -62,6 +62,29 @@ class TestTargetSpec:
         with pytest.raises(ValueError, match="finite"):
             TargetSpec(np.array([bad, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, True, "1.0", 10**400],
+        ids=["nan", "inf", "-inf", "bool", "str", "int-beyond-float"],
+    )
+    def test_rejects_bad_free_param_value(self, value):
+        with pytest.raises(ValueError, match="free_params.theta1 must be a finite number"):
+            TargetSpec(E1, {"theta1": value})
+
+    def test_rejects_unknown_free_param(self):
+        # a misspelled key would otherwise leave theta1 at its default
+        with pytest.raises(ValueError, match="thta1"):
+            TargetSpec(E1, {"thta1": 1.0})
+
+    def test_rejects_free_params_not_a_mapping(self):
+        with pytest.raises(ValueError, match="map names"):
+            TargetSpec(E1, [("theta1", 1.0)])
+
+    def test_accepts_real_free_params(self):
+        for value in (1, 1.0, np.float64(1.0)):
+            target = TargetSpec(np.array([0.0, 1.0, 0.0, 0.0]), {"theta1": value})
+            assert solve_diamond(target).boundary.theta1 == 1.0
+
 
 class TestSolveTripod:
     def test_symmetric_superposition(self):
@@ -130,6 +153,13 @@ class TestSolveDiamond:
                 continue
             assert np.linalg.norm(ur_of_angles(solved.boundary) @ E1 - target.b) < 1e-9
             count += 1
+
+    @pytest.mark.parametrize("solver", [solve_tripod, solve_diamond])
+    def test_closed_form_boundary_is_python_floats(self, solver, rng):
+        # the residual check's hr_analytic takes math's trig only on floats
+        solved = solver(random_target(rng))
+        assert all(type(v) is float for v in dataclasses.astuple(solved.boundary))
+        assert type(solved.constraint_residual) is float
 
     def test_default_theta1_is_right_angle(self, rng):
         target = random_target(rng)
