@@ -85,11 +85,14 @@ def _expected_final(sc: Scenario) -> np.ndarray:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows of floats with 12 significant digits ("%.12g") per cell."""
-    row = ",".join(["%.12g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row % tuple(values) for values in np.asarray(rows, dtype=float).tolist())
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    """Write rows of floats with 12 significant digits ("%.12g") per cell.
+
+    The body is one format string, the row template repeated per row, and
+    one % over all cells."""
+    values = np.asarray(rows, dtype=float)
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    body = row * len(values) % tuple(values.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body, newline="\n")
 
 
 def cmd_solve(sc: Scenario, out: Path, seed: int) -> int:

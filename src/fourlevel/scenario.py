@@ -55,7 +55,11 @@ class Scenario:
 
 def _require_number(obj, name: str) -> float:
     number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
-    if not (number and math.isfinite(obj)):
+    try:
+        finite = number and math.isfinite(obj)
+    except OverflowError:  # a JSON integer beyond the float range
+        finite = False
+    if not finite:
         raise ScenarioError(f"{name} must be a finite number")
     return float(obj)
 

@@ -31,11 +31,18 @@ from .rotation import (
 _NTYPE_MAX_ITER = 40
 _NTYPE_DAMPING = 1e-2
 _NTYPE_MIN_SIN = 1e-6
-#: N-type loop search: lock samples, 16-part bracket cuts, and the turns k, m
-#: added to gamma1(T), gamma2(T) in units of 2 pi (every root of pulse area
-#: at most 3 pi has k, m in -1..1).
+#: N-type loop search: lock samples; the final bracket width, one sample step
+#: over 16 to the power _NTYPE_REFINE_STEPS (as many 16-part cuts would give;
+#: 0 refines nothing); the 16-part cuts that open each refinement, and the
+#: most secant steps after them; the distance from an axis +-e_k within
+#: which every step is a cut; and the turns k, m added to gamma1(T),
+#: gamma2(T) in units of 2 pi (every root of pulse area at most 3 pi has
+#: k, m in -1..1).
 _NTYPE_LOOP_POINTS = 128
 _NTYPE_REFINE_STEPS = 11
+_NTYPE_CUTS = 3
+_NTYPE_SECANT_STEPS = 4
+_NTYPE_AXIS_DISTANCE = 1e-3
 _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
 
 
@@ -360,9 +367,24 @@ def _ntype_loop_roots(b) -> np.ndarray:
     """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
     along the loop, for every turn pair (k, m), refined all at once.
 
-    The lock is sampled at _NTYPE_LOOP_POINTS points; each bracket is then cut
-    into 16 parts _NTYPE_REFINE_STEPS times, keeping the part where the sign
-    first changes.  Candidates come out in the order k, m, psi.
+    The lock is sampled at _NTYPE_LOOP_POINTS points.  Each refinement step
+    evaluates it at a few points inside every bracket, in one call, and keeps
+    the part between neighbouring points where the sign first changes.  The
+    first _NTYPE_CUTS steps cut each bracket into 16 equal parts.  The next,
+    at most _NTYPE_SECANT_STEPS, are bracketed secant steps that reuse the
+    lock values known at the bracket's ends: regula falsi with the Illinois
+    modification (Dowell & Jarratt, BIT 11 (1971) 168; an end kept by two
+    steps in a row has its value halved) gives a point, and 8 points half a
+    final width apart straddle it, so the step closes the bracket once the
+    point is within 3.5 final widths of the sign change.  The point always
+    lies in its bracket (the end values differ in sign) and is moved in far
+    enough for the straddle.  A bracket still wider than the final width,
+    one sample step over 16**_NTYPE_REFINE_STEPS, is finished by 16-part
+    cuts.  Within _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final width in
+    psi moves a root's angles, and its pulse area, by up to about 1e-8, so
+    there every step is a cut and the roots stay those of the cut sequence.
+    A root is the midpoint of its bracket.  Candidates come out in the
+    order k, m, psi.
     """
     step = 2 * math.pi / _NTYPE_LOOP_POINTS
     psi = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * step  # closed: last = first + 2 pi
@@ -372,13 +394,37 @@ def _ntype_loop_roots(b) -> np.ndarray:
         (pos[..., :-1] != pos[..., 1:]) & finite[..., :-1] & finite[..., 1:]
     )
     k, m, sign = _NTYPE_TURNS[ki, None], _NTYPE_TURNS[mi, None], pos[ki, mi, j, None]
-    left, cut = psi[j], np.arange(1, 16) / 16
-    for _ in range(_NTYPE_REFINE_STEPS):
-        flip = (_ntype_lock(left[:, None] + step * cut, b, k, m) > 0) != sign
-        flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
-        left = left + step / 16 * np.argmax(flip, axis=1)
-        step /= 16
-    _, theta1, g2, theta2 = _ntype_loop(left + step / 2, b)
+    # bracket [left, left + width], with the lock f_lo, f_hi at its ends
+    left, width = psi[j, None], np.full((len(j), 1), step)
+    f_lo, f_hi = f[ki, mi, j, None], f[ki, mi, j + 1, None]
+    final = step / 16.0**_NTYPE_REFINE_STEPS
+    cut, straddle = np.arange(1, 16) / 16, np.arange(-3.5, 4.0)
+    near_axis = max(abs(b)) ** 2 > 1.0 - _NTYPE_AXIS_DISTANCE**2
+    secants = range(_NTYPE_CUTS, _NTYPE_CUTS + (0 if near_axis else _NTYPE_SECANT_STEPS))
+    r, kept = np.arange(len(j)), np.full(len(j), -1)  # the part each secant step kept
+    # the cuts and secant steps, then at most the cuts a bracket still needs
+    for n_step in range(_NTYPE_SECANT_STEPS + _NTYPE_REFINE_STEPS):
+        if width.max(initial=0.0) <= final:
+            break
+        secant = n_step in secants
+        if secant:  # points half a final width apart, closer in a narrower bracket
+            gap = np.minimum(final / 2, width / 8)
+            x = left + width * (f_lo / (f_lo - f_hi))
+            x = np.fmin(np.fmax(x, left + 3.5 * gap), left + width - 3.5 * gap)
+            points = x + gap * straddle
+            # Illinois: an end the last step kept counts half if this step keeps it too
+            f_lo[kept == 0] /= 2
+            f_hi[kept == len(straddle)] /= 2
+        else:
+            points = left + width * cut
+        values = np.concatenate((f_lo, _ntype_lock(points, b, k, m), f_hi), axis=1)
+        a = np.argmax((values[:, 1:] > 0) != sign, axis=1)  # the right end always flips
+        grid = np.concatenate((left, points, left + width), axis=1)
+        left = grid[r, a, None]
+        width = grid[r, a + 1, None] - left if secant else width / 16
+        f_lo, f_hi = values[r, a, None], values[r, a + 1, None]
+        kept = a if secant else kept
+    _, theta1, g2, theta2 = _ntype_loop(left[:, 0] + width[:, 0] / 2, b)
     return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
 
 
@@ -457,8 +503,12 @@ def solve_ntype(
     a loop through both square-root branches (_ntype_loop), so the lock is
     one scalar equation in gamma2(T).  Its sign changes along the loop, for
     gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in -1..1 (every
-    root of pulse area at most 3 pi), are refined at once and joined by the
-    axis families (_ntype_axis_roots).  A candidate is a root if its
+    root of pulse area at most 3 pi), are sampled at 128 points and refined
+    all at once (_ntype_loop_roots): three 16-part cuts, then bracketed
+    secant steps until each bracket is at most 2 pi / 128 / 16**11 wide,
+    with 16-part cuts finishing any bracket the secant steps leave wider, and
+    cuts alone within 1e-3 of an axis +-e_k.  They are joined by the axis
+    families (_ntype_axis_roots).  A candidate is a root if its
     residual is at most residual_tol and |sin(theta1)| >= 1e-6; the root
     returned has the least pulse area |gamma1(T)| + |gamma2(T)| among the
     roots found in this searched box, ties going to the earlier candidate

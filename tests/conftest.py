@@ -119,6 +119,32 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     return tuple(sorted(block_angles))
 
 
+def ntype_cut_loop_roots(b) -> np.ndarray:
+    """The N-type loop search's candidates with every bracket refined by
+    16-part cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part
+    where the lock's sign first changes, and the root at the midpoint of the
+    last part.  An oracle for _ntype_loop_roots, whose secant steps end each
+    bracket at most as wide; the same candidates in the same order."""
+    solvers = fourlevel.solvers
+    turns = solvers._NTYPE_TURNS
+    step = 2 * math.pi / solvers._NTYPE_LOOP_POINTS
+    psi = (np.arange(solvers._NTYPE_LOOP_POINTS + 1) + 0.5) * step
+    f = solvers._ntype_lock(psi, b, turns[:, None, None], turns[:, None])
+    pos, finite = f > 0, np.isfinite(f)
+    ki, mi, j = np.nonzero(
+        (pos[..., :-1] != pos[..., 1:]) & finite[..., :-1] & finite[..., 1:]
+    )
+    k, m, sign = turns[ki, None], turns[mi, None], pos[ki, mi, j, None]
+    left, cut = psi[j], np.arange(1, 16) / 16
+    for _ in range(solvers._NTYPE_REFINE_STEPS):
+        flip = (solvers._ntype_lock(left[:, None] + step * cut, b, k, m) > 0) != sign
+        flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
+        left = left + step / 16 * np.argmax(flip, axis=1)
+        step /= 16
+    _, theta1, g2, theta2 = solvers._ntype_loop(left + step / 2, b)
+    return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
+
+
 def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) -> AnglePair:
     """The N-type boundary from one Levenberg-Marquardt batch over the guess,
     the grid and the seeded draws: a converged guess wins, else the converged

@@ -108,6 +108,19 @@ class TestSimulate:
         expected = ["a,b,c"] + [",".join(f"{x:.12g}" for x in row) for row in rows.tolist()]
         assert (tmp_path / "x.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
+    def test_csv_cells_at_the_12g_switch_points(self, tmp_path):
+        # the one-% body prints each cell as "%.12g" alone would, at the
+        # signed zero, where %g turns to exponent form (1e-4 and 1e12), at
+        # long mantissas and at the subnormal end
+        values = [-0.0, 9.99999999999e-5, 1e-5, 1e12, 1e16, 1e-300, 5e-324]
+        rows = np.array([values, values[::-1]])
+        fourlevel.cli._write_csv(tmp_path / "x.csv", list("abcdefg"), rows)
+        expected = ["a,b,c,d,e,f,g"] + [",".join("%.12g" % x for x in row) for row in rows.tolist()]
+        assert (tmp_path / "x.csv").read_text() == "\n".join(expected) + "\n"
+        assert expected[1] == "-0,9.99999999999e-05,1e-05,1e+12,1e+16,1e-300,4.94065645841e-324"
+        fourlevel.cli._write_csv(tmp_path / "empty.csv", ["a", "b"], np.zeros((0, 2)))
+        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
     def test_steps_override(self, tmp_path):
         assert run("simulate", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "500") == 0
         _, data = read_csv(tmp_path / "populations.csv")

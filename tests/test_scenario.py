@@ -158,6 +158,23 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("T", 10**400),
+            ("target", [0, 10**400, 0, 0]),
+            ("phases", {"eps": [0, 0, 10**400], "eps_prime": [0, 0, 0]}),
+            ("qo", {"omega_levels": [1000.0, 10**400, 2600.0]}),
+        ],
+    )
+    def test_integer_beyond_float_range_rejected(self, tmp_path, key, value):
+        # JSON integers are unbounded; one that no float holds is rejected
+        # as a bad number, not as an OverflowError from the finiteness check
+        payload = minimal(config="diamond", target=[0, 1, 0, 0])
+        payload[key] = value
+        with pytest.raises(ScenarioError, match="must be a finite number"):
+            load_scenario(write_scenario(tmp_path, payload))
+
     def test_replace_revalidates(self):
         sc = load_scenario(SCENARIO_DIR / "tripod.json")
         assert dataclasses.replace(sc, steps=500).steps == 500

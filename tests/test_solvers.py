@@ -29,7 +29,7 @@ from fourlevel.solvers import (
     solve_tripod,
 )
 
-from conftest import ntype_single_batch_root, topology_couplings
+from conftest import ntype_cut_loop_roots, ntype_single_batch_root, topology_couplings
 
 E1 = np.array([1.0, 0, 0, 0])
 SQRT3 = math.sqrt(3.0)
@@ -375,22 +375,110 @@ class TestSolveNType:
             solved = solve_ntype(target, seed=seed).boundary
             assert pulse_area(solved) <= pulse_area(expected) + 1e-9
 
-    def test_near_axis_targets_give_root_or_no_solution(self):
+    def test_near_axis_targets_give_root_or_no_solution(self, monkeypatch):
         # +-e_k plus noise of size 1e-16..1e-3: a root within 1e-8, or
-        # NoSolutionFoundError; never NaN and never another error
+        # NoSolutionFoundError; never NaN and never another error.  Against
+        # the search with 16-part cuts alone (31 of these 600 fail there):
+        # no new failure, and each root of the same pulse area within 1e-9
         rng = np.random.default_rng(11)
-        for i in range(48):
+        targets = []
+        for i in range(600):
             b = np.eye(4)[i % 4] * (1.0 if i % 8 < 4 else -1.0)
             b = b + 10.0 ** rng.uniform(-16, -3) * rng.normal(size=4)
-            b /= np.linalg.norm(b)
-            try:
-                solved = solve_ntype(TargetSpec(b))
-            except NoSolutionFoundError as exc:
-                assert 1e-8 < exc.best_residual < math.inf
-                continue
-            assert np.all(np.isfinite(dataclasses.astuple(solved.boundary)))
-            assert np.linalg.norm(final_state(solved.boundary) - b) < 1e-8
-            assert solved.constraint_residual < 1e-8
+            targets.append(b / np.linalg.norm(b))
+        roots = [near_axis_root(b) for b in targets]
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_loop_roots", ntype_cut_loop_roots)
+        cut_roots = [near_axis_root(b) for b in targets]
+        assert sum(root is None for root in cut_roots) == 31
+        for root, cut_root in zip(roots, cut_roots):
+            if root is None:
+                assert cut_root is None
+            elif cut_root is not None:
+                assert abs(pulse_area(root) - pulse_area(cut_root)) <= 1e-9
+
+    def test_loop_roots_match_the_cut_oracle(self, monkeypatch):
+        # 200 seeded targets: the secant finish gives the candidates of
+        # 16-part cuts alone, in the same (k, m, psi) order and each within
+        # 1e-10, and the solve picks the same root, converged to rounding
+        rng = np.random.default_rng(14)
+        targets = [random_target(rng) for _ in range(200)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            found = [fourlevel.solvers._ntype_loop_roots(t.b) for t in targets]
+            expected = [ntype_cut_loop_roots(t.b) for t in targets]
+        roots = [solve_ntype(t).boundary for t in targets]
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_loop_roots", ntype_cut_loop_roots)
+        for target, x, y, root in zip(targets, found, expected, roots):
+            assert x.shape == y.shape
+            assert np.max(np.abs(turn(x[:, :2] - y[:, :2])), initial=0.0) <= 1e-10
+            assert np.max(np.abs(x[:, 2] - y[:, 2]), initial=0.0) <= 1e-10
+            cut_root = solve_ntype(target).boundary
+            assert abs(turn(root.theta1 - cut_root.theta1)) <= 1e-10
+            assert abs(turn(root.theta2 - cut_root.theta2)) <= 1e-10
+            assert abs(root.gamma2 - cut_root.gamma2) <= 1e-10
+            assert abs(pulse_area(root) - pulse_area(cut_root)) <= 1e-9
+            assert np.linalg.norm(final_state(root) - target.b) <= 1e-12
+
+    def test_lock_evaluations_per_solve(self, monkeypatch):
+        # one lock call per refinement step, every bracket at once: the
+        # sample, three 16-part cuts (15 points per bracket) and secant
+        # steps (8 points), in place of the sample and eleven cuts; near an
+        # axis the cuts alone; with no refinement the sample alone
+        points = []
+        lock = fourlevel.solvers._ntype_lock
+
+        def spy(psi, b, k, m):
+            points.append(np.shape(psi)[-1])
+            return lock(psi, b, k, m)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", spy)
+        solve_ntype(TargetSpec(np.full(4, 0.5)))
+        assert points == [129, 15, 15, 15, 8, 8]
+        points.clear()
+        solve_ntype(TargetSpec(E4))
+        assert points == [129] + [15] * 11
+        points.clear()
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_REFINE_STEPS", 0)
+        with pytest.raises(NoSolutionFoundError):
+            solve_ntype(TargetSpec(np.full(4, 0.5)))
+        assert points == [129]
+
+    def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
+        # a lock exp(2000 (psi - psi0)) - 1 bends across the bracket that the
+        # cuts leave, so plain regula falsi keeps its steep end and creeps;
+        # halving the kept end's value brings the bracket to the final width
+        # within the four secant steps, with no cuts after them
+        psi0, points = 4.0 / 3.0, []
+
+        def lock(psi, b, k, m):
+            points.append(np.shape(psi)[-1])
+            curve = np.expm1(np.minimum(2000.0 * (psi - psi0), 30.0))
+            return np.where((k == 0) & (m == 0), curve, 1.0)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", lock)
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_loop", lambda psi, b: (psi,) * 4)
+        roots = fourlevel.solvers._ntype_loop_roots(np.full(4, 0.5))
+        assert points == [129, 15, 15, 15, 8, 8, 8, 8]
+        assert roots.shape == (1, 3)
+        assert abs(roots[0, 0] - psi0) <= 2 * math.pi / 128 / 16**11
+
+
+def near_axis_root(b):
+    """solve_ntype's boundary for b, checked finite and within 1e-8, or None
+    if it raises NoSolutionFoundError (its best residual checked)."""
+    try:
+        solved = solve_ntype(TargetSpec(b))
+    except NoSolutionFoundError as exc:
+        assert 1e-8 < exc.best_residual < math.inf
+        return None
+    assert np.all(np.isfinite(dataclasses.astuple(solved.boundary)))
+    assert np.linalg.norm(final_state(solved.boundary) - b) < 1e-8
+    assert solved.constraint_residual < 1e-8
+    return solved.boundary
+
+
+def turn(angle):
+    """An angle, or angle difference, wrapped into [-pi, pi)."""
+    return (angle + math.pi) % (2 * math.pi) - math.pi
 
 
 def ntype_state(theta1, theta2, gamma2):
