@@ -11,25 +11,20 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quat4 import hamilton
 from .rotation import (
     AnglePair,
     AngleSchedule,
-    _unit_quat,
     cosine_ramp_schedule,
     final_state,
     hr_analytic,
 )
 
-#: N-type Levenberg-Marquardt iteration cap and initial damping, and the least
-#: |sin(theta1)| of a root.
-_NTYPE_MAX_ITER = 40
-_NTYPE_DAMPING = 1e-2
+#: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
 #: N-type loop search: lock samples; the final bracket width, one sample step
 #: over 16 to the power _NTYPE_REFINE_STEPS (as many 16-part cuts would give;
@@ -44,6 +39,9 @@ _NTYPE_CUTS = 3
 _NTYPE_SECANT_STEPS = 4
 _NTYPE_AXIS_DISTANCE = 1e-3
 _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
+#: The lock samples added for a guess lie this far in psi to either side of
+#: its loop points; rounding in the guess moves those by up to about 1e-8.
+_NTYPE_GUESS_OFFSET = 1e-6
 
 
 class LevelConfig(enum.Enum):
@@ -109,13 +107,18 @@ class TargetSpec:
                 f" (allowed: {sorted(FREE_PARAMS)})"
             )
         for name, value in self.free_params.items():
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            try:
-                finite = real and math.isfinite(value)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
+            if not _finite_real(value):
                 raise ValueError(f"free_params.{name} must be a finite number, got {value!r}")
+
+
+def _finite_real(value) -> bool:
+    """Whether value is a finite real number, a bool not counting as one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -273,55 +276,6 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     return _finish(LevelConfig.DIAMOND, best, horizon)
 
 
-def _ntype_residual(x: np.ndarray, b: np.ndarray):
-    """q p - b (n, 4) at x = (theta1, theta2, gamma2(T)) (n, 3), gamma1 set by the
-    lock, and its exact Jacobian d(q p)/dx = (dq) p + q (dp) (n, 4, 3)."""
-    th1, th2, g2 = x[:, 0:1], x[:, 1:2], x[:, 2:3]
-    s1, s2 = np.sin(th1), np.sin(th2)
-    g1 = -s2 / s1 * g2
-    dg1 = np.concatenate((-g1 * np.cos(th1) / s1, -np.cos(th2) / s1 * g2, -s2 / s1), axis=1)
-    q, dq = _unit_quat(g1, th1, math.pi / 2, dg1, np.eye(3)[0], 0.0)
-    p, dp = _unit_quat(g2, th2, math.pi / 2, np.eye(3)[2], np.eye(3)[1], 0.0)
-    # columns q p, (dq) p and q (dp), all from one product
-    left = [np.concatenate((u, du, u, u, u), axis=1) for u, du in zip(q, dq)]
-    right = [np.concatenate((v, v, v, v, dv), axis=1) for v, dv in zip(p, dp)]
-    prod = np.stack(hamilton(left, right), axis=1)
-    return prod[:, :, 0] - b, prod[:, :, 1:4] + prod[:, :, 4:]
-
-
-def _ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
-    """Levenberg-Marquardt on every start of x (n, 3) at once.
-
-    A step is taken if it lowers the residual and is regular: finite, with
-    |sin(theta1)| >= _NTYPE_MIN_SIN (nearer 0, one rounding of theta1 moves
-    the lock's gamma1 beyond the tolerance).  A start leaves at an irregular
-    step or once converged (residual <= residual_tol, no further decrease).
-    Returns the end points, theta in [0, 2 pi), and residuals, inf if never
-    regular."""
-    x, x_new, i = x.copy(), x.copy(), np.arange(len(x))
-    f, jac = np.zeros((len(x), 4)), np.zeros((len(x), 4, 3))
-    res, damping = np.full(len(x), np.inf), np.full(len(x), _NTYPE_DAMPING)
-    for _ in range(_NTYPE_MAX_ITER + 1):
-        x_new[:, :2] %= 2 * math.pi
-        f_new, jac_new = _ntype_residual(x_new, b)
-        res_new = np.linalg.norm(f_new, axis=1)
-        regular = np.isfinite(res_new) & np.all(np.isfinite(jac_new), axis=(1, 2))
-        regular &= np.abs(np.sin(x_new[:, 0])) >= _NTYPE_MIN_SIN
-        ok = regular & (res_new < res[i])
-        x[i[ok]], f[i[ok]], jac[i[ok]] = x_new[ok], f_new[ok], jac_new[ok]
-        res[i[ok]] = res_new[ok]
-        damping[i] = np.where(ok, damping[i] / 10.0, damping[i] * 10.0)
-        i = i[regular & (ok | (res[i] > residual_tol))]
-        if i.size == 0:
-            break
-        # damped step -V diag(s / (s^2 + damping)) U^T f from J = U diag(s) V^T,
-        # finite for every finite J, rank-deficient or not
-        u, sv, vt = np.linalg.svd(jac[i], full_matrices=False)
-        uf = np.einsum("nki,nk->ni", u, f[i]) * sv / (sv * sv + damping[i, None])
-        x_new = x[i] - np.einsum("nij,ni->nj", vt, uf)
-    return x, res
-
-
 def _ntype_loop(psi, b):
     """(gamma1, theta1, gamma2, theta2) at psi on the loop of states with q p = b.
 
@@ -363,9 +317,11 @@ def _ntype_lock(psi, b, k, m):
     return (g1 + 2 * math.pi * k) * np.sin(theta1) + (g2 + 2 * math.pi * m) * np.sin(theta2)
 
 
-def _ntype_loop_roots(b) -> np.ndarray:
+def _ntype_loop_roots(b, guess=None) -> np.ndarray:
     """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
-    along the loop, for every turn pair (k, m), refined all at once.
+    along the loop, for every turn pair (k, m) with k, m in _NTYPE_TURNS,
+    refined all at once; with guess = (k, m, points), also for the guess's
+    turn pair, and with the guess's points added to the samples.
 
     The lock is sampled at _NTYPE_LOOP_POINTS points.  Each refinement step
     evaluates it at a few points inside every bracket, in one call, and keeps
@@ -384,24 +340,30 @@ def _ntype_loop_roots(b) -> np.ndarray:
     psi moves a root's angles, and its pulse area, by up to about 1e-8, so
     there every step is a cut and the roots stay those of the cut sequence.
     A root is the midpoint of its bracket.  Candidates come out in the
-    order k, m, psi.
+    order k, m (the guess's pair last), psi.
     """
     step = 2 * math.pi / _NTYPE_LOOP_POINTS
     psi = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * step  # closed: last = first + 2 pi
-    f = _ntype_lock(psi, b, _NTYPE_TURNS[:, None, None], _NTYPE_TURNS[:, None])
+    steps = np.full(_NTYPE_LOOP_POINTS, step)
+    pairs = np.stack(np.meshgrid(_NTYPE_TURNS, _NTYPE_TURNS, indexing="ij"), axis=-1)
+    pairs = pairs.reshape(-1, 2)
+    if guess is not None:
+        k, m, points = guess
+        pairs = np.concatenate((pairs, [[k, m]]))
+        psi = np.sort(np.concatenate((psi, (points - psi[0]) % (2 * math.pi) + psi[0])))
+        steps = np.diff(psi)
+    f = _ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
     pos, finite = f > 0, np.isfinite(f)
-    ki, mi, j = np.nonzero(
-        (pos[..., :-1] != pos[..., 1:]) & finite[..., :-1] & finite[..., 1:]
-    )
-    k, m, sign = _NTYPE_TURNS[ki, None], _NTYPE_TURNS[mi, None], pos[ki, mi, j, None]
+    n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
+    k, m, sign = pairs[n, :1], pairs[n, 1:], pos[n, j, None]
     # bracket [left, left + width], with the lock f_lo, f_hi at its ends
-    left, width = psi[j, None], np.full((len(j), 1), step)
-    f_lo, f_hi = f[ki, mi, j, None], f[ki, mi, j + 1, None]
+    left, width = psi[j, None], steps[j, None]
+    f_lo, f_hi = f[n, j, None], f[n, j + 1, None]
     final = step / 16.0**_NTYPE_REFINE_STEPS
     cut, straddle = np.arange(1, 16) / 16, np.arange(-3.5, 4.0)
     near_axis = max(abs(b)) ** 2 > 1.0 - _NTYPE_AXIS_DISTANCE**2
     secants = range(_NTYPE_CUTS, _NTYPE_CUTS + (0 if near_axis else _NTYPE_SECANT_STEPS))
-    r, kept = np.arange(len(j)), np.full(len(j), -1)  # the part each secant step kept
+    r, kept = np.arange(len(left)), np.full(len(left), -1)  # the part each secant step kept
     # the cuts and secant steps, then at most the cuts a bracket still needs
     for n_step in range(_NTYPE_SECANT_STEPS + _NTYPE_REFINE_STEPS):
         if width.max(initial=0.0) <= final:
@@ -456,32 +418,54 @@ def _ntype_axis_roots(b) -> np.ndarray:
     return np.concatenate([np.stack(f, axis=-1).reshape(-1, 3) for f in (unit_q, unit_p, quarter)])
 
 
-def _ntype_root(b, initial_guess, residual_tol: float) -> np.ndarray:
-    """The chosen (theta1, theta2, gamma2(T)) of solve_ntype, in two stages."""
-    guess_residual = math.inf
-    if initial_guess is not None:  # stage 1: the caller's guess alone
-        guess = np.reshape(np.asarray(initial_guess, dtype=float), (1, 3))
-        x, res = _ntype_lm(guess, b, residual_tol)
-        if res[0] <= residual_tol:
-            return x[0]
-        guess_residual = res[0]
-    # stage 2: the lock's roots along the loop, and the axis families
+def _ntype_guess_samples(b, gamma1: float, gamma2: float):
+    """The turn pair (k, m) of a guess, and its loop points: gamma_i or
+    -gamma_i, whichever has a non-negative sine, is g_i + 2 pi k_i with g_i
+    in [0, pi], as a loop root's gamma_i(psi) + 2 pi k_i is, and the points
+    lie _NTYPE_GUESS_OFFSET to either side of the psi with gamma2(psi) = g_2
+    (the nearest fold if none) on both branches.  At a guess that is a root
+    the lock changes sign between them, unless another root lies as near."""
+    folded = [g if math.sin(g) >= 0.0 else -g for g in (gamma1, gamma2)]
+    k, m = (g // (2 * math.pi) for g in folded)
+    h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
+    u = (math.pi / 2 - (folded[1] - 2 * math.pi * m)) / h if h > 0.0 else 1.0
+    psi = math.acos(max(-1.0, min(1.0, u)))
+    return k, m, (np.array([[psi], [-psi]]) + [-_NTYPE_GUESS_OFFSET, _NTYPE_GUESS_OFFSET]).ravel()
+
+
+def _ntype_root(b, guess, residual_tol: float) -> np.ndarray:
+    """The chosen (theta1, theta2, gamma2(T)) of solve_ntype for a guess of
+    three floats, or None."""
     unit_b = b / np.linalg.norm(b)
-    x = np.concatenate((_ntype_loop_roots(unit_b), _ntype_axis_roots(unit_b)))
+    if guess is not None:
+        theta_g = np.array(guess[:2])
+        gamma_g = guess[2] * np.array([-np.sin(theta_g[1]) / np.sin(theta_g[0]), 1.0])
+        if abs(np.sin(theta_g[0])) < _NTYPE_MIN_SIN or not np.isfinite(gamma_g[0]):
+            guess = None  # a singular guess, or one whose gamma1(T) overflows
+    own = None if guess is None else _ntype_guess_samples(unit_b, *gamma_g)
+    x = np.concatenate((_ntype_loop_roots(unit_b, own), _ntype_axis_roots(unit_b)))
     x[:, :2] %= 2 * math.pi
     t1, t2, g2 = x.T
     g1 = -np.sin(t2) / np.sin(t1) * g2
     state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
     res = np.linalg.norm(state - b, axis=1)
     res = np.where(np.isfinite(res) & (np.abs(np.sin(t1)) >= _NTYPE_MIN_SIN), res, np.inf)
-    converged = res <= residual_tol
-    if not np.any(converged):
+    converged = np.flatnonzero(res <= residual_tol)
+    if converged.size == 0:
         raise NoSolutionFoundError(
-            "N-type boundary-value solve did not converge",
-            float(min(guess_residual, np.min(res))),
+            "N-type boundary-value solve did not converge", float(np.min(res))
         )
-    area = np.where(converged, np.abs(g1) + np.abs(g2), np.inf)
-    return x[np.argmin(area)]
+    if guess is None:
+        return x[converged[np.argmin((np.abs(g1) + np.abs(g2))[converged])]]
+    # the rotation vectors gamma_i e^(i theta_i), equal for (gamma, theta)
+    # and (-gamma, theta + pi), which give the same factor
+    rotation = np.stack((g1, g2), axis=1) * np.exp(1j * x[:, :2])
+    dist = np.sum(np.abs(rotation - gamma_g * np.exp(1j * theta_g)) ** 2, axis=1)
+    root = x[converged[np.argmin(dist[converged])]]
+    flip = np.cos(root[:2] - theta_g) < 0  # to the guess's form
+    root[:2] = np.where(flip, root[:2] + math.pi, root[:2]) % (2 * math.pi)
+    root[2] = -root[2] if flip[1] else root[2]
+    return root
 
 
 def solve_ntype(
@@ -495,32 +479,42 @@ def solve_ntype(
 
     Constraints: phi1 = phi2 = pi/2, constant thetas, and the gamma rates
     locked by gamma1 = -(sin(theta2)/sin(theta1)) gamma2 (both start at 0).
-    (theta1, theta2, gamma2(T)) solve q p = b in two stages.  Stage 1 runs
-    Levenberg-Marquardt on the caller's initial_guess alone; if that
-    converges (final-state residual at most residual_tol), it is the root.
-    Otherwise, or with no guess, stage 2 needs no start: for each gamma2(T)
-    the state q p = b fixes gamma1(T), theta1 and theta2 in closed form, on
-    a loop through both square-root branches (_ntype_loop), so the lock is
-    one scalar equation in gamma2(T).  Its sign changes along the loop, for
-    gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in -1..1 (every
-    root of pulse area at most 3 pi), are sampled at 128 points and refined
-    all at once (_ntype_loop_roots): three 16-part cuts, then bracketed
-    secant steps until each bracket is at most 2 pi / 128 / 16**11 wide,
-    with 16-part cuts finishing any bracket the secant steps leave wider, and
-    cuts alone within 1e-3 of an axis +-e_k.  They are joined by the axis
-    families (_ntype_axis_roots).  A candidate is a root if its
-    residual is at most residual_tol and |sin(theta1)| >= 1e-6; the root
-    returned has the least pulse area |gamma1(T)| + |gamma2(T)| among the
-    roots found in this searched box, ties going to the earlier candidate
-    (loop roots in the order k, m, psi, then the axis families).
-    seed is validated but changes no result.  A failed solve reports the
-    least residual over the guess and every regular candidate.  theta1,
-    theta2 are returned modulo 2 pi, in [0, 2 pi), as the state and the
-    lock are 2 pi-periodic in both.
+    (theta1, theta2, gamma2(T)) solve q p = b with no start point: for each
+    gamma2(T) the state q p = b fixes gamma1(T), theta1 and theta2 in closed
+    form, on a loop through both square-root branches (_ntype_loop), so the
+    lock is one scalar equation in gamma2(T).  Its sign changes along the
+    loop, for gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in
+    -1..1 (every root of pulse area at most 3 pi), are sampled at 128 points
+    and refined to brackets 2 pi / 128 / 16**11 wide (_ntype_loop_roots).
+    The axis families (_ntype_axis_roots) join them.  A candidate converges
+    if its residual is at most residual_tol and |sin(theta1)| >= 1e-6.
+
+    initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
+    (ValueError otherwise), selects a root; it is not a start point.  The
+    search also runs at the guess's own turns (k, m), with samples 1e-6 to
+    either side of its place on the loop (_ntype_guess_samples), and returns
+    the converged candidate nearest the guess by sum_i |gamma_i e^(i
+    theta_i) - gamma_i' e^(i theta_i')|^2, gamma1 from the lock on both
+    sides.  It comes in the guess's form: where cos(theta_i - theta_i') < 0,
+    theta_i gets + pi, and for i = 2 gamma2(T) is negated.  With no guess,
+    or one with |sin(theta1)| < 1e-6 or gamma1(T) beyond the float range,
+    the root has the least pulse area |gamma1(T)| + |gamma2(T)|.  Ties go
+    to the earlier candidate (loop roots by k, m, the guess's pair last,
+    and psi; then the axis families).  seed is validated but changes no
+    result.  A failed solve reports the least residual over every
+    candidate.  theta1, theta2 are returned modulo 2 pi, in [0, 2 pi), as
+    the state and the lock are 2 pi-periodic in both.
     """
     _check_horizon(horizon)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if initial_guess is not None:
+        guess = tuple(initial_guess) if isinstance(initial_guess, (Sequence, np.ndarray)) else ()
+        if len(guess) != 3 or not all(map(_finite_real, guess)):
+            raise ValueError(
+                f"initial_guess must be three finite real numbers, got {initial_guess!r}"
+            )
+        initial_guess = tuple(map(float, guess))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
         root = _ntype_root(target.b, initial_guess, residual_tol)
     theta1, theta2, gamma2_T = (float(v) for v in root)

@@ -6,8 +6,8 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 import fourlevel.solvers
-from fourlevel.quat4 import Quaternion
-from fourlevel.rotation import AnglePair, CouplingSet
+from fourlevel.quat4 import Quaternion, hamilton
+from fourlevel.rotation import AnglePair, CouplingSet, _unit_quat, final_state
 from fourlevel.solvers import LevelConfig, NoSolutionFoundError
 
 
@@ -119,30 +119,144 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     return tuple(sorted(block_angles))
 
 
-def ntype_cut_loop_roots(b) -> np.ndarray:
+def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
     """The N-type loop search's candidates with every bracket refined by
     16-part cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part
     where the lock's sign first changes, and the root at the midpoint of the
     last part.  An oracle for _ntype_loop_roots, whose secant steps end each
-    bracket at most as wide; the same candidates in the same order."""
+    bracket at most as wide; the same candidates in the same order, for the
+    turn pairs (k, m) in _NTYPE_TURNS squared and, with guess = (k, m,
+    points), the guess's pair, on the samples with its points added."""
     solvers = fourlevel.solvers
-    turns = solvers._NTYPE_TURNS
+    pairs = [(k, m) for k in solvers._NTYPE_TURNS for m in solvers._NTYPE_TURNS]
     step = 2 * math.pi / solvers._NTYPE_LOOP_POINTS
     psi = (np.arange(solvers._NTYPE_LOOP_POINTS + 1) + 0.5) * step
-    f = solvers._ntype_lock(psi, b, turns[:, None, None], turns[:, None])
+    width = np.full(solvers._NTYPE_LOOP_POINTS, step)
+    if guess is not None:
+        k, m, points = guess
+        pairs.append((k, m))
+        psi = np.sort(np.concatenate((psi, (np.asarray(points) - psi[0]) % (2 * math.pi) + psi[0])))
+        width = np.diff(psi)
+    pairs = np.array(pairs)
+    f = solvers._ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
     pos, finite = f > 0, np.isfinite(f)
-    ki, mi, j = np.nonzero(
-        (pos[..., :-1] != pos[..., 1:]) & finite[..., :-1] & finite[..., 1:]
-    )
-    k, m, sign = turns[ki, None], turns[mi, None], pos[ki, mi, j, None]
-    left, cut = psi[j], np.arange(1, 16) / 16
+    n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
+    k, m, sign = pairs[n, :1], pairs[n, 1:], pos[n, j, None]
+    left, width, cut = psi[j], width[j], np.arange(1, 16) / 16
     for _ in range(solvers._NTYPE_REFINE_STEPS):
-        flip = (solvers._ntype_lock(left[:, None] + step * cut, b, k, m) > 0) != sign
+        flip = (solvers._ntype_lock(left[:, None] + width[:, None] * cut, b, k, m) > 0) != sign
         flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
-        left = left + step / 16 * np.argmax(flip, axis=1)
-        step /= 16
-    _, theta1, g2, theta2 = solvers._ntype_loop(left + step / 2, b)
+        left = left + width / 16 * np.argmax(flip, axis=1)
+        width = width / 16
+    _, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, b)
     return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
+
+
+#: N-type Levenberg-Marquardt iteration cap and initial damping
+LM_MAX_ITER = 40
+LM_DAMPING = 1e-2
+
+
+def ntype_residual(x: np.ndarray, b: np.ndarray):
+    """q p - b (n, 4) at x = (theta1, theta2, gamma2(T)) (n, 3), gamma1 set by the
+    lock, and its exact Jacobian d(q p)/dx = (dq) p + q (dp) (n, 4, 3)."""
+    th1, th2, g2 = x[:, 0:1], x[:, 1:2], x[:, 2:3]
+    s1, s2 = np.sin(th1), np.sin(th2)
+    g1 = -s2 / s1 * g2
+    dg1 = np.concatenate((-g1 * np.cos(th1) / s1, -np.cos(th2) / s1 * g2, -s2 / s1), axis=1)
+    q, dq = _unit_quat(g1, th1, math.pi / 2, dg1, np.eye(3)[0], 0.0)
+    p, dp = _unit_quat(g2, th2, math.pi / 2, np.eye(3)[2], np.eye(3)[1], 0.0)
+    # columns q p, (dq) p and q (dp), all from one product
+    left = [np.concatenate((u, du, u, u, u), axis=1) for u, du in zip(q, dq)]
+    right = [np.concatenate((v, v, v, v, dv), axis=1) for v, dv in zip(p, dp)]
+    prod = np.stack(hamilton(left, right), axis=1)
+    return prod[:, :, 0] - b, prod[:, :, 1:4] + prod[:, :, 4:]
+
+
+def ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
+    """Levenberg-Marquardt on every start of x (n, 3) at once, an oracle
+    for solve_ntype's root search.
+
+    A step is taken if it lowers the residual and is regular: finite, with
+    |sin(theta1)| >= _NTYPE_MIN_SIN (nearer 0, one rounding of theta1 moves
+    the lock's gamma1 beyond the tolerance).  A start leaves at an irregular
+    step or once converged (residual <= residual_tol, no further decrease).
+    Returns the end points, theta in [0, 2 pi), and residuals, inf if never
+    regular."""
+    x, x_new, i = x.copy(), x.copy(), np.arange(len(x))
+    f, jac = np.zeros((len(x), 4)), np.zeros((len(x), 4, 3))
+    res, damping = np.full(len(x), np.inf), np.full(len(x), LM_DAMPING)
+    for _ in range(LM_MAX_ITER + 1):
+        x_new[:, :2] %= 2 * math.pi
+        f_new, jac_new = ntype_residual(x_new, b)
+        res_new = np.linalg.norm(f_new, axis=1)
+        regular = np.isfinite(res_new) & np.all(np.isfinite(jac_new), axis=(1, 2))
+        regular &= np.abs(np.sin(x_new[:, 0])) >= fourlevel.solvers._NTYPE_MIN_SIN
+        ok = regular & (res_new < res[i])
+        x[i[ok]], f[i[ok]], jac[i[ok]] = x_new[ok], f_new[ok], jac_new[ok]
+        res[i[ok]] = res_new[ok]
+        damping[i] = np.where(ok, damping[i] / 10.0, damping[i] * 10.0)
+        i = i[regular & (ok | (res[i] > residual_tol))]
+        if i.size == 0:
+            break
+        # damped step -V diag(s / (s^2 + damping)) U^T f from J = U diag(s) V^T,
+        # finite for every finite J, rank-deficient or not
+        u, sv, vt = np.linalg.svd(jac[i], full_matrices=False)
+        uf = np.einsum("nki,nk->ni", u, f[i]) * sv / (sv * sv + damping[i, None])
+        x_new = x[i] - np.einsum("nij,ni->nj", vt, uf)
+    return x, res
+
+
+def ntype_fold(gamma) -> tuple[float, float]:
+    """(k, g) with g in [0, pi] and gamma or -gamma equal to g + 2 pi k, a
+    loop root's form: gamma lies in [2 pi n, 2 pi (n + 1)); in the lower
+    half of that turn gamma = g + 2 pi n, in the upper half -gamma =
+    (2 pi - r) + 2 pi (-n - 1) with r = gamma - 2 pi n."""
+    n = math.floor(gamma / (2 * math.pi))
+    r = gamma - 2 * math.pi * n
+    return (float(n), r) if r <= math.pi else (float(-n - 1), 2 * math.pi - r)
+
+
+def rotation_distance(a: AnglePair, b: AnglePair) -> float:
+    """sum_i |gamma_i (cos theta_i, sin theta_i) - gamma_i' (cos theta_i',
+    sin theta_i')|^2 between two N-type boundaries, the same for (gamma,
+    theta) and (-gamma, theta + pi)."""
+    pairs = ((a.gamma1, a.theta1, b.gamma1, b.theta1), (a.gamma2, a.theta2, b.gamma2, b.theta2))
+    return sum(
+        (g * math.cos(t) - h * math.cos(u)) ** 2 + (g * math.sin(t) - h * math.sin(u)) ** 2
+        for g, t, h, u in pairs
+    )
+
+
+def ntype_boundary(theta1, theta2, gamma2) -> AnglePair:
+    """The N-type boundary of (theta1, theta2, gamma2(T)), gamma1 by the lock."""
+    gamma1 = -math.sin(theta2) / math.sin(theta1) * gamma2
+    return AnglePair(gamma1, theta1, math.pi / 2, gamma2, theta2, math.pi / 2)
+
+
+def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list[AnglePair]:
+    """The converged N-type candidates that a regular guess selects from:
+    the cut oracle's loop roots at the fixed turns and at the guess's own,
+    with samples 1e-6 to either side of the guess's place on the loop, and
+    the axis families, each with a final-state residual at most
+    residual_tol and |sin(theta1)| >= _NTYPE_MIN_SIN."""
+    b = np.asarray(b, dtype=float)
+    (k, _), (m, g2) = ntype_fold(ntype_boundary(*guess).gamma1), ntype_fold(guess[2])
+    # the loop runs gamma2(psi) = pi/2 - h cos(psi)
+    h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
+    psi = math.acos(np.clip((math.pi / 2 - g2) / h, -1.0, 1.0))
+    points = (np.outer([psi, -psi], [1.0, 1.0]) + [-1e-6, 1e-6]).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        loop = ntype_cut_loop_roots(b, (k, m, points))
+        x = np.concatenate((loop, fourlevel.solvers._ntype_axis_roots(b)))
+        found = []
+        for theta1, theta2, gamma2 in x.tolist():
+            if abs(math.sin(theta1)) < fourlevel.solvers._NTYPE_MIN_SIN:
+                continue
+            boundary = ntype_boundary(theta1, theta2, gamma2)
+            if np.linalg.norm(final_state(boundary) - b) <= residual_tol:
+                found.append(boundary)
+    return found
 
 
 def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) -> AnglePair:
@@ -150,8 +264,8 @@ def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) ->
     the grid and the seeded draws: a converged guess wins, else the converged
     start of least pulse area, ties going to the earlier start; a failure
     reports the least residual over the guess and every start.  A reference
-    for solve_ntype: equal to it where the guess converges alone, and of no
-    smaller pulse area than its loop-search root otherwise."""
+    for solve_ntype: a converged guess is the root it selects, and its
+    loop-search root with no guess has no larger pulse area."""
     k = np.pi * np.array([1.0, 2.0, 4.0, 5.0]) / 6
     grid = np.stack(np.meshgrid(k, k, [-np.pi / 2, np.pi / 2], indexing="ij"), axis=-1)
     low, high = [0.15, 0.15, -math.pi], [math.pi - 0.15, math.pi - 0.15, math.pi]
@@ -159,7 +273,7 @@ def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) ->
     guess = np.reshape([] if initial_guess is None else initial_guess, (-1, 3))
     starts = np.concatenate((guess, grid.reshape(-1, 3), draws))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x, res = fourlevel.solvers._ntype_lm(starts, np.asarray(b, dtype=float), residual_tol)
+        x, res = ntype_lm(starts, np.asarray(b, dtype=float), residual_tol)
         t1, t2, g2 = x.T
         area = np.abs(g2) * (1.0 + np.abs(np.sin(t2) / np.sin(t1)))
     converged = res <= residual_tol
@@ -170,6 +284,4 @@ def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) ->
     area[~converged] = np.inf
     if len(guess) and converged[0]:
         area[0] = -1.0
-    theta1, theta2, gamma2_T = (float(v) for v in x[np.argmin(area)])
-    gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
-    return AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)
+    return ntype_boundary(*(float(v) for v in x[np.argmin(area)]))
