@@ -20,7 +20,6 @@ from .rotation import (
     cosine_ramp_schedule,
     final_state,
     hr_analytic,
-    hr_numeric,
     spherical_to_quats,
     ur_of_angles,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "fidelity",
     "final_state",
     "hr_analytic",
-    "hr_numeric",
     "left_isoclinic",
     "phase_operator",
     "propagate",

@@ -10,8 +10,8 @@ i.e. Omega_nm is the (n, m) entry (n < m) of the real antisymmetric matrix
 dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
 quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
 product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
-M_R(conj(p) dp/dt) and U_r e_1 = q p.  The finite-difference read-off
-hr_numeric is kept as an independent check.  A schedule evaluated on a
+M_R(conj(p) dp/dt) and U_r e_1 = q p.  On a cosine ramp the generator is
+r'(t) G for one constant G (ramp_generator).  A schedule evaluated on a
 time array gives an AnglePair of arrays, and the maps above then return
 one result per time, on the leading axes.
 """
@@ -19,7 +19,6 @@ one result per time, on the leading axes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,12 +77,6 @@ class CouplingSet:
     def as_array(self) -> np.ndarray:
         return _stack_last(tuple(vars(self).values()))
 
-    @classmethod
-    def from_matrix(cls, omega: np.ndarray) -> "CouplingSet":
-        """Read the upper triangle of a real antisymmetric generator matrix."""
-        o = np.asarray(omega)
-        return cls(o[0, 1], o[0, 2], o[0, 3], o[1, 2], o[1, 3], o[2, 3])
-
     def to_matrix(self) -> np.ndarray:
         """The antisymmetric matrix (..., 4, 4), one per sample."""
         o = self.as_array()
@@ -98,33 +91,18 @@ class AngleSchedule:
 
     The closures take a time or an array of times and return an AnglePair
     whose fields are floats or arrays of t's shape.  They must be
-    side-effect-free and mutually consistent; see check_consistency for the
-    finite-difference test.
+    side-effect-free, and rate must be the time derivative of value.
     """
 
     value: Callable[[np.ndarray], AnglePair]
     rate: Callable[[np.ndarray], AnglePair]
     horizon: float
 
-    def check_consistency(self, samples: int = 33, rtol: float = 1e-6) -> float:
-        """Max mismatch between rate() and a centered difference of value()."""
-        T = self.horizon
-        h = 1e-6 * T
-        grid = np.linspace(h, T - h, samples)
-        rate = self.rate(grid).as_array()
-        scale = max(1.0, np.max(np.abs(rate)))
-        fd = (self.value(grid + h).as_array() - self.value(grid - h).as_array()) / (2 * h)
-        worst = np.max(np.abs(fd - rate))
-        if worst > rtol * scale:
-            raise ValueError(
-                f"angle schedule value/rate mismatch {worst:.3e} exceeds {rtol * scale:.3e}"
-            )
-        return worst
 
-
-def constant_schedule(angles: AnglePair, horizon: float) -> AngleSchedule:
-    zero = AnglePair(0, 0, 0, 0, 0, 0)
-    return AngleSchedule(value=lambda t: angles, rate=lambda t: zero, horizon=horizon)
+def ramp_rate(t, horizon: float):
+    """r'(t) = pi/(2T) sin(pi t/T) of the cosine ramp r(t) = (1 - cos(pi t/T))/2;
+    its peak is pi/(2T), at t = T/2."""
+    return 0.5 * np.pi / horizon * np.sin(np.pi * t / horizon)
 
 
 def cosine_ramp_schedule(final: AnglePair, horizon: float) -> AngleSchedule:
@@ -142,7 +120,7 @@ def cosine_ramp_schedule(final: AnglePair, horizon: float) -> AngleSchedule:
         )
 
     def rate(t) -> AnglePair:
-        dramp = 0.5 * np.pi / T * np.sin(np.pi * t / T)
+        dramp = ramp_rate(t, T)
         zero = 0.0 * dramp + 0.0  # +0 in t's shape
         return AnglePair(gf1 * dramp, zero, zero, gf2 * dramp, zero, zero)
 
@@ -235,42 +213,31 @@ def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
     (pw, px, py, pz), dp = _unit_quat(
         a.gamma2, a.theta2, a.phi2, adot.gamma2, adot.theta2, adot.phi2
     )
-    _, lx, ly, lz = hamilton(dq, (qw, -qx, -qy, -qz))
-    _, rx, ry, rz = hamilton((pw, -px, -py, -pz), dp)
+    return _read_off(
+        hamilton(dq, (qw, -qx, -qy, -qz))[1:], hamilton((pw, -px, -py, -pz), dp)[1:]
+    )
+
+
+def _read_off(left, right) -> CouplingSet:
+    """The couplings of M_L(l) + M_R(r), from the vectors l = left, r = right."""
+    (lx, ly, lz), (rx, ry, rz) = left, right
     return CouplingSet(-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx)
 
 
-def hr_numeric(
-    schedule: AngleSchedule, t: float, h: float | None = None
-) -> CouplingSet:
-    """Couplings extracted from a finite-difference dUr/dt Ur^T.
+def ramp_generator(final: AnglePair) -> CouplingSet:
+    """The constant G of the generator r'(t) G of the cosine ramp to final.
 
-    Centered difference of second order inside (0, T); falls back to a
-    one-sided first-order difference at the boundary.  The raw generator is
-    antisymmetrized before read-off to suppress the symmetric O(h^2) error.
+    With theta, phi constant, q and p turn about fixed axes n1, n2:
+    dq/dt conj(q) = gamma1(T) r'(t) n1, conj(p) dp/dt = gamma2(T) r'(t) n2.
+    So G = gamma1(T) M_L(n1) + gamma2(T) M_R(n2), and U_r(t) = exp(r(t) G)
+    as isoclinic factors commute.  G is read in floats from gamma_i(T) n_i,
+    n = (cos theta, sin theta cos phi, sin theta sin phi): equal factors
+    (tripod) and phi = 0 (diamond) give forbidden entries of exactly 0.
     """
-    T = schedule.horizon
-    if not 0.0 <= t <= T:
-        raise ValueError(f"t={t} outside [0, {T}]")
-    if h is None:
-        h = 1e-5 * T
-    if h <= 0:
-        raise ValueError("h must be positive")
 
-    def ur(s: float) -> np.ndarray:
-        return ur_of_angles(schedule.value(s))
+    def vector(g, th, ph):
+        st = math.sin(th)
+        return g * math.cos(th), g * (st * math.cos(ph)), g * (st * math.sin(ph))
 
-    if t - h >= 0.0 and t + h <= T:
-        dudt = (ur(t + h) - ur(t - h)) / (2.0 * h)
-    else:
-        warnings.warn(
-            "t within h of the horizon boundary: one-sided difference, first order",
-            stacklevel=2,
-        )
-        if t + h <= T:
-            dudt = (ur(t + h) - ur(t)) / h
-        else:
-            dudt = (ur(t) - ur(t - h)) / h
-    omega = dudt @ ur(t).T
-    omega = 0.5 * (omega - omega.T)
-    return CouplingSet.from_matrix(omega)
+    a = tuple(vars(final).values())
+    return _read_off(vector(*a[:3]), vector(*a[3:]))

@@ -19,14 +19,15 @@ import numpy as np
 from .rotation import (
     AnglePair,
     AngleSchedule,
+    CouplingSet,
     cosine_ramp_schedule,
     final_state,
-    hr_analytic,
+    ramp_generator,
 )
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
-#: N-type loop search: lock samples; the final bracket width, one sample step
+#: N-type loop search: lock sample points; the final bracket width, one sample step
 #: over 16 to the power _NTYPE_REFINE_STEPS (as many 16-part cuts would give;
 #: 0 refines nothing); the 16-part cuts that open each refinement, and the
 #: most secant steps after them; the distance from an axis +-e_k within
@@ -39,7 +40,7 @@ _NTYPE_CUTS = 3
 _NTYPE_SECANT_STEPS = 4
 _NTYPE_AXIS_DISTANCE = 1e-3
 _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
-#: The lock samples added for a guess lie this far in psi to either side of
+#: The lock sample points added for a guess lie this far in psi to either side of
 #: its loop points; rounding in the guess moves those by up to about 1e-8.
 _NTYPE_GUESS_OFFSET = 1e-6
 
@@ -123,11 +124,16 @@ def _finite_real(value) -> bool:
 
 @dataclass(frozen=True)
 class SolvedAngles:
+    """The cosine ramp to the boundary angles, whose generator is r'(t) G
+    with G = generator; constraint_residual is G's largest forbidden entry
+    times the ramp's peak rate pi/(2T)."""
+
     config: LevelConfig
     schedule: AngleSchedule
     boundary: AnglePair
     constraint_residual: float
     within_canonical_ranges: bool
+    generator: CouplingSet
 
 
 def _within_canonical_ranges(a: AnglePair) -> bool:
@@ -143,36 +149,6 @@ def _within_canonical_ranges(a: AnglePair) -> bool:
     )
 
 
-#: max sin(pi u) over the unit grid u = linspace(1e-6, 1 - 1e-6, samples), by samples
-_RAMP_PEAK: dict[int, float] = {}
-
-
-def _forbidden_residual(
-    config: LevelConfig, boundary: AnglePair, horizon: float, samples: int = 50
-) -> float:
-    """Max forbidden-coupling magnitude of the cosine-ramp generator on a
-    grid of `samples` times inside (0, T).
-
-    The ramp keeps theta and phi constant, so q(t) = exp(gamma1(T) r(t) n1)
-    about a fixed axis n1 and dq/dt conj(q) = gamma1(T) r'(t) n1; likewise
-    conj(p) dp/dt = gamma2(T) r'(t) n2, with r(t) = (1 - cos(pi t/T))/2.  The
-    generator is therefore r'(t) G with one constant matrix
-    G = gamma1(T) M_L(n1) + gamma2(T) M_R(n2), and as left- and
-    right-isoclinic matrices commute (Cayley's factorization),
-    U_r(t) = exp(r(t) G).  G is read by one hr_analytic call at the boundary
-    angles with rates (gamma1(T), 0, 0, gamma2(T), 0, 0), and the grid enters
-    only through the peak of r'(t) = pi/(2T) sin(pi t/T) on it.
-    """
-    peak = _RAMP_PEAK.get(samples)
-    if peak is None:
-        unit = np.linspace(1e-6, 1.0 - 1e-6, samples)
-        peak = _RAMP_PEAK[samples] = float(np.max(np.sin(np.pi * unit)))
-    rates = AnglePair(boundary.gamma1, 0.0, 0.0, boundary.gamma2, 0.0, 0.0)
-    g = hr_analytic(boundary, rates)
-    worst = max(abs(getattr(g, n)) for n in FORBIDDEN[config])
-    return float(worst * (0.5 * math.pi / horizon * peak))
-
-
 def _check_horizon(horizon: float) -> None:
     """Reject a horizon T that is not finite and positive, or so near 0 or
     the float range that pi/T or pi*T overflows (the ramp's rate and phase)."""
@@ -185,12 +161,15 @@ def _check_horizon(horizon: float) -> None:
 def _finish(
     config: LevelConfig, boundary: AnglePair, horizon: float
 ) -> SolvedAngles:
+    generator = ramp_generator(boundary)
+    worst = max(abs(getattr(generator, n)) for n in FORBIDDEN[config])
     return SolvedAngles(
         config=config,
         schedule=cosine_ramp_schedule(boundary, horizon),
         boundary=boundary,
-        constraint_residual=_forbidden_residual(config, boundary, horizon),
+        constraint_residual=worst * (0.5 * math.pi / horizon),
         within_canonical_ranges=_within_canonical_ranges(boundary),
+        generator=generator,
     )
 
 
@@ -321,7 +300,7 @@ def _ntype_loop_roots(b, guess=None) -> np.ndarray:
     """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
     along the loop, for every turn pair (k, m) with k, m in _NTYPE_TURNS,
     refined all at once; with guess = (k, m, points), also for the guess's
-    turn pair, and with the guess's points added to the samples.
+    turn pair, and with the guess's points added to the sample points.
 
     The lock is sampled at _NTYPE_LOOP_POINTS points.  Each refinement step
     evaluates it at a few points inside every bracket, in one call, and keeps
@@ -418,7 +397,7 @@ def _ntype_axis_roots(b) -> np.ndarray:
     return np.concatenate([np.stack(f, axis=-1).reshape(-1, 3) for f in (unit_q, unit_p, quarter)])
 
 
-def _ntype_guess_samples(b, gamma1: float, gamma2: float):
+def _ntype_guess_points(b, gamma1: float, gamma2: float):
     """The turn pair (k, m) of a guess, and its loop points: gamma_i or
     -gamma_i, whichever has a non-negative sine, is g_i + 2 pi k_i with g_i
     in [0, pi], as a loop root's gamma_i(psi) + 2 pi k_i is, and the points
@@ -442,7 +421,7 @@ def _ntype_root(b, guess, residual_tol: float) -> np.ndarray:
         gamma_g = guess[2] * np.array([-np.sin(theta_g[1]) / np.sin(theta_g[0]), 1.0])
         if abs(np.sin(theta_g[0])) < _NTYPE_MIN_SIN or not np.isfinite(gamma_g[0]):
             guess = None  # a singular guess, or one whose gamma1(T) overflows
-    own = None if guess is None else _ntype_guess_samples(unit_b, *gamma_g)
+    own = None if guess is None else _ntype_guess_points(unit_b, *gamma_g)
     x = np.concatenate((_ntype_loop_roots(unit_b, own), _ntype_axis_roots(unit_b)))
     x[:, :2] %= 2 * math.pi
     t1, t2, g2 = x.T
@@ -472,7 +451,6 @@ def solve_ntype(
     target: TargetSpec,
     horizon: float = 1.0,
     initial_guess: tuple[float, float, float] | None = None,
-    seed: int = 0,
     residual_tol: float = 1e-8,
 ) -> SolvedAngles:
     """Boundary angles for the N-type (chain) topology.
@@ -491,8 +469,8 @@ def solve_ntype(
 
     initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
     (ValueError otherwise), selects a root; it is not a start point.  The
-    search also runs at the guess's own turns (k, m), with samples 1e-6 to
-    either side of its place on the loop (_ntype_guess_samples), and returns
+    search also runs at the guess's own turns (k, m), with sample points 1e-6
+    to either side of its place on the loop (_ntype_guess_points), and returns
     the converged candidate nearest the guess by sum_i |gamma_i e^(i
     theta_i) - gamma_i' e^(i theta_i')|^2, gamma1 from the lock on both
     sides.  It comes in the guess's form: where cos(theta_i - theta_i') < 0,
@@ -500,14 +478,11 @@ def solve_ntype(
     or one with |sin(theta1)| < 1e-6 or gamma1(T) beyond the float range,
     the root has the least pulse area |gamma1(T)| + |gamma2(T)|.  Ties go
     to the earlier candidate (loop roots by k, m, the guess's pair last,
-    and psi; then the axis families).  seed is validated but changes no
-    result.  A failed solve reports the least residual over every
-    candidate.  theta1, theta2 are returned modulo 2 pi, in [0, 2 pi), as
-    the state and the lock are 2 pi-periodic in both.
+    and psi; then the axis families).  A failed solve reports the least
+    residual over every candidate.  theta1, theta2 are returned modulo
+    2 pi, in [0, 2 pi), as the state and the lock are 2 pi-periodic in both.
     """
     _check_horizon(horizon)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if initial_guess is not None:
         guess = tuple(initial_guess) if isinstance(initial_guess, (Sequence, np.ndarray)) else ()
         if len(guess) != 3 or not all(map(_finite_real, guess)):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 import fourlevel.solvers
 from fourlevel.quat4 import Quaternion, hamilton
-from fourlevel.rotation import AnglePair, CouplingSet, _unit_quat, final_state
+from fourlevel.rotation import (
+    AnglePair,
+    AngleSchedule,
+    CouplingSet,
+    _unit_quat,
+    final_state,
+    ur_of_angles,
+)
 from fourlevel.solvers import LevelConfig, NoSolutionFoundError
 
 
@@ -81,6 +89,69 @@ def topology_couplings(config: LevelConfig, solved, t) -> CouplingSet:
         zero,
         dg2 * (np.sin(t2) * cot1 + np.cos(t2)),
     )
+
+
+def couplings_from_matrix(omega: np.ndarray) -> CouplingSet:
+    """The upper triangle of a real antisymmetric generator matrix."""
+    o = np.asarray(omega)
+    return CouplingSet(o[0, 1], o[0, 2], o[0, 3], o[1, 2], o[1, 3], o[2, 3])
+
+
+def hr_numeric(schedule: AngleSchedule, t: float, h: float | None = None) -> CouplingSet:
+    """Couplings extracted from a finite-difference dUr/dt Ur^T, an oracle
+    for the library's generator.
+
+    Centered difference of second order inside (0, T); falls back to a
+    one-sided first-order difference at the boundary.  The raw generator is
+    antisymmetrized before read-off to suppress the symmetric O(h^2) error.
+    """
+    T = schedule.horizon
+    if not 0.0 <= t <= T:
+        raise ValueError(f"t={t} outside [0, {T}]")
+    if h is None:
+        h = 1e-5 * T
+    if h <= 0:
+        raise ValueError("h must be positive")
+
+    def ur(s: float) -> np.ndarray:
+        return ur_of_angles(schedule.value(s))
+
+    if t - h >= 0.0 and t + h <= T:
+        dudt = (ur(t + h) - ur(t - h)) / (2.0 * h)
+    else:
+        warnings.warn(
+            "t within h of the horizon boundary: one-sided difference, first order",
+            stacklevel=2,
+        )
+        if t + h <= T:
+            dudt = (ur(t + h) - ur(t)) / h
+        else:
+            dudt = (ur(t) - ur(t - h)) / h
+    omega = dudt @ ur(t).T
+    omega = 0.5 * (omega - omega.T)
+    return couplings_from_matrix(omega)
+
+
+def check_consistency(schedule: AngleSchedule, samples: int = 33, rtol: float = 1e-6) -> float:
+    """Max mismatch between a schedule's rate() and a centered difference
+    of its value()."""
+    T = schedule.horizon
+    h = 1e-6 * T
+    grid = np.linspace(h, T - h, samples)
+    rate = schedule.rate(grid).as_array()
+    scale = max(1.0, np.max(np.abs(rate)))
+    fd = (schedule.value(grid + h).as_array() - schedule.value(grid - h).as_array()) / (2 * h)
+    worst = np.max(np.abs(fd - rate))
+    if worst > rtol * scale:
+        raise ValueError(
+            f"angle schedule value/rate mismatch {worst:.3e} exceeds {rtol * scale:.3e}"
+        )
+    return worst
+
+
+def constant_schedule(angles: AnglePair, horizon: float) -> AngleSchedule:
+    zero = AnglePair(0, 0, 0, 0, 0, 0)
+    return AngleSchedule(value=lambda t: angles, rate=lambda t: zero, horizon=horizon)
 
 
 def full_matrix_total_hamiltonian(couplings: CouplingSet, ph, t) -> np.ndarray:

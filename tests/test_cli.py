@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -143,20 +144,14 @@ class TestQomap:
     def test_one_coupling_evaluation_per_grid(self, tmp_path, monkeypatch):
         # one drive read gives all four Rabi amplitudes, and it takes the
         # whole time array: the diamond-type probe and all rabi.csv rows
-        # evaluate the couplings once each, and so does a Hamiltonian
-        # evaluated at one time or on a grid
-        shapes = []
-
-        def counting(a, adot):
-            shapes.append(np.shape(a.gamma1))
-            return fourlevel.rotation.hr_analytic(a, adot)
-
-        monkeypatch.setattr(fourlevel.cli, "hr_analytic", counting)
+        # evaluate the couplings r'(t) G once each, and so does a
+        # Hamiltonian evaluated at one time or on a grid
+        shapes = spy_ramp_rates(monkeypatch)
         assert run("qomap", SCENARIO_DIR / "diamond.json", tmp_path, "--steps", "100") == 0
         assert shapes == [(3,), (101,)]  # the probe, then all rows
 
         sc = load_scenario(SCENARIO_DIR / "diamond.json")
-        solved = fourlevel.cli._solve(sc, 0)
+        solved = fourlevel.cli._solve(sc)
         couplings = fourlevel.cli._couplings_of_t(solved)
         qo = engineered_to_qo(couplings, sc.phases, sc.omega_levels)
         for hamiltonian in (lab_hamiltonian, rwa_hamiltonian):
@@ -190,25 +185,104 @@ class TestVerify:
         assert report.count("PASS") == 5
 
     def test_one_generator_evaluation_per_grid(self, tmp_path, monkeypatch):
-        # the solver's and verify's residual checks read the constant
-        # generator of the ramp once each, and the propagation takes 2 Gauss
-        # nodes per step in one call of the exact generator; the
-        # finite-difference one stays a test oracle
-        shapes = []
-
-        def counting(a, adot):
-            shapes.append(np.shape(a.gamma1))
-            return fourlevel.rotation.hr_analytic(a, adot)
-
-        def oracle(*args, **kwargs):
-            raise AssertionError("hr_numeric called outside the tests")
-
-        for module in (fourlevel.solvers, fourlevel.cli):
-            monkeypatch.setattr(module, "hr_analytic", counting)
-        for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
-            monkeypatch.setattr(module, "hr_numeric", oracle, raising=False)
+        # the solve reads the ramp's constant generator G once, verify
+        # reports the solve's residual, and the propagation takes 2 Gauss
+        # nodes per step in one evaluation of r'(t) G; the finite-difference
+        # generator is a test oracle, not part of the library
+        calls, shapes = spy_generator_reads(monkeypatch), spy_ramp_rates(monkeypatch)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
-        assert sorted(shapes) == [(), (), (200,)]
+        assert calls == {"ramp_generator": 1} and shapes == [(200,)]
+        for module in (fourlevel, fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
+            assert not hasattr(module, "hr_numeric")
+
+    @pytest.mark.parametrize("name", ["tripod", "diamond", "ntype"])
+    def test_reports_the_solve_residual(self, tmp_path, name, capsys):
+        # forbidden_couplings_max is angles.json's constraint_residual
+        assert run("solve", SCENARIO_DIR / f"{name}.json", tmp_path / "solve") == 0
+        residual = json.loads((tmp_path / "solve" / "angles.json").read_text())["constraint_residual"]
+        capsys.readouterr()
+        assert run("verify", SCENARIO_DIR / f"{name}.json", tmp_path / "verify") == 0
+        assert f"forbidden_couplings_max = {residual:.3e} (" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["tripod", "diamond"])
+    def test_short_horizon_passes(self, tmp_path, name, capsys):
+        # G's forbidden entries are exactly 0 for the tripod (equal factors)
+        # and the diamond (phi = 0), so the gate holds at T = 1e-9, where the
+        # peak rate pi/(2T) would scale a rounding-level entry above 1e-8
+        payload = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        scenario = write_scenario(tmp_path, {**payload, "T": 1e-9})
+        assert run("solve", scenario, tmp_path / "solve") == 0
+        angles = json.loads((tmp_path / "solve" / "angles.json").read_text())
+        assert angles["constraint_residual"] == 0.0
+        assert run("verify", scenario, tmp_path / "verify") == 0
+        assert "forbidden_couplings_max = 0.000e+00 (" in capsys.readouterr().out
+
+    def test_ntype_short_horizon_failure_is_reported(self, tmp_path, capsys):
+        # the N-type's lock is zero only to the rounding of its root, and
+        # pi/(2T) scales that rounding past 1e-8 at T = 1e-9: verify says so
+        payload = json.loads((SCENARIO_DIR / "ntype.json").read_text())
+        scenario = write_scenario(tmp_path, {**payload, "T": 1e-9})
+        assert run("verify", scenario, tmp_path) == 3
+        report = capsys.readouterr().out
+        assert "FAIL forbidden_couplings_max" in report and report.count("PASS") == 4
+
+
+@pytest.mark.parametrize("name", ["tripod", "diamond"])
+def test_forbidden_columns_are_zero(tmp_path, name):
+    # couplings.csv is r'(t) G, and G's forbidden entries are exactly 0 here
+    scenario = SCENARIO_DIR / f"{name}.json"
+    assert run("simulate", scenario, tmp_path) == 0
+    header, data = read_csv(tmp_path / "couplings.csv")
+    names = fourlevel.solvers.FORBIDDEN[load_scenario(scenario).config]
+    assert np.all(data[:, [header.index(n) for n in names]] == 0.0)
+
+
+BUNDLED_COMMANDS = [
+    (command, name)
+    for name in ("tripod", "diamond", "ntype")
+    for command in ("solve", "simulate", "verify")
+] + [("qomap", "diamond")]
+
+
+@pytest.mark.parametrize("command, name", BUNDLED_COMMANDS)
+def test_commands_read_the_generator_once(tmp_path, monkeypatch, command, name):
+    # a solved pulse carries G, read once by the solve: no command
+    # evaluates hr_analytic
+    calls = spy_generator_reads(monkeypatch)
+    assert run(command, SCENARIO_DIR / f"{name}.json", tmp_path, "--steps", "100") == 0
+    assert calls == {"ramp_generator": 1}
+
+
+def spy_ramp_rates(monkeypatch) -> list:
+    """The shapes of the times at which the CLI evaluates r'(t)."""
+    shapes = []
+
+    def counting(t, horizon):
+        shapes.append(np.shape(t))
+        return fourlevel.rotation.ramp_rate(t, horizon)
+
+    monkeypatch.setattr(fourlevel.cli, "ramp_rate", counting)
+    return shapes
+
+
+def spy_generator_reads(monkeypatch) -> Counter:
+    """Counts of the library's hr_analytic calls and of the solves'
+    ramp_generator reads."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    hr_analytic = counted("hr_analytic", fourlevel.rotation.hr_analytic)
+    for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
+        monkeypatch.setattr(module, "hr_analytic", hr_analytic, raising=False)
+    reads = counted("ramp_generator", fourlevel.rotation.ramp_generator)
+    monkeypatch.setattr(fourlevel.solvers, "ramp_generator", reads)
+    return calls
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -19,16 +19,16 @@ from fourlevel.rotation import (
     AnglePair,
     AngleSchedule,
     CouplingSet,
-    constant_schedule,
     cosine_ramp_schedule,
     final_state,
     hr_analytic,
-    hr_numeric,
+    ramp_generator,
     spherical_to_quats,
     ur_of_angles,
 )
 
 from conftest import angles as angle_floats
+from conftest import check_consistency, constant_schedule, couplings_from_matrix, hr_numeric
 
 SQRT3 = math.sqrt(3.0)
 ZERO = AnglePair(0, 0, 0, 0, 0, 0)
@@ -215,7 +215,7 @@ class TestSchedules:
 
     def test_consistency_check_passes(self):
         sched = cosine_ramp_schedule(AnglePair(1, 2, 3, -1, -2, -3), 1.0)
-        assert sched.check_consistency() < 1e-6
+        assert check_consistency(sched) < 1e-6
 
     def test_consistency_check_catches_mismatch(self):
         good = cosine_ramp_schedule(AnglePair(1, 0, 0, 1, 0, 0), 1.0)
@@ -223,7 +223,7 @@ class TestSchedules:
             value=good.value, rate=lambda t: AnglePair(1, 0, 0, 1, 0, 0), horizon=1.0
         )
         with pytest.raises(ValueError):
-            bad.check_consistency()
+            check_consistency(bad)
 
 
 def _ramp_generator_matrix(final: AnglePair) -> np.ndarray:
@@ -243,7 +243,8 @@ def _ramp_generator_matrix(final: AnglePair) -> np.ndarray:
 class TestCosineRampGenerator:
     # with theta and phi constant the two factors turn about fixed axes, so
     # the generator is r'(t) G for one constant G, and the commuting
-    # isoclinic factors give U_r(t) = exp(r(t) G), r(t) = (1 - cos(pi t/T))/2
+    # isoclinic factors give U_r(t) = exp(r(t) G), r(t) = (1 - cos(pi t/T))/2;
+    # ramp_generator reads the same G off the rotation vectors
     @given(
         st.tuples(*(angle_floats for _ in range(6))),
         st.floats(0.1, 10.0),
@@ -260,6 +261,9 @@ class TestCosineRampGenerator:
         generator = hr_analytic(sched.value(t), sched.rate(t)).to_matrix()
         scale = max(1.0, np.linalg.norm(g))
         np.testing.assert_allclose(generator, rate * g, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(
+            ramp_generator(final).to_matrix(), g, rtol=0, atol=1e-14 * scale
+        )
         np.testing.assert_allclose(
             ur_of_angles(sched.value(t)), scipy.linalg.expm(ramp * g), rtol=0, atol=1e-12
         )
@@ -297,4 +301,4 @@ class TestCouplingSet:
         cs = CouplingSet(*rng.normal(size=6))
         m = cs.to_matrix()
         np.testing.assert_allclose(m, -m.T)
-        assert CouplingSet.from_matrix(m) == cs
+        assert couplings_from_matrix(m) == cs

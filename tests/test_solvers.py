@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourlevel.solvers
+from fourlevel.cli import main
 from fourlevel.rotation import (
     AnglePair,
     cosine_ramp_schedule,
     final_state,
     hr_analytic,
-    hr_numeric,
+    ramp_rate,
     ur_of_angles,
 )
 from fourlevel.solvers import (
@@ -23,13 +26,14 @@ from fourlevel.solvers import (
     SingularParameterizationError,
     SolverError,
     TargetSpec,
-    _forbidden_residual,
+    _finish,
     solve_diamond,
     solve_ntype,
     solve_tripod,
 )
 
 from conftest import (
+    hr_numeric,
     ntype_boundary,
     ntype_converged_candidates,
     ntype_cut_loop_roots,
@@ -41,6 +45,7 @@ from conftest import (
 
 E1 = np.array([1.0, 0, 0, 0])
 SQRT3 = math.sqrt(3.0)
+NTYPE_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "ntype.json"
 
 
 #: initial-guess angles, sin(theta) = 0 included
@@ -164,9 +169,10 @@ class TestSolveDiamond:
 
     @pytest.mark.parametrize("solver", [solve_tripod, solve_diamond])
     def test_closed_form_boundary_is_python_floats(self, solver, rng):
-        # the residual check's hr_analytic takes math's trig only on floats
+        # the generator is read with math's trig, and stays in floats
         solved = solver(random_target(rng))
         assert all(type(v) is float for v in dataclasses.astuple(solved.boundary))
+        assert all(type(v) is float for v in dataclasses.astuple(solved.generator))
         assert type(solved.constraint_residual) is float
 
     def test_default_theta1_is_right_angle(self, rng):
@@ -205,26 +211,27 @@ class TestSolveNType:
     def test_random_round_trip(self, rng):
         for _ in range(10):
             target = random_target(rng)
-            solved = solve_ntype(target, seed=3)
+            solved = solve_ntype(target)
             assert np.linalg.norm(ur_of_angles(solved.boundary) @ E1 - target.b) < 1e-8
 
     def test_boundary_is_python_floats(self, rng):
         # numpy scalars would double the cost of every generator evaluation
-        boundary = solve_ntype(random_target(rng), seed=3).boundary
-        assert all(type(v) is float for v in dataclasses.astuple(boundary))
+        solved = solve_ntype(random_target(rng))
+        assert all(type(v) is float for v in dataclasses.astuple(solved.boundary))
+        assert all(type(v) is float for v in dataclasses.astuple(solved.generator))
 
-    def test_deterministic_for_fixed_seed(self, rng):
-        target = random_target(rng)
-        a = solve_ntype(target, seed=7).boundary
-        b = solve_ntype(target, seed=7).boundary
-        assert a == b
+    def test_deterministic_for_fixed_seed(self, rng, tmp_path):
+        # the library takes no seed; the command line's --seed, run twice
+        # with the same value, writes the same angles.json
+        for scenario in ntype_scenarios(rng, tmp_path):
+            written = {cli_solve(scenario, tmp_path / f"run{i}", 7) for i in range(2)}
+            assert len(written) == 1
 
-    def test_seed_changes_no_result(self, rng):
-        # the loop search draws nothing; seed is only validated
-        for _ in range(3):
-            target = random_target(rng)
-            roots = {solve_ntype(target, seed=seed).boundary for seed in (0, 7, 2**31 - 1)}
-            assert len(roots) == 1
+    def test_seed_changes_no_result(self, rng, tmp_path):
+        # the loop search draws nothing, and --seed is only validated
+        for scenario in ntype_scenarios(rng, tmp_path):
+            written = {cli_solve(scenario, tmp_path / str(seed), seed) for seed in (0, 7, 2**31 - 1)}
+            assert len(written) == 1
 
     def test_failure_carries_best_residual(self, monkeypatch):
         # every target on the sphere is reachable, and the solver may reach
@@ -251,8 +258,8 @@ class TestSolveNType:
             x0 = rng.uniform([0.2, 0.2, -3.0], [2.9, 2.9, 3.0])
             b = ntype_state(*x0)
             guess = ntype_guess(kind, x0, b, rng)
-            seed = int(rng.integers(1 << 31))
-            solved = solve_ntype(TargetSpec(b), initial_guess=guess, seed=seed).boundary
+            seed = int(rng.integers(1 << 31))  # the single batch's draws
+            solved = solve_ntype(TargetSpec(b), initial_guess=guess).boundary
             assert np.linalg.norm(final_state(solved) - b) < 1e-8
             if kind == "failing":
                 assert_nearest_candidate(b, guess, solved)
@@ -269,8 +276,8 @@ class TestSolveNType:
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     @pytest.mark.parametrize("guess", [E4_ROOT, None])
     def test_rejects_bad_seed(self, seed, guess):
-        # whether or not the guess alone converges
-        with pytest.raises(ValueError, match="seed"):
+        # solve_ntype has no seed: any seed is rejected, with or without a guess
+        with pytest.raises(TypeError, match="seed"):
             solve_ntype(TargetSpec(E4), initial_guess=guess, seed=seed)
 
     def test_singular_initial_guess_falls_back_to_the_starts(self, rng):
@@ -365,31 +372,32 @@ class TestSolveNType:
 
     def test_angles_returned_modulo_two_pi(self, rng):
         for _ in range(10):
-            b = solve_ntype(random_target(rng), seed=3).boundary
+            b = solve_ntype(random_target(rng)).boundary
             assert 0.0 <= b.theta1 < 2 * math.pi and 0.0 <= b.theta2 < 2 * math.pi
 
     def test_pulse_area_below_two_pi(self):
         # the smallest-area root rule keeps |gamma1(T)| + |gamma2(T)| < 2 pi
         rng = np.random.default_rng(50)
         for _ in range(50):
-            b = solve_ntype(random_target(rng), seed=int(rng.integers(1 << 31))).boundary
+            target = random_target(rng)
+            rng.integers(1 << 31)  # an unused draw: it keeps the sequence of targets
+            b = solve_ntype(target).boundary
             assert abs(b.gamma1) + abs(b.gamma2) < 2 * math.pi
 
     @pytest.mark.parametrize("k", range(4))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_signed_axis_targets(self, k, sign):
-        check_root_or_solver_error(sign * np.eye(4)[k], seed=0, initial_guess=None)
+        check_root_or_solver_error(sign * np.eye(4)[k], initial_guess=None)
 
     @settings(max_examples=40, deadline=None)
     @given(
         v=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
             lambda v: np.linalg.norm(v) > 1e-3
         ),
-        seed=st.integers(0, 2**31 - 1),
         initial_guess=st.none() | st.tuples(*[GUESS_ANGLES] * 3),
     )
-    def test_random_targets_give_root_or_solver_error(self, v, seed, initial_guess):
-        check_root_or_solver_error(np.array(v) / np.linalg.norm(v), seed, initial_guess)
+    def test_random_targets_give_root_or_solver_error(self, v, initial_guess):
+        check_root_or_solver_error(np.array(v) / np.linalg.norm(v), initial_guess)
 
     def test_round_trip_from_generated_roots(self):
         # targets b = q p of seeded lock-satisfying angles of area at most
@@ -424,7 +432,7 @@ class TestSolveNType:
             target = random_target(rng)
             seed = int(rng.integers(1 << 31))
             expected = ntype_single_batch_root(target.b, seed=seed)
-            solved = solve_ntype(target, seed=seed).boundary
+            solved = solve_ntype(target).boundary
             assert pulse_area(solved) <= pulse_area(expected) + 1e-9
 
     def test_near_axis_targets_give_root_or_no_solution(self, monkeypatch):
@@ -586,11 +594,28 @@ def ntype_guess(kind, root, b, rng):
             return tuple(float(v) for v in guess)
 
 
-def check_root_or_solver_error(b, seed, initial_guess):
+def ntype_scenarios(rng, tmp_path) -> list[Path]:
+    """The bundled N-type scenario, and a copy with a random target and no
+    initial guess."""
+    payload = json.loads(NTYPE_SCENARIO.read_text())
+    del payload["initial_guess"]
+    payload["target"] = random_target(rng).b.tolist()
+    free = tmp_path / "ntype_free.json"
+    free.write_text(json.dumps(payload))
+    return [NTYPE_SCENARIO, free]
+
+
+def cli_solve(scenario: Path, out: Path, seed: int) -> str:
+    """The angles.json that the command line's solve writes with --seed."""
+    assert main(["solve", "--scenario", str(scenario), "--out", str(out), "--seed", str(seed)]) == 0
+    return (out / "angles.json").read_text()
+
+
+def check_root_or_solver_error(b, initial_guess):
     """solve_ntype gives a finite root within 1e-8 or a SolverError, never
     NaN and never another error (numpy's LinAlgError among them)."""
     try:
-        solved = solve_ntype(TargetSpec(b), seed=seed, initial_guess=initial_guess)
+        solved = solve_ntype(TargetSpec(b), initial_guess=initial_guess)
     except SolverError:
         return
     assert np.all(np.isfinite(dataclasses.astuple(solved.boundary)))
@@ -653,13 +678,14 @@ class TestForbiddenCouplings:
     def test_residual_sees_broken_constraint(self, config, boundary):
         # the solvers' residual check reads the exact generator; on a
         # schedule that breaks the topology's constraint it must report the
-        # forbidden couplings the finite-difference oracle finds on its grid
+        # forbidden couplings the finite-difference oracle finds on its grid,
+        # whose odd point count puts the ramp's peak t = T/2 on it
         sched = cosine_ramp_schedule(boundary, 1.0)
-        residual = _forbidden_residual(config, boundary, 1.0)
+        residual = _finish(config, boundary, 1.0).constraint_residual
         h = 1e-6
         oracle = max(
             abs(getattr(hr_numeric(sched, t, h=h), name))
-            for t in np.linspace(h, 1.0 - h, 50)
+            for t in np.linspace(h, 1.0 - h, 51)
             for name in FORBIDDEN[config]
         )
         assert residual > 1e-8
@@ -667,18 +693,29 @@ class TestForbiddenCouplings:
 
     @pytest.mark.parametrize("config", list(LevelConfig))
     @pytest.mark.parametrize("samples", [2, 50, 200])
-    def test_residual_equals_the_generator_on_its_grid(self, config, samples, rng):
-        # G read once and scaled by the ramp's peak rate equals the largest
-        # forbidden entry of the exact generator on the sampling grid
-        for _ in range(50):
-            boundary = AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, 6))
-            T = float(rng.uniform(0.1, 10.0))
-            sched = cosine_ramp_schedule(boundary, T)
-            grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)
-            cs = hr_analytic(sched.value(grid), sched.rate(grid))
-            expected = max(np.max(np.abs(getattr(cs, n))) for n in FORBIDDEN[config])
-            residual = _forbidden_residual(config, boundary, T, samples)
-            assert abs(residual - expected) <= 1e-14 * max(1.0, expected)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-2 * math.pi, 2 * math.pi)] * 6),
+        log_horizon=st.floats(-9.0, 9.0),
+    )
+    def test_residual_equals_the_generator_on_its_grid(self, config, samples, angles, log_horizon):
+        # on a grid of `samples` times, r'(t) G equals the generator of the
+        # schedule; the residual is G's largest forbidden entry times the
+        # exact peak rate pi/(2T), and no grid value exceeds it
+        boundary, T = AnglePair(*angles), 10.0**log_horizon
+        solved = _finish(config, boundary, T)
+        g = solved.generator.as_array()
+        grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)
+        ramp = np.multiply.outer(ramp_rate(grid, T), g)
+        exact = hr_analytic(solved.schedule.value(grid), solved.schedule.rate(grid)).as_array()
+        peak = 0.5 * math.pi / T
+        scale = max(1.0, np.linalg.norm(g))
+        np.testing.assert_allclose(ramp, exact, rtol=0, atol=1e-14 * scale * peak)
+        forbidden = [getattr(solved.generator, n) for n in FORBIDDEN[config]]
+        assert solved.constraint_residual == max(map(abs, forbidden)) * peak
+        names = [f.name for f in dataclasses.fields(solved.generator)]
+        on_grid = np.abs(ramp[:, [names.index(n) for n in FORBIDDEN[config]]])
+        assert np.all(on_grid <= solved.constraint_residual)
 
 
 class TestCouplingSchedules:

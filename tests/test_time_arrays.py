@@ -13,6 +13,7 @@ from fourlevel.hamiltonian import (
     phase_operator,
     total_hamiltonian,
 )
+from fourlevel.cli import _couplings_of_t
 from fourlevel.propagator import propagate
 from fourlevel.qo import (
     TRANSITIONS,
@@ -26,6 +27,7 @@ from fourlevel.rotation import (
     cosine_ramp_schedule,
     final_state,
     hr_analytic,
+    ramp_generator,
     ur_of_angles,
 )
 from fourlevel.solvers import LevelConfig, SolvedAngles, TargetSpec, solve_diamond
@@ -50,7 +52,7 @@ def pipeline(rng):
     boundary = AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, 6))
     sched = cosine_ramp_schedule(boundary, T)
     ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=T)
-    solved = SolvedAngles(LevelConfig.DIAMOND, sched, boundary, 0.0, False)
+    solved = SolvedAngles(LevelConfig.DIAMOND, sched, boundary, 0.0, False, ramp_generator(boundary))
 
     b = rng.normal(size=4)
     diamond = solve_diamond(TargetSpec(b / np.linalg.norm(b)), T).schedule
@@ -71,6 +73,7 @@ def pipeline(rng):
         "value": lambda t: sched.value(t).as_array(),
         "rate": lambda t: sched.rate(t).as_array(),
         "hr_analytic": lambda t: couplings(t).as_array(),
+        "ramp_couplings": lambda t: _couplings_of_t(solved)(t).as_array(),
         "ur_of_angles": lambda t: ur_of_angles(sched.value(t)),
         "final_state": lambda t: final_state(sched.value(t)),
         "frame": ph.frame,
@@ -90,6 +93,7 @@ def pipeline(rng):
         "value",
         "rate",
         "hr_analytic",
+        "ramp_couplings",
         "ur_of_angles",
         "final_state",
         "frame",
