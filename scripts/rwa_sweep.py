@@ -18,7 +18,6 @@ import numpy as np
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
 from fourlevel.propagator import propagate
 from fourlevel.qo import engineered_to_qo, lab_hamiltonian, rwa_hamiltonian
-from fourlevel.rotation import hr_analytic
 from fourlevel.solvers import TargetSpec, solve_diamond
 
 PSI0 = np.array([1.0, 0, 0, 0], dtype=complex)
@@ -39,9 +38,7 @@ def run(args=None):
     ph = PhaseSchedule(
         eps=np.zeros(3), eps_prime=np.array([0.0, math.pi / 2, 0.0]), T=1.0
     )
-
-    def couplings(t):
-        return hr_analytic(solved.schedule.value(t), solved.schedule.rate(t))
+    couplings = solved.schedule.couplings
 
     rows = []
     for scale in opts.scales:

@@ -15,9 +15,8 @@ from .quat4 import (
 )
 from .rotation import (
     AnglePair,
-    AngleSchedule,
+    CosineRamp,
     CouplingSet,
-    cosine_ramp_schedule,
     final_state,
     hr_analytic,
     spherical_to_quats,
@@ -34,7 +33,7 @@ from .solvers import (
 
 __all__ = [
     "AnglePair",
-    "AngleSchedule",
+    "CosineRamp",
     "CouplingSet",
     "LevelConfig",
     "PhaseSchedule",
@@ -47,7 +46,6 @@ __all__ = [
     "analytic_evolution",
     "cayley_rotation",
     "compare_with_analytic",
-    "cosine_ramp_schedule",
     "decompose_rotation",
     "fidelity",
     "final_state",

@@ -35,7 +35,7 @@ from .propagator import (
     propagate,
 )
 from .qo import check_resonance, engineered_to_qo
-from .rotation import CouplingSet, final_state, ramp_rate
+from .rotation import final_state
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solvers import (
     LevelConfig,
@@ -61,21 +61,9 @@ def _solve(sc: Scenario) -> SolvedAngles:
     return solve_ntype(sc.target, sc.T, initial_guess=sc.initial_guess)
 
 
-def _couplings_of_t(solved: SolvedAngles):
-    """The pulse's couplings r'(t) G at a time or a time array."""
-    g, horizon = solved.generator.as_array(), solved.schedule.horizon
-
-    def couplings(t):
-        return CouplingSet(*np.multiply.outer(g, ramp_rate(t, horizon)))
-
-    return couplings
-
-
 def _hamiltonian_of_t(solved: SolvedAngles, sc: Scenario):
-    couplings = _couplings_of_t(solved)
-
     def h(t):
-        return total_hamiltonian(couplings(t), sc.phases, t)
+        return total_hamiltonian(solved.schedule.couplings(t), sc.phases, t)
 
     return h
 
@@ -112,13 +100,12 @@ def cmd_solve(sc: Scenario, out: Path) -> int:
 
 def cmd_simulate(sc: Scenario, out: Path) -> int:
     solved = _solve(sc)
-    couplings = _couplings_of_t(solved)
     traj = propagate(_hamiltonian_of_t(solved, sc), PSI0, sc.T, sc.steps)
 
     _write_csv(
         out / "couplings.csv",
         ["t", "omega12", "omega13", "omega14", "omega23", "omega24", "omega34"],
-        np.column_stack((traj.times, couplings(traj.times).as_array())),
+        np.column_stack((traj.times, solved.schedule.couplings(traj.times).as_array())),
     )
     _write_csv(
         out / "populations.csv",
@@ -143,7 +130,7 @@ def cmd_qomap(sc: Scenario, out: Path) -> int:
         print("validation failure: qomap requires qo.omega_levels in the scenario")
         return EXIT_VALIDATION
     solved = _solve(sc)
-    qo = engineered_to_qo(_couplings_of_t(solved), sc.phases, sc.omega_levels)
+    qo = engineered_to_qo(solved.schedule.couplings, sc.phases, sc.omega_levels)
     payload = {
         "omega_levels": list(qo.omega_levels),
         "laser_frequencies": qo.omega_fields,

@@ -61,9 +61,25 @@ class PhaseSchedule:
         return k
 
 
+def _diagonal(d) -> np.ndarray:
+    """The diagonal matrices (..., 4, 4) with the diagonals d (..., 4)."""
+    return np.where(np.eye(4, dtype=bool), d[..., None], 0)
+
+
+def _hermitian(diagonal, rows, cols, upper) -> np.ndarray:
+    """The Hermitian matrices (..., 4, 4) with diagonal (0, *diagonal), the
+    entries upper (..., n) at (rows, cols) above it and their conjugates
+    below; the dtype follows the entries, so real ones give a real matrix."""
+    h = np.zeros(upper.shape[:-1] + (4, 4), dtype=np.result_type(diagonal, upper))
+    h[..., [1, 2, 3], [1, 2, 3]] = diagonal
+    h[..., rows, cols] = upper
+    h[..., cols, rows] = upper.conj()
+    return h
+
+
 def phase_operator(ph: PhaseSchedule, t) -> np.ndarray:
     """Diagonal unitary K(t) = diag(1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4})."""
-    return np.where(np.eye(4, dtype=bool), ph.frame(t)[..., None], 0)
+    return _diagonal(ph.frame(t))
 
 
 def coupling_entries(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray:
@@ -79,12 +95,7 @@ def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarra
     Diagonal is (0, -Delta_2, -Delta_3, -Delta_4); the upper entries come
     from coupling_entries and the lower ones are their conjugates.
     """
-    z = coupling_entries(couplings, ph, t)
-    h = np.zeros(z.shape[:-1] + (4, 4), dtype=complex)
-    h[..., [1, 2, 3], [1, 2, 3]] = -ph.detunings
-    h[..., _UPPER[0], _UPPER[1]] = z
-    h[..., _UPPER[1], _UPPER[0]] = z.conj()
-    return h
+    return _hermitian(-ph.detunings, *_UPPER, coupling_entries(couplings, ph, t))
 
 
 def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t) -> np.ndarray:

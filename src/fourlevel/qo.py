@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import PhaseSchedule, coupling_entries
+from .hamiltonian import PhaseSchedule, _diagonal, _hermitian, coupling_entries
 from .rotation import CouplingSet
 
 TRANSITIONS = ("12", "13", "24", "34")
@@ -119,18 +119,14 @@ def lab_hamiltonian(qo: QOParams, t) -> np.ndarray:
     wf, fp = _per_transition(qo.omega_fields), _per_transition(qo.field_phases)
     phase = np.multiply.outer(t, wf) + fp
     drive = z.real * np.cos(phase) - z.imag * np.sin(phase)
-    h = np.zeros(np.shape(t) + (4, 4))
-    h[..., [1, 2, 3], [1, 2, 3]] = qo.omega_levels
-    h[..., _ROWS, _COLS] = drive
-    h[..., _COLS, _ROWS] = drive
-    return h
+    return _hermitian(qo.omega_levels, _ROWS, _COLS, drive)
 
 
 def interaction_frame(qo: QOParams, t) -> np.ndarray:
     """Diagonal unitary of the laser-adapted rotating frame."""
     args = np.multiply.outer(t, _path_to_levels(qo.omega_fields))
     args += _path_to_levels(qo.field_phases)
-    return np.where(np.eye(4, dtype=bool), np.exp(1j * args)[..., None], 0)
+    return _diagonal(np.exp(1j * args))
 
 
 def interaction_hamiltonian(qo: QOParams, t) -> np.ndarray:
@@ -155,11 +151,7 @@ def rwa_hamiltonian(qo: QOParams, t) -> np.ndarray:
     # the 3-4 field closes the loop; not *=, which on one time (a 0-d view)
     # rounds differently from the array product
     z[..., 3] = z[..., 3] * np.exp(-1j * qo.closed_loop_phase)
-    h = np.zeros(np.shape(t) + (4, 4), dtype=complex)
-    h[..., [1, 2, 3], [1, 2, 3]] = qo.rwa_detunings
-    h[..., _ROWS, _COLS] = z
-    h[..., _COLS, _ROWS] = z.conj()
-    return 0.5 * h
+    return 0.5 * _hermitian(qo.rwa_detunings, _ROWS, _COLS, z)
 
 
 def engineered_to_qo(

@@ -11,16 +11,15 @@ dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
 quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
 product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
 M_R(conj(p) dp/dt) and U_r e_1 = q p.  On a cosine ramp the generator is
-r'(t) G for one constant G (ramp_generator).  A schedule evaluated on a
-time array gives an AnglePair of arrays, and the maps above then return
+r'(t) G for one constant G (CosineRamp.generator).  A ramp evaluated on
+a time array gives an AnglePair of arrays, and the maps above then return
 one result per time, on the leading axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,48 +82,6 @@ class CouplingSet:
         m = np.zeros(o.shape[:-1] + (4, 4))
         m[..., _UPPER[0], _UPPER[1]] = o
         return m - np.swapaxes(m, -1, -2)
-
-
-@dataclass(frozen=True)
-class AngleSchedule:
-    """Time-dependent angles as paired (value, rate) closures over [0, T].
-
-    The closures take a time or an array of times and return an AnglePair
-    whose fields are floats or arrays of t's shape.  They must be
-    side-effect-free, and rate must be the time derivative of value.
-    """
-
-    value: Callable[[np.ndarray], AnglePair]
-    rate: Callable[[np.ndarray], AnglePair]
-    horizon: float
-
-
-def ramp_rate(t, horizon: float):
-    """r'(t) = pi/(2T) sin(pi t/T) of the cosine ramp r(t) = (1 - cos(pi t/T))/2;
-    its peak is pi/(2T), at t = T/2."""
-    return 0.5 * np.pi / horizon * np.sin(np.pi * t / horizon)
-
-
-def cosine_ramp_schedule(final: AnglePair, horizon: float) -> AngleSchedule:
-    """gamma_i(t) = gamma_i(T) * [1 - cos(pi t / T)] / 2 with constant
-    theta and phi; smooth switch-on/off (zero rate at both endpoints)."""
-    T = horizon
-    gf1, gf2 = final.gamma1, final.gamma2
-
-    def value(t) -> AnglePair:
-        ramp = 0.5 * (1.0 - np.cos(np.pi * t / T))
-        one = 0.0 * ramp + 1.0  # 1 in t's shape, for the constant angles
-        return AnglePair(
-            gf1 * ramp, final.theta1 * one, final.phi1 * one,
-            gf2 * ramp, final.theta2 * one, final.phi2 * one,
-        )
-
-    def rate(t) -> AnglePair:
-        dramp = ramp_rate(t, T)
-        zero = 0.0 * dramp + 0.0  # +0 in t's shape
-        return AnglePair(gf1 * dramp, zero, zero, gf2 * dramp, zero, zero)
-
-    return AngleSchedule(value=value, rate=rate, horizon=T)
 
 
 def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
@@ -241,3 +198,50 @@ def ramp_generator(final: AnglePair) -> CouplingSet:
 
     a = tuple(vars(final).values())
     return _read_off(vector(*a[:3]), vector(*a[3:]))
+
+
+@dataclass(frozen=True)
+class CosineRamp:
+    """The pulse of every solver: gamma_i(t) = gamma_i(T) r(t) with
+    r(t) = [1 - cos(pi t/T)] / 2, and theta, phi constant at their values
+    in final; smooth switch-on/off (zero rate at both endpoints).
+
+    value and rate take a time or an array of times and return an
+    AnglePair of floats or arrays of t's shape.  Its generator is
+    r'(t) G, with G = ramp_generator(final) read once, at construction.
+    """
+
+    final: AnglePair
+    horizon: float
+    generator: CouplingSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "generator", ramp_generator(self.final))
+
+    @property
+    def peak_rate(self) -> float:
+        """The largest r'(t), pi/(2T), at t = T/2."""
+        return 0.5 * math.pi / self.horizon
+
+    def ramp_rate(self, t):
+        """r'(t) = pi/(2T) sin(pi t/T)."""
+        return self.peak_rate * np.sin(np.pi * t / self.horizon)
+
+    def value(self, t) -> AnglePair:
+        f = self.final
+        ramp = 0.5 * (1.0 - np.cos(np.pi * t / self.horizon))
+        one = 0.0 * ramp + 1.0  # 1 in t's shape, for the constant angles
+        return AnglePair(
+            f.gamma1 * ramp, f.theta1 * one, f.phi1 * one,
+            f.gamma2 * ramp, f.theta2 * one, f.phi2 * one,
+        )
+
+    def rate(self, t) -> AnglePair:
+        f = self.final
+        dramp = self.ramp_rate(t)
+        zero = 0.0 * dramp + 0.0  # +0 in t's shape
+        return AnglePair(f.gamma1 * dramp, zero, zero, f.gamma2 * dramp, zero, zero)
+
+    def couplings(self, t) -> CouplingSet:
+        """The couplings r'(t) G of the generator at a time or a time array."""
+        return CouplingSet(*np.multiply.outer(self.generator.as_array(), self.ramp_rate(t)))

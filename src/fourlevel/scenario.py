@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ class Scenario:
     target: TargetSpec
     T: float
     phases: PhaseSchedule
-    ansatz: str = "cosine_ramp"
     steps: int = 2000
     initial_guess: tuple[float, float, float] | None = None
     omega_levels: np.ndarray | None = None
@@ -49,8 +48,6 @@ class Scenario:
             raise ScenarioError("steps must be an integer")
         if self.steps < 100:
             raise ScenarioError("steps must be at least 100")
-        if self.ansatz not in _ANSATZ_NAMES:
-            raise ScenarioError(f"unknown ansatz {self.ansatz!r}")
 
 
 def _require_number(obj, name: str) -> float:
@@ -115,6 +112,9 @@ def load_scenario(path: str | Path) -> Scenario:
     extra = set(ansatz_raw) - {"name"}
     if extra:
         raise ScenarioError(f"unknown ansatz keys: {sorted(extra)}")
+    name = str(ansatz_raw["name"])
+    if name not in _ANSATZ_NAMES:  # the solvers' pulse is rotation.CosineRamp
+        raise ScenarioError(f"unknown ansatz {name!r}")
 
     initial_guess = None
     if "initial_guess" in raw:
@@ -139,7 +139,6 @@ def load_scenario(path: str | Path) -> Scenario:
         target=target,
         T=T,
         phases=phases,
-        ansatz=str(ansatz_raw["name"]),
         steps=raw.get("steps", 2000),
         initial_guess=initial_guess,
         omega_levels=omega_levels,

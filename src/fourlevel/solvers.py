@@ -2,8 +2,8 @@
 
 Each solver takes a normalized real target amplitude vector b (the system
 starts in level 1), imposes the constraint set that cancels the couplings
-forbidden by the topology, and returns the boundary angles together with a
-smooth cosine-ramp schedule reaching them.
+forbidden by the topology, and returns the smooth cosine ramp to the
+boundary angles.
 """
 
 from __future__ import annotations
@@ -16,17 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotation import (
-    AnglePair,
-    AngleSchedule,
-    CouplingSet,
-    cosine_ramp_schedule,
-    final_state,
-    ramp_generator,
-)
+from .rotation import AnglePair, CosineRamp, final_state
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
+#: The largest final-state residual |q p - b| of a converged N-type candidate.
+_NTYPE_RESIDUAL_TOL = 1e-8
 #: N-type loop search: lock sample points; the final bracket width, one sample step
 #: over 16 to the power _NTYPE_REFINE_STEPS (as many 16-part cuts would give;
 #: 0 refines nothing); the 16-part cuts that open each refinement, and the
@@ -125,15 +120,17 @@ def _finite_real(value) -> bool:
 @dataclass(frozen=True)
 class SolvedAngles:
     """The cosine ramp to the boundary angles, whose generator is r'(t) G
-    with G = generator; constraint_residual is G's largest forbidden entry
-    times the ramp's peak rate pi/(2T)."""
+    with G = schedule.generator; constraint_residual is G's largest
+    forbidden entry times the ramp's peak rate pi/(2T)."""
 
     config: LevelConfig
-    schedule: AngleSchedule
-    boundary: AnglePair
+    schedule: CosineRamp
     constraint_residual: float
     within_canonical_ranges: bool
-    generator: CouplingSet
+
+    @property
+    def boundary(self) -> AnglePair:
+        return self.schedule.final
 
 
 def _within_canonical_ranges(a: AnglePair) -> bool:
@@ -158,18 +155,14 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon {horizon} out of range: pi/T or pi*T overflows")
 
 
-def _finish(
-    config: LevelConfig, boundary: AnglePair, horizon: float
-) -> SolvedAngles:
-    generator = ramp_generator(boundary)
-    worst = max(abs(getattr(generator, n)) for n in FORBIDDEN[config])
+def _finish(config: LevelConfig, boundary: AnglePair, horizon: float) -> SolvedAngles:
+    ramp = CosineRamp(boundary, horizon)
+    worst = max(abs(getattr(ramp.generator, n)) for n in FORBIDDEN[config])
     return SolvedAngles(
         config=config,
-        schedule=cosine_ramp_schedule(boundary, horizon),
-        boundary=boundary,
-        constraint_residual=worst * (0.5 * math.pi / horizon),
+        schedule=ramp,
+        constraint_residual=worst * ramp.peak_rate,
         within_canonical_ranges=_within_canonical_ranges(boundary),
-        generator=generator,
     )
 
 
@@ -412,7 +405,7 @@ def _ntype_guess_points(b, gamma1: float, gamma2: float):
     return k, m, (np.array([[psi], [-psi]]) + [-_NTYPE_GUESS_OFFSET, _NTYPE_GUESS_OFFSET]).ravel()
 
 
-def _ntype_root(b, guess, residual_tol: float) -> np.ndarray:
+def _ntype_root(b, guess) -> np.ndarray:
     """The chosen (theta1, theta2, gamma2(T)) of solve_ntype for a guess of
     three floats, or None."""
     unit_b = b / np.linalg.norm(b)
@@ -421,15 +414,18 @@ def _ntype_root(b, guess, residual_tol: float) -> np.ndarray:
         gamma_g = guess[2] * np.array([-np.sin(theta_g[1]) / np.sin(theta_g[0]), 1.0])
         if abs(np.sin(theta_g[0])) < _NTYPE_MIN_SIN or not np.isfinite(gamma_g[0]):
             guess = None  # a singular guess, or one whose gamma1(T) overflows
-    own = None if guess is None else _ntype_guess_points(unit_b, *gamma_g)
-    x = np.concatenate((_ntype_loop_roots(unit_b, own), _ntype_axis_roots(unit_b)))
+    loop = np.empty((0, 3))
+    if math.hypot(unit_b[1], unit_b[3]) > 0.0:  # else the loop is one point
+        own = None if guess is None else _ntype_guess_points(unit_b, *gamma_g)
+        loop = _ntype_loop_roots(unit_b, own)
+    x = np.concatenate((loop, _ntype_axis_roots(unit_b)))
     x[:, :2] %= 2 * math.pi
     t1, t2, g2 = x.T
     g1 = -np.sin(t2) / np.sin(t1) * g2
     state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
     res = np.linalg.norm(state - b, axis=1)
     res = np.where(np.isfinite(res) & (np.abs(np.sin(t1)) >= _NTYPE_MIN_SIN), res, np.inf)
-    converged = np.flatnonzero(res <= residual_tol)
+    converged = np.flatnonzero(res <= _NTYPE_RESIDUAL_TOL)
     if converged.size == 0:
         raise NoSolutionFoundError(
             "N-type boundary-value solve did not converge", float(np.min(res))
@@ -451,7 +447,6 @@ def solve_ntype(
     target: TargetSpec,
     horizon: float = 1.0,
     initial_guess: tuple[float, float, float] | None = None,
-    residual_tol: float = 1e-8,
 ) -> SolvedAngles:
     """Boundary angles for the N-type (chain) topology.
 
@@ -464,8 +459,10 @@ def solve_ntype(
     loop, for gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in
     -1..1 (every root of pulse area at most 3 pi), are sampled at 128 points
     and refined to brackets 2 pi / 128 / 16**11 wide (_ntype_loop_roots).
-    The axis families (_ntype_axis_roots) join them.  A candidate converges
-    if its residual is at most residual_tol and |sin(theta1)| >= 1e-6.
+    For b2 = b4 = 0 the loop is one point, whose sign changes are rounding,
+    and it is skipped.  The axis families (_ntype_axis_roots) join the loop
+    roots.  A candidate converges if its residual |q p - b| is at most
+    _NTYPE_RESIDUAL_TOL = 1e-8 and |sin(theta1)| >= 1e-6.
 
     initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
     (ValueError otherwise), selects a root; it is not a start point.  The
@@ -491,7 +488,7 @@ def solve_ntype(
             )
         initial_guess = tuple(map(float, guess))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
-        root = _ntype_root(target.b, initial_guess, residual_tol)
+        root = _ntype_root(target.b, initial_guess)
     theta1, theta2, gamma2_T = (float(v) for v in root)
     gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
     boundary = AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)

@@ -1,5 +1,7 @@
 import math
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import fourlevel.solvers
 from fourlevel.quat4 import Quaternion, hamilton
 from fourlevel.rotation import (
     AnglePair,
-    AngleSchedule,
     CouplingSet,
     _unit_quat,
     final_state,
@@ -97,7 +98,7 @@ def couplings_from_matrix(omega: np.ndarray) -> CouplingSet:
     return CouplingSet(o[0, 1], o[0, 2], o[0, 3], o[1, 2], o[1, 3], o[2, 3])
 
 
-def hr_numeric(schedule: AngleSchedule, t: float, h: float | None = None) -> CouplingSet:
+def hr_numeric(schedule, t: float, h: float | None = None) -> CouplingSet:
     """Couplings extracted from a finite-difference dUr/dt Ur^T, an oracle
     for the library's generator.
 
@@ -132,7 +133,7 @@ def hr_numeric(schedule: AngleSchedule, t: float, h: float | None = None) -> Cou
     return couplings_from_matrix(omega)
 
 
-def check_consistency(schedule: AngleSchedule, samples: int = 33, rtol: float = 1e-6) -> float:
+def check_consistency(schedule, samples: int = 33, rtol: float = 1e-6) -> float:
     """Max mismatch between a schedule's rate() and a centered difference
     of its value()."""
     T = schedule.horizon
@@ -149,9 +150,19 @@ def check_consistency(schedule: AngleSchedule, samples: int = 33, rtol: float = 
     return worst
 
 
-def constant_schedule(angles: AnglePair, horizon: float) -> AngleSchedule:
+@dataclass(frozen=True)
+class Schedule:
+    """A pulse other than the library's CosineRamp, for the oracles that take
+    any schedule: value and rate closures of a time, and the horizon T."""
+
+    value: Callable
+    rate: Callable
+    horizon: float
+
+
+def constant_schedule(angles: AnglePair, horizon: float) -> Schedule:
     zero = AnglePair(0, 0, 0, 0, 0, 0)
-    return AngleSchedule(value=lambda t: angles, rate=lambda t: zero, horizon=horizon)
+    return Schedule(value=lambda t: angles, rate=lambda t: zero, horizon=horizon)
 
 
 def full_matrix_total_hamiltonian(couplings: CouplingSet, ph, t) -> np.ndarray:

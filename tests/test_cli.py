@@ -146,14 +146,13 @@ class TestQomap:
         # whole time array: the diamond-type probe and all rabi.csv rows
         # evaluate the couplings r'(t) G once each, and so does a
         # Hamiltonian evaluated at one time or on a grid
-        shapes = spy_ramp_rates(monkeypatch)
+        shapes = spy_couplings(monkeypatch)
         assert run("qomap", SCENARIO_DIR / "diamond.json", tmp_path, "--steps", "100") == 0
         assert shapes == [(3,), (101,)]  # the probe, then all rows
 
         sc = load_scenario(SCENARIO_DIR / "diamond.json")
         solved = fourlevel.cli._solve(sc)
-        couplings = fourlevel.cli._couplings_of_t(solved)
-        qo = engineered_to_qo(couplings, sc.phases, sc.omega_levels)
+        qo = engineered_to_qo(solved.schedule.couplings, sc.phases, sc.omega_levels)
         for hamiltonian in (lab_hamiltonian, rwa_hamiltonian):
             for t in (0.3, np.linspace(0.0, 1.0, 7)):
                 shapes.clear()
@@ -189,7 +188,7 @@ class TestVerify:
         # reports the solve's residual, and the propagation takes 2 Gauss
         # nodes per step in one evaluation of r'(t) G; the finite-difference
         # generator is a test oracle, not part of the library
-        calls, shapes = spy_generator_reads(monkeypatch), spy_ramp_rates(monkeypatch)
+        calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
         assert calls == {"ramp_generator": 1} and shapes == [(200,)]
         for module in (fourlevel, fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
@@ -244,29 +243,43 @@ BUNDLED_COMMANDS = [
 ] + [("qomap", "diamond")]
 
 
+#: The time grids on which each command evaluates the couplings, at --steps
+#: 100: the 2 Gauss nodes per step that propagate takes, couplings.csv's rows,
+#: and qomap's diamond-type probe and rabi.csv rows.
+COUPLING_GRIDS = {
+    "solve": [],
+    "simulate": [(200,), (101,)],
+    "verify": [(200,)],
+    "qomap": [(3,), (101,)],
+}
+
+
 @pytest.mark.parametrize("command, name", BUNDLED_COMMANDS)
 def test_commands_read_the_generator_once(tmp_path, monkeypatch, command, name):
-    # a solved pulse carries G, read once by the solve: no command
-    # evaluates hr_analytic
-    calls = spy_generator_reads(monkeypatch)
+    # a solved pulse is a CosineRamp that reads G once, when the solve builds
+    # it: no command evaluates hr_analytic, and every coupling grid is the
+    # ramp's couplings r'(t) G
+    calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
     assert run(command, SCENARIO_DIR / f"{name}.json", tmp_path, "--steps", "100") == 0
     assert calls == {"ramp_generator": 1}
+    assert shapes == COUPLING_GRIDS[command]
 
 
-def spy_ramp_rates(monkeypatch) -> list:
-    """The shapes of the times at which the CLI evaluates r'(t)."""
+def spy_couplings(monkeypatch) -> list:
+    """The shapes of the times at which CosineRamp.couplings is evaluated."""
     shapes = []
+    couplings = fourlevel.rotation.CosineRamp.couplings
 
-    def counting(t, horizon):
+    def counting(self, t):
         shapes.append(np.shape(t))
-        return fourlevel.rotation.ramp_rate(t, horizon)
+        return couplings(self, t)
 
-    monkeypatch.setattr(fourlevel.cli, "ramp_rate", counting)
+    monkeypatch.setattr(fourlevel.rotation.CosineRamp, "couplings", counting)
     return shapes
 
 
 def spy_generator_reads(monkeypatch) -> Counter:
-    """Counts of the library's hr_analytic calls and of the solves'
+    """Counts of the library's hr_analytic calls and of the ramps'
     ramp_generator reads."""
     calls = Counter()
 
@@ -281,7 +294,7 @@ def spy_generator_reads(monkeypatch) -> Counter:
     for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
         monkeypatch.setattr(module, "hr_analytic", hr_analytic, raising=False)
     reads = counted("ramp_generator", fourlevel.rotation.ramp_generator)
-    monkeypatch.setattr(fourlevel.solvers, "ramp_generator", reads)
+    monkeypatch.setattr(fourlevel.rotation, "ramp_generator", reads)
     return calls
 
 

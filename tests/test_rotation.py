@@ -17,9 +17,8 @@ from fourlevel.quat4 import (
 )
 from fourlevel.rotation import (
     AnglePair,
-    AngleSchedule,
+    CosineRamp,
     CouplingSet,
-    cosine_ramp_schedule,
     final_state,
     hr_analytic,
     ramp_generator,
@@ -28,7 +27,13 @@ from fourlevel.rotation import (
 )
 
 from conftest import angles as angle_floats
-from conftest import check_consistency, constant_schedule, couplings_from_matrix, hr_numeric
+from conftest import (
+    Schedule,
+    check_consistency,
+    constant_schedule,
+    couplings_from_matrix,
+    hr_numeric,
+)
 
 SQRT3 = math.sqrt(3.0)
 ZERO = AnglePair(0, 0, 0, 0, 0, 0)
@@ -132,7 +137,7 @@ class TestHrAnalytic:
         for _ in range(100):
             a = random_angle_pair(rng)
             adot = AnglePair.from_array(rng.uniform(-2, 2, size=6))
-            sched = AngleSchedule(
+            sched = Schedule(
                 value=lambda t, a=a, adot=adot: AnglePair.from_array(
                     a.as_array() + (t - 0.5) * adot.as_array()
                 ),
@@ -156,7 +161,7 @@ class TestHrNumeric:
     def test_peak_of_symmetric_ramp(self):
         th, ph = math.atan(math.sqrt(2)), math.pi / 4
         final = AnglePair(math.pi / 4, th, ph, math.pi / 4, th, ph)
-        sched = cosine_ramp_schedule(final, 1.0)
+        sched = CosineRamp(final, 1.0)
         peak = math.pi**2 / (8 * SQRT3)  # gamma rate at T/2 times cos(theta)
         out = hr_numeric(sched, 0.5, h=1e-6)
         # generator convention: rotation advances through 2*gamma
@@ -169,14 +174,14 @@ class TestHrNumeric:
 
     def test_second_order_in_h(self, rng):
         final = random_angle_pair(rng)
-        sched = cosine_ramp_schedule(final, 1.0)
+        sched = CosineRamp(final, 1.0)
         exact = hr_analytic(sched.value(0.3), sched.rate(0.3)).as_array()
         err_h = np.max(np.abs(hr_numeric(sched, 0.3, h=1e-3).as_array() - exact))
         err_h2 = np.max(np.abs(hr_numeric(sched, 0.3, h=5e-4).as_array() - exact))
         assert err_h2 < err_h / 3.0  # halving h must shrink the error ~4x
 
     def test_boundary_one_sided_warns(self):
-        sched = cosine_ramp_schedule(AnglePair(1, 1, 1, 1, 1, 1), 1.0)
+        sched = CosineRamp(AnglePair(1, 1, 1, 1, 1, 1), 1.0)
         with pytest.warns(UserWarning):
             hr_numeric(sched, 0.0)
         with pytest.warns(UserWarning):
@@ -192,7 +197,7 @@ class TestHrNumeric:
     def test_antisymmetry_of_raw_generator(self, rng):
         # the read-off generator comes from an orthogonal path, so the raw
         # finite-difference matrix is antisymmetric up to O(h^2)
-        sched = cosine_ramp_schedule(random_angle_pair(rng), 1.0)
+        sched = CosineRamp(random_angle_pair(rng), 1.0)
         h = 1e-5
         u_p = ur_of_angles(sched.value(0.4 + h))
         u_m = ur_of_angles(sched.value(0.4 - h))
@@ -203,7 +208,7 @@ class TestHrNumeric:
 class TestSchedules:
     def test_cosine_ramp_endpoints(self):
         final = AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1)
-        sched = cosine_ramp_schedule(final, 2.0)
+        sched = CosineRamp(final, 2.0)
         start = sched.value(0.0)
         assert start.gamma1 == 0.0 and start.gamma2 == 0.0
         assert start.theta1 == final.theta1 and start.phi2 == final.phi2
@@ -214,12 +219,12 @@ class TestSchedules:
         np.testing.assert_allclose(sched.rate(2.0).as_array(), 0, atol=1e-12)
 
     def test_consistency_check_passes(self):
-        sched = cosine_ramp_schedule(AnglePair(1, 2, 3, -1, -2, -3), 1.0)
+        sched = CosineRamp(AnglePair(1, 2, 3, -1, -2, -3), 1.0)
         assert check_consistency(sched) < 1e-6
 
     def test_consistency_check_catches_mismatch(self):
-        good = cosine_ramp_schedule(AnglePair(1, 0, 0, 1, 0, 0), 1.0)
-        bad = AngleSchedule(
+        good = CosineRamp(AnglePair(1, 0, 0, 1, 0, 0), 1.0)
+        bad = Schedule(
             value=good.value, rate=lambda t: AnglePair(1, 0, 0, 1, 0, 0), horizon=1.0
         )
         with pytest.raises(ValueError):
@@ -244,7 +249,8 @@ class TestCosineRampGenerator:
     # with theta and phi constant the two factors turn about fixed axes, so
     # the generator is r'(t) G for one constant G, and the commuting
     # isoclinic factors give U_r(t) = exp(r(t) G), r(t) = (1 - cos(pi t/T))/2;
-    # ramp_generator reads the same G off the rotation vectors
+    # the ramp reads the same G off the rotation vectors (ramp_generator),
+    # and its couplings are r'(t) G
     @given(
         st.tuples(*(angle_floats for _ in range(6))),
         st.floats(0.1, 10.0),
@@ -253,7 +259,7 @@ class TestCosineRampGenerator:
     @settings(max_examples=200, deadline=None)
     def test_generator_is_ramp_rate_times_constant_matrix(self, angles, T, u):
         final = AnglePair(*angles)
-        sched = cosine_ramp_schedule(final, T)
+        sched = CosineRamp(final, T)
         t = u * T
         g = _ramp_generator_matrix(final)
         rate = 0.5 * math.pi / T * math.sin(math.pi * t / T)
@@ -261,8 +267,10 @@ class TestCosineRampGenerator:
         generator = hr_analytic(sched.value(t), sched.rate(t)).to_matrix()
         scale = max(1.0, np.linalg.norm(g))
         np.testing.assert_allclose(generator, rate * g, rtol=0, atol=1e-14 * scale)
+        assert sched.generator == ramp_generator(final)
+        np.testing.assert_allclose(sched.generator.to_matrix(), g, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(
-            ramp_generator(final).to_matrix(), g, rtol=0, atol=1e-14 * scale
+            sched.couplings(t).to_matrix(), generator, rtol=0, atol=1e-14 * scale
         )
         np.testing.assert_allclose(
             ur_of_angles(sched.value(t)), scipy.linalg.expm(ramp * g), rtol=0, atol=1e-12

@@ -44,7 +44,7 @@ class TestLoadScenario:
     def test_minimal_scenario(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, minimal()))
         assert sc.config is LevelConfig.INVERSE_TRIPOD
-        assert sc.ansatz == "cosine_ramp"
+        assert not hasattr(sc, "ansatz")  # the solvers' pulse is always a CosineRamp
         assert sc.steps == 2000
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -131,7 +131,7 @@ class TestScenarioValidate:
     def test_rejects_unknown_ansatz(self, tmp_path):
         payload = minimal()
         payload["ansatz"] = {"name": "linear_ramp"}
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="unknown ansatz 'linear_ramp'"):
             load_scenario(write_scenario(tmp_path, payload))
 
     @pytest.mark.parametrize(

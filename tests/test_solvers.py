@@ -13,10 +13,9 @@ import fourlevel.solvers
 from fourlevel.cli import main
 from fourlevel.rotation import (
     AnglePair,
-    cosine_ramp_schedule,
+    CosineRamp,
     final_state,
     hr_analytic,
-    ramp_rate,
     ur_of_angles,
 )
 from fourlevel.solvers import (
@@ -172,7 +171,7 @@ class TestSolveDiamond:
         # the generator is read with math's trig, and stays in floats
         solved = solver(random_target(rng))
         assert all(type(v) is float for v in dataclasses.astuple(solved.boundary))
-        assert all(type(v) is float for v in dataclasses.astuple(solved.generator))
+        assert all(type(v) is float for v in dataclasses.astuple(solved.schedule.generator))
         assert type(solved.constraint_residual) is float
 
     def test_default_theta1_is_right_angle(self, rng):
@@ -218,7 +217,7 @@ class TestSolveNType:
         # numpy scalars would double the cost of every generator evaluation
         solved = solve_ntype(random_target(rng))
         assert all(type(v) is float for v in dataclasses.astuple(solved.boundary))
-        assert all(type(v) is float for v in dataclasses.astuple(solved.generator))
+        assert all(type(v) is float for v in dataclasses.astuple(solved.schedule.generator))
 
     def test_deterministic_for_fixed_seed(self, rng, tmp_path):
         # the library takes no seed; the command line's --seed, run twice
@@ -502,6 +501,29 @@ class TestSolveNType:
             solve_ntype(TargetSpec(np.full(4, 0.5)))
         assert points == [129]
 
+    @pytest.mark.parametrize("guess", [None, (1.0, 2.0, 0.5)])
+    def test_collapsed_loop_is_skipped(self, monkeypatch, guess):
+        # for b2 = b4 = 0 the loop is one point and the lock's sign changes
+        # on it are rounding noise: the search evaluates no lock, and the
+        # axis families give the root that the full search gave (16 lock
+        # calls), with or without a guess
+        calls = []
+        lock = fourlevel.solvers._ntype_lock
+
+        def spy(psi, b, k, m):
+            calls.append(np.shape(psi))
+            return lock(psi, b, k, m)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", spy)
+        target = TargetSpec(np.array([0.6, 0.0, 0.8, 0.0]))
+        solved = solve_ntype(target, initial_guess=guess)
+        assert calls == []
+        half_pi = math.pi / 2
+        assert solved.boundary == AnglePair(
+            half_pi, 1.1071487177940904, half_pi, -half_pi, 2.0344439357957027, half_pi
+        )
+        assert np.linalg.norm(final_state(solved.boundary) - target.b) < 1e-15
+
     def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
         # a lock exp(2000 (psi - psi0)) - 1 bends across the bracket that the
         # cuts leave, so plain regula falsi keeps its steep end and creeps;
@@ -680,7 +702,7 @@ class TestForbiddenCouplings:
         # schedule that breaks the topology's constraint it must report the
         # forbidden couplings the finite-difference oracle finds on its grid,
         # whose odd point count puts the ramp's peak t = T/2 on it
-        sched = cosine_ramp_schedule(boundary, 1.0)
+        sched = CosineRamp(boundary, 1.0)
         residual = _finish(config, boundary, 1.0).constraint_residual
         h = 1e-6
         oracle = max(
@@ -704,16 +726,17 @@ class TestForbiddenCouplings:
         # exact peak rate pi/(2T), and no grid value exceeds it
         boundary, T = AnglePair(*angles), 10.0**log_horizon
         solved = _finish(config, boundary, T)
-        g = solved.generator.as_array()
+        generator = solved.schedule.generator
+        g = generator.as_array()
         grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)
-        ramp = np.multiply.outer(ramp_rate(grid, T), g)
+        ramp = solved.schedule.couplings(grid).as_array()
         exact = hr_analytic(solved.schedule.value(grid), solved.schedule.rate(grid)).as_array()
         peak = 0.5 * math.pi / T
         scale = max(1.0, np.linalg.norm(g))
         np.testing.assert_allclose(ramp, exact, rtol=0, atol=1e-14 * scale * peak)
-        forbidden = [getattr(solved.generator, n) for n in FORBIDDEN[config]]
+        forbidden = [getattr(generator, n) for n in FORBIDDEN[config]]
         assert solved.constraint_residual == max(map(abs, forbidden)) * peak
-        names = [f.name for f in dataclasses.fields(solved.generator)]
+        names = [f.name for f in dataclasses.fields(generator)]
         on_grid = np.abs(ramp[:, [names.index(n) for n in FORBIDDEN[config]]])
         assert np.all(on_grid <= solved.constraint_residual)
 

@@ -13,7 +13,6 @@ from fourlevel.hamiltonian import (
     phase_operator,
     total_hamiltonian,
 )
-from fourlevel.cli import _couplings_of_t
 from fourlevel.propagator import propagate
 from fourlevel.qo import (
     TRANSITIONS,
@@ -24,10 +23,9 @@ from fourlevel.qo import (
 )
 from fourlevel.rotation import (
     AnglePair,
-    cosine_ramp_schedule,
+    CosineRamp,
     final_state,
     hr_analytic,
-    ramp_generator,
     ur_of_angles,
 )
 from fourlevel.solvers import LevelConfig, SolvedAngles, TargetSpec, solve_diamond
@@ -50,9 +48,9 @@ def times(rng):
 @pytest.fixture
 def pipeline(rng):
     boundary = AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, 6))
-    sched = cosine_ramp_schedule(boundary, T)
+    sched = CosineRamp(boundary, T)
     ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=T)
-    solved = SolvedAngles(LevelConfig.DIAMOND, sched, boundary, 0.0, False, ramp_generator(boundary))
+    solved = SolvedAngles(LevelConfig.DIAMOND, sched, 0.0, False)
 
     b = rng.normal(size=4)
     diamond = solve_diamond(TargetSpec(b / np.linalg.norm(b)), T).schedule
@@ -73,7 +71,7 @@ def pipeline(rng):
         "value": lambda t: sched.value(t).as_array(),
         "rate": lambda t: sched.rate(t).as_array(),
         "hr_analytic": lambda t: couplings(t).as_array(),
-        "ramp_couplings": lambda t: _couplings_of_t(solved)(t).as_array(),
+        "ramp_couplings": lambda t: sched.couplings(t).as_array(),
         "ur_of_angles": lambda t: ur_of_angles(sched.value(t)),
         "final_state": lambda t: final_state(sched.value(t)),
         "frame": ph.frame,
