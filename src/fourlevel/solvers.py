@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotation import AnglePair, CosineRamp, final_state
+from .quat4 import hamilton
+from .rotation import AnglePair, CosineRamp, _quat_pair, final_state
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
@@ -38,6 +39,17 @@ _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
 #: The lock sample points added for a guess lie this far in psi to either side of
 #: its loop points; rounding in the guess moves those by up to about 1e-8.
 _NTYPE_GUESS_OFFSET = 1e-6
+#: A guess-free solve refines first the turn pairs whose pulse area can lie below
+#: _NTYPE_STAGE_AREA, and the others only if no converged candidate has an area
+#: below it less _NTYPE_STAGE_MARGIN (a converged root's lock-derived gamma1(T)
+#: is off by about its residual, at most 1e-8).
+_NTYPE_STAGE_AREA = 2 * math.pi
+_NTYPE_STAGE_MARGIN = 1e-6
+#: The axis families are built only where their candidates can converge (see
+#: solve_ntype): q = +-1 and p = +-1 for |b1 b3| <= _NTYPE_UNIT_REACH (1 + |b1|),
+#: the odd multiples of pi/2 for hypot(b2, b4) <= _NTYPE_QUARTER_REACH.
+_NTYPE_UNIT_REACH = _NTYPE_RESIDUAL_TOL + 1e-15
+_NTYPE_QUARTER_REACH = _NTYPE_RESIDUAL_TOL + 1e-8 + 1e-15
 
 
 class LevelConfig(enum.Enum):
@@ -238,7 +250,7 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
 
     best, best_res = None, math.inf
     for cand in candidates:
-        res = math.dist(final_state(cand).tolist(), b)
+        res = math.dist(hamilton(*_quat_pair(cand)), b)  # |final_state(cand) - b|
         if res < best_res:
             best, best_res = cand, res
     if best_res > 1e-9:
@@ -289,31 +301,18 @@ def _ntype_lock(psi, b, k, m):
     return (g1 + 2 * math.pi * k) * np.sin(theta1) + (g2 + 2 * math.pi * m) * np.sin(theta2)
 
 
-def _ntype_loop_roots(b, guess=None) -> np.ndarray:
-    """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
-    along the loop, for every turn pair (k, m) with k, m in _NTYPE_TURNS,
-    refined all at once; with guess = (k, m, points), also for the guess's
-    turn pair, and with the guess's points added to the sample points.
-
-    The lock is sampled at _NTYPE_LOOP_POINTS points.  Each refinement step
-    evaluates it at a few points inside every bracket, in one call, and keeps
-    the part between neighbouring points where the sign first changes.  The
-    first _NTYPE_CUTS steps cut each bracket into 16 equal parts.  The next,
-    at most _NTYPE_SECANT_STEPS, are bracketed secant steps that reuse the
-    lock values known at the bracket's ends: regula falsi with the Illinois
-    modification (Dowell & Jarratt, BIT 11 (1971) 168; an end kept by two
-    steps in a row has its value halved) gives a point, and 8 points half a
-    final width apart straddle it, so the step closes the bracket once the
-    point is within 3.5 final widths of the sign change.  The point always
-    lies in its bracket (the end values differ in sign) and is moved in far
-    enough for the straddle.  A bracket still wider than the final width,
-    one sample step over 16**_NTYPE_REFINE_STEPS, is finished by 16-part
-    cuts.  Within _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final width in
-    psi moves a root's angles, and its pulse area, by up to about 1e-8, so
-    there every step is a cut and the roots stay those of the cut sequence.
-    A root is the midpoint of its bracket.  Candidates come out in the
-    order k, m (the guess's pair last), psi.
+def _ntype_loop_brackets(b, guess=None):
+    """The sign changes of the lock along the loop, as brackets (k, m, left,
+    width, f_lo, f_hi), each (n, 1): the turns, the bracket [left, left +
+    width] in psi and the lock at its ends, in the order k, m (the guess's
+    pair last), psi.  The lock is sampled at _NTYPE_LOOP_POINTS points for
+    every turn pair (k, m) with k, m in _NTYPE_TURNS; with guess = (k, m,
+    points), also for the guess's turn pair, with the guess's points added
+    to the sample points.  For b2 = b4 = 0 the loop is one point, whose
+    sign changes are rounding: there are no brackets, and no lock call.
     """
+    if math.hypot(b[1], b[3]) == 0.0:
+        return (np.empty((0, 1)),) * 6
     step = 2 * math.pi / _NTYPE_LOOP_POINTS
     psi = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * step  # closed: last = first + 2 pi
     steps = np.full(_NTYPE_LOOP_POINTS, step)
@@ -327,24 +326,57 @@ def _ntype_loop_roots(b, guess=None) -> np.ndarray:
     f = _ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
     pos, finite = f > 0, np.isfinite(f)
     n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
-    k, m, sign = pairs[n, :1], pairs[n, 1:], pos[n, j, None]
-    # bracket [left, left + width], with the lock f_lo, f_hi at its ends
-    left, width = psi[j, None], steps[j, None]
-    f_lo, f_hi = f[n, j, None], f[n, j + 1, None]
-    final = step / 16.0**_NTYPE_REFINE_STEPS
+    return pairs[n, :1], pairs[n, 1:], psi[j, None], steps[j, None], f[n, j, None], f[n, j + 1, None]
+
+
+def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
+    """(theta1, theta2, gamma2(T)) (n, 3) at the lock's sign change in each
+    bracket of _ntype_loop_brackets, all refined at once.
+
+    Each refinement step evaluates the lock at a few points inside every
+    open bracket, in one call, and keeps the part between neighbouring
+    points where the sign first changes.  The first _NTYPE_CUTS steps cut
+    each bracket into 16 equal parts.  The next, at most
+    _NTYPE_SECANT_STEPS, are bracketed secant steps that reuse the lock
+    values known at the bracket's ends: regula falsi with the Illinois
+    modification (Dowell & Jarratt, BIT 11 (1971) 168; an end kept by two
+    steps in a row has its value halved) gives a point, and 8 points half a
+    final width apart straddle it, so the step closes the bracket once the
+    point is within 3.5 final widths of the sign change.  The point always
+    lies in its bracket (the end values differ in sign) and is moved in far
+    enough for the straddle.  A bracket still wider than the final width,
+    one sample step over 16**_NTYPE_REFINE_STEPS, is finished by 16-part
+    cuts.  Within _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final width in
+    psi moves a root's angles, and its pulse area, by up to about 1e-8, so
+    there every step is a cut and the roots stay those of the cut sequence.
+    A bracket stops once it is at most the final width, and its root is its
+    midpoint: each root depends on its own bracket alone, so refining the
+    brackets in parts gives the same roots.
+    """
+    final = 2 * math.pi / _NTYPE_LOOP_POINTS / 16.0**_NTYPE_REFINE_STEPS
     cut, straddle = np.arange(1, 16) / 16, np.arange(-3.5, 4.0)
     near_axis = max(abs(b)) ** 2 > 1.0 - _NTYPE_AXIS_DISTANCE**2
     secants = range(_NTYPE_CUTS, _NTYPE_CUTS + (0 if near_axis else _NTYPE_SECANT_STEPS))
-    r, kept = np.arange(len(left)), np.full(len(left), -1)  # the part each secant step kept
+    turns = 2 * math.pi * m[:, 0]  # added to gamma2(T)
+    sign, mid = f_lo > 0, np.empty_like(left)
+    kept = np.full(len(left), -1)  # the part each secant step kept
+    i = np.arange(len(left))  # the open brackets' rows
     # the cuts and secant steps, then at most the cuts a bracket still needs
     for n_step in range(_NTYPE_SECANT_STEPS + _NTYPE_REFINE_STEPS):
-        if width.max(initial=0.0) <= final:
+        done = width[:, 0] <= final
+        if done.all():
             break
+        if done.any():  # these brackets stop here
+            mid[i[done]] = left[done] + width[done] / 2
+            i, k, m, sign, left, width, f_lo, f_hi, kept = (
+                a[~done] for a in (i, k, m, sign, left, width, f_lo, f_hi, kept)
+            )
         secant = n_step in secants
+        right = left + width
         if secant:  # points half a final width apart, closer in a narrower bracket
             gap = np.minimum(final / 2, width / 8)
             x = left + width * (f_lo / (f_lo - f_hi))
-            x = np.fmin(np.fmax(x, left + 3.5 * gap), left + width - 3.5 * gap)
+            x = np.fmin(np.fmax(x, left + 3.5 * gap), right - 3.5 * gap)
             points = x + gap * straddle
             # Illinois: an end the last step kept counts half if this step keeps it too
             f_lo[kept == 0] /= 2
@@ -353,18 +385,30 @@ def _ntype_loop_roots(b, guess=None) -> np.ndarray:
             points = left + width * cut
         values = np.concatenate((f_lo, _ntype_lock(points, b, k, m), f_hi), axis=1)
         a = np.argmax((values[:, 1:] > 0) != sign, axis=1)  # the right end always flips
-        grid = np.concatenate((left, points, left + width), axis=1)
+        grid = np.concatenate((left, points, right), axis=1)
+        r = np.arange(len(a))
         left = grid[r, a, None]
         width = grid[r, a + 1, None] - left if secant else width / 16
         f_lo, f_hi = values[r, a, None], values[r, a + 1, None]
         kept = a if secant else kept
-    _, theta1, g2, theta2 = _ntype_loop(left[:, 0] + width[:, 0] / 2, b)
-    return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
+    mid[i] = left + width / 2
+    _, theta1, g2, theta2 = _ntype_loop(mid[:, 0], b)
+    return np.stack((theta1, theta2, g2 + turns), axis=1)
 
 
-def _ntype_axis_roots(b) -> np.ndarray:
+def _ntype_loop_roots(b, guess=None) -> np.ndarray:
+    """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
+    along the loop (_ntype_loop_brackets), refined all at once
+    (_ntype_refine); candidates come out in the order k, m (the guess's pair
+    last), psi."""
+    return _ntype_refine(b, *_ntype_loop_brackets(b, guess))
+
+
+def _ntype_axis_roots(b, unit=True, quarter=True) -> np.ndarray:
     """(theta1, theta2, gamma2(T)) (n, 3) of the root families the loop
-    cannot reach, where the lock rather than b sets one angle.
+    cannot reach, where the lock rather than b sets one angle: with unit,
+    the two families with one factor +-1, then with quarter the one with
+    both gamma_i(T) odd multiples of pi/2.
 
     One factor is +-1, gamma_i(T) = j pi: the other is (-1)^j b, which
     needs b3 = 0, and the lock sets theta_i, sin(theta_i) =
@@ -374,20 +418,23 @@ def _ntype_axis_roots(b) -> np.ndarray:
     vanish; the residual check decides.
     """
     b1, b2, b3, b4 = b
-    j = np.arange(-2.0, 3.0)[:, None]
-    sign = 1.0 - 2.0 * (j % 2)
-    g = np.arctan2(math.hypot(b2, b4), sign * b1) + 2 * math.pi * _NTYPE_TURNS
-    theta = np.arctan2(sign * b4, sign * b2)
-    free = np.where(j == 0, math.pi / 2, np.arcsin(-g * np.sin(theta) / (math.pi * j)))
-    unit_q = np.broadcast_arrays(free, theta, g)  # q = +-1
-    unit_p = np.broadcast_arrays(theta, free, math.pi * j)  # p = +-1
-    half = (np.arange(-2.0, 2.0) + 0.5) * math.pi
-    g1, g2 = half[:, None], half
-    s = np.sin(g1) * np.sin(g2)
-    delta = np.arctan2(s * b3, -s * b1)
-    theta2 = np.arctan2(-g1 * np.sin(delta), g1 * np.cos(delta) + g2)
-    quarter = np.broadcast_arrays(theta2 + delta, theta2, g2)
-    return np.concatenate([np.stack(f, axis=-1).reshape(-1, 3) for f in (unit_q, unit_p, quarter)])
+    families = []
+    if unit:
+        j = np.arange(-2.0, 3.0)[:, None]
+        sign = 1.0 - 2.0 * (j % 2)
+        g = np.arctan2(math.hypot(b2, b4), sign * b1) + 2 * math.pi * _NTYPE_TURNS
+        theta = np.arctan2(sign * b4, sign * b2)
+        free = np.where(j == 0, math.pi / 2, np.arcsin(-g * np.sin(theta) / (math.pi * j)))
+        families.append(np.broadcast_arrays(free, theta, g))  # q = +-1
+        families.append(np.broadcast_arrays(theta, free, math.pi * j))  # p = +-1
+    if quarter:
+        half = (np.arange(-2.0, 2.0) + 0.5) * math.pi
+        g1, g2 = half[:, None], half
+        s = np.sin(g1) * np.sin(g2)
+        delta = np.arctan2(s * b3, -s * b1)
+        theta2 = np.arctan2(-g1 * np.sin(delta), g1 * np.cos(delta) + g2)
+        families.append(np.broadcast_arrays(theta2 + delta, theta2, g2))
+    return np.concatenate([np.stack(f, axis=-1).reshape(-1, 3) for f in families])
 
 
 def _ntype_guess_points(b, gamma1: float, gamma2: float):
@@ -405,6 +452,29 @@ def _ntype_guess_points(b, gamma1: float, gamma2: float):
     return k, m, (np.array([[psi], [-psi]]) + [-_NTYPE_GUESS_OFFSET, _NTYPE_GUESS_OFFSET]).ravel()
 
 
+def _ntype_candidates(b, unit_b, loop, families):
+    """The candidates (theta1, theta2, gamma2(T)) (n, 3), thetas modulo 2 pi:
+    the loop roots, then the axis families chosen by families = (unit,
+    quarter); with gamma1(T), gamma2(T) and the residual |q p - b|, inf
+    where |sin(theta1)| < _NTYPE_MIN_SIN or the state is not finite."""
+    parts = [loop, _ntype_axis_roots(unit_b, *families)] if any(families) else [loop]
+    x = np.concatenate(parts)
+    x[:, :2] %= 2 * math.pi
+    t1, t2, g2 = x.T
+    sin1 = np.sin(t1)
+    g1 = -np.sin(t2) / sin1 * g2
+    state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
+    res = np.linalg.norm(state - b, axis=1)
+    res = np.where(np.isfinite(res) & (np.abs(sin1) >= _NTYPE_MIN_SIN), res, np.inf)
+    return x, g1, g2, res
+
+
+def _ntype_area(g1, g2, res):
+    """The pulse area |gamma1(T)| + |gamma2(T)| of each converged candidate,
+    inf for the others: the guess-free solve takes the first least."""
+    return np.where(res <= _NTYPE_RESIDUAL_TOL, np.abs(g1) + np.abs(g2), np.inf)
+
+
 def _ntype_root(b, guess) -> np.ndarray:
     """The chosen (theta1, theta2, gamma2(T)) of solve_ntype for a guess of
     three floats, or None."""
@@ -414,24 +484,35 @@ def _ntype_root(b, guess) -> np.ndarray:
         gamma_g = guess[2] * np.array([-np.sin(theta_g[1]) / np.sin(theta_g[0]), 1.0])
         if abs(np.sin(theta_g[0])) < _NTYPE_MIN_SIN or not np.isfinite(gamma_g[0]):
             guess = None  # a singular guess, or one whose gamma1(T) overflows
-    loop = np.empty((0, 3))
-    if math.hypot(unit_b[1], unit_b[3]) > 0.0:  # else the loop is one point
-        own = None if guess is None else _ntype_guess_points(unit_b, *gamma_g)
-        loop = _ntype_loop_roots(unit_b, own)
-    x = np.concatenate((loop, _ntype_axis_roots(unit_b)))
-    x[:, :2] %= 2 * math.pi
-    t1, t2, g2 = x.T
-    g1 = -np.sin(t2) / np.sin(t1) * g2
-    state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
-    res = np.linalg.norm(state - b, axis=1)
-    res = np.where(np.isfinite(res) & (np.abs(np.sin(t1)) >= _NTYPE_MIN_SIN), res, np.inf)
+    b1, b2, b3, b4 = unit_b.tolist()
+    families = (
+        abs(b1 * b3) <= _NTYPE_UNIT_REACH * (1.0 + abs(b1)),
+        math.hypot(b2, b4) <= _NTYPE_QUARTER_REACH,
+    )
+    if guess is None:
+        brackets = _ntype_loop_brackets(unit_b)
+        # |gamma + 2 pi t| >= 2 pi t for t >= 0, 2 pi |t| - pi for t < 0 (gamma in [0, pi])
+        k, m = brackets[0][:, 0], brackets[1][:, 0]
+        first = np.pi * (np.maximum(2 * k, -2 * k - 1) + np.maximum(2 * m, -2 * m - 1))
+        first = first < _NTYPE_STAGE_AREA
+        loop = _ntype_refine(unit_b, *(a[first] for a in brackets))
+        x, g1, g2, res = _ntype_candidates(b, unit_b, loop, families)
+        area = _ntype_area(g1, g2, res)
+        if area.min(initial=np.inf) < _NTYPE_STAGE_AREA - _NTYPE_STAGE_MARGIN:
+            return x[np.argmin(area)]
+        roots = np.empty((len(first), 3))  # every pair's roots, in the sample's order
+        roots[first], roots[~first] = loop, _ntype_refine(unit_b, *(a[~first] for a in brackets))
+    else:
+        roots = _ntype_loop_roots(unit_b, _ntype_guess_points(unit_b, *gamma_g))
+    x, g1, g2, res = _ntype_candidates(b, unit_b, roots, families)
     converged = np.flatnonzero(res <= _NTYPE_RESIDUAL_TOL)
-    if converged.size == 0:
+    if converged.size == 0:  # the least residual over every family
+        res = _ntype_candidates(b, unit_b, roots, (True, True))[3]
         raise NoSolutionFoundError(
             "N-type boundary-value solve did not converge", float(np.min(res))
         )
     if guess is None:
-        return x[converged[np.argmin((np.abs(g1) + np.abs(g2))[converged])]]
+        return x[np.argmin(_ntype_area(g1, g2, res))]
     # the rotation vectors gamma_i e^(i theta_i), equal for (gamma, theta)
     # and (-gamma, theta + pi), which give the same factor
     rotation = np.stack((g1, g2), axis=1) * np.exp(1j * x[:, :2])
@@ -458,11 +539,37 @@ def solve_ntype(
     lock is one scalar equation in gamma2(T).  Its sign changes along the
     loop, for gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in
     -1..1 (every root of pulse area at most 3 pi), are sampled at 128 points
-    and refined to brackets 2 pi / 128 / 16**11 wide (_ntype_loop_roots).
-    For b2 = b4 = 0 the loop is one point, whose sign changes are rounding,
-    and it is skipped.  The axis families (_ntype_axis_roots) join the loop
-    roots.  A candidate converges if its residual |q p - b| is at most
-    _NTYPE_RESIDUAL_TOL = 1e-8 and |sin(theta1)| >= 1e-6.
+    (_ntype_loop_brackets) and refined to brackets 2 pi / 128 / 16**11 wide
+    (_ntype_refine); each bracket stops at that width, so its root does not
+    depend on which other brackets are refined with it.  For b2 = b4 = 0 the
+    loop is one point, whose sign changes are rounding, and it is skipped.
+    The axis families (_ntype_axis_roots) join the loop roots.  A candidate
+    converges if its residual |q p - b| is at most _NTYPE_RESIDUAL_TOL =
+    1e-8 and |sin(theta1)| >= 1e-6.
+
+    An axis family is built only where its candidates can converge.  A
+    q = +-1 candidate has q = +-exp(delta n1), delta its lock-derived
+    gamma1(T) less j pi, and p = +-(b1, b2, 0, b4) / |(b1, b2, b4)|.  Its
+    state cos(delta) p + sin(delta) n1 p differs from b, in components 1,
+    2, 4, by a part orthogonal to p of norm at least |b1 sin(delta)|, and in
+    component 3 by at least |b3| - |sin(delta)|: a residual r needs |b1 b3|
+    <= r (1 + |b1|).  A p = +-1 candidate's third component is below 4e-16.
+    Both families are built when |b1 b3| <= (1e-8 + 1e-15) (1 + |b1|),
+    1e-15 covering the rounding of the state.  An odd-pi/2 candidate's
+    components 2 and 4 have norm at most |sin(delta)| + 5e-16, delta the
+    rounding of the lock's gamma1(T), about 1e-14 / |sin(theta1)| <= 1e-8:
+    the family is built when hypot(b2, b4) <= 2e-8 + 1e-15.  A failed solve
+    builds every family, for its least residual.
+
+    With gamma_i(psi) in [0, pi] on the loop, |gamma_i(psi) + 2 pi t| is at
+    least 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0: only the turn pairs
+    (0, 0), (-1, 0) and (0, -1) can hold a root of pulse area below 2 pi.  A
+    solve with no guess refines their brackets first, and the other six
+    pairs' brackets, from the same sample, only if no converged candidate
+    has an area below 2 pi - 1e-6 (a converged root's lock-derived gamma1(T)
+    is off by about its residual); it then picks among every candidate, in
+    the order below.  Either way it returns the root of the search over
+    every pair, bit for bit.
 
     initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
     (ValueError otherwise), selects a root; it is not a start point.  The

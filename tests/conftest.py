@@ -201,30 +201,15 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     return tuple(sorted(block_angles))
 
 
-def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
-    """The N-type loop search's candidates with every bracket refined by
-    16-part cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part
-    where the lock's sign first changes, and the root at the midpoint of the
-    last part.  An oracle for _ntype_loop_roots, whose secant steps end each
-    bracket at most as wide; the same candidates in the same order, for the
-    turn pairs (k, m) in _NTYPE_TURNS squared and, with guess = (k, m,
-    points), the guess's pair, on the samples with its points added."""
+def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
+    """The N-type brackets of _ntype_loop_brackets refined by 16-part cuts
+    alone: _NTYPE_REFINE_STEPS times, each keeping the part where the lock's
+    sign first changes, and the root at the midpoint of the last part.  An
+    oracle for _ntype_refine, whose secant steps end each bracket at most
+    as wide; the same candidates in the same order."""
     solvers = fourlevel.solvers
-    pairs = [(k, m) for k in solvers._NTYPE_TURNS for m in solvers._NTYPE_TURNS]
-    step = 2 * math.pi / solvers._NTYPE_LOOP_POINTS
-    psi = (np.arange(solvers._NTYPE_LOOP_POINTS + 1) + 0.5) * step
-    width = np.full(solvers._NTYPE_LOOP_POINTS, step)
-    if guess is not None:
-        k, m, points = guess
-        pairs.append((k, m))
-        psi = np.sort(np.concatenate((psi, (np.asarray(points) - psi[0]) % (2 * math.pi) + psi[0])))
-        width = np.diff(psi)
-    pairs = np.array(pairs)
-    f = solvers._ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
-    pos, finite = f > 0, np.isfinite(f)
-    n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
-    k, m, sign = pairs[n, :1], pairs[n, 1:], pos[n, j, None]
-    left, width, cut = psi[j], width[j], np.arange(1, 16) / 16
+    left, width, sign = left[:, 0], width[:, 0], f_lo > 0
+    cut = np.arange(1, 16) / 16
     for _ in range(solvers._NTYPE_REFINE_STEPS):
         flip = (solvers._ntype_lock(left[:, None] + width[:, None] * cut, b, k, m) > 0) != sign
         flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
@@ -232,6 +217,39 @@ def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
         width = width / 16
     _, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, b)
     return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
+
+
+def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
+    """The N-type loop search's candidates with every bracket refined by
+    16-part cuts alone (ntype_cut_refine): an oracle for _ntype_loop_roots,
+    for the turn pairs (k, m) in _NTYPE_TURNS squared and, with guess = (k,
+    m, points), the guess's pair, on the samples with its points added."""
+    return ntype_cut_refine(b, *fourlevel.solvers._ntype_loop_brackets(b, guess))
+
+
+def ntype_all_pairs_root(b) -> AnglePair:
+    """The guess-free N-type boundary of the search over every turn pair at
+    once and every axis family: _ntype_loop_roots then _ntype_axis_roots,
+    and the converged candidate (residual at most 1e-8, |sin(theta1)| >=
+    _NTYPE_MIN_SIN) of least pulse area, ties going to the earlier one;
+    NoSolutionFoundError with the least residual over every candidate if
+    none converges.  The reference that solve_ntype's staged search equals
+    bit for bit."""
+    solvers = fourlevel.solvers
+    b = np.asarray(b, dtype=float)
+    unit_b = b / np.linalg.norm(b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.concatenate((solvers._ntype_loop_roots(unit_b), solvers._ntype_axis_roots(unit_b)))
+        x[:, :2] %= 2 * math.pi
+        t1, t2, g2 = x.T
+        g1 = -np.sin(t2) / np.sin(t1) * g2
+        state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
+        res = np.linalg.norm(state - b, axis=1)
+    res[~(np.isfinite(res) & (np.abs(np.sin(t1)) >= solvers._NTYPE_MIN_SIN))] = np.inf
+    if not np.any(res <= 1e-8):
+        raise NoSolutionFoundError("N-type boundary-value solve did not converge", float(np.min(res)))
+    area = np.where(res <= 1e-8, np.abs(g1) + np.abs(g2), np.inf)
+    return ntype_boundary(*(float(v) for v in x[np.argmin(area)]))
 
 
 #: N-type Levenberg-Marquardt iteration cap and initial damping

@@ -33,9 +33,11 @@ from fourlevel.solvers import (
 
 from conftest import (
     hr_numeric,
+    ntype_all_pairs_root,
     ntype_boundary,
     ntype_converged_candidates,
     ntype_cut_loop_roots,
+    ntype_cut_refine,
     ntype_lm,
     ntype_single_batch_root,
     rotation_distance,
@@ -446,7 +448,7 @@ class TestSolveNType:
             b = b + 10.0 ** rng.uniform(-16, -3) * rng.normal(size=4)
             targets.append(b / np.linalg.norm(b))
         roots = [near_axis_root(b) for b in targets]
-        monkeypatch.setattr(fourlevel.solvers, "_ntype_loop_roots", ntype_cut_loop_roots)
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", ntype_cut_refine)
         cut_roots = [near_axis_root(b) for b in targets]
         assert sum(root is None for root in cut_roots) == 31
         for root, cut_root in zip(roots, cut_roots):
@@ -465,7 +467,7 @@ class TestSolveNType:
             found = [fourlevel.solvers._ntype_loop_roots(t.b) for t in targets]
             expected = [ntype_cut_loop_roots(t.b) for t in targets]
         roots = [solve_ntype(t).boundary for t in targets]
-        monkeypatch.setattr(fourlevel.solvers, "_ntype_loop_roots", ntype_cut_loop_roots)
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", ntype_cut_refine)
         for target, x, y, root in zip(targets, found, expected, roots):
             assert x.shape == y.shape
             assert np.max(np.abs(turn(x[:, :2] - y[:, :2])), initial=0.0) <= 1e-10
@@ -524,6 +526,103 @@ class TestSolveNType:
         )
         assert np.linalg.norm(final_state(solved.boundary) - target.b) < 1e-15
 
+    @pytest.mark.parametrize("kind", ["random", "near_axis", "b3_to_zero", "b2_b4_to_zero"])
+    def test_staged_solve_equals_the_all_pairs_oracle(self, kind, monkeypatch):
+        # 520 seeded targets of each kind: the guess-free solve refines the
+        # turn pairs of area bound below 2 pi first and builds an axis family
+        # only where it can converge, yet returns the boundary of the search
+        # over every pair and family bit for bit, and on a failure the same
+        # least residual; forcing the second stage (no pair in the first)
+        # changes no bit either
+        targets = ntype_stress_targets(kind, 520, np.random.default_rng(18))
+        expected = [all_pairs_outcome(b) for b in targets]
+        assert [staged_outcome(b) for b in targets] == expected
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_AREA", 0.0)
+        assert [staged_outcome(b) for b in targets[::2]] == expected[::2]
+
+    def test_second_stage_runs_only_without_a_small_area_root(self, monkeypatch):
+        # the six pairs of area bound >= 2 pi are refined only for a target
+        # whose converged candidates all have an area near 2 pi or more, or
+        # that has none: never on 200 random targets, and on a failure
+        refined = []
+        refine = fourlevel.solvers._ntype_refine
+
+        def spy(b, k, m, *brackets):
+            refined.append({(float(t), float(u)) for t, u in zip(k[:, 0], m[:, 0])})
+            return refine(b, k, m, *brackets)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", spy)
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            solve_ntype(random_target(rng))
+        assert len(refined) == 200
+        assert set().union(*refined) <= {(-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)}
+        refined.clear()
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_REFINE_STEPS", 0)
+        with pytest.raises(NoSolutionFoundError):
+            solve_ntype(TargetSpec(np.full(4, 0.5)))
+        assert len(refined) == 2
+        assert refined[1].isdisjoint({(-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)})
+
+    def test_second_stage_keeps_the_all_pairs_order(self, monkeypatch):
+        # with no first-stage root accepted, the second stage hands on every
+        # pair's roots in the order of the search over all pairs at once, bit
+        # for bit: ties and the best residual of a failure come out the same
+        loops = []
+        candidates = fourlevel.solvers._ntype_candidates
+
+        def spy(b, unit_b, loop, families):
+            loops.append(loop)
+            return candidates(b, unit_b, loop, families)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_candidates", spy)
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_MARGIN", math.inf)
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            target = random_target(rng)
+            solve_ntype(target)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                expected = fourlevel.solvers._ntype_loop_roots(target.b / np.linalg.norm(target.b))
+            assert len(loops) == 2 and 0 < len(loops[0]) < len(loops[1])
+            assert np.array_equal(loops[1], expected, equal_nan=True)
+            loops.clear()
+
+    def test_axis_families_only_where_reachable(self, monkeypatch):
+        # _ntype_axis_roots runs for no generic target; for b3 = 0 it builds
+        # the q = +-1 and p = +-1 families, for b2 = b4 = 0 the odd-pi/2 one
+        calls = []
+        axis = fourlevel.solvers._ntype_axis_roots
+
+        def spy(b, *families):
+            calls.append(families)
+            return axis(b, *families)
+
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_axis_roots", spy)
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            solve_ntype(random_target(rng))
+        assert calls == []
+        solve_ntype(TargetSpec(np.array([0.5, 0.5, 0.0, math.sqrt(0.5)])))
+        assert calls == [(True, False)]
+        calls.clear()
+        solve_ntype(TargetSpec(np.array([0.6, 0.0, 0.8, 0.0])))
+        assert calls == [(False, True)]
+
+    def test_reachability_changes_no_axis_root(self, monkeypatch):
+        # 305 targets with b2 = b4 = 0 (+-e1, +-e3, (0.6, 0, 0.8, 0) and 300
+        # of the form (cos a, 0, sin a, 0), every other one with a random
+        # guess), where every root comes from an axis family: the roots are
+        # those of the solve that builds every family, bit for bit
+        rng = np.random.default_rng(21)
+        targets = [np.eye(4)[0], -np.eye(4)[0], np.eye(4)[2], -np.eye(4)[2], np.array([0.6, 0, 0.8, 0])]
+        targets += [np.array([math.cos(a), 0.0, math.sin(a), 0.0]) for a in rng.uniform(0, 2 * math.pi, 300)]
+        guesses = [tuple(rng.uniform(-7.0, 7.0, 3)) if i % 2 else None for i in range(len(targets))]
+        cases = list(zip(targets, guesses))
+        roots = [solve_ntype(TargetSpec(b), initial_guess=g).boundary for b, g in cases]
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_UNIT_REACH", math.inf)
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_QUARTER_REACH", math.inf)
+        assert [solve_ntype(TargetSpec(b), initial_guess=g).boundary for b, g in cases] == roots
+
     def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
         # a lock exp(2000 (psi - psi0)) - 1 bends across the bracket that the
         # cuts leave, so plain regula falsi keeps its steep end and creeps;
@@ -542,6 +641,39 @@ class TestSolveNType:
         assert points == [129, 15, 15, 15, 8, 8, 8, 8]
         assert roots.shape == (1, 3)
         assert abs(roots[0, 0] - psi0) <= 2 * math.pi / 128 / 16**11
+
+
+def ntype_stress_targets(kind, n, rng) -> list[np.ndarray]:
+    """n seeded unit targets: random, +-e_k plus noise of size 10^U(-16, -3),
+    or random with b3, or b2 and b4 together, scaled by 10^U(-16, -3) (every
+    eighth exactly 0)."""
+    targets = []
+    for i in range(n):
+        b, scale = rng.normal(size=4), 0.0 if i % 8 == 0 else 10.0 ** rng.uniform(-16, -3)
+        if kind == "near_axis":
+            b = np.eye(4)[i % 4] * (1.0 if i % 8 < 4 else -1.0) + 10.0 ** rng.uniform(-16, -3) * b
+        elif kind == "b3_to_zero":
+            b[2] *= scale
+        elif kind == "b2_b4_to_zero":
+            b[[1, 3]] *= scale
+        targets.append(b / np.linalg.norm(b))
+    return targets
+
+
+def staged_outcome(b):
+    """solve_ntype's boundary for b, or its best residual if it fails."""
+    try:
+        return solve_ntype(TargetSpec(b)).boundary
+    except NoSolutionFoundError as exc:
+        return exc.best_residual
+
+
+def all_pairs_outcome(b):
+    """ntype_all_pairs_root's boundary for b, or its best residual."""
+    try:
+        return ntype_all_pairs_root(b)
+    except NoSolutionFoundError as exc:
+        return exc.best_residual
 
 
 def near_axis_root(b):
