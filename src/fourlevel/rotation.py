@@ -153,9 +153,15 @@ def ur_of_angles(a: AnglePair) -> np.ndarray:
     return np.swapaxes(u.reshape(u.shape[:-1] + (4, 4)), -1, -2)
 
 
+def state_components(a: AnglePair) -> tuple:
+    """The four components of U_r e_1 = q p, unstacked: floats for an
+    AnglePair of floats, arrays of the angles' shape for one of arrays."""
+    return hamilton(*_quat_pair(a))
+
+
 def final_state(a: AnglePair) -> np.ndarray:
     """U_r e_1 = q p: the real state reached from level 1, shape (..., 4)."""
-    return _stack_last(hamilton(*_quat_pair(a)))
+    return _stack_last(state_components(a))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:

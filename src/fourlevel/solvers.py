@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quat4 import hamilton
-from .rotation import AnglePair, CosineRamp, _quat_pair, final_state
+from .rotation import AnglePair, CosineRamp, final_state, state_components
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
@@ -250,7 +249,7 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
 
     best, best_res = None, math.inf
     for cand in candidates:
-        res = math.dist(hamilton(*_quat_pair(cand)), b)  # |final_state(cand) - b|
+        res = math.dist(state_components(cand), b)  # |final_state(cand) - b|, on floats
         if res < best_res:
             best, best_res = cand, res
     if best_res > 1e-9:
@@ -396,15 +395,7 @@ def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
     return np.stack((theta1, theta2, g2 + turns), axis=1)
 
 
-def _ntype_loop_roots(b, guess=None) -> np.ndarray:
-    """(theta1, theta2, gamma2(T)) (n, 3) at every sign change of the lock
-    along the loop (_ntype_loop_brackets), refined all at once
-    (_ntype_refine); candidates come out in the order k, m (the guess's pair
-    last), psi."""
-    return _ntype_refine(b, *_ntype_loop_brackets(b, guess))
-
-
-def _ntype_axis_roots(b, unit=True, quarter=True) -> np.ndarray:
+def _ntype_axis_roots(b, unit: bool, quarter: bool) -> np.ndarray:
     """(theta1, theta2, gamma2(T)) (n, 3) of the root families the loop
     cannot reach, where the lock rather than b sets one angle: with unit,
     the two families with one factor +-1, then with quarter the one with
@@ -503,7 +494,7 @@ def _ntype_root(b, guess) -> np.ndarray:
         roots = np.empty((len(first), 3))  # every pair's roots, in the sample's order
         roots[first], roots[~first] = loop, _ntype_refine(unit_b, *(a[~first] for a in brackets))
     else:
-        roots = _ntype_loop_roots(unit_b, _ntype_guess_points(unit_b, *gamma_g))
+        roots = _ntype_refine(unit_b, *_ntype_loop_brackets(unit_b, _ntype_guess_points(unit_b, *gamma_g)))
     x, g1, g2, res = _ntype_candidates(b, unit_b, roots, families)
     converged = np.flatnonzero(res <= _NTYPE_RESIDUAL_TOL)
     if converged.size == 0:  # the least residual over every family

@@ -201,12 +201,40 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     return tuple(sorted(block_angles))
 
 
+def ntype_loop_brackets(b, guess=None):
+    """The N-type lock's sign changes along the loop, sampled here: an oracle
+    for _ntype_loop_brackets, with the same brackets (k, m, left, width,
+    f_lo, f_hi), each (n, 1).  The lock at 129 points psi = (j + 1/2) 2 pi
+    / 128, j = 0..128, for the turn pairs (k, m) in _NTYPE_TURNS squared,
+    in that order, and with guess = (k, m, points), the guess's pair last,
+    with its points merged into the sample modulo 2 pi; a bracket between
+    neighbouring samples with finite lock values of opposite sign.  For
+    b2 = b4 = 0 the loop is one point and there are no brackets."""
+    solvers = fourlevel.solvers
+    if math.hypot(b[1], b[3]) == 0.0:
+        return (np.empty((0, 1)),) * 6
+    pairs = [(k, m) for k in solvers._NTYPE_TURNS for m in solvers._NTYPE_TURNS]
+    step = 2 * math.pi / solvers._NTYPE_LOOP_POINTS
+    psi = (np.arange(solvers._NTYPE_LOOP_POINTS + 1) + 0.5) * step
+    width = np.full(solvers._NTYPE_LOOP_POINTS, step)
+    if guess is not None:
+        k, m, points = guess
+        pairs.append((k, m))
+        psi = np.sort(np.concatenate((psi, (np.asarray(points) - psi[0]) % (2 * math.pi) + psi[0])))
+        width = np.diff(psi)
+    pairs = np.array(pairs)
+    f = solvers._ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
+    pos, finite = f > 0, np.isfinite(f)
+    n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
+    return pairs[n, :1], pairs[n, 1:], psi[j, None], width[j, None], f[n, j, None], f[n, j + 1, None]
+
+
 def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
-    """The N-type brackets of _ntype_loop_brackets refined by 16-part cuts
-    alone: _NTYPE_REFINE_STEPS times, each keeping the part where the lock's
-    sign first changes, and the root at the midpoint of the last part.  An
-    oracle for _ntype_refine, whose secant steps end each bracket at most
-    as wide; the same candidates in the same order."""
+    """N-type brackets (k, m, left, width, f_lo, f_hi) refined by 16-part
+    cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part where the
+    lock's sign first changes, and the root at the midpoint of the last
+    part.  An oracle for _ntype_refine, whose secant steps end each bracket
+    at most as wide; the same candidates in the same order."""
     solvers = fourlevel.solvers
     left, width, sign = left[:, 0], width[:, 0], f_lo > 0
     cut = np.arange(1, 16) / 16
@@ -220,26 +248,26 @@ def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
 
 
 def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
-    """The N-type loop search's candidates with every bracket refined by
-    16-part cuts alone (ntype_cut_refine): an oracle for _ntype_loop_roots,
-    for the turn pairs (k, m) in _NTYPE_TURNS squared and, with guess = (k,
-    m, points), the guess's pair, on the samples with its points added."""
-    return ntype_cut_refine(b, *fourlevel.solvers._ntype_loop_brackets(b, guess))
+    """The N-type loop search's candidates from this module's own sample
+    (ntype_loop_brackets), every bracket refined by 16-part cuts alone
+    (ntype_cut_refine): an oracle for the library's loop search."""
+    return ntype_cut_refine(b, *ntype_loop_brackets(b, guess))
 
 
 def ntype_all_pairs_root(b) -> AnglePair:
     """The guess-free N-type boundary of the search over every turn pair at
-    once and every axis family: _ntype_loop_roots then _ntype_axis_roots,
-    and the converged candidate (residual at most 1e-8, |sin(theta1)| >=
-    _NTYPE_MIN_SIN) of least pulse area, ties going to the earlier one;
-    NoSolutionFoundError with the least residual over every candidate if
-    none converges.  The reference that solve_ntype's staged search equals
-    bit for bit."""
+    once and every axis family: this module's sample (ntype_loop_brackets)
+    refined by _ntype_refine, then _ntype_axis_roots, and the converged
+    candidate (residual at most 1e-8, |sin(theta1)| >= _NTYPE_MIN_SIN) of
+    least pulse area, ties going to the earlier one; NoSolutionFoundError
+    with the least residual over every candidate if none converges.  The
+    reference that solve_ntype's staged search equals bit for bit."""
     solvers = fourlevel.solvers
     b = np.asarray(b, dtype=float)
     unit_b = b / np.linalg.norm(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.concatenate((solvers._ntype_loop_roots(unit_b), solvers._ntype_axis_roots(unit_b)))
+        loop = solvers._ntype_refine(unit_b, *ntype_loop_brackets(unit_b))
+        x = np.concatenate((loop, solvers._ntype_axis_roots(unit_b, True, True)))
         x[:, :2] %= 2 * math.pi
         t1, t2, g2 = x.T
         g1 = -np.sin(t2) / np.sin(t1) * g2
@@ -348,7 +376,7 @@ def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list[AnglePair]:
     points = (np.outer([psi, -psi], [1.0, 1.0]) + [-1e-6, 1e-6]).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         loop = ntype_cut_loop_roots(b, (k, m, points))
-        x = np.concatenate((loop, fourlevel.solvers._ntype_axis_roots(b)))
+        x = np.concatenate((loop, fourlevel.solvers._ntype_axis_roots(b, True, True)))
         found = []
         for theta1, theta2, gamma2 in x.tolist():
             if abs(math.sin(theta1)) < fourlevel.solvers._NTYPE_MIN_SIN:

@@ -357,7 +357,7 @@ class TestSolveNType:
         guess = (5.355490075442916, 1.6884535704496506, 3.163628227043148)
         b = ntype_state(*guess)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            free = fourlevel.solvers._ntype_loop_roots(b)
+            free = loop_roots(b)
         assert np.min(np.abs(turn(free[:, :2] - guess[:2])).max(axis=1)) > 0.01
         solved = solve_ntype(TargetSpec(b), initial_guess=guess).boundary
         assert same_root(solved, ntype_boundary(*guess), 1e-10)
@@ -464,7 +464,7 @@ class TestSolveNType:
         rng = np.random.default_rng(14)
         targets = [random_target(rng) for _ in range(200)]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            found = [fourlevel.solvers._ntype_loop_roots(t.b) for t in targets]
+            found = [loop_roots(t.b) for t in targets]
             expected = [ntype_cut_loop_roots(t.b) for t in targets]
         roots = [solve_ntype(t).boundary for t in targets]
         monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", ntype_cut_refine)
@@ -536,9 +536,9 @@ class TestSolveNType:
         # changes no bit either
         targets = ntype_stress_targets(kind, 520, np.random.default_rng(18))
         expected = [all_pairs_outcome(b) for b in targets]
-        assert [staged_outcome(b) for b in targets] == expected
+        assert [solve_outcome(b) for b in targets] == expected
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_AREA", 0.0)
-        assert [staged_outcome(b) for b in targets[::2]] == expected[::2]
+        assert [solve_outcome(b) for b in targets[::2]] == expected[::2]
 
     def test_second_stage_runs_only_without_a_small_area_root(self, monkeypatch):
         # the six pairs of area bound >= 2 pi are refined only for a target
@@ -582,7 +582,7 @@ class TestSolveNType:
             target = random_target(rng)
             solve_ntype(target)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                expected = fourlevel.solvers._ntype_loop_roots(target.b / np.linalg.norm(target.b))
+                expected = loop_roots(target.b / np.linalg.norm(target.b))
             assert len(loops) == 2 and 0 < len(loops[0]) < len(loops[1])
             assert np.array_equal(loops[1], expected, equal_nan=True)
             loops.clear()
@@ -610,18 +610,21 @@ class TestSolveNType:
 
     def test_reachability_changes_no_axis_root(self, monkeypatch):
         # 305 targets with b2 = b4 = 0 (+-e1, +-e3, (0.6, 0, 0.8, 0) and 300
-        # of the form (cos a, 0, sin a, 0), every other one with a random
-        # guess), where every root comes from an axis family: the roots are
-        # those of the solve that builds every family, bit for bit
+        # of the form (cos a, 0, sin a, 0)), where every root comes from an
+        # axis family, and 200 each of b3 -> 0 and random targets, every
+        # other one with a random guess: the roots, or the best residual of
+        # a failure, are those of the solve that builds every family, bit
+        # for bit, with a guess too
         rng = np.random.default_rng(21)
         targets = [np.eye(4)[0], -np.eye(4)[0], np.eye(4)[2], -np.eye(4)[2], np.array([0.6, 0, 0.8, 0])]
         targets += [np.array([math.cos(a), 0.0, math.sin(a), 0.0]) for a in rng.uniform(0, 2 * math.pi, 300)]
+        targets += ntype_stress_targets("b3_to_zero", 200, rng) + ntype_stress_targets("random", 200, rng)
         guesses = [tuple(rng.uniform(-7.0, 7.0, 3)) if i % 2 else None for i in range(len(targets))]
         cases = list(zip(targets, guesses))
-        roots = [solve_ntype(TargetSpec(b), initial_guess=g).boundary for b, g in cases]
+        roots = [solve_outcome(b, g) for b, g in cases]
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_UNIT_REACH", math.inf)
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_QUARTER_REACH", math.inf)
-        assert [solve_ntype(TargetSpec(b), initial_guess=g).boundary for b, g in cases] == roots
+        assert [solve_outcome(b, g) for b, g in cases] == roots
 
     def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
         # a lock exp(2000 (psi - psi0)) - 1 bends across the bracket that the
@@ -637,7 +640,7 @@ class TestSolveNType:
 
         monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", lock)
         monkeypatch.setattr(fourlevel.solvers, "_ntype_loop", lambda psi, b: (psi,) * 4)
-        roots = fourlevel.solvers._ntype_loop_roots(np.full(4, 0.5))
+        roots = loop_roots(np.full(4, 0.5))
         assert points == [129, 15, 15, 15, 8, 8, 8, 8]
         assert roots.shape == (1, 3)
         assert abs(roots[0, 0] - psi0) <= 2 * math.pi / 128 / 16**11
@@ -660,12 +663,19 @@ def ntype_stress_targets(kind, n, rng) -> list[np.ndarray]:
     return targets
 
 
-def staged_outcome(b):
+def solve_outcome(b, guess=None):
     """solve_ntype's boundary for b, or its best residual if it fails."""
     try:
-        return solve_ntype(TargetSpec(b)).boundary
+        return solve_ntype(TargetSpec(b), initial_guess=guess).boundary
     except NoSolutionFoundError as exc:
         return exc.best_residual
+
+
+def loop_roots(b):
+    """The library's guess-free loop search over every turn pair at once:
+    _ntype_loop_brackets, refined by _ntype_refine."""
+    solvers = fourlevel.solvers
+    return solvers._ntype_refine(b, *solvers._ntype_loop_brackets(b))
 
 
 def all_pairs_outcome(b):
