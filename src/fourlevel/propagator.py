@@ -9,11 +9,26 @@ broadcast multiply-adds.  A real symmetric H (real dtype) keeps its powers
 and Horner stage in real arithmetic.  The truncation error is below 2^-53,
 so each step map is unitary to rounding and the norm is conserved to
 machine precision.
+
+The step kernel (_matmul, _taylor, _step_exponentials, _scan and the
+Magnus product between them) allocates no stack-sized array after its
+first call on a thread: its powers, accumulators, product terms,
+squarings and scan blocks are views into a workspace that each thread
+keeps for its life (threading.local).  The workspace is a few flat
+float64 buffers, each grown only when a larger stack arrives; through
+propagate it holds one _CHUNK chunk at most, 4,530,176 bytes (4.3 MiB)
+per thread.  It stays resident because a fresh temporary of this size
+comes back from the allocator as untouched pages, a minor page fault per
+4 KiB at about 2-3 us each (2-core VM): with fresh temporaries the kernel
+took 4,280 of the 7,372 faults of a warm in-process round of the ten
+bundled CLI commands.  The products and sums run in the same order either
+way, so the states are the same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +38,7 @@ from .hamiltonian import analytic_evolution
 from .rotation import _UPPER
 
 DEFAULT_STEPS = 2000
-_CHUNK = 1024  # steps per chunk: bounds the temporaries of exponentials and scan
+_CHUNK = 1024  # steps per chunk: bounds the workspace of exponentials and scan
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _W_PLUS = 0.25 + _GAUSS_OFFSET
 _W_MINUS = 0.25 - _GAUSS_OFFSET
@@ -74,11 +89,38 @@ def _check_hermitian(h: np.ndarray, times: np.ndarray, atol: float = 1e-9) -> No
         )
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of two stacks of 4x4 matrices in the (4, 4, ...) layout."""
-    out = a[:, 0, None] * b[0]
+# Workspace slots.  _step_exponentials leaves its result in _ACC, _SPARE,
+# _X or the first power slot; the Magnus product then overwrites _STACK,
+# whose H stack is spent.  _TERM holds nothing between products.
+_STACK, _X, _TERM, _ACC, _SPARE, _PREFIX, _STEP, _STATES = range(8)
+_POWERS = (8, 9, 10)  # X^2..X^p, p <= 4
+
+
+class _Workspace(threading.local):
+    """The step kernel's scratch arrays, one set per thread, kept between
+    calls.  Each slot is a flat float64 buffer."""
+
+    def __init__(self):
+        self.buffers = [np.empty(0)] * (max(_POWERS) + 1)
+
+    def view(self, slot: int, shape: tuple, dtype) -> np.ndarray:
+        """A C-ordered array of this shape and dtype at the head of the slot's
+        buffer, which grows only when it is too small; its values are stale."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+        if self.buffers[slot].size < size:
+            self.buffers[slot] = np.empty(size)
+        return self.buffers[slot][:size].view(dtype).reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Products of two stacks of 4x4 matrices in the (4, 4, ...) layout,
+    written to out through the term buffer; neither may overlap a or b."""
+    np.multiply(a[:, 0, None], b[0], out=out)
     for k in range(1, 4):
-        out += a[:, k, None] * b[k]
+        out += np.multiply(a[:, k, None], b[k], out=term)
     return out
 
 
@@ -112,26 +154,32 @@ def _taylor(x: np.ndarray, m: int, parts: int, coefficient) -> list[np.ndarray]:
     coefficient(k) gives the part that takes the term of degree k and c_k.
     Paterson-Stockmeyer: with p = ceil(sqrt(m)) this takes the powers
     x^2..x^p and runs Horner's rule in x^p over blocks of p terms, top block
-    first.  Each part is one accumulator.
+    first.  Each part is one accumulator, a view into the workspace.
     """
+    ws = _WORKSPACE
+    term = ws.view(_TERM, x.shape, x.dtype)
     p = math.isqrt(m - 1) + 1
     powers = [None, x]  # x^1..x^p; x^0 goes on the diagonal
-    for _ in range(p - 1):
-        powers.append(_matmul(powers[-1], x))
+    for slot in _POWERS[: p - 1]:
+        powers.append(_matmul(powers[-1], x, ws.view(slot, x.shape, x.dtype), term))
     q, rem = divmod(m, p)
     top = []
     if not rem:  # the top block is c_m x^0 alone: c_m x^p heads the block below
         q, top = q - 1, [(p, m)]
-    acc = [np.zeros_like(x) for _ in range(parts)]
+    acc = ws.view(_ACC, (parts, *x.shape), x.dtype)
+    acc.fill(0.0)
+    acc, spare = list(acc), list(ws.view(_SPARE, (parts, *x.shape), x.dtype))
     for j in range(q, -1, -1):
         if j < q:
-            acc = [_matmul(a, powers[p]) for a in acc]
+            for n in range(parts):
+                acc[n], spare[n] = _matmul(acc[n], powers[p], spare[n], term), acc[n]
         block = [(i, j * p + i) for i in range(1, min(p, m - j * p + 1))]
         for i, k in (top if j == q else []) + block:
             part, c = coefficient(k)
-            acc[part] += powers[i] * c
+            acc[part] += np.multiply(powers[i], c, out=term)
         part, c = coefficient(j * p)
-        acc[part][range(4), range(4)] += c
+        for d in range(4):
+            acc[part][d, d] += c
     return acc
 
 
@@ -144,26 +192,36 @@ def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     keeps its powers real: the terms (-i)^k Y^k / k! of Y = dt H / 2^s go
     to the even part C and the odd part S in real products, with Horner's
     rule in Y^p, and exp(-iY) = C - iS, equal to the complex result bit for
-    bit.  The result is squared s times.
+    bit.  The result is squared s times.  It is a view into this thread's
+    workspace, valid until the kernel's next call on the thread.
     """
+    ws = _WORKSPACE
+    x = ws.view(_X, h.shape, h.dtype)
     with np.errstate(over="ignore"):  # an overflow is rejected below
-        r = dt * float(np.max(np.linalg.norm(h, axis=(0, 1))))
+        # np.linalg.norm(h, axis=(0, 1)): the same operations, in x
+        conj = np.conjugate(h, out=x) if np.iscomplexobj(h) else h
+        square = np.multiply(conj, h, out=x).real
+        r = dt * float(np.max(np.sqrt(np.add.reduce(square, axis=(0, 1)))))
     m, s = _taylor_degree(r)
     if np.iscomplexobj(h):
-        (e,) = _taylor(h * (-1j * dt / 2.0**s), m, 1, lambda k: (0, 1.0 / math.factorial(k)))
+        x = np.multiply(h, -1j * dt / 2.0**s, out=x)
+        (e,) = _taylor(x, m, 1, lambda k: (0, 1.0 / math.factorial(k)))
+        spare = ws.view(_X, h.shape, complex)  # x is spent
     else:
         # (-i)^k = (-1)^(k // 2) for even k, -i (-1)^(k // 2) for odd k
         c, odd = _taylor(
-            h * (dt / 2.0**s),
+            np.multiply(h, dt / 2.0**s, out=x),
             m,
             2,
             lambda k: (k % 2, (-1.0 if k % 4 > 1 else 1.0) / math.factorial(k)),
         )
-        e = np.empty(c.shape, dtype=complex)
+        e = ws.view(_X, h.shape, complex)  # x is spent, and so are its powers
         e.real = c
         np.negative(odd, out=e.imag)
+        spare = ws.view(_POWERS[0], h.shape, complex)
+    term = ws.view(_TERM, h.shape, complex)
     for _ in range(s):
-        e = _matmul(e, e)
+        e, spare = _matmul(e, e, spare, term), e
     return e
 
 
@@ -172,21 +230,33 @@ def _scan(maps: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
     Blocks of about sqrt(n) steps are multiplied out side by side, then the
     block starts are chained: about 2 sqrt(n) Python iterations in place of n.
+    The states are a view into this thread's workspace, valid until the
+    kernel's next call on the thread.
     """
+    ws = _WORKSPACE
     n = maps.shape[-1]
     size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)
     # prefix[:, :, j, i]: the product of maps i, ..., 0 of block j; the zero
     # padding only feeds states past n
-    prefix = np.pad(maps, ((0, 0), (0, 0), (0, blocks * size - n)))
+    prefix = ws.view(_PREFIX, (4, 4, blocks * size), complex)
+    prefix[..., :n] = maps
+    prefix[..., n:] = 0.0
     prefix = prefix.reshape(4, 4, blocks, size)
+    step = ws.view(_STEP, (4, 4, blocks), complex)
+    term = ws.view(_TERM, (4, 4, blocks), complex)
     for i in range(1, size):
-        prefix[..., i] = _matmul(prefix[..., i], prefix[..., i - 1])
+        prefix[..., i] = _matmul(prefix[..., i], prefix[..., i - 1], step, term)
     starts = np.empty((4, blocks), dtype=complex)
     starts[:, 0] = psi
     for j in range(1, blocks):
         starts[:, j] = prefix[:, :, j - 1, -1] @ starts[:, j - 1]
-    states = sum(prefix[:, k] * starts[k, :, None] for k in range(4))
+    # from zero, as sum() did: a -0.0 term then sums to +0.0
+    states = ws.view(_STATES, (4, blocks, size), complex)
+    states.fill(0.0)
+    term = ws.view(_TERM, (4, blocks, size), complex)
+    for k in range(4):
+        states += np.multiply(prefix[:, k], starts[k, :, None], out=term)
     return states.reshape(4, -1)[:, :n].T
 
 
@@ -215,7 +285,7 @@ def propagate(
     states, bit for bit, as its complex cast.  Every node is checked before
     any exponential is taken.  Then, chunk by chunk, both Magnus
     factors of every step come from one stacked Taylor exponential, and the
-    states from a blocked scan of the step maps.
+    states from a blocked scan of the step maps, in this thread's workspace.
     """
     if steps < 100:
         raise ValueError("steps must be at least 100")
@@ -234,12 +304,16 @@ def propagate(
     h = h.astype(float if h.dtype.kind in "biuf" else complex, copy=False)
     h = np.broadcast_to(h, (2 * steps, 4, 4))
     _check_hermitian(h, nodes)
+    ws = _WORKSPACE
     for lo in range(0, steps, _CHUNK):
         hi = min(lo + _CHUNK, steps)
         # (4, 4, step, early/late node) of this chunk
         pair = np.moveaxis(h[2 * lo : 2 * hi], 0, -1).reshape(4, 4, hi - lo, 2)
-        right, left = np.moveaxis(_step_exponentials(pair @ _WEIGHTS, dt), -1, 0)
-        states[lo + 1 : hi + 1] = _scan(_matmul(left, right), states[lo])
+        weighted = np.matmul(pair, _WEIGHTS, out=ws.view(_STACK, pair.shape, h.dtype))
+        right, left = np.moveaxis(_step_exponentials(weighted, dt), -1, 0)
+        shape = (4, 4, hi - lo)
+        maps = _matmul(left, right, ws.view(_STACK, shape, complex), ws.view(_TERM, shape, complex))
+        states[lo + 1 : hi + 1] = _scan(maps, states[lo])
 
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))

@@ -1,9 +1,14 @@
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from fourlevel import propagator
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
 from fourlevel.propagator import (
     _CHUNK,
@@ -131,6 +136,18 @@ def soa(stack):
     return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
+def drive(rng, dtype, scale=1.0):
+    """h(t) = scale (cos(3t) A + t^2 B) for random Hermitian A, B, real
+    symmetric for a float dtype."""
+    a, b = (random_hermitian if dtype is complex else random_symmetric)(rng, 2)
+
+    def h(t):
+        t = np.asarray(t)[..., None, None]
+        return scale * (np.cos(3 * t) * a + t**2 * b)
+
+    return h
+
+
 # dt |H| (Frobenius) of the stacks below: every Taylor degree 1..12 without
 # squaring, and the squaring path above 0.33
 STEP_NORMS = [0, 1e-9, 1e-6, 1e-4, 1e-3, 4e-3, 0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.3, 3, 50]
@@ -167,10 +184,11 @@ class TestStepExponentials:
 
     @pytest.mark.parametrize("norm", STEP_NORMS + [700])
     def test_real_path_equals_complex_path(self, rng, norm):
-        # a real stack takes its powers and Horner stage in real arithmetic
+        # a real stack takes its powers and Horner stage in real arithmetic;
+        # the result is a view into the workspace, which the next call reuses
         h = random_symmetric(rng, 50)
         h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
-        real = _step_exponentials(soa(h), float(norm))
+        real = _step_exponentials(soa(h), float(norm)).copy()
         assert real.dtype == complex
         assert np.array_equal(real, _step_exponentials(soa(h).astype(complex), float(norm)))
 
@@ -204,12 +222,7 @@ class TestBlockedScan:
         # every state of a run longer than two chunks against a plain
         # step-by-step CF4 Magnus product with scipy's expm
         steps, T = 2 * _CHUNK + 37, 1.3
-        a, b = random_hermitian(rng, 2)
-
-        def h(t):
-            t = np.asarray(t)[..., None, None]
-            return np.cos(3 * t) * a + t**2 * b
-
+        h = drive(rng, complex)
         traj = propagate(h, PSI0, T, steps)
         dt = T / steps
         c = math.sqrt(3.0) / 6
@@ -227,16 +240,111 @@ class TestBlockedScan:
     def test_real_hamiltonian_propagates_like_its_complex_cast(self, rng):
         # the real path over more than two chunks, bit for bit
         steps, T = 2 * _CHUNK + 37, 1.3
-        a, b = random_symmetric(rng, 2)
-
-        def h(t):
-            t = np.asarray(t)[..., None, None]
-            return np.cos(3 * t) * a + t**2 * b
-
+        h = drive(rng, float)
         real = propagate(h, PSI0, T, steps)
         cast = propagate(lambda t: h(t).astype(complex), PSI0, T, steps)
         assert np.array_equal(real.states, cast.states)
         assert real.norm_drift == cast.norm_drift
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, whose workspace starts empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=120)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (dtype, steps, T, scale): real and complex stacks in turn, each run on the
+# workspace a larger or other-dtype run left; the last two take squarings
+WARM_RUNS = [
+    (complex, 2 * _CHUNK + 37, 1.3, 1.0),
+    (float, 100, 1.3, 1.0),
+    (complex, 2000, 1.3, 1.0),
+    (float, 2 * _CHUNK + 37, 1.3, 1.0),
+    (complex, 100, 1.3, 1.0),
+    (float, 2000, 1.3, 1.0),
+    (complex, 100, 1.0, 20.0),
+    (float, 100, 1.0, 20.0),
+]
+
+
+class TestWorkspace:
+    def test_warm_calls_equal_cold_calls(self, rng, monkeypatch):
+        squarings = []
+
+        def degree(r):
+            m, s = _taylor_degree(r)
+            squarings.append(s)
+            return m, s
+
+        monkeypatch.setattr(propagator, "_taylor_degree", degree)
+        for dtype, steps, T, scale in WARM_RUNS:
+            h = drive(rng, dtype, scale)
+            warm = propagate(h, PSI0, T, steps)
+            cold = in_fresh_thread(propagate, h, PSI0, T, steps)
+            assert same_bits(warm.states, cold.states)
+            assert warm.norm_drift == cold.norm_drift
+        assert max(squarings) > 0
+
+    def test_threads_propagate_like_serial_calls(self, rng):
+        # more threads than cores, switching often, each with its own stack
+        jobs = [
+            (drive(rng, complex), 2 * _CHUNK + 37),
+            (drive(rng, float), 2 * _CHUNK + 37),
+            (drive(rng, complex, 20.0), 2000),
+            (drive(rng, float, 20.0), 100),
+        ]
+        serial = [propagate(h, PSI0, 1.3, steps).states for h, steps in jobs]
+        barrier = threading.Barrier(len(jobs))
+
+        def run(h, steps):
+            barrier.wait(timeout=60)
+            return [propagate(h, PSI0, 1.3, steps).states for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                futures = [pool.submit(run, h, steps) for h, steps in jobs]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, runs in zip(serial, results):
+            assert all(same_bits(states, expected) for states in runs)
+
+    def test_warm_propagate_allocates_no_kernel_temporaries(self, rng):
+        # a warm 2000-step complex run of a precomputed stack allocates the
+        # trajectory and the Hermiticity check's temporaries; fresh
+        # temporaries for every product peaked at 4.3 MB
+        h, stack = drive(rng, complex), []
+
+        def record(t):
+            stack.append(h(t))
+            return stack[-1]
+
+        propagate(record, PSI0, 1.3, 2000)
+        tracemalloc.start()
+        try:
+            propagate(lambda t: stack[0], PSI0, 1.3, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_workspace_holds_one_chunk(self, rng):
+        # the figure in the module docstring: the most a thread keeps, after
+        # runs of both dtypes over several chunks, with up to 4 powers and
+        # squarings
+        def runs():
+            for dtype in (complex, float):
+                for T in (1.3, 20.0):
+                    propagate(drive(rng, dtype, 20.0), PSI0, T, 2 * _CHUNK + 37)
+            return sum(b.nbytes for b in propagator._WORKSPACE.buffers)
+
+        assert in_fresh_thread(runs) == 4_530_176
 
 
 def full_matrix_hermitian(h, atol=1e-9):
