@@ -50,20 +50,18 @@ class Quaternion:
     def unit(cls, w: float, x: float, y: float, z: float) -> "Quaternion":
         """Construct a unit quaternion, normalizing away rounding error.
 
-        Inputs farther than UNIT_NORM_ATOL from unit norm are rejected so
-        that genuine bugs are not silently absorbed.
+        Inputs farther than UNIT_NORM_ATOL from unit norm, or with a
+        non-finite component, are rejected so that genuine bugs are not
+        silently absorbed.
         """
         n = math.sqrt(w * w + x * x + y * y + z * z)
-        if abs(n - 1.0) > UNIT_NORM_ATOL:
-            raise ValueError(f"quaternion norm {n} is not within {UNIT_NORM_ATOL} of 1")
+        if not abs(n - 1.0) <= UNIT_NORM_ATOL:
+            raise ValueError(f"quaternion ({w}, {x}, {y}, {z}) has norm {n}, not within {UNIT_NORM_ATOL} of 1")
         return cls(w / n, x / n, y / n, z / n)
 
     @property
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def is_unit(self, atol: float = 1e-12) -> bool:
-        return abs(self.norm - 1.0) <= atol
 
     def is_pure_unit(self, atol: float = 1e-12) -> bool:
         return abs(self.w) <= atol and abs(self.norm - 1.0) <= atol
@@ -76,9 +74,6 @@ class Quaternion:
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-
-IDENTITY_QUAT = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 
 def hamilton(a: tuple, b: tuple) -> tuple:
@@ -105,7 +100,9 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 def quat_exp(u: Quaternion, gamma: float) -> Quaternion:
     """exp(u*gamma) = cos(gamma) + u*sin(gamma) for a pure unit quaternion u."""
     if not u.is_pure_unit(atol=1e-9):
-        raise ValueError("u must be a pure unit quaternion")
+        raise ValueError(f"u = {u} must be a pure unit quaternion")
+    if not math.isfinite(gamma):
+        raise ValueError(f"angle gamma = {gamma} is not finite")
     c, s = math.cos(gamma), math.sin(gamma)
     return Quaternion(c, s * u.x, s * u.y, s * u.z)
 
@@ -169,11 +166,12 @@ class RotationDecomposition:
 
 def _axis_angle(q: Quaternion):
     """Split a unit quaternion into (pure unit axis, angle in [0, pi])."""
-    gamma = math.atan2(math.hypot(q.x, math.hypot(q.y, q.z)), q.w)
-    s = math.sin(gamma)
-    if s < 1e-15:
+    h = math.hypot(q.x, math.hypot(q.y, q.z))
+    gamma = math.atan2(h, q.w)
+    if math.sin(gamma) < 1e-15:
         return None, gamma
-    return Quaternion(0.0, q.x / s, q.y / s, q.z / s), gamma
+    # h, not sin(gamma): near gamma = pi, sin(gamma) carries pi's rounding of ~1e-16.
+    return Quaternion(0.0, q.x / h, q.y / h, q.z / h), gamma
 
 
 def _fold_angle(a: float) -> float:
@@ -182,22 +180,18 @@ def _fold_angle(a: float) -> float:
     return 2.0 * math.pi - a if a > math.pi else a
 
 
-def _orthonormal_plane(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    basis, _ = np.linalg.qr(np.column_stack([v1, v2]))
-    return basis.T
-
-
-def _complete_plane(plane: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of a 2-plane in R^4."""
-    _, _, vt = np.linalg.svd(plane)
-    return vt[2:]
-
-
 def decompose_rotation(q: Quaternion, p: Quaternion) -> RotationDecomposition:
     """Invariant-plane/angle decomposition of the rotation C -> q C p.
 
-    Sign canonicalization: both factor angles are taken in [0, pi], which
-    resolves the (q, p) vs (-q, -p) ambiguity deterministically.
+    With q = exp(u*g1) and p = exp(v*g2), S: C -> u C v is a symmetric
+    involution that commutes with the rotation (q commutes with u, p with v).
+    Where u C v = -C, u C = C v and q C p = cos(g1 + g2) C + sin(g1 + g2) C v;
+    where u C v = C, q C p = cos(g1 - g2) C - sin(g1 - g2) C v.  So one eigh
+    of S gives plane1 (eigenvalue -1) and plane2 (+1).  A factor +-1 has no
+    axis and takes the other's; i stands in when neither has one.
+
+    Both factor angles are taken in [0, pi], which resolves the (q, p) vs
+    (-q, -p) ambiguity deterministically.
     """
     q = Quaternion.unit(q.w, q.x, q.y, q.z)
     p = Quaternion.unit(p.w, p.x, p.y, p.z)
@@ -207,36 +201,11 @@ def decompose_rotation(q: Quaternion, p: Quaternion) -> RotationDecomposition:
     a1 = _fold_angle(g1 + g2)
     a2 = _fold_angle(g1 - g2)
 
-    if u is None and v is None:
-        return RotationDecomposition(
-            plane1=np.eye(4)[:2],
-            plane2=np.eye(4)[2:],
-            angle1=a1,
-            angle2=a2,
-            kind=RotationKind.IDENTITY,
-        )
-
-    one = IDENTITY_QUAT.as_array()
-    anti_aligned = (
-        u is not None
-        and v is not None
-        and np.allclose(u.as_array(), (-v).as_array(), atol=1e-12)
-    )
-    if u is None or v is None or anti_aligned \
-            or np.allclose(u.as_array(), v.as_array(), atol=1e-12):
-        # Coincident (or undefined) axes: planes are span{1, u} and its complement.
-        axis = u if u is not None else v
-        span1u = _orthonormal_plane(one, axis.as_array())
-        if anti_aligned:
-            # For v = -u the identity element rotates through gamma1 - gamma2,
-            # so span{1, u} is the plane carrying angle2.
-            plane1, plane2 = _complete_plane(span1u), span1u
-        else:
-            plane1, plane2 = span1u, _complete_plane(span1u)
-    else:
-        uv = quat_mul(u, v).as_array()
-        plane1 = _orthonormal_plane(u.as_array() + v.as_array(), uv - one)
-        plane2 = _orthonormal_plane(v.as_array() - u.as_array(), uv + one)
+    u = u or v or Quaternion(0.0, 1.0, 0.0, 0.0)
+    v = v or u
+    # eigh sorts the eigenvalues ascending: -1, -1, +1, +1.
+    _, basis = np.linalg.eigh(left_isoclinic(u) @ right_isoclinic(v))
+    plane1, plane2 = basis[:, :2].T, basis[:, 2:].T
 
     q_trivial = abs(math.sin(g1)) < ANGLE_ATOL
     p_trivial = abs(math.sin(g2)) < ANGLE_ATOL

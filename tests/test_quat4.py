@@ -188,12 +188,127 @@ class TestDecomposeRotation:
                 residual = rotated - (rotated @ plane.T) @ plane
                 assert np.max(np.abs(residual)) < 1e-8
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("sep", [1e-12, 1e-9, 1e-7, 1e-5, 1e-4])
+    def test_near_coincident_axes_give_exact_planes(self, sign, sep):
+        # v = +-u + sep * noise: the planes must hold to rounding however
+        # close to coincident or anti-aligned the axes come
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            v = sign * u + sep * rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            g1, g2 = rng.uniform(0.1, 3.0, size=2)
+            q = quat_exp(Quaternion(0.0, *u), g1)
+            p = quat_exp(Quaternion(0.0, *v), g2)
+            d = decompose_rotation(q, p)
+            r = cayley_rotation(q, p)
+            for plane in (d.plane1, d.plane2):
+                assert np.max(np.abs(plane @ plane.T - np.eye(2))) <= 1e-12
+                rotated = plane @ r.T
+                assert np.max(np.abs(rotated - (rotated @ plane.T) @ plane)) <= 1e-12
+            assert np.max(np.abs(d.plane1 @ d.plane2.T)) <= 1e-12
+
+    @given(unit_quaternions(), unit_quaternions())
+    @settings(max_examples=200, deadline=None)
+    def test_each_plane_turns_through_its_own_angle(self, q, p):
+        assert_planes_carry_their_angles(q, p)
+
+    def test_factors_near_plus_minus_one_pair_planes_and_angles(self):
+        # near gamma = pi, sin(gamma) carries the rounding of pi: the axis
+        # must still come out unit
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            pair = []
+            for _ in range(2):
+                a = np.r_[rng.choice([1.0, -1.0]), 10 ** rng.uniform(-16, -3) * rng.normal(size=3)]
+                pair.append(Quaternion.from_array(a / np.linalg.norm(a)))
+            assert_planes_carry_their_angles(*pair)
+            assert_planes_carry_their_angles(pair[0], random_unit_quaternion(rng))
+
+    @pytest.mark.parametrize(
+        "q, p",
+        [
+            (ONE, ONE),
+            (-ONE, ONE),
+            (ONE, -ONE),
+            (-ONE, -ONE),
+            (quat_exp(J, 0.9), ONE),
+            (quat_exp(J, 0.9), -ONE),
+            (ONE, quat_exp(K, 1.2)),
+            (-ONE, quat_exp(K, 1.2)),
+            (quat_exp(I, 0.7), quat_exp(I, 0.3)),
+            (quat_exp(I, 0.7), quat_exp(-I, 0.3)),
+            (quat_exp(I, 0.4), quat_exp(-I, 0.4)),
+            (quat_exp(K, 2.5), quat_exp(K, 2.9)),
+        ],
+    )
+    def test_exact_special_cases_pair_planes_and_angles(self, q, p):
+        assert_planes_carry_their_angles(q, p)
+
+    @pytest.mark.parametrize(
+        "q, p, axis, plane",
+        [
+            (ONE, ONE, I, "plane1"),
+            (quat_exp(J, 0.9), ONE, J, "plane1"),
+            (ONE, quat_exp(K, 1.2), K, "plane1"),
+            (quat_exp(I, 0.7), quat_exp(I, 0.3), I, "plane1"),
+            # for v = -u the identity element turns through gamma1 - gamma2
+            (quat_exp(I, 0.7), quat_exp(-I, 0.3), I, "plane2"),
+        ],
+    )
+    def test_coincident_axes_put_span_one_u_in_its_plane(self, q, p, axis, plane):
+        basis = getattr(decompose_rotation(q, p), plane)
+        span = np.array([ONE.as_array(), axis.as_array()])
+        np.testing.assert_allclose(basis.T @ basis, span.T @ span, atol=1e-12)
+
     def test_sign_canonical(self, rng):
         q, p = random_unit_quaternion(rng), random_unit_quaternion(rng)
         d1 = decompose_rotation(q, p)
         d2 = decompose_rotation(-q, -p)
         assert abs(d1.angle1 - d2.angle1) < 1e-12
         assert abs(d1.angle2 - d2.angle2) < 1e-12
+
+
+def assert_planes_carry_their_angles(q, p):
+    """Each row c of plane_i satisfies c . R c = cos(angle_i)."""
+    d = decompose_rotation(q, p)
+    r = cayley_rotation(q, p)
+    for plane, angle in ((d.plane1, d.angle1), (d.plane2, d.angle2)):
+        np.testing.assert_allclose(
+            np.einsum("ij,ij->i", plane, plane @ r.T), math.cos(angle), atol=1e-12
+        )
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_unit_rejects(self, bad):
+        with pytest.raises(ValueError, match=str(bad)):
+            Quaternion.unit(bad, 0, 0, 0)
+        with pytest.raises(ValueError, match=str(bad)):
+            Quaternion.unit(0, 0, bad, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rotations_reject(self, bad):
+        b = Quaternion(bad, 0, 0, 0)
+        for call in (
+            lambda: left_isoclinic(b),
+            lambda: right_isoclinic(b),
+            lambda: cayley_rotation(b, ONE),
+            lambda: cayley_rotation(ONE, b),
+            lambda: decompose_rotation(b, ONE),
+            lambda: decompose_rotation(ONE, b),
+        ):
+            with pytest.raises(ValueError, match=str(bad)):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_quat_exp_rejects(self, bad):
+        with pytest.raises(ValueError, match=f"gamma = {bad}"):
+            quat_exp(I, bad)
+        with pytest.raises(ValueError, match="pure unit"):
+            quat_exp(Quaternion(0, bad, 0, 0), 1.0)
 
 
 class TestUnitConstructor:
