@@ -88,7 +88,7 @@ def cmd_solve(sc: Scenario, out: Path) -> int:
     final_residual = float(np.linalg.norm(final_state(solved.boundary) - sc.target.b))
     payload = {
         "config": sc.config.value,
-        "boundary_angles": dataclasses.asdict(solved.boundary),
+        "boundary_angles": solved.boundary._asdict(),
         "constraint_residual": float(solved.constraint_residual),
         "final_state_residual": final_residual,
         "within_canonical_ranges": bool(solved.within_canonical_ranges),

@@ -292,8 +292,8 @@ def propagate(
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
     psi = np.asarray(psi0, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # True for NaN
+        raise ValueError(f"initial state psi0 must be finite and normalized, got {psi0}")
 
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
@@ -317,7 +317,7 @@ def propagate(
 
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise AccuracyError(
             f"norm drift {drift:.3e} exceeds 1e-6; increase the step count"
         )
@@ -341,9 +341,9 @@ def fidelity(psi: np.ndarray, target: np.ndarray, mod_global_phase: bool = True)
     """
     psi = np.asarray(psi, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    for v in (psi, target):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("states must be normalized")
+    for name, v in (("psi", psi), ("target", target)):
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # True for NaN
+            raise ValueError(f"state {name} must be finite and normalized, got {v}")
     overlap = np.vdot(target, psi)
     value = abs(overlap) ** 2 if mod_global_phase else overlap.real**2
     return float(min(value, 1.0))

@@ -13,13 +13,14 @@ product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
 M_R(conj(p) dp/dt) and U_r e_1 = q p.  On a cosine ramp the generator is
 r'(t) G for one constant G (CosineRamp.generator).  A ramp evaluated on
 a time array gives an AnglePair of arrays, and the maps above then return
-one result per time, on the leading axes.
+one result per time, on the leading axes.  AnglePair, CouplingSet and
+CosineRamp are immutable named tuples, as cheap to build as one tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ def _stack_last(parts) -> np.ndarray:
     return a.transpose(*range(1, a.ndim), 0)
 
 
-@dataclass(frozen=True)
-class AnglePair:
+class AnglePair(NamedTuple):
     """Generalized spherical angles of the two quaternion factors (radians).
 
     All real values are accepted; the solvers occasionally need angles
@@ -54,15 +54,14 @@ class AnglePair:
     phi2: float
 
     def as_array(self) -> np.ndarray:
-        return _stack_last(tuple(vars(self).values()))
+        return _stack_last(self)
 
     @classmethod
-    def from_array(cls, a) -> "AnglePair":
+    def from_array(cls, a) -> AnglePair:
         return cls(*np.asarray(a, dtype=float))
 
 
-@dataclass(frozen=True)
-class CouplingSet:
+class CouplingSet(NamedTuple):
     """The six real couplings of the rotation Hamiltonian (hbar = 1), floats
     or arrays of one shape."""
 
@@ -74,7 +73,7 @@ class CouplingSet:
     omega34: float
 
     def as_array(self) -> np.ndarray:
-        return _stack_last(tuple(vars(self).values()))
+        return _stack_last(self)
 
     def to_matrix(self) -> np.ndarray:
         """The antisymmetric matrix (..., 4, 4), one per sample."""
@@ -170,12 +169,8 @@ def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
     l = dq/dt conj(q) and r = conj(p) dp/dt are pure quaternions, and the
     upper triangle of M_L(l) + M_R(r) reads off from their components.
     """
-    (qw, qx, qy, qz), dq = _unit_quat(
-        a.gamma1, a.theta1, a.phi1, adot.gamma1, adot.theta1, adot.phi1
-    )
-    (pw, px, py, pz), dp = _unit_quat(
-        a.gamma2, a.theta2, a.phi2, adot.gamma2, adot.theta2, adot.phi2
-    )
+    (qw, qx, qy, qz), dq = _unit_quat(*a[:3], *adot[:3])
+    (pw, px, py, pz), dp = _unit_quat(*a[3:], *adot[3:])
     return _read_off(
         hamilton(dq, (qw, -qx, -qy, -qz))[1:], hamilton((pw, -px, -py, -pz), dp)[1:]
     )
@@ -197,32 +192,46 @@ def ramp_generator(final: AnglePair) -> CouplingSet:
     n = (cos theta, sin theta cos phi, sin theta sin phi): equal factors
     (tripod) and phi = 0 (diamond) give forbidden entries of exactly 0.
     """
+    g1, th1, ph1, g2, th2, ph2 = final
+    st1, st2 = math.sin(th1), math.sin(th2)
+    return _read_off(
+        (g1 * math.cos(th1), g1 * (st1 * math.cos(ph1)), g1 * (st1 * math.sin(ph1))),
+        (g2 * math.cos(th2), g2 * (st2 * math.cos(ph2)), g2 * (st2 * math.sin(ph2))),
+    )
 
-    def vector(g, th, ph):
-        st = math.sin(th)
-        return g * math.cos(th), g * (st * math.cos(ph)), g * (st * math.sin(ph))
 
-    a = tuple(vars(final).values())
-    return _read_off(vector(*a[:3]), vector(*a[3:]))
+def _check_horizon(horizon: float) -> None:
+    """Reject a horizon T that is not finite and positive, or so near 0 or
+    the float range that pi/T or pi*T overflows (the ramp's rate and phase)."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not (math.isfinite(math.pi / horizon) and math.isfinite(math.pi * horizon)):
+        raise ValueError(f"horizon {horizon} out of range: pi/T or pi*T overflows")
 
 
-@dataclass(frozen=True)
-class CosineRamp:
+class CosineRamp(
+    NamedTuple("_CosineRamp", [("final", AnglePair), ("horizon", float), ("generator", CouplingSet)])
+):
     """The pulse of every solver: gamma_i(t) = gamma_i(T) r(t) with
     r(t) = [1 - cos(pi t/T)] / 2, and theta, phi constant at their values
     in final; smooth switch-on/off (zero rate at both endpoints).
 
     value and rate take a time or an array of times and return an
-    AnglePair of floats or arrays of t's shape.  Its generator is
-    r'(t) G, with G = ramp_generator(final) read once, at construction.
+    AnglePair of floats or arrays of t's shape.  Its generator is r'(t) G,
+    G = ramp_generator(final) read once when it is built (horizon checked).
     """
 
-    final: AnglePair
-    horizon: float
-    generator: CouplingSet = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generator", ramp_generator(self.final))
+    def __new__(cls, final: AnglePair, horizon: float):
+        _check_horizon(horizon)
+        return tuple.__new__(cls, (final, horizon, ramp_generator(final)))
+
+    def __getnewargs__(self):  # copy and pickle rebuild from (final, horizon)
+        return self[:2]
+
+    def _replace(self, **fields):  # rebuilt by __new__, so G follows final
+        return CosineRamp(**{"final": self.final, "horizon": self.horizon, **fields})
 
     @property
     def peak_rate(self) -> float:

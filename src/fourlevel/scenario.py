@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import PhaseSchedule
-from .solvers import LevelConfig, TargetSpec, _check_horizon
+from .rotation import _check_horizon
+from .solvers import LevelConfig, TargetSpec
 
 _ALLOWED_KEYS = {
     "config",

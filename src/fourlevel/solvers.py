@@ -3,7 +3,7 @@
 Each solver takes a normalized real target amplitude vector b (the system
 starts in level 1), imposes the constraint set that cancels the couplings
 forbidden by the topology, and returns the smooth cosine ramp to the
-boundary angles.
+boundary angles as a SolvedAngles, an immutable named tuple.
 """
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ import math
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .rotation import AnglePair, CosineRamp, final_state, state_components
+from .rotation import (
+    AnglePair, CosineRamp, CouplingSet, _check_horizon, final_state, state_components
+)
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
@@ -63,6 +67,8 @@ FORBIDDEN = {
     LevelConfig.DIAMOND: ("omega14", "omega23"),
     LevelConfig.N_TYPE: ("omega13", "omega14", "omega24"),
 }
+#: The forbidden entries of a CouplingSet, read by index.
+_FORBIDDEN_ITEMS = {c: itemgetter(*map(CouplingSet._fields.index, n)) for c, n in FORBIDDEN.items()}
 
 
 class SolverError(Exception):
@@ -128,8 +134,7 @@ def _finite_real(value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class SolvedAngles:
+class SolvedAngles(NamedTuple):
     """The cosine ramp to the boundary angles, whose generator is r'(t) G
     with G = schedule.generator; constraint_residual is G's largest
     forbidden entry times the ramp's peak rate pi/(2T)."""
@@ -147,33 +152,18 @@ class SolvedAngles:
 def _within_canonical_ranges(a: AnglePair) -> bool:
     """Whether the boundary angles fall in gamma, theta in [0, pi],
     phi in [0, 2*pi]."""
+    g1, t1, p1, g2, t2, p2 = a
     return (
-        0.0 <= a.gamma1 <= math.pi
-        and 0.0 <= a.gamma2 <= math.pi
-        and 0.0 <= a.theta1 <= math.pi
-        and 0.0 <= a.theta2 <= math.pi
-        and 0.0 <= a.phi1 <= 2.0 * math.pi
-        and 0.0 <= a.phi2 <= 2.0 * math.pi
+        0.0 <= g1 <= math.pi and 0.0 <= g2 <= math.pi and 0.0 <= t1 <= math.pi
+        and 0.0 <= t2 <= math.pi and 0.0 <= p1 <= 2.0 * math.pi and 0.0 <= p2 <= 2.0 * math.pi
     )
-
-
-def _check_horizon(horizon: float) -> None:
-    """Reject a horizon T that is not finite and positive, or so near 0 or
-    the float range that pi/T or pi*T overflows (the ramp's rate and phase)."""
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if not (math.isfinite(math.pi / horizon) and math.isfinite(math.pi * horizon)):
-        raise ValueError(f"horizon {horizon} out of range: pi/T or pi*T overflows")
 
 
 def _finish(config: LevelConfig, boundary: AnglePair, horizon: float) -> SolvedAngles:
     ramp = CosineRamp(boundary, horizon)
-    worst = max(abs(getattr(ramp.generator, n)) for n in FORBIDDEN[config])
+    worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp.generator)))
     return SolvedAngles(
-        config=config,
-        schedule=ramp,
-        constraint_residual=worst * ramp.peak_rate,
-        within_canonical_ranges=_within_canonical_ranges(boundary),
+        config, ramp, worst * ramp.peak_rate, _within_canonical_ranges(boundary)
     )
 
 

@@ -67,6 +67,14 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), complex), 2 * PSI0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        # a NaN norm fails no ordered comparison, so a NaN psi0 once gave an
+        # all-NaN trajectory with norm_drift NaN
+        psi0 = np.array([1.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="initial state psi0"):
+            propagate(lambda t: np.zeros((4, 4), complex), psi0, 1.0, steps=100)
+
     def test_rejects_non_hermitian_sample(self):
         bad = np.zeros((4, 4), complex)
         bad[0, 1] = 1.0  # no conjugate partner
@@ -470,6 +478,15 @@ class TestFidelity:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             fidelity(2 * PSI0, PSI0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_state(self, bad):
+        # fidelity of a NaN state once returned NaN
+        state = np.array([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="state psi "):
+            fidelity(state, PSI0)
+        with pytest.raises(ValueError, match="state target "):
+            fidelity(PSI0, state)
 
 
 class TestCompareWithAnalytic:

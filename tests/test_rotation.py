@@ -1,5 +1,9 @@
+import copy
+import json
 import math
+import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from fourlevel.quat4 import (
     quat_mul,
     right_isoclinic,
 )
+from fourlevel.cli import main
 from fourlevel.rotation import (
     AnglePair,
     CosineRamp,
@@ -25,6 +30,7 @@ from fourlevel.rotation import (
     spherical_to_quats,
     ur_of_angles,
 )
+from fourlevel.solvers import SolvedAngles, TargetSpec, solve_tripod
 
 from conftest import angles as angle_floats
 from conftest import (
@@ -310,3 +316,97 @@ class TestCouplingSet:
         m = cs.to_matrix()
         np.testing.assert_allclose(m, -m.T)
         assert couplings_from_matrix(m) == cs
+
+
+ANGLE_FIELDS = ("gamma1", "theta1", "phi1", "gamma2", "theta2", "phi2")
+
+
+class TestValueTypes:
+    # AnglePair, CouplingSet, CosineRamp and SolvedAngles are immutable
+    # named tuples: fixed field names and order, no assignment
+    def values(self):
+        final = AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1)
+        ramp = CosineRamp(final, 2.0)
+        solved = solve_tripod(TargetSpec(np.array([0.5, 0.5, 0.5, 0.5])))
+        return [final, ramp.generator, ramp, solved]
+
+    def test_field_names_and_order(self):
+        assert AnglePair._fields == ANGLE_FIELDS
+        assert CouplingSet._fields == (
+            "omega12", "omega13", "omega14", "omega23", "omega24", "omega34"
+        )
+        assert CosineRamp._fields == ("final", "horizon", "generator")
+        assert SolvedAngles._fields == (
+            "config", "schedule", "constraint_residual", "within_canonical_ranges"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        for value in self.values():
+            for name in value._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0.0)
+            with pytest.raises(AttributeError):
+                value.extra = 0.0  # no instance dict
+
+    def test_copies_and_pickles_equal_the_original(self):
+        for value in self.values():
+            for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(other) is type(value) and other == value
+
+    def test_ramp_replace_rebuilds_the_generator(self):
+        ramp = CosineRamp(AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1), 2.0)
+        final = AnglePair(0.4, 1.1, 0.3, 0.4, 1.1, 0.3)
+        moved = ramp._replace(final=final)
+        assert moved == CosineRamp(final, 2.0) and moved.generator == ramp_generator(final)
+        assert ramp._replace(horizon=3.0).peak_rate == 0.5 * math.pi / 3.0
+        with pytest.raises(ValueError, match="horizon"):
+            ramp._replace(horizon=-1.0)
+        with pytest.raises(TypeError):
+            ramp._replace(generator=ramp.generator)
+
+    @pytest.mark.parametrize("kind", [AnglePair, CouplingSet])
+    def test_array_round_trip(self, kind, rng):
+        values = rng.uniform(-2 * math.pi, 2 * math.pi, size=6)
+        floats = kind(*values.tolist())
+        assert all(type(v) is float for v in floats)
+        assert floats.as_array().tobytes() == values.tobytes()
+        if kind is AnglePair:
+            assert AnglePair.from_array(values) == floats
+        stacked = rng.normal(size=(5, 3, 6))
+        arrays = kind(*np.moveaxis(stacked, -1, 0))
+        assert arrays.as_array().tobytes() == stacked.tobytes()
+        if kind is AnglePair:
+            back = AnglePair.from_array(np.moveaxis(stacked, -1, 0))
+            assert all(np.array_equal(x, y) for x, y in zip(back, arrays))
+
+    @given(st.tuples(*(angle_floats for _ in range(6))), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_ramp_generator_is_read_at_construction(self, angles, T):
+        # G is gamma_i(T) n_i read off in floats, with the reference's
+        # expressions, so it is the same bit for bit
+        def vector(g, th, ph):
+            st = math.sin(th)
+            return g * math.cos(th), g * (st * math.cos(ph)), g * (st * math.sin(ph))
+
+        (lx, ly, lz), (rx, ry, rz) = vector(*angles[:3]), vector(*angles[3:])
+        reference = (-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx)
+        final = AnglePair(*angles)
+        generator = CosineRamp(final, T).generator
+        assert generator == ramp_generator(final) == reference
+        assert all(type(v) is float for v in generator)
+        assert np.array(generator).tobytes() == np.array(reference).tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320])
+    def test_ramp_rejects_bad_horizon(self, T):
+        # a NaN horizon gave NaN couplings and T = -1 a peak rate of -pi/2
+        with pytest.raises(ValueError, match="horizon"):
+            CosineRamp(AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1), T)
+
+    @pytest.mark.parametrize("name", ["tripod", "diamond", "ntype"])
+    def test_angles_json_lists_boundary_angles_in_field_order(self, tmp_path, name, capsys):
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+        assert main(["solve", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        angles = json.loads((tmp_path / "angles.json").read_text())["boundary_angles"]
+        assert tuple(angles) == ANGLE_FIELDS
+        assert all(type(v) is float for v in angles.values())
