@@ -21,6 +21,7 @@ import numpy as np
 
 from .hamiltonian import PhaseSchedule, _diagonal, _hermitian, coupling_entries
 from .rotation import CouplingSet
+from .solvers import FORBIDDEN, LevelConfig
 
 TRANSITIONS = ("12", "13", "24", "34")
 _IDX = {"12": (0, 1), "13": (0, 2), "24": (1, 3), "34": (2, 3)}
@@ -175,9 +176,12 @@ def engineered_to_qo(
     if levels.shape != (3,):
         raise ValueError("omega_levels must hold omega_2, omega_3, omega_4")
     probe = couplings(np.array([0.25, 0.5, 0.75]) * ph.T)
-    if np.any(np.abs(probe.omega14) > 1e-10) or np.any(np.abs(probe.omega23) > 1e-10):
+    if not np.isfinite(probe.as_array()).all():
+        raise UnsupportedConfigurationError("couplings must be finite")
+    forbidden = FORBIDDEN[LevelConfig.DIAMOND]
+    if not np.max(np.abs([getattr(probe, name) for name in forbidden])) <= 1e-10:
         raise UnsupportedConfigurationError(
-            "couplings are not of diamond type (omega14, omega23 must vanish)"
+            f"couplings are not of diamond type ({', '.join(forbidden)} must vanish)"
         )
 
     w2, w3, w4 = levels

@@ -152,15 +152,9 @@ def ur_of_angles(a: AnglePair) -> np.ndarray:
     return np.swapaxes(u.reshape(u.shape[:-1] + (4, 4)), -1, -2)
 
 
-def state_components(a: AnglePair) -> tuple:
-    """The four components of U_r e_1 = q p, unstacked: floats for an
-    AnglePair of floats, arrays of the angles' shape for one of arrays."""
-    return hamilton(*_quat_pair(a))
-
-
 def final_state(a: AnglePair) -> np.ndarray:
     """U_r e_1 = q p: the real state reached from level 1, shape (..., 4)."""
-    return _stack_last(state_components(a))
+    return _stack_last(hamilton(*_quat_pair(a)))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
@@ -229,6 +223,10 @@ class CosineRamp(
 
     def __getnewargs__(self):  # copy and pickle rebuild from (final, horizon)
         return self[:2]
+
+    @classmethod
+    def _make(cls, fields):  # built by __new__ from (final, horizon) alone
+        return cls(*fields)
 
     def _replace(self, **fields):  # rebuilt by __new__, so G follows final
         return CosineRamp(**{"final": self.final, "horizon": self.horizon, **fields})

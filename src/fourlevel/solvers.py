@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rotation import (
-    AnglePair, CosineRamp, CouplingSet, _check_horizon, final_state, state_components
-)
+from .quat4 import hamilton
+from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, final_state
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
@@ -73,14 +72,6 @@ _FORBIDDEN_ITEMS = {c: itemgetter(*map(CouplingSet._fields.index, n)) for c, n i
 
 class SolverError(Exception):
     pass
-
-
-class SingularParameterizationError(SolverError):
-    """The free parameter choice makes the closed-form solution singular."""
-
-
-class DegenerateBranchError(SolverError):
-    """A degenerate sub-case was hit and no documented branch applies."""
 
 
 class NoSolutionFoundError(SolverError):
@@ -191,62 +182,28 @@ def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
 def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     """Boundary angles for the diamond topology, with theta1 free.
 
-    The constraint set is phi1 = phi2 = 0 with constant theta1, theta2.
-    The remaining angles follow from the closed-form solution in terms of
-    the target coefficients; the square-root branch of sin(gamma2(T)) is
-    chosen by checking the reconstruction residual.
+    The constraint set is phi1 = phi2 = 0 with constant theta1, theta2, so
+    q = cos(gamma1) + sin(gamma1) (E i + G j), E = cos(theta1), G =
+    sin(theta1), and p likewise has no k part.  The state q p = b fixes p
+    = conj(q) b for every gamma1, and the k part of conj(q) b is cos(gamma1)
+    b4 - sin(gamma1) (b3 E - b2 G).  It vanishes at gamma1 = atan2(b4, b3 E
+    - b2 G); then gamma2 = atan2(hypot(p_x, p_y), p_w), in [0, pi], and
+    theta2 = atan2(p_y, p_x).  The construction is exact for every unit
+    target and theta1: on the plane b4 = b3 E - b2 G = 0, which q alone
+    reaches, every gamma1 zeroes the k part and atan2 picks one.
     """
     _check_horizon(horizon)
     theta1 = float(target.free_params.get("theta1", math.pi / 2))
     b = target.b.tolist()
-    b1, b2, b3, b4 = b
-
-    if math.hypot(b1 - 1.0, b2, b3, b4) < 1e-12:
-        # Identity target: the closed form is 0/0 here.
-        boundary = AnglePair(0.0, theta1, 0.0, 0.0, 0.0, 0.0)
-        return _finish(LevelConfig.DIAMOND, boundary, horizon)
-
+    _, b2, b3, b4 = b
     E, G = math.cos(theta1), math.sin(theta1)
-    S = (b3 * b3 + b4 * b4) * E * E - 2 * b2 * b3 * E * G + (b2 * b2 + b4 * b4) * G * G
-    if abs(S) < 1e-12:
-        raise SingularParameterizationError(
-            f"theta1 = {theta1} makes the parameterization singular for this target"
-        )
-    r = math.sqrt(b4 * b4 + (b3 * E - b2 * G) ** 2)
-    A = (b3 * E - b2 * G) / r
-    C = b4 / r
-    numB = (b1 * b3 + b2 * b4) * E + (b3 * b4 - b1 * b2) * G
-    B = numB * r / S
-    D2 = 1.0 - B * B
-    if D2 < -1e-10:
-        raise DegenerateBranchError(
-            f"no consistent sin(gamma2): 1 - B^2 = {D2:.3e} < 0"
-        )
-    D = math.sqrt(max(D2, 0.0))
-    gamma1 = math.atan2(C, A)
-
-    candidates = []
-    if D < 1e-9:
-        # sin(gamma2) = 0: theta2 drops out; pick 0 by convention.
-        candidates.append(AnglePair(gamma1, theta1, 0.0, math.atan2(0.0, B), 0.0, 0.0))
-    else:
-        for d in (D, -D):
-            F = -((b4 * b1 - b2 * b3) * E + (b2 * b2 + b4 * b4) * G) * r / (S * d)
-            H = ((b3 * b3 + b4 * b4) * E - (b2 * b3 + b1 * b4) * G) * r / (S * d)
-            candidates.append(
-                AnglePair(gamma1, theta1, 0.0, math.atan2(d, B), math.atan2(H, F), 0.0)
-            )
-
-    best, best_res = None, math.inf
-    for cand in candidates:
-        res = math.dist(state_components(cand), b)  # |final_state(cand) - b|, on floats
-        if res < best_res:
-            best, best_res = cand, res
-    if best_res > 1e-9:
-        raise DegenerateBranchError(
-            f"no branch reconstructs the target (best residual {best_res:.3e})"
-        )
-    return _finish(LevelConfig.DIAMOND, best, horizon)
+    gamma1 = math.atan2(b4, b3 * E - b2 * G)
+    s1 = math.sin(gamma1)
+    pw, px, py, _ = hamilton((math.cos(gamma1), -s1 * E, -s1 * G, 0.0), b)
+    boundary = AnglePair(
+        gamma1, theta1, 0.0, math.atan2(math.hypot(px, py), pw), math.atan2(py, px), 0.0
+    )
+    return _finish(LevelConfig.DIAMOND, boundary, horizon)
 
 
 def _ntype_loop(psi, b):

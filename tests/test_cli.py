@@ -342,15 +342,17 @@ class TestExitCodes:
         )
         assert run("solve", scenario, tmp_path / "out") == 1
 
-    def test_solver_failure(self, tmp_path):
+    def test_solver_failure(self, tmp_path, monkeypatch):
+        # every target is reachable, so force an N-type failure by refining
+        # no bracket of the loop search, as in test_solvers.py
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_REFINE_STEPS", 0)
         scenario = write_scenario(
             tmp_path,
             {
-                "config": "diamond",
-                "target": [0.0, 1.0, 0.0, 0.0],
+                "config": "ntype",
+                "target": [0.5, 0.5, 0.5, 0.5],
                 "T": 1.0,
                 "phases": {"eps": [0, 0, 0], "eps_prime": [0, 0, 0]},
-                "free_params": {"theta1": 0.0},  # singular parameterization
             },
         )
         assert run("solve", scenario, tmp_path / "out") == 2

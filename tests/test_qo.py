@@ -223,6 +223,20 @@ class TestEngineeredToQO:
         with pytest.raises(UnsupportedConfigurationError):
             engineered_to_qo(tripod_like, ph, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [None, *range(6)], ids=["all", *CouplingSet._fields])
+    def test_rejects_non_finite_couplings(self, bad, index):
+        # a NaN fails every ordered comparison, so it must not pass the
+        # forbidden-coupling probe as "not above the tolerance"
+        ph = PhaseSchedule(eps=np.zeros(3), eps_prime=np.zeros(3), T=1.0)
+        values = [bad] * 6 if index is None else [bad if i == index else 0.0 for i in range(6)]
+
+        def couplings(t):
+            return CouplingSet(*(v + 0.0 * t for v in values))
+
+        with pytest.raises(UnsupportedConfigurationError):
+            engineered_to_qo(couplings, ph, [1000.0, 1350.0, 2600.0])
+
     def test_warns_on_large_detuning_spread(self):
         _, ph, couplings = diamond_setup(eps_prime=(0.0, math.pi / 2, 0.0))
         with pytest.warns(UserWarning):

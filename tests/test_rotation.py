@@ -364,6 +364,14 @@ class TestValueTypes:
         with pytest.raises(TypeError):
             ramp._replace(generator=ramp.generator)
 
+    def test_ramp_make_builds_through_new(self):
+        final = AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1)
+        assert CosineRamp._make((final, 2.0)) == CosineRamp(final, 2.0)
+        with pytest.raises(ValueError, match="horizon"):
+            CosineRamp._make((final, -1.0))
+        with pytest.raises(TypeError):
+            CosineRamp._make((final, 2.0, "junk"))
+
     @pytest.mark.parametrize("kind", [AnglePair, CouplingSet])
     def test_array_round_trip(self, kind, rng):
         values = rng.uniform(-2 * math.pi, 2 * math.pi, size=6)

@@ -21,7 +21,6 @@ from fourlevel.solvers import (
     FORBIDDEN,
     LevelConfig,
     NoSolutionFoundError,
-    SingularParameterizationError,
     SolverError,
     TargetSpec,
     _finish,
@@ -54,6 +53,29 @@ GUESS_ANGLES = st.sampled_from([0.0, math.pi]) | st.floats(-7.0, 7.0)
 #: the bundled ntype.json target and its initial guess, an exact root
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
 E4_ROOT = (math.pi / 6, math.pi / 2, -math.pi / 2)
+
+
+@st.composite
+def diamond_manifold_targets(draw):
+    """(b, theta1), theta1 in [-7, 7] and b a unit target on or near the
+    plane span{e1, (0, cos theta1, sin theta1, 0)}, an axis +-e_k, or a
+    state with sin(gamma2) near 0.  Plane and axis points get noise of 0 or
+    10^U(-16, -3) before they are normalized."""
+    theta1 = draw(st.floats(-7.0, 7.0))
+    E, G = math.cos(theta1), math.sin(theta1)
+    scale = draw(st.just(0.0) | st.floats(-16.0, -3.0).map(lambda u: 10.0**u))
+    kind = draw(st.sampled_from(["plane", "axis", "gamma2"]))
+    if kind == "gamma2":
+        gamma1, theta2 = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+        gamma2 = draw(st.sampled_from([0.0, math.pi])) + draw(st.sampled_from([1.0, -1.0])) * scale
+        return final_state(AnglePair(gamma1, theta1, 0.0, gamma2, theta2, 0.0)), theta1
+    if kind == "plane":
+        a = draw(st.floats(-math.pi, math.pi))
+        b = np.array([math.cos(a), math.sin(a) * E, math.sin(a) * G, 0.0])
+    else:
+        b = draw(st.sampled_from([1.0, -1.0])) * np.eye(4)[draw(st.integers(0, 3))]
+    b = b + scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    return b / np.linalg.norm(b), theta1
 
 
 def random_target(rng) -> TargetSpec:
@@ -148,24 +170,32 @@ class TestSolveDiamond:
         solved = solve_diamond(TargetSpec(E1))
         assert solved.boundary.gamma1 == 0.0 and solved.boundary.gamma2 == 0.0
 
-    def test_singular_theta1_reported(self):
-        target = TargetSpec(np.array([0.0, 1.0, 0.0, 0.0]), {"theta1": 0.0})
-        with pytest.raises(SingularParameterizationError, match="theta1"):
-            solve_diamond(target)
+    def test_target_on_the_q_only_plane(self):
+        # e2 at theta1 = 0 lies on the plane span{e1, (0, cos theta1,
+        # sin theta1, 0)}, where every gamma1 zeroes the k part of conj(q) b
+        solved = solve_diamond(TargetSpec(np.array([0.0, 1.0, 0.0, 0.0]), {"theta1": 0.0}))
+        assert tuple(solved.boundary) == (0.0, 0.0, 0.0, math.pi / 2, 0.0, 0.0)
 
     def test_random_round_trip(self, rng):
-        count = 0
-        while count < 25:
+        for _ in range(25):
             target = random_target(rng)
             theta1 = rng.uniform(0.3, math.pi - 0.3)
-            try:
-                solved = solve_diamond(
-                    TargetSpec(target.b, {"theta1": theta1})
-                )
-            except SingularParameterizationError:
-                continue
+            solved = solve_diamond(TargetSpec(target.b, {"theta1": theta1}))
             assert np.linalg.norm(ur_of_angles(solved.boundary) @ E1 - target.b) < 1e-9
-            count += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(diamond_manifold_targets())
+    def test_manifold_targets_solve_exactly(self, drawn):
+        # the plane that q alone reaches, the axes and sin(gamma2) -> 0 are
+        # ordinary points of p = conj(q) b: each solves to rounding, with
+        # gamma2 in [0, pi] and forbidden couplings of exactly 0
+        b, theta1 = drawn
+        solved = solve_diamond(TargetSpec(b, {"theta1": theta1}))
+        a = solved.boundary
+        assert all(type(v) is float and math.isfinite(v) for v in a)
+        assert 0.0 <= a.gamma2 <= math.pi
+        assert a.phi1 == 0.0 and a.phi2 == 0.0 and solved.constraint_residual == 0.0
+        assert np.linalg.norm(final_state(a) - b) <= 1e-14
 
     @pytest.mark.parametrize("solver", [solve_tripod, solve_diamond])
     def test_closed_form_boundary_is_python_floats(self, solver, rng):
