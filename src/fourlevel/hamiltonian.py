@@ -13,12 +13,11 @@ the time axes in front, e.g. total_hamiltonian returns (..., 4, 4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import _UPPER, CouplingSet, ur_of_angles
+from .rotation import _UPPER, CouplingSet, _check_horizon, ur_of_angles
 from .solvers import SolvedAngles
 
 
@@ -27,7 +26,8 @@ class PhaseSchedule:
     """Linear phase interpolation between boundary phases.
 
     eps and eps_prime are the phases of levels 2..4 at t = 0 and t = T;
-    phi_k(t) = eps_k + Delta_k t with Delta_k = (eps'_k - eps_k) / T.
+    phi_k(t) = eps_k + Delta_k t with Delta_k = (eps'_k - eps_k) / T, T
+    checked by rotation._check_horizon.
     """
 
     eps: np.ndarray
@@ -41,8 +41,7 @@ class PhaseSchedule:
             raise ValueError("eps and eps_prime must each hold three phases")
         if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(epsp))):
             raise ValueError("eps and eps_prime must be finite")
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError("T must be positive and finite")
+        _check_horizon(self.T)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "eps_prime", epsp)
 

@@ -28,6 +28,7 @@ way, so the states are the same bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -287,8 +288,8 @@ def propagate(
     factors of every step come from one stacked Taylor exponential, and the
     states from a blocked scan of the step maps, in this thread's workspace.
     """
-    if steps < 100:
-        raise ValueError("steps must be at least 100")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 100:
+        raise ValueError(f"steps must be an integer of at least 100, got {steps!r}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
     psi = np.asarray(psi0, dtype=complex).copy()

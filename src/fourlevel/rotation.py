@@ -10,11 +10,13 @@ i.e. Omega_nm is the (n, m) entry (n < m) of the real antisymmetric matrix
 dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
 quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
 product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
-M_R(conj(p) dp/dt) and U_r e_1 = q p.  On a cosine ramp the generator is
-r'(t) G for one constant G (CosineRamp.generator).  A ramp evaluated on
-a time array gives an AnglePair of arrays, and the maps above then return
-one result per time, on the leading axes.  AnglePair, CouplingSet and
-CosineRamp are immutable named tuples, as cheap to build as one tuple.
+M_R(conj(p) dp/dt) and U_r e_1 = q p; the public maps reject a NaN or
+infinite angle or rate with a ValueError that names its field.  On a
+cosine ramp the generator is r'(t) G for one constant G
+(CosineRamp.generator).  A ramp evaluated on a time array gives an
+AnglePair of arrays, and the maps above then return one result per time,
+on the leading axes.  AnglePair, CouplingSet and CosineRamp are immutable
+named tuples, as cheap to build as one tuple.
 """
 
 from __future__ import annotations
@@ -88,27 +90,13 @@ def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
     (dg, dth, dph) the pair (quaternion, its time derivative).
 
     n = (cos th, sin th cos ph, sin th sin ph) is the pure unit axis.  The
-    quaternions are (w, x, y, z) tuples of floats or of broadcast arrays.
-    This is the one map from angles to quaternions.
-
-    cos and sin come from math when all three angles are exact Python
-    floats (the solvers' boundary angles), and from numpy otherwise.  On
-    the math route every later product is float arithmetic, several times
-    cheaper than on numpy scalars.  The two routes give the same bits
-    (tests/test_rotation.py checks this as a property), except that math
-    raises ValueError on an infinite angle where numpy gives NaN.
-    np.float64 is a float subclass but stays on numpy: a schedule evaluated
-    at a scalar time gives np.float64 angles, so such a call takes the
-    array call's route, and "a float time equals the array call bit for
-    bit" does not rest on the two trig sources agreeing.
+    quaternions are (w, x, y, z) tuples of numpy floats or of broadcast
+    arrays.  This is the one map from angles to quaternions, by numpy's cos
+    and sin for every input type.  It checks nothing: NaN in, NaN out.
     """
-    if type(g) is float and type(th) is float and type(ph) is float:
-        cos, sin = math.cos, math.sin
-    else:
-        cos, sin = np.cos, np.sin
-    cg, sg = cos(g), sin(g)
-    ct, st = cos(th), sin(th)
-    cp, sp = cos(ph), sin(ph)
+    cg, sg = np.cos(g), np.sin(g)
+    ct, st = np.cos(th), np.sin(th)
+    cp, sp = np.cos(ph), np.sin(ph)
     ny, nz = st * cp, st * sp
     q = (cg, sg * ct, sg * ny, sg * nz)
     if dg is None:
@@ -123,7 +111,16 @@ def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
     return q, dq
 
 
+def _require_finite(values: NamedTuple, what: str) -> None:
+    """Raise ValueError naming each field (a float or an array, tested on its
+    own as shapes may differ) that is or holds NaN or +-inf."""
+    bad = [name for name, v in zip(values._fields, values) if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"{what} not finite: {', '.join(bad)}")
+
+
 def _quat_pair(a: AnglePair):
+    _require_finite(a, "angles")
     return _unit_quat(a.gamma1, a.theta1, a.phi1), _unit_quat(a.gamma2, a.theta2, a.phi2)
 
 
@@ -157,12 +154,19 @@ def final_state(a: AnglePair) -> np.ndarray:
     return _stack_last(hamilton(*_quat_pair(a)))
 
 
+def _unchecked_state(a: AnglePair) -> np.ndarray:
+    """final_state unchecked, for the N-type search's irregular candidates."""
+    return _stack_last(hamilton(_unit_quat(*a[:3]), _unit_quat(*a[3:])))
+
+
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
     """Couplings of the rotation generator dUr/dt Ur^T = M_L(l) + M_R(r).
 
     l = dq/dt conj(q) and r = conj(p) dp/dt are pure quaternions, and the
     upper triangle of M_L(l) + M_R(r) reads off from their components.
     """
+    _require_finite(a, "angles")
+    _require_finite(adot, "angle rates")
     (qw, qx, qy, qz), dq = _unit_quat(*a[:3], *adot[:3])
     (pw, px, py, pz), dp = _unit_quat(*a[3:], *adot[3:])
     return _read_off(
@@ -196,11 +200,12 @@ def ramp_generator(final: AnglePair) -> CouplingSet:
 
 def _check_horizon(horizon: float) -> None:
     """Reject a horizon T that is not finite and positive, or so near 0 or
-    the float range that pi/T or pi*T overflows (the ramp's rate and phase)."""
+    the float range that pi/T or pi*T overflows (a ramp's rate and phase, a
+    phase schedule's detunings): the one test of T, where either is built."""
     if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+        raise ValueError(f"horizon T must be finite and positive, got {horizon}")
     if not (math.isfinite(math.pi / horizon) and math.isfinite(math.pi * horizon)):
-        raise ValueError(f"horizon {horizon} out of range: pi/T or pi*T overflows")
+        raise ValueError(f"horizon T = {horizon} out of range: pi/T or pi*T overflows")
 
 
 class CosineRamp(

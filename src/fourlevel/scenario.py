@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .hamiltonian import PhaseSchedule
-from .rotation import _check_horizon
-from .solvers import LevelConfig, TargetSpec
+from .solvers import LevelConfig, TargetSpec, _finite_real
 
 _ALLOWED_KEYS = {
     "config",
@@ -37,38 +35,24 @@ class ScenarioError(ValueError):
 class Scenario:
     config: LevelConfig
     target: TargetSpec
-    T: float
     phases: PhaseSchedule
     steps: int = 2000
     initial_guess: tuple[float, float, float] | None = None
     omega_levels: np.ndarray | None = None
 
     def __post_init__(self):
-        _require_horizon(self.T)
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise ScenarioError("steps must be an integer")
-        if self.steps < 100:
-            raise ScenarioError("steps must be at least 100")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 100:
+            raise ScenarioError(f"steps must be an integer of at least 100, got {self.steps!r}")
+
+    @property
+    def T(self) -> float:  # the horizon, held and checked by the phase schedule
+        return self.phases.T
 
 
 def _require_number(obj, name: str) -> float:
-    number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
-    try:
-        finite = number and math.isfinite(obj)
-    except OverflowError:  # a JSON integer beyond the float range
-        finite = False
-    if not finite:
+    if not _finite_real(obj):
         raise ScenarioError(f"{name} must be a finite number")
     return float(obj)
-
-
-def _require_horizon(obj) -> float:
-    T = _require_number(obj, "T")
-    try:
-        _check_horizon(T)
-    except ValueError as exc:
-        raise ScenarioError(f"T: {exc}") from exc
-    return T
 
 
 def _require_floats(obj, n: int, name: str) -> np.ndarray:
@@ -97,7 +81,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"unknown config {raw['config']!r}") from exc
 
     b = _require_floats(raw["target"], 4, "target")
-    T = _require_horizon(raw["T"])
+    T = _require_number(raw["T"], "T")
 
     phases_raw = raw["phases"]
     if not isinstance(phases_raw, dict) or set(phases_raw) - _ALLOWED_PHASE_KEYS:
@@ -138,7 +122,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         config=config,
         target=target,
-        T=T,
         phases=phases,
         steps=raw.get("steps", 2000),
         initial_guess=initial_guess,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quat4 import hamilton
-from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, final_state
+from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _unchecked_state
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
@@ -165,7 +165,6 @@ def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     b1 = cos(2 gamma(T)), b2 = sin(2 gamma(T)) cos(theta), etc.  Degenerate
     targets resolve the undetermined angles to zero.
     """
-    _check_horizon(horizon)
     b1, b2, b3, b4 = target.b.tolist()
     B = math.sqrt(b2 * b2 + b3 * b3 + b4 * b4)
     gamma_T = 0.5 * math.atan2(B, b1)
@@ -192,7 +191,6 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     target and theta1: on the plane b4 = b3 E - b2 G = 0, which q alone
     reaches, every gamma1 zeroes the k part and atan2 picks one.
     """
-    _check_horizon(horizon)
     theta1 = float(target.free_params.get("theta1", math.pi / 2))
     b = target.b.tolist()
     _, b2, b3, b4 = b
@@ -401,7 +399,7 @@ def _ntype_candidates(b, unit_b, loop, families):
     t1, t2, g2 = x.T
     sin1 = np.sin(t1)
     g1 = -np.sin(t2) / sin1 * g2
-    state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
+    state = _unchecked_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
     res = np.linalg.norm(state - b, axis=1)
     res = np.where(np.isfinite(res) & (np.abs(sin1) >= _NTYPE_MIN_SIN), res, np.inf)
     return x, g1, g2, res
@@ -524,7 +522,7 @@ def solve_ntype(
     residual over every candidate.  theta1, theta2 are returned modulo
     2 pi, in [0, 2 pi), as the state and the lock are 2 pi-periodic in both.
     """
-    _check_horizon(horizon)
+    _check_horizon(horizon)  # before the search, which may fail first
     if initial_guess is not None:
         guess = tuple(initial_guess) if isinstance(initial_guess, (Sequence, np.ndarray)) else ()
         if len(guess) != 3 or not all(map(_finite_real, guess)):

@@ -13,8 +13,8 @@ from fourlevel.quat4 import Quaternion, hamilton
 from fourlevel.rotation import (
     AnglePair,
     CouplingSet,
+    _unchecked_state,
     _unit_quat,
-    final_state,
     ur_of_angles,
 )
 from fourlevel.solvers import LevelConfig, NoSolutionFoundError
@@ -271,7 +271,7 @@ def ntype_all_pairs_root(b) -> AnglePair:
         x[:, :2] %= 2 * math.pi
         t1, t2, g2 = x.T
         g1 = -np.sin(t2) / np.sin(t1) * g2
-        state = final_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
+        state = _unchecked_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
         res = np.linalg.norm(state - b, axis=1)
     res[~(np.isfinite(res) & (np.abs(np.sin(t1)) >= solvers._NTYPE_MIN_SIN))] = np.inf
     if not np.any(res <= 1e-8):
@@ -382,7 +382,7 @@ def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list[AnglePair]:
             if abs(math.sin(theta1)) < fourlevel.solvers._NTYPE_MIN_SIN:
                 continue
             boundary = ntype_boundary(theta1, theta2, gamma2)
-            if np.linalg.norm(final_state(boundary) - b) <= residual_tol:
+            if np.linalg.norm(_unchecked_state(boundary) - b) <= residual_tol:
                 found.append(boundary)
     return found
 

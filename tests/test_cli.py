@@ -342,6 +342,10 @@ class TestExitCodes:
         )
         assert run("solve", scenario, tmp_path / "out") == 1
 
+    def test_too_few_steps(self, tmp_path, capsys):
+        assert run("simulate", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "50") == 1
+        assert "steps must be an integer of at least 100, got 50" in capsys.readouterr().out
+
     def test_solver_failure(self, tmp_path, monkeypatch):
         # every target is reachable, so force an N-type failure by refining
         # no bracket of the loop search, as in test_solvers.py

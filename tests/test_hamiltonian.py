@@ -57,6 +57,12 @@ class TestPhaseSchedule:
         with pytest.raises(ValueError, match="finite"):
             PhaseSchedule(eps=eps, eps_prime=eps_prime, T=T)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320])
+    def test_rejects_bad_horizon(self, T):
+        # T = 1e-320 gave detunings (inf, 0, 0) and a NaN frame at T/2
+        with pytest.raises(ValueError, match="horizon T"):
+            PhaseSchedule(eps=np.zeros(3), eps_prime=np.array([1.0, 0.0, 0.0]), T=T)
+
 
 class TestPhaseOperator:
     def test_identity_for_zero_phases(self):

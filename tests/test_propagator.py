@@ -58,6 +58,16 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), complex), PSI0, 1.0, steps=10)
 
+    @pytest.mark.parametrize("steps", [150.5, 200.0, True, "200"])
+    def test_rejects_non_integer_steps(self, steps):
+        # 150.5 reached np.linspace and raised an untyped TypeError there
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            propagate(lambda t: np.zeros((4, 4), complex), PSI0, 1.0, steps=steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        traj = propagate(lambda t: np.zeros((4, 4), complex), PSI0, 1.0, steps=np.int64(200))
+        assert traj.times.shape == (201,)
+
     @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_bad_horizon(self, T):
         with pytest.raises(ValueError, match="T must be"):

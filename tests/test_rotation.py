@@ -284,8 +284,8 @@ class TestCosineRampGenerator:
 
 
 class TestFloatRoute:
-    # Python-float angles take math's cos and sin, np.float64 ones numpy's:
-    # the solvers' boundary calls must give the bits of the per-time calls
+    # Python floats, np.float64 and arrays all take numpy's cos and sin, so a
+    # float call gives the bits of the per-time call
     @given(
         st.tuples(*(angle_floats for _ in range(6))),
         st.tuples(*(st.floats(-1e3, 1e3) for _ in range(6))),
@@ -296,7 +296,6 @@ class TestFloatRoute:
         a64 = AnglePair(*map(np.float64, angles))
         adot64 = AnglePair(*map(np.float64, rates))
         g, g64 = hr_analytic(a, adot), hr_analytic(a64, adot64)
-        assert type(g.omega12) is float and type(g64.omega12) is np.float64
         pairs = [
             (g.as_array(), g64.as_array()),
             (final_state(a), final_state(a64)),
@@ -306,8 +305,27 @@ class TestFloatRoute:
             assert x.tobytes() == y.tobytes()
 
     def test_infinite_float_angle_raises(self):
-        with pytest.raises(ValueError, match="math domain error"):
-            final_state(AnglePair(math.inf, 0.0, 0.0, 0.0, 0.0, 0.0))
+        # NaN and +-inf, in any field, as a float, an np.float64 or an array
+        # (the others floats or arrays of other shapes), raise a ValueError
+        # that names the field, on every public route from angles
+        good = AnglePair(0.3, 1.1, -0.7, 2.0, 0.4, 0.9)
+        routes = [
+            ("angles", final_state),
+            ("angles", ur_of_angles),
+            ("angles", spherical_to_quats),
+            ("angles", lambda a: hr_analytic(a, good)),
+            ("angle rates", lambda a: hr_analytic(good, a)),
+        ]
+        for base in (good, tuple(np.full((2, 1), v) for v in good)):
+            for i, name in enumerate(AnglePair._fields):
+                for bad in (math.nan, math.inf, -math.inf):
+                    for value in (bad, np.float64(bad), np.array([0.1, bad, 0.2])):
+                        a = AnglePair(*base[:i], value, *base[i + 1 :])
+                        for what, call in routes:
+                            with pytest.raises(ValueError, match=f"^{what} not finite: {name}$"):
+                                call(a)
+        with pytest.raises(ValueError, match="^angles not finite: gamma1, phi2$"):
+            final_state(AnglePair(math.nan, 0.0, 0.0, 0.0, 0.0, np.array([1.0, math.inf])))
 
 
 class TestCouplingSet:

@@ -122,6 +122,19 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError, match="overflows"):
             load_scenario(write_scenario(tmp_path, payload))
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, 1e-320])
+    def test_bad_horizon_error_names_T(self, tmp_path, horizon):
+        # the phase schedule holds T and checks it; the error names T
+        payload = minimal()
+        payload["T"] = horizon
+        with pytest.raises(ScenarioError, match="horizon T"):
+            load_scenario(write_scenario(tmp_path, payload))
+
+    def test_T_is_the_phase_schedules(self):
+        sc = load_scenario(SCENARIO_DIR / "tripod.json")
+        assert "T" not in {f.name for f in dataclasses.fields(sc)}
+        assert sc.T == sc.phases.T == 1.0
+
     def test_rejects_too_few_steps(self, tmp_path):
         payload = minimal()
         payload["steps"] = 10
