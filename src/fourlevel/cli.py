@@ -10,10 +10,10 @@ qomap     write the quantum-optics mapping of a diamond scenario
           (qomap.json, rabi.csv)
 verify    run the scenario's invariant checks and report pass/fail
 
-Exit codes: 0 success, 1 validation failure (a bad scenario or option,
-or a Hamiltonian the propagator rejects as not finite, for instance at a
-horizon so short that the pulse rates overflow), 2 solver failure,
-3 accuracy failure.
+Exit codes: 0 success, 1 validation failure (a bad scenario or option, or a
+ValueError a command raises on its input, such as a non-finite H(t) at a
+horizon so short that the pulse rates overflow, or overflowing laser
+frequencies), 2 solver failure, 3 accuracy failure.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ import numpy as np
 from .hamiltonian import total_hamiltonian
 from .propagator import (
     AccuracyError,
-    InvalidHamiltonianError,
     compare_with_analytic,
     fidelity,
     propagate,
 )
-from .qo import check_resonance, engineered_to_qo
-from .rotation import final_state
+from .qo import TRANSITIONS, check_resonance, engineered_to_qo
+from .rotation import CouplingSet, final_state
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solvers import (
     LevelConfig,
@@ -104,7 +103,7 @@ def cmd_simulate(sc: Scenario, out: Path) -> int:
 
     _write_csv(
         out / "couplings.csv",
-        ["t", "omega12", "omega13", "omega14", "omega23", "omega24", "omega34"],
+        ["t", *CouplingSet._fields],
         np.column_stack((traj.times, solved.schedule.couplings(traj.times).as_array())),
     )
     _write_csv(
@@ -144,7 +143,7 @@ def cmd_qomap(sc: Scenario, out: Path) -> int:
     z = qo.rabi(times)
     _write_csv(
         out / "rabi.csv",
-        ["t", "re12", "im12", "re13", "im13", "re24", "im24", "re34", "im34"],
+        ["t", *(part + k for k in TRANSITIONS for part in ("re", "im"))],
         np.column_stack((times, np.stack((z.real, z.imag), axis=-1).reshape(len(times), -1))),
     )
     print(f"wrote {out / 'qomap.json'} and {out / 'rabi.csv'}")
@@ -214,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](sc, args.out)
-    except InvalidHamiltonianError as exc:
+    except ValueError as exc:  # a typed input error, InvalidHamiltonianError among them
         print(f"validation failure: {exc}")
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -27,7 +27,7 @@ class PhaseSchedule:
 
     eps and eps_prime are the phases of levels 2..4 at t = 0 and t = T;
     phi_k(t) = eps_k + Delta_k t with Delta_k = (eps'_k - eps_k) / T, T
-    checked by rotation._check_horizon.
+    checked by rotation._check_horizon and each Delta_k finite.
     """
 
     eps: np.ndarray
@@ -44,6 +44,9 @@ class PhaseSchedule:
         _check_horizon(self.T)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "eps_prime", epsp)
+        with np.errstate(over="ignore"):  # an overflow is rejected here
+            if not np.all(np.isfinite(self.detunings)):
+                raise ValueError(f"detunings (eps' - eps) / T not finite: {self.detunings}")
 
     @property
     def detunings(self) -> np.ndarray:

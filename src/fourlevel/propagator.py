@@ -36,9 +36,10 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonian import analytic_evolution
-from .rotation import _UPPER
+from .rotation import _UPPER, _check_horizon
 
 DEFAULT_STEPS = 2000
+NORM_TOL = 1e-6  # the largest | |psi| - 1 | that propagate returns and fidelity accepts
 _CHUNK = 1024  # steps per chunk: bounds the workspace of exponentials and scan
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _W_PLUS = 0.25 + _GAUSS_OFFSET
@@ -290,8 +291,7 @@ def propagate(
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 100:
         raise ValueError(f"steps must be an integer of at least 100, got {steps!r}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("T must be positive and finite")
+    _check_horizon(T)
     psi = np.asarray(psi0, dtype=complex).copy()
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # True for NaN
         raise ValueError(f"initial state psi0 must be finite and normalized, got {psi0}")
@@ -318,9 +318,9 @@ def propagate(
 
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if not drift <= 1e-6:
+    if not drift <= NORM_TOL:
         raise AccuracyError(
-            f"norm drift {drift:.3e} exceeds 1e-6; increase the step count"
+            f"norm drift {drift:.3e} exceeds {NORM_TOL:.0e}; increase the step count"
         )
     phases, relative = _phase_readout(states)
     return Trajectory(
@@ -334,7 +334,7 @@ def propagate(
 
 
 def fidelity(psi: np.ndarray, target: np.ndarray, mod_global_phase: bool = True) -> float:
-    """Overlap-squared between two normalized states.
+    """Overlap-squared between two states normalized within NORM_TOL.
 
     With mod_global_phase the usual |<target|psi>|^2; without it the
     squared real (Euclidean) overlap of the amplitude vectors, which is
@@ -343,7 +343,7 @@ def fidelity(psi: np.ndarray, target: np.ndarray, mod_global_phase: bool = True)
     psi = np.asarray(psi, dtype=complex)
     target = np.asarray(target, dtype=complex)
     for name, v in (("psi", psi), ("target", target)):
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # True for NaN
+        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:  # True for NaN
             raise ValueError(f"state {name} must be finite and normalized, got {v}")
     overlap = np.vdot(target, psi)
     value = abs(overlap) ** 2 if mod_global_phase else overlap.real**2

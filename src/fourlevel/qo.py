@@ -184,8 +184,8 @@ def engineered_to_qo(
             f"couplings are not of diamond type ({', '.join(forbidden)} must vanish)"
         )
 
-    w2, w3, w4 = levels
-    d2, d3, d4 = ph.detunings
+    w2, w3, w4 = levels.tolist()  # floats: an overflow gives inf, which QOParams rejects
+    d2, d3, d4 = ph.detunings.tolist()
     omega_fields = {
         "12": w2 + d2,
         "13": w3 + d3,
@@ -207,6 +207,5 @@ def engineered_to_qo(
     return QOParams(
         omega_levels=levels,
         omega_fields=omega_fields,
-        field_phases={k: 0.0 for k in TRANSITIONS},
         rabi=rabi,
     )

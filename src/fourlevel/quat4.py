@@ -66,12 +66,6 @@ class Quaternion:
     def is_pure_unit(self, atol: float = 1e-12) -> bool:
         return abs(self.w) <= atol and abs(self.norm - 1.0) <= atol
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return quat_mul(self, other)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 

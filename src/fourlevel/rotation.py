@@ -13,10 +13,10 @@ product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
 M_R(conj(p) dp/dt) and U_r e_1 = q p; the public maps reject a NaN or
 infinite angle or rate with a ValueError that names its field.  On a
 cosine ramp the generator is r'(t) G for one constant G
-(CosineRamp.generator).  A ramp evaluated on a time array gives an
-AnglePair of arrays, and the maps above then return one result per time,
-on the leading axes.  AnglePair, CouplingSet and CosineRamp are immutable
-named tuples, as cheap to build as one tuple.
+(CosineRamp.generator, computed from final).  A ramp evaluated on a time
+array gives an AnglePair of arrays, and the maps above then return one
+result per time, on the leading axes.  AnglePair, CouplingSet and
+CosineRamp (final, horizon) are immutable named tuples, cheap to build.
 """
 
 from __future__ import annotations
@@ -208,33 +208,30 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon T = {horizon} out of range: pi/T or pi*T overflows")
 
 
-class CosineRamp(
-    NamedTuple("_CosineRamp", [("final", AnglePair), ("horizon", float), ("generator", CouplingSet)])
-):
+class CosineRamp(NamedTuple("_CosineRamp", [("final", AnglePair), ("horizon", float)])):
     """The pulse of every solver: gamma_i(t) = gamma_i(T) r(t) with
     r(t) = [1 - cos(pi t/T)] / 2, and theta, phi constant at their values
     in final; smooth switch-on/off (zero rate at both endpoints).
 
     value and rate take a time or an array of times and return an
     AnglePair of floats or arrays of t's shape.  Its generator is r'(t) G,
-    G = ramp_generator(final) read once when it is built (horizon checked).
+    G = ramp_generator(final), computed at each read; __new__ checks T.
     """
 
     __slots__ = ()
 
     def __new__(cls, final: AnglePair, horizon: float):
         _check_horizon(horizon)
-        return tuple.__new__(cls, (final, horizon, ramp_generator(final)))
-
-    def __getnewargs__(self):  # copy and pickle rebuild from (final, horizon)
-        return self[:2]
+        return tuple.__new__(cls, (final, horizon))
 
     @classmethod
-    def _make(cls, fields):  # built by __new__ from (final, horizon) alone
+    def _make(cls, fields):  # built by __new__, so _replace checks the horizon too
         return cls(*fields)
 
-    def _replace(self, **fields):  # rebuilt by __new__, so G follows final
-        return CosineRamp(**{"final": self.final, "horizon": self.horizon, **fields})
+    @property
+    def generator(self) -> CouplingSet:
+        """The constant G of the generator r'(t) G."""
+        return ramp_generator(self.final)
 
     @property
     def peak_rate(self) -> float:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import PhaseSchedule
+from .propagator import DEFAULT_STEPS
 from .solvers import LevelConfig, TargetSpec, _finite_real
 
 _ALLOWED_KEYS = {
@@ -24,7 +25,9 @@ _ALLOWED_KEYS = {
 }
 _ALLOWED_PHASE_KEYS = {"eps", "eps_prime"}
 _ALLOWED_QO_KEYS = {"omega_levels"}
-_ANSATZ_NAMES = {"cosine_ramp"}
+_ANSATZ = {"name": "cosine_ramp"}  # the only ansatz: the solvers' pulse is rotation.CosineRamp
+#: The optional keys that one config alone reads.
+_CONFIG_KEYS = {"free_params": LevelConfig.DIAMOND, "initial_guess": LevelConfig.N_TYPE}
 
 
 class ScenarioError(ValueError):
@@ -36,7 +39,7 @@ class Scenario:
     config: LevelConfig
     target: TargetSpec
     phases: PhaseSchedule
-    steps: int = 2000
+    steps: int = DEFAULT_STEPS
     initial_guess: tuple[float, float, float] | None = None
     omega_levels: np.ndarray | None = None
 
@@ -79,6 +82,9 @@ def load_scenario(path: str | Path) -> Scenario:
         config = LevelConfig(raw["config"])
     except ValueError as exc:
         raise ScenarioError(f"unknown config {raw['config']!r}") from exc
+    for key, owner in _CONFIG_KEYS.items():
+        if key in raw and config is not owner:
+            raise ScenarioError(f"{key} is read by the {owner.value} config alone, not {config.value}")
 
     b = _require_floats(raw["target"], 4, "target")
     T = _require_number(raw["T"], "T")
@@ -91,15 +97,9 @@ def load_scenario(path: str | Path) -> Scenario:
         phases_raw.get("eps_prime", [0, 0, 0]), 3, "phases.eps_prime"
     )
 
-    ansatz_raw = raw.get("ansatz", {"name": "cosine_ramp"})
-    if not isinstance(ansatz_raw, dict) or "name" not in ansatz_raw:
-        raise ScenarioError("ansatz must be an object with a name")
-    extra = set(ansatz_raw) - {"name"}
-    if extra:
-        raise ScenarioError(f"unknown ansatz keys: {sorted(extra)}")
-    name = str(ansatz_raw["name"])
-    if name not in _ANSATZ_NAMES:  # the solvers' pulse is rotation.CosineRamp
-        raise ScenarioError(f"unknown ansatz {name!r}")
+    ansatz = raw.get("ansatz", _ANSATZ)
+    if ansatz != _ANSATZ:
+        raise ScenarioError(f"unknown ansatz {ansatz!r}, expected {_ANSATZ!r}")
 
     initial_guess = None
     if "initial_guess" in raw:
@@ -123,7 +123,7 @@ def load_scenario(path: str | Path) -> Scenario:
         config=config,
         target=target,
         phases=phases,
-        steps=raw.get("steps", 2000),
+        steps=raw.get("steps", DEFAULT_STEPS),
         initial_guess=initial_guess,
         omega_levels=omega_levels,
     )

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quat4 import hamilton
-from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _unchecked_state
+from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _unchecked_state, ramp_generator
 
 #: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
 _NTYPE_MIN_SIN = 1e-6
@@ -152,7 +152,7 @@ def _within_canonical_ranges(a: AnglePair) -> bool:
 
 def _finish(config: LevelConfig, boundary: AnglePair, horizon: float) -> SolvedAngles:
     ramp = CosineRamp(boundary, horizon)
-    worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp.generator)))
+    worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp_generator(boundary))))
     return SolvedAngles(
         config, ramp, worst * ramp.peak_rate, _within_canonical_ranges(boundary)
     )

@@ -184,13 +184,14 @@ class TestVerify:
         assert report.count("PASS") == 5
 
     def test_one_generator_evaluation_per_grid(self, tmp_path, monkeypatch):
-        # the solve reads the ramp's constant generator G once, verify
+        # the solve computes the ramp's constant generator G once, verify
         # reports the solve's residual, and the propagation takes 2 Gauss
-        # nodes per step in one evaluation of r'(t) G; the finite-difference
-        # generator is a test oracle, not part of the library
+        # nodes per step in one evaluation of r'(t) G, which computes G once
+        # more; the finite-difference generator is a test oracle, not part of
+        # the library
         calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
-        assert calls == {"ramp_generator": 1} and shapes == [(200,)]
+        assert calls == {"ramp_generator": 2} and shapes == [(200,)]
         for module in (fourlevel, fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
             assert not hasattr(module, "hr_numeric")
 
@@ -256,12 +257,12 @@ COUPLING_GRIDS = {
 
 @pytest.mark.parametrize("command, name", BUNDLED_COMMANDS)
 def test_commands_read_the_generator_once(tmp_path, monkeypatch, command, name):
-    # a solved pulse is a CosineRamp that reads G once, when the solve builds
-    # it: no command evaluates hr_analytic, and every coupling grid is the
-    # ramp's couplings r'(t) G
+    # a solved pulse is a CosineRamp (final, horizon): the solve computes G
+    # once for its residual, and each coupling grid is the ramp's couplings
+    # r'(t) G, which compute G once each; no command evaluates hr_analytic
     calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
     assert run(command, SCENARIO_DIR / f"{name}.json", tmp_path, "--steps", "100") == 0
-    assert calls == {"ramp_generator": 1}
+    assert calls == {"ramp_generator": 1 + len(COUPLING_GRIDS[command])}
     assert shapes == COUPLING_GRIDS[command]
 
 
@@ -279,8 +280,8 @@ def spy_couplings(monkeypatch) -> list:
 
 
 def spy_generator_reads(monkeypatch) -> Counter:
-    """Counts of the library's hr_analytic calls and of the ramps'
-    ramp_generator reads."""
+    """Counts of the library's hr_analytic calls and of its ramp_generator
+    calls, by the solvers and by the ramps."""
     calls = Counter()
 
     def counted(name, fn):
@@ -294,7 +295,8 @@ def spy_generator_reads(monkeypatch) -> Counter:
     for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
         monkeypatch.setattr(module, "hr_analytic", hr_analytic, raising=False)
     reads = counted("ramp_generator", fourlevel.rotation.ramp_generator)
-    monkeypatch.setattr(fourlevel.rotation, "ramp_generator", reads)
+    for module in (fourlevel.rotation, fourlevel.solvers):
+        monkeypatch.setattr(module, "ramp_generator", reads)
     return calls
 
 
@@ -407,6 +409,30 @@ class TestExitCodes:
         assert proc.returncode == fourlevel.cli.EXIT_VALIDATION
         assert proc.stdout.startswith("validation failure:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "qomap"])
+    def test_overflowing_detunings_fail_to_load(self, tmp_path, capsys, command):
+        # eps' - eps overflows: the phase schedule rejects it while the
+        # scenario loads, with no RuntimeWarning on the way (pytest turns one
+        # into an error)
+        payload = json.loads((SCENARIO_DIR / "diamond.json").read_text())
+        payload["phases"] = {"eps": [-1e308, 0, 0], "eps_prime": [1e308, 0, 0]}
+        scenario = write_scenario(tmp_path, payload)
+        assert run(command, scenario, tmp_path / "out") == fourlevel.cli.EXIT_VALIDATION
+        assert capsys.readouterr().out.startswith("validation failure: detunings")
+        assert not (tmp_path / "out").exists()
+
+    def test_qomap_overflowing_laser_frequency(self, tmp_path, capsys):
+        # finite detunings, but omega_2 + Delta_2 overflows: QOParams' typed
+        # ValueError is reported as a validation failure, not a traceback
+        payload = json.loads((SCENARIO_DIR / "diamond.json").read_text())
+        payload["phases"]["eps_prime"][0] = 1e308
+        payload["qo"]["omega_levels"][0] = 1e308
+        scenario = write_scenario(tmp_path, payload)
+        assert run("qomap", scenario, tmp_path / "out") == fourlevel.cli.EXIT_VALIDATION
+        assert capsys.readouterr().out == (
+            "validation failure: level and field frequencies and phases must be finite\n"
+        )
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1

@@ -63,6 +63,19 @@ class TestPhaseSchedule:
         with pytest.raises(ValueError, match="horizon T"):
             PhaseSchedule(eps=np.zeros(3), eps_prime=np.array([1.0, 0.0, 0.0]), T=T)
 
+    @pytest.mark.parametrize(
+        "eps, eps_prime, T",
+        [
+            ([-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], 1.0),  # eps' - eps overflows
+            ([0.0, 0.0, 0.0], [0.0, 0.0, 1e308], 0.5),  # (eps' - eps) / T overflows
+        ],
+    )
+    def test_rejects_overflowing_detunings(self, eps, eps_prime, T):
+        # a RuntimeWarning on the way would fail here too (pytest turns it
+        # into an error)
+        with pytest.raises(ValueError, match=r"detunings .* not finite: \[.*inf"):
+            PhaseSchedule(eps=eps, eps_prime=eps_prime, T=T)
+
 
 class TestPhaseOperator:
     def test_identity_for_zero_phases(self):

@@ -73,6 +73,17 @@ class TestPropagate:
         with pytest.raises(ValueError, match="T must be"):
             propagate(lambda t: np.zeros((4, 4), complex), PSI0, T, steps=100)
 
+    def test_rejects_horizon_whose_rate_overflows(self):
+        # T = 1e-320 is finite and positive, but pi/T overflows: propagate
+        # applies the one horizon rule, rotation._check_horizon
+        with pytest.raises(ValueError, match="horizon T = .* out of range"):
+            propagate(lambda t: np.zeros((4, 4), complex), PSI0, 1e-320, steps=100)
+
+    def test_rejects_norm_drift_past_the_gate(self):
+        h = random_hermitian(np.random.default_rng(0), 1)[0] / 2 * 3e10
+        with pytest.raises(AccuracyError, match=r"norm drift 9\.382e-06 exceeds 1e-06"):
+            propagate(lambda t: h, PSI0, 1.0, 1000)
+
     def test_rejects_unnormalized_initial_state(self):
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), complex), 2 * PSI0, 1.0)
@@ -488,6 +499,14 @@ class TestFidelity:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             fidelity(2 * PSI0, PSI0)
+
+    def test_accepts_a_state_that_propagate_returned(self):
+        # the drift gate and fidelity's input check share one tolerance, so a
+        # state past 1e-8 but within the gate's 1e-6 passes both
+        h = random_hermitian(np.random.default_rng(0), 1)[0] / 2 * 1e9
+        traj = propagate(lambda t: h, PSI0, 1.0, 1000)
+        assert 1e-8 < traj.norm_drift <= 1e-6
+        assert fidelity(traj.final_state, traj.final_state) == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_state(self, bad):

@@ -214,6 +214,11 @@ class TestEngineeredToQO:
         qo = engineered_to_qo(couplings, ph, [1000.0, 1350.0, 2600.0])
         assert qo.closed_loop_phase == 0.0
 
+    def test_rejects_wrong_levels(self):
+        _, ph, couplings = diamond_setup()
+        with pytest.raises(ValueError, match="omega_levels must hold"):
+            engineered_to_qo(couplings, ph, [1000.0, 1350.0])
+
     def test_rejects_non_diamond_couplings(self):
         ph = PhaseSchedule(eps=np.zeros(3), eps_prime=np.zeros(3), T=1.0)
 

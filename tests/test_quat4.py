@@ -136,6 +136,9 @@ class TestCayleyRotation:
             r = cayley_rotation(random_unit_quaternion(rng), random_unit_quaternion(rng))
             assert is_rotation_matrix(r, atol=1e-10)
 
+    def test_rejects_a_matrix_that_is_not_4x4(self):
+        assert not is_rotation_matrix(np.eye(3))
+
 
 class TestDecomposeRotation:
     def test_identity(self):

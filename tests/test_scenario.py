@@ -73,6 +73,16 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    def test_json_array_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="must be a JSON object"):
+            load_scenario(write_scenario(tmp_path, [minimal()]))
+
+    def test_target_that_is_not_a_list_rejected(self, tmp_path):
+        payload = minimal()
+        payload["target"] = {"b1": 1.0}
+        with pytest.raises(ScenarioError, match="target must be 4 finite numbers"):
+            load_scenario(write_scenario(tmp_path, payload))
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
@@ -99,6 +109,23 @@ class TestLoadScenario:
         payload = minimal()
         payload["phases"]["epz"] = [0, 0, 0]
         with pytest.raises(ScenarioError):
+            load_scenario(write_scenario(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            ("tripod", "free_params", {"theta1": 1.0}),
+            ("tripod", "initial_guess", [0.5, 1.5, -1.5]),
+            ("diamond", "initial_guess", [0.5, 1.5, -1.5]),
+            ("ntype", "free_params", {"theta1": 1.0}),
+        ],
+    )
+    def test_key_of_another_config_rejected(self, tmp_path, config, key, value):
+        # free_params is read by the diamond solve alone, initial_guess by the
+        # N-type's: elsewhere either would be dropped without a word
+        payload = minimal(config=config, target=[0, 1, 0, 0])
+        payload[key] = value
+        with pytest.raises(ScenarioError, match=f"{key} is read by .* not {config}"):
             load_scenario(write_scenario(tmp_path, payload))
 
     def test_initial_guess_parsed(self, tmp_path):
@@ -144,7 +171,7 @@ class TestScenarioValidate:
     def test_rejects_unknown_ansatz(self, tmp_path):
         payload = minimal()
         payload["ansatz"] = {"name": "linear_ramp"}
-        with pytest.raises(ScenarioError, match="unknown ansatz 'linear_ramp'"):
+        with pytest.raises(ScenarioError, match="unknown ansatz .*linear_ramp"):
             load_scenario(write_scenario(tmp_path, payload))
 
     @pytest.mark.parametrize(
@@ -166,7 +193,9 @@ class TestScenarioValidate:
         ],
     )
     def test_malformed_value_rejected(self, tmp_path, key, value):
-        payload = minimal(config="diamond", target=[0, 1, 0, 0])
+        # initial_guess is read by the N-type alone, the other keys by the diamond
+        config = "ntype" if key == "initial_guess" else "diamond"
+        payload = minimal(config=config, target=[0, 1, 0, 0])
         payload[key] = value
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, payload))
