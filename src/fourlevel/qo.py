@@ -79,6 +79,10 @@ class QOParams:
         values = [*levels, *self.omega_fields.values(), *self.field_phases.values()]
         if not np.all(np.isfinite(values)):
             raise ValueError("level and field frequencies and phases must be finite")
+        with np.errstate(over="ignore"):  # an overflow is rejected here
+            detunings = self.rwa_detunings
+        if not np.all(np.isfinite(detunings)):
+            raise ValueError(f"rwa_detunings delta_2, delta_3, delta_4 not finite: {detunings}")
 
     @property
     def closed_loop_phase(self) -> float:

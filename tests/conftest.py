@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import strategies as st
 
 import fourlevel.solvers
@@ -182,7 +181,8 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
     Independent of the quaternion route: an oracle for decompose_rotation.
     Returns the two angles sorted ascending.
     """
-    t, _ = scipy.linalg.schur(np.asarray(r, dtype=float), output="real")
+    schur = pytest.importorskip("scipy.linalg").schur
+    t, _ = schur(np.asarray(r, dtype=float), output="real")
     block_angles = []
     real_eigs = []
     i = 0

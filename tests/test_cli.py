@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -300,35 +301,93 @@ def spy_generator_reads(monkeypatch) -> Counter:
     return calls
 
 
-def test_commands_run_without_scipy(tmp_path):
-    # the library needs numpy alone: with scipy made unimportable, solve,
-    # simulate and verify run on the three bundled scenarios and qomap on
-    # the diamond, each exiting 0
-    commands = [
-        (command, name)
-        for name in ("tripod", "diamond", "ntype")
-        for command in ("solve", "simulate", "verify")
-    ] + [("qomap", "diamond")]
-    runs = [
-        [command, "--scenario", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path / name)]
-        for command, name in commands
-    ]
-    code = (
-        "import json, sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from fourlevel.cli import main\n"
-        f"print(json.dumps([main(argv) for argv in {runs!r}]))\n"
-    )
+def run_without_scipy(code):
+    """Run code in a fresh interpreter with scipy made unimportable and
+    fourlevel.cli's main imported."""
     src = Path(fourlevel.cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+    prelude = "import json, sys\nsys.modules['scipy'] = None\nfrom fourlevel.cli import main\n"
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the library needs numpy alone. With scipy made unimportable, each
+    # bundled command runs in a fresh interpreter, and one more interpreter
+    # runs them twice, each time followed by the N-type without its
+    # initial_guess (and at the generic target (1/2, 1/2, 1/2, 1/2), where
+    # the loop search refines its root) and verify at five diamond targets
+    # on the plane span{e1, (0, cos theta1, sin theta1, 0)} that q alone
+    # reaches. Every command exits 0. The propagator keeps its workspace
+    # between calls, so a value carried from one command into the next shows
+    # only in the warm interpreter: both of its passes write the bytes of
+    # the fresh runs. Every JSON file is strict: no NaN or Infinity.
+    ntype = json.loads((SCENARIO_DIR / "ntype.json").read_text())
+    del ntype["initial_guess"]
+    diamond = json.loads((SCENARIO_DIR / "diamond.json").read_text())
+    free = write_scenario(tmp_path, ntype, "ntype_free.json")
+    generic = write_scenario(tmp_path, {**ntype, "target": [0.5] * 4}, "ntype_generic.json")
+    extra = [("solve", free), ("simulate", free), ("verify", free), ("solve", generic)]
+    planes = [
+        ([-1.0, 0.0, 0.0, 0.0], math.pi / 2),
+        ([-1.0, 0.0, 0.0, 0.0], 1.0),
+        ([0.0, 0.0, 1.0, 0.0], math.pi / 2),
+        ([0.0, 0.0, -1.0, 0.0], math.pi / 2),
+        ([0.0, 1.0, 0.0, 0.0], 0.0),
+    ]
+    for i, (target, theta1) in enumerate(planes):
+        payload = {**diamond, "target": target, "free_params": {"theta1": theta1}}
+        extra.append(("verify", write_scenario(tmp_path, payload, f"diamond_plane_{i}.json")))
+    bundled = [(command, SCENARIO_DIR / f"{name}.json") for command, name in BUNDLED_COMMANDS]
+
+    def argv(command, scenario, out):
+        out = tmp_path / out / f"{scenario.stem}-{command}"
+        return [command, "--scenario", str(scenario), "--out", str(out)]
+
+    warm = [argv(c, s, out) for out in ("warm1", "warm2") for c, s in bundled + extra]
+    codes = [f"print(json.dumps([main(argv) for argv in {warm!r}]))"]
+    codes += [f"sys.exit(main({argv(c, s, 'fresh')!r}))" for c, s in bundled]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(run_without_scipy, codes))
+    for proc in procs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(procs[0].stdout.splitlines()[-1]) == [0] * len(warm)
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    fresh, warm1 = files(tmp_path / "fresh"), files(tmp_path / "warm1")
+    assert len(fresh) == 11
+    assert files(tmp_path / "warm2") == warm1
+    assert [name for name, data in fresh.items() if warm1[name] != data] == []
+    for name, data in warm1.items():
+        if name.suffix == ".json":
+            json.loads(data, parse_constant=reject)
+    for stem in ("ntype", "ntype_free", "ntype_generic"):
+        angles = json.loads(warm1[Path(f"{stem}-solve", "angles.json")])
+        assert angles["final_state_residual"] <= 1e-12
+        assert angles["constraint_residual"] <= 1e-8
+
+
+def test_suite_loads_without_scipy():
+    # scipy is an independent oracle in a few tests, which import it
+    # themselves and skip without it: with scipy made unimportable, conftest
+    # and every test module still import
+    tests = Path(__file__).resolve().parent
+    names = ["conftest", *sorted(p.stem for p in tests.glob("test_*.py"))]
+    proc = run_without_scipy(
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        f"for name in {names!r}:\n"
+        "    __import__(name)\n"
+    )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
 
 
 class TestExitCodes:
@@ -422,17 +481,34 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("validation failure: detunings")
         assert not (tmp_path / "out").exists()
 
-    def test_qomap_overflowing_laser_frequency(self, tmp_path, capsys):
-        # finite detunings, but omega_2 + Delta_2 overflows: QOParams' typed
-        # ValueError is reported as a validation failure, not a traceback
+    @pytest.mark.parametrize(
+        "eps_prime, message",
+        [
+            # finite detunings, but omega_2 + Delta_2 overflows
+            (
+                [1e308, math.pi / 2, 0.0],
+                "level and field frequencies and phases must be finite",
+            ),
+            # finite laser frequencies, but delta_3 = 2 (omega_3 - omega_13)
+            # overflows, which qomap.json would hold as -Infinity
+            (
+                [0.0, 1e308, 0.0],
+                "rwa_detunings delta_2, delta_3, delta_4 not finite: [   0.  -inf 5200.]",
+            ),
+        ],
+        ids=["field_frequency", "rwa_detuning"],
+    )
+    def test_qomap_overflowing_laser_frequency(self, tmp_path, capsys, eps_prime, message):
+        # QOParams' typed ValueError is reported as one validation failure
+        # line, not a traceback (nor a RuntimeWarning, which pytest turns
+        # into an error), and no qomap.json is written
         payload = json.loads((SCENARIO_DIR / "diamond.json").read_text())
-        payload["phases"]["eps_prime"][0] = 1e308
+        payload["phases"]["eps_prime"] = eps_prime
         payload["qo"]["omega_levels"][0] = 1e308
         scenario = write_scenario(tmp_path, payload)
         assert run("qomap", scenario, tmp_path / "out") == fourlevel.cli.EXIT_VALIDATION
-        assert capsys.readouterr().out == (
-            "validation failure: level and field frequencies and phases must be finite\n"
-        )
+        assert capsys.readouterr().out == f"validation failure: {message}\n"
+        assert not (tmp_path / "out" / "qomap.json").exists()
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1

@@ -6,7 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from fourlevel import propagator
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
@@ -48,10 +47,11 @@ class TestPropagate:
         assert traj.norm_drift < 1e-14
 
     def test_constant_hamiltonian_matches_exponential(self, rng):
+        expm = pytest.importorskip("scipy.linalg").expm
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h0 = a + a.conj().T
         traj = propagate(lambda t: h0, PSI0, 1.0, steps=400)
-        expected = scipy.linalg.expm(-1j * h0) @ PSI0
+        expected = expm(-1j * h0) @ PSI0
         np.testing.assert_allclose(traj.final_state, expected, atol=1e-10)
 
     def test_rejects_too_few_steps(self):
@@ -190,11 +190,12 @@ class TestStepExponentials:
 
     @pytest.mark.parametrize("norm", STEP_NORMS)
     def test_matches_expm_and_is_unitary(self, rng, norm):
+        expm = pytest.importorskip("scipy.linalg").expm
         h = random_hermitian(rng, 50)
         h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
         dt = float(norm)
         got = np.moveaxis(_step_exponentials(soa(h), dt), -1, 0)
-        expected = scipy.linalg.expm(-1j * dt * h)
+        expected = expm(-1j * dt * h)
         assert np.max(np.abs(got - expected)) <= 1e-13
         unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
         assert np.max(np.abs(unitarity)) <= 1e-13
@@ -202,11 +203,12 @@ class TestStepExponentials:
 
     @pytest.mark.parametrize("norm", STEP_NORMS)
     def test_real_symmetric_matches_expm_and_is_unitary(self, rng, norm):
+        expm = pytest.importorskip("scipy.linalg").expm
         h = random_symmetric(rng, 50)
         h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
         dt = float(norm)
         got = np.moveaxis(_step_exponentials(soa(h), dt), -1, 0)
-        expected = scipy.linalg.expm(-1j * dt * h)
+        expected = expm(-1j * dt * h)
         assert np.max(np.abs(got - expected)) <= 1e-13
         unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
         assert np.max(np.abs(unitarity)) <= 1e-13
@@ -225,10 +227,11 @@ class TestStepExponentials:
     def test_large_step_norms_match_expm(self, rng, norm):
         # rounding in the s squarings grows linearly with dt |H|, and so
         # does expm's own error
+        expm = pytest.importorskip("scipy.linalg").expm
         h = random_hermitian(rng, 50)
         h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
         got = np.moveaxis(_step_exponentials(soa(h), float(norm)), -1, 0)
-        expected = scipy.linalg.expm(-1j * norm * h)
+        expected = expm(-1j * norm * h)
         assert np.max(np.abs(got - expected)) <= 5e-15 * norm
         unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
         assert np.max(np.abs(unitarity)) <= 5e-15 * norm
@@ -250,6 +253,7 @@ class TestBlockedScan:
     def test_propagate_across_chunks_matches_sequential_magnus(self, rng):
         # every state of a run longer than two chunks against a plain
         # step-by-step CF4 Magnus product with scipy's expm
+        expm = pytest.importorskip("scipy.linalg").expm
         steps, T = 2 * _CHUNK + 37, 1.3
         h = drive(rng, complex)
         traj = propagate(h, PSI0, T, steps)
@@ -257,8 +261,8 @@ class TestBlockedScan:
         c = math.sqrt(3.0) / 6
         early = h((np.arange(steps) + 0.5 - c) * dt)
         late = h((np.arange(steps) + 0.5 + c) * dt)
-        right = scipy.linalg.expm(-1j * dt * ((0.25 + c) * early + (0.25 - c) * late))
-        left = scipy.linalg.expm(-1j * dt * ((0.25 - c) * early + (0.25 + c) * late))
+        right = expm(-1j * dt * ((0.25 + c) * early + (0.25 - c) * late))
+        left = expm(-1j * dt * ((0.25 - c) * early + (0.25 + c) * late))
         psi, expected = PSI0, [PSI0]
         for n in range(steps):
             psi = left[n] @ (right[n] @ psi)

@@ -64,6 +64,8 @@ class TestQOParams:
             ("omega_levels", np.array([1.0, math.nan, 2.0])),
             ("omega_fields", {"12": 1.0, "13": math.inf, "24": 1.0, "34": 1.0}),
             ("field_phases", {"12": 0.0, "13": 0.0, "24": math.nan, "34": 0.0}),
+            # finite, but delta_2 = 2 (omega_2 - omega_12) overflows
+            ("omega_levels", np.array([1e308, 1.0, 1.0])),
         ],
     )
     def test_rejects_non_finite(self, field, bad):

@@ -205,12 +205,9 @@ class TestDecomposeRotation:
             g1, g2 = rng.uniform(0.1, 3.0, size=2)
             q = quat_exp(Quaternion(0.0, *u), g1)
             p = quat_exp(Quaternion(0.0, *v), g2)
-            d = decompose_rotation(q, p)
-            r = cayley_rotation(q, p)
+            d = assert_planes_hold_to_rounding(q, p)
             for plane in (d.plane1, d.plane2):
                 assert np.max(np.abs(plane @ plane.T - np.eye(2))) <= 1e-12
-                rotated = plane @ r.T
-                assert np.max(np.abs(rotated - (rotated @ plane.T) @ plane)) <= 1e-12
             assert np.max(np.abs(d.plane1 @ d.plane2.T)) <= 1e-12
 
     @given(unit_quaternions(), unit_quaternions())
@@ -245,10 +242,15 @@ class TestDecomposeRotation:
             (quat_exp(I, 0.7), quat_exp(-I, 0.3)),
             (quat_exp(I, 0.4), quat_exp(-I, 0.4)),
             (quat_exp(K, 2.5), quat_exp(K, 2.9)),
+            (ONE, quat_exp(-I, 1.2)),
+            (-ONE, quat_exp(-I, 1.2)),
+            (quat_exp(I, 0.9), ONE),
+            (quat_exp(I, 0.9), -ONE),
+            (quat_exp(I, 0.9), quat_exp(-I, 1.2)),
         ],
     )
     def test_exact_special_cases_pair_planes_and_angles(self, q, p):
-        assert_planes_carry_their_angles(q, p)
+        assert_planes_hold_to_rounding(q, p)
 
     @pytest.mark.parametrize(
         "q, p, axis, plane",
@@ -272,6 +274,18 @@ class TestDecomposeRotation:
         d2 = decompose_rotation(-q, -p)
         assert abs(d1.angle1 - d2.angle1) < 1e-12
         assert abs(d1.angle2 - d2.angle2) < 1e-12
+
+
+def assert_planes_hold_to_rounding(q, p):
+    """Each plane_i is invariant under R, and each of its rows c satisfies
+    c . R c = cos(angle_i), both to 1e-12; returns the decomposition."""
+    d = decompose_rotation(q, p)
+    r = cayley_rotation(q, p)
+    for plane, angle in ((d.plane1, d.angle1), (d.plane2, d.angle2)):
+        rotated = plane @ r.T
+        assert np.max(np.abs(rotated - (rotated @ plane.T) @ plane)) <= 1e-12
+        assert np.max(np.abs(np.sum(plane * rotated, axis=1) - math.cos(angle))) <= 1e-12
+    return d
 
 
 def assert_planes_carry_their_angles(q, p):

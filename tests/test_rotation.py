@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -264,6 +263,7 @@ class TestCosineRampGenerator:
     )
     @settings(max_examples=200, deadline=None)
     def test_generator_is_ramp_rate_times_constant_matrix(self, angles, T, u):
+        expm = pytest.importorskip("scipy.linalg").expm
         final = AnglePair(*angles)
         sched = CosineRamp(final, T)
         t = u * T
@@ -279,7 +279,7 @@ class TestCosineRampGenerator:
             sched.couplings(t).to_matrix(), generator, rtol=0, atol=1e-14 * scale
         )
         np.testing.assert_allclose(
-            ur_of_angles(sched.value(t)), scipy.linalg.expm(ramp * g), rtol=0, atol=1e-12
+            ur_of_angles(sched.value(t)), expm(ramp * g), rtol=0, atol=1e-12
         )
 
 

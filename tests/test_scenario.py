@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fourlevel.cli import main
 from fourlevel.scenario import ScenarioError, load_scenario
 from fourlevel.solvers import LevelConfig
 
@@ -120,13 +121,17 @@ class TestLoadScenario:
             ("ntype", "free_params", {"theta1": 1.0}),
         ],
     )
-    def test_key_of_another_config_rejected(self, tmp_path, config, key, value):
+    def test_key_of_another_config_rejected(self, tmp_path, capsys, config, key, value):
         # free_params is read by the diamond solve alone, initial_guess by the
-        # N-type's: elsewhere either would be dropped without a word
+        # N-type's: elsewhere either would be dropped without a word; the CLI
+        # reports it as a validation failure
         payload = minimal(config=config, target=[0, 1, 0, 0])
         payload[key] = value
+        scenario = write_scenario(tmp_path, payload)
         with pytest.raises(ScenarioError, match=f"{key} is read by .* not {config}"):
-            load_scenario(write_scenario(tmp_path, payload))
+            load_scenario(scenario)
+        assert main(["solve", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out.startswith(f"validation failure: {key} is read by")
 
     def test_initial_guess_parsed(self, tmp_path):
         payload = minimal(config="ntype", target=[0, 0, 0, 1])

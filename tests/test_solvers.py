@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -951,7 +950,7 @@ class TestCouplingSchedules:
         target = random_target(rng)
         solved = solve_tripod(target)
         b = solved.boundary
-        area, _ = scipy.integrate.quad(
+        area, _ = pytest.importorskip("scipy.integrate").quad(
             lambda t: topology_couplings(
                 LevelConfig.INVERSE_TRIPOD, solved, t
             ).omega12,
