@@ -19,6 +19,7 @@ from .rotation import (
     CouplingSet,
     final_state,
     hr_analytic,
+    rotation_vectors,
     spherical_to_quats,
     ur_of_angles,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "quat_exp",
     "quat_mul",
     "right_isoclinic",
+    "rotation_vectors",
     "solve_diamond",
     "solve_ntype",
     "solve_tripod",

@@ -11,12 +11,13 @@ dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
 quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
 product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
 M_R(conj(p) dp/dt) and U_r e_1 = q p; the public maps reject a NaN or
-infinite angle or rate with a ValueError that names its field.  On a
-cosine ramp the generator is r'(t) G for one constant G
-(CosineRamp.generator, computed from final).  A ramp evaluated on a time
-array gives an AnglePair of arrays, and the maps above then return one
-result per time, on the leading axes.  AnglePair, CouplingSet and
-CosineRamp (final, horizon) are immutable named tuples, cheap to build.
+infinite angle or rate with a ValueError that names its field.  A solved
+pulse is a CosineRamp of the rotation vectors v_i = gamma_i(T) n_i, whose
+generator r'(t) (M_L(v1) + M_R(v2)) is read off them with no trig and whose
+angles are a view of them.  A ramp evaluated on a time array gives an
+AnglePair of arrays, and the maps above then return one result per time, on
+the leading axes.  AnglePair, CouplingSet and CosineRamp are immutable named
+tuples, cheap to build.
 """
 
 from __future__ import annotations
@@ -111,16 +112,16 @@ def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
     return q, dq
 
 
-def _require_finite(values: NamedTuple, what: str) -> None:
-    """Raise ValueError naming each field (a float or an array, tested on its
-    own as shapes may differ) that is or holds NaN or +-inf."""
-    bad = [name for name, v in zip(values._fields, values) if not np.isfinite(v).all()]
+def _require_finite(what: str, names, values) -> None:
+    """Raise ValueError naming each of values (a float, array or tuple, each
+    tested on its own as shapes may differ) that is or holds NaN or +-inf."""
+    bad = [name for name, v in zip(names, values) if not np.isfinite(v).all()]
     if bad:
         raise ValueError(f"{what} not finite: {', '.join(bad)}")
 
 
 def _quat_pair(a: AnglePair):
-    _require_finite(a, "angles")
+    _require_finite("angles", a._fields, a)
     return _unit_quat(a.gamma1, a.theta1, a.phi1), _unit_quat(a.gamma2, a.theta2, a.phi2)
 
 
@@ -154,9 +155,16 @@ def final_state(a: AnglePair) -> np.ndarray:
     return _stack_last(hamilton(*_quat_pair(a)))
 
 
-def _unchecked_state(a: AnglePair) -> np.ndarray:
-    """final_state unchecked, for the N-type search's irregular candidates."""
-    return _stack_last(hamilton(_unit_quat(*a[:3]), _unit_quat(*a[3:])))
+def _vector_state(v1, v2) -> np.ndarray:
+    """q p, (..., 4), for q = exp(v1), p = exp(v2) of rotation vectors (x, y,
+    z) of floats or arrays; unchecked, for the N-type search's candidates."""
+
+    def exp(x, y, z):
+        g = np.sqrt(x * x + y * y + z * z)
+        s = np.sin(g) / np.where(g == 0.0, 1.0, g)  # v = 0 at g = 0
+        return np.cos(g), s * x, s * y, s * z
+
+    return _stack_last(hamilton(exp(*v1), exp(*v2)))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
@@ -165,8 +173,8 @@ def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
     l = dq/dt conj(q) and r = conj(p) dp/dt are pure quaternions, and the
     upper triangle of M_L(l) + M_R(r) reads off from their components.
     """
-    _require_finite(a, "angles")
-    _require_finite(adot, "angle rates")
+    _require_finite("angles", a._fields, a)
+    _require_finite("angle rates", adot._fields, adot)
     (qw, qx, qy, qz), dq = _unit_quat(*a[:3], *adot[:3])
     (pw, px, py, pz), dp = _unit_quat(*a[3:], *adot[3:])
     return _read_off(
@@ -180,22 +188,39 @@ def _read_off(left, right) -> CouplingSet:
     return CouplingSet(-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx)
 
 
-def ramp_generator(final: AnglePair) -> CouplingSet:
-    """The constant G of the generator r'(t) G of the cosine ramp to final.
-
-    With theta, phi constant, q and p turn about fixed axes n1, n2:
-    dq/dt conj(q) = gamma1(T) r'(t) n1, conj(p) dp/dt = gamma2(T) r'(t) n2.
-    So G = gamma1(T) M_L(n1) + gamma2(T) M_R(n2), and U_r(t) = exp(r(t) G)
-    as isoclinic factors commute.  G is read in floats from gamma_i(T) n_i,
-    n = (cos theta, sin theta cos phi, sin theta sin phi): equal factors
-    (tripod) and phi = 0 (diamond) give forbidden entries of exactly 0.
-    """
-    g1, th1, ph1, g2, th2, ph2 = final
-    st1, st2 = math.sin(th1), math.sin(th2)
-    return _read_off(
-        (g1 * math.cos(th1), g1 * (st1 * math.cos(ph1)), g1 * (st1 * math.sin(ph1))),
-        (g2 * math.cos(th2), g2 * (st2 * math.cos(ph2)), g2 * (st2 * math.sin(ph2))),
+def rotation_vectors(a: AnglePair) -> tuple[tuple, tuple]:
+    """The rotation vectors gamma_i n(theta_i, phi_i) of the two factors at
+    the angles a (floats), n = (cos theta, sin theta cos phi, sin theta sin
+    phi): the one map from angles to a CosineRamp's stored form."""
+    _require_finite("angles", a._fields, a)
+    g1, t1, p1, g2, t2, p2 = a
+    s1, s2 = math.sin(t1), math.sin(t2)
+    return (
+        (g1 * math.cos(t1), g1 * (s1 * math.cos(p1)), g1 * (s1 * math.sin(p1))),
+        (g2 * math.cos(t2), g2 * (s2 * math.cos(p2)), g2 * (s2 * math.sin(p2))),
     )
+
+
+def _angles(v) -> tuple[float, float, float]:
+    """(gamma, theta, phi) with gamma n(theta, phi) = v, theta in [0, pi],
+    phi in [0, pi) and gamma = +-|v|; phi = 0 where v_y = v_z = 0, theta = 0
+    where v = 0."""
+    x, y, z = v
+    s = 1.0 if z > 0.0 or (z == 0.0 and y >= 0.0) else -1.0
+    rho = math.hypot(y, z)
+    # + 0.0 turns a -0.0 into 0.0, so atan2 gives 0, not pi
+    return s * math.hypot(x, y, z), math.atan2(rho, s * x + 0.0), math.atan2(abs(z), s * y + 0.0)
+
+
+def _log(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The rotation vector of the unit quaternion (w, x, y, z): angle
+    atan2(|u|, w) in [0, pi] along u = (x, y, z), along i where u = 0 (pi i
+    for -1)."""
+    h = math.hypot(x, y, z)
+    if h == 0.0:
+        return math.atan2(0.0, w), 0.0, 0.0
+    a = math.atan2(h, w)
+    return a * (x / h), a * (y / h), a * (z / h)
 
 
 def _check_horizon(horizon: float) -> None:
@@ -208,30 +233,37 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon T = {horizon} out of range: pi/T or pi*T overflows")
 
 
-class CosineRamp(NamedTuple("_CosineRamp", [("final", AnglePair), ("horizon", float)])):
-    """The pulse of every solver: gamma_i(t) = gamma_i(T) r(t) with
-    r(t) = [1 - cos(pi t/T)] / 2, and theta, phi constant at their values
-    in final; smooth switch-on/off (zero rate at both endpoints).
-
-    value and rate take a time or an array of times and return an
-    AnglePair of floats or arrays of t's shape.  Its generator is r'(t) G,
-    G = ramp_generator(final), computed at each read; __new__ checks T.
-    """
+class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("horizon", float)])):
+    """The pulse of every solver: q(t) = exp(r(t) v1), p(t) = exp(r(t) v2),
+    r(t) = [1 - cos(pi t/T)] / 2, for the rotation vectors v1, v2 (3-tuples
+    of floats, checked finite by __new__, as is T); zero rate at both ends.
+    The factors turn about fixed axes, so the generator is r'(t) G, G =
+    M_L(v1) + M_R(v2), and U_r(t) = exp(r(t) G).  final is the AnglePair view
+    of v1, v2; value and rate give that of gamma_i(T) r(t), theta, phi and of
+    its rate, at a time or on an array of times."""
 
     __slots__ = ()
 
-    def __new__(cls, final: AnglePair, horizon: float):
+    def __new__(cls, v1, v2, horizon: float):
+        (x1, y1, z1), (x2, y2, z2) = v1, v2  # a ValueError unless three components each
+        if not math.isfinite(x1 + y1 + z1 + x2 + y2 + z2):  # else every component is finite
+            _require_finite("rotation vectors", ("v1", "v2"), (v1, v2))
         _check_horizon(horizon)
-        return tuple.__new__(cls, (final, horizon))
+        return tuple.__new__(cls, ((x1, y1, z1), (x2, y2, z2), horizon))
 
     @classmethod
-    def _make(cls, fields):  # built by __new__, so _replace checks the horizon too
+    def _make(cls, fields):  # built by __new__, so _replace checks the fields too
         return cls(*fields)
 
     @property
     def generator(self) -> CouplingSet:
         """The constant G of the generator r'(t) G."""
-        return ramp_generator(self.final)
+        return _read_off(self.v1, self.v2)
+
+    @property
+    def final(self) -> AnglePair:
+        """The boundary angles, gamma_i(T) signed, theta in [0, pi], phi in [0, pi)."""
+        return AnglePair(*_angles(self.v1), *_angles(self.v2))
 
     @property
     def peak_rate(self) -> float:

@@ -1,9 +1,11 @@
 """Boundary-value solvers for the three four-level coupling topologies.
 
 Each solver takes a normalized real target amplitude vector b (the system
-starts in level 1), imposes the constraint set that cancels the couplings
-forbidden by the topology, and returns the smooth cosine ramp to the
-boundary angles as a SolvedAngles, an immutable named tuple.
+starts in level 1) and returns the smooth cosine ramp to the rotation
+vectors v1, v2 of the two factors as a SolvedAngles, an immutable named
+tuple.  Each topology's forbidden couplings are a linear condition on (v1,
+v2), which the solver meets by assignment (tripod v1 = v2, diamond v1z =
+v2z = 0, N-type v1y = v2y = 0, v1z = -v2z): each is exactly 0.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .quat4 import hamilton
-from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _unchecked_state, ramp_generator
+from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _log, _vector_state
 
-#: The least |sin(theta1)| of an N-type root, and of a guess that selects one.
-_NTYPE_MIN_SIN = 1e-6
 #: The largest final-state residual |q p - b| of a converged N-type candidate.
 _NTYPE_RESIDUAL_TOL = 1e-8
 #: N-type loop search: lock sample points; the final bracket width, one sample step
@@ -43,8 +43,8 @@ _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
 _NTYPE_GUESS_OFFSET = 1e-6
 #: A guess-free solve refines first the turn pairs whose pulse area can lie below
 #: _NTYPE_STAGE_AREA, and the others only if no converged candidate has an area
-#: below it less _NTYPE_STAGE_MARGIN (a converged root's lock-derived gamma1(T)
-#: is off by about its residual, at most 1e-8).
+#: below it less _NTYPE_STAGE_MARGIN (a converged root's |v_i| differ from
+#: |gamma_i(T)| on the loop by about its residual, at most 1e-8).
 _NTYPE_STAGE_AREA = 2 * math.pi
 _NTYPE_STAGE_MARGIN = 1e-6
 #: The axis families are built only where their candidates can converge (see
@@ -126,70 +126,55 @@ def _finite_real(value) -> bool:
 
 
 class SolvedAngles(NamedTuple):
-    """The cosine ramp to the boundary angles, whose generator is r'(t) G
-    with G = schedule.generator; constraint_residual is G's largest
-    forbidden entry times the ramp's peak rate pi/(2T)."""
+    """The cosine ramp to the rotation vectors v1, v2, with generator r'(t)
+    G, G = schedule.generator, and its AnglePair view as boundary;
+    constraint_residual is G's largest forbidden entry times the ramp's peak
+    rate pi/(2T), 0.0 for every solve."""
 
     config: LevelConfig
     schedule: CosineRamp
     constraint_residual: float
-    within_canonical_ranges: bool
 
     @property
     def boundary(self) -> AnglePair:
         return self.schedule.final
 
-
-def _within_canonical_ranges(a: AnglePair) -> bool:
-    """Whether the boundary angles fall in gamma, theta in [0, pi],
-    phi in [0, 2*pi]."""
-    g1, t1, p1, g2, t2, p2 = a
-    return (
-        0.0 <= g1 <= math.pi and 0.0 <= g2 <= math.pi and 0.0 <= t1 <= math.pi
-        and 0.0 <= t2 <= math.pi and 0.0 <= p1 <= 2.0 * math.pi and 0.0 <= p2 <= 2.0 * math.pi
-    )
+    @property
+    def within_canonical_ranges(self) -> bool:
+        """Whether boundary falls in gamma, theta in [0, pi], phi in [0, 2 pi]:
+        the view's theta and phi always do, so whether both gamma_i do."""
+        a = self.boundary
+        return 0.0 <= a.gamma1 <= math.pi and 0.0 <= a.gamma2 <= math.pi
 
 
-def _finish(config: LevelConfig, boundary: AnglePair, horizon: float) -> SolvedAngles:
-    ramp = CosineRamp(boundary, horizon)
-    worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp_generator(boundary))))
-    return SolvedAngles(
-        config, ramp, worst * ramp.peak_rate, _within_canonical_ranges(boundary)
-    )
+def _finish(config: LevelConfig, v1, v2, horizon: float) -> SolvedAngles:
+    ramp = CosineRamp(v1, v2, horizon)
+    worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp.generator)))
+    return SolvedAngles(config, ramp, worst * ramp.peak_rate)
 
 
 def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
-    """Closed-form boundary angles for the inverse-tripod topology.
+    """Closed-form rotation vectors for the inverse-tripod topology.
 
-    Both quaternion factors share the same angles (gamma, theta, phi), so
-    b1 = cos(2 gamma(T)), b2 = sin(2 gamma(T)) cos(theta), etc.  Degenerate
-    targets resolve the undetermined angles to zero.
+    Both factors share one rotation vector v, so q p = exp(2 v) = b and v =
+    log(b) / 2: the angle atan2(|(b2, b3, b4)|, b1) / 2 along (b2, b3, b4),
+    along i for b = -e1 (and v = 0 for b = e1).
     """
-    b1, b2, b3, b4 = target.b.tolist()
-    B = math.sqrt(b2 * b2 + b3 * b3 + b4 * b4)
-    gamma_T = 0.5 * math.atan2(B, b1)
-    if B < 1e-15:
-        theta = phi = 0.0  # target is +-|1>; theta, phi undetermined
-    else:
-        r34 = math.hypot(b3, b4)
-        theta = math.atan2(r34, b2)
-        phi = 0.0 if r34 < 1e-15 else math.atan2(b4, b3)
-    boundary = AnglePair(gamma_T, theta, phi, gamma_T, theta, phi)
-    return _finish(LevelConfig.INVERSE_TRIPOD, boundary, horizon)
+    v = tuple(0.5 * c for c in _log(*target.b.tolist()))
+    return _finish(LevelConfig.INVERSE_TRIPOD, v, v, horizon)
 
 
 def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
-    """Boundary angles for the diamond topology, with theta1 free.
+    """Rotation vectors for the diamond topology, with theta1 free.
 
-    The constraint set is phi1 = phi2 = 0 with constant theta1, theta2, so
-    q = cos(gamma1) + sin(gamma1) (E i + G j), E = cos(theta1), G =
-    sin(theta1), and p likewise has no k part.  The state q p = b fixes p
-    = conj(q) b for every gamma1, and the k part of conj(q) b is cos(gamma1)
-    b4 - sin(gamma1) (b3 E - b2 G).  It vanishes at gamma1 = atan2(b4, b3 E
-    - b2 G); then gamma2 = atan2(hypot(p_x, p_y), p_w), in [0, pi], and
-    theta2 = atan2(p_y, p_x).  The construction is exact for every unit
-    target and theta1: on the plane b4 = b3 E - b2 G = 0, which q alone
-    reaches, every gamma1 zeroes the k part and atan2 picks one.
+    The constraint set is v1z = v2z = 0, so q = cos(gamma1) + sin(gamma1)
+    (E i + G j), E = cos(theta1), G = sin(theta1), and p likewise has no k
+    part.  The state q p = b fixes p = conj(q) b for every gamma1, and the k
+    part of conj(q) b is cos(gamma1) b4 - sin(gamma1) (b3 E - b2 G).  It
+    vanishes at gamma1 = atan2(b4, b3 E - b2 G); then v1 = gamma1 (E, G, 0)
+    and v2 = log(p) with p's k part set to 0.  The construction is exact for
+    every unit target and theta1: on the plane b4 = b3 E - b2 G = 0, which q
+    alone reaches, every gamma1 zeroes the k part and atan2 picks one.
     """
     theta1 = float(target.free_params.get("theta1", math.pi / 2))
     b = target.b.tolist()
@@ -198,10 +183,8 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     gamma1 = math.atan2(b4, b3 * E - b2 * G)
     s1 = math.sin(gamma1)
     pw, px, py, _ = hamilton((math.cos(gamma1), -s1 * E, -s1 * G, 0.0), b)
-    boundary = AnglePair(
-        gamma1, theta1, 0.0, math.atan2(math.hypot(px, py), pw), math.atan2(py, px), 0.0
-    )
-    return _finish(LevelConfig.DIAMOND, boundary, horizon)
+    v1 = (gamma1 * E, gamma1 * G, 0.0)
+    return _finish(LevelConfig.DIAMOND, v1, _log(pw, px, py, 0.0), horizon)
 
 
 def _ntype_loop(psi, b):
@@ -274,8 +257,9 @@ def _ntype_loop_brackets(b, guess=None):
 
 
 def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
-    """(theta1, theta2, gamma2(T)) (n, 3) at the lock's sign change in each
-    bracket of _ntype_loop_brackets, all refined at once.
+    """(gamma1(T), theta1, gamma2(T), theta2) (n, 4), gamma_i(T) the loop's
+    plus the turns, at the lock's sign change in each bracket of
+    _ntype_loop_brackets, all refined at once.
 
     Each refinement step evaluates the lock at a few points inside every
     open bracket, in one call, and keeps the part between neighbouring
@@ -301,7 +285,7 @@ def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
     cut, straddle = np.arange(1, 16) / 16, np.arange(-3.5, 4.0)
     near_axis = max(abs(b)) ** 2 > 1.0 - _NTYPE_AXIS_DISTANCE**2
     secants = range(_NTYPE_CUTS, _NTYPE_CUTS + (0 if near_axis else _NTYPE_SECANT_STEPS))
-    turns = 2 * math.pi * m[:, 0]  # added to gamma2(T)
+    turns = 2 * math.pi * np.concatenate((k, m), axis=1)  # added to gamma1(T), gamma2(T)
     sign, mid = f_lo > 0, np.empty_like(left)
     kept = np.full(len(left), -1)  # the part each secant step kept
     i = np.arange(len(left))  # the open brackets' rows
@@ -336,13 +320,13 @@ def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
         f_lo, f_hi = values[r, a, None], values[r, a + 1, None]
         kept = a if secant else kept
     mid[i] = left + width / 2
-    _, theta1, g2, theta2 = _ntype_loop(mid[:, 0], b)
-    return np.stack((theta1, theta2, g2 + turns), axis=1)
+    g1, theta1, g2, theta2 = _ntype_loop(mid[:, 0], b)
+    return np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1)
 
 
 def _ntype_axis_roots(b, unit: bool, quarter: bool) -> np.ndarray:
-    """(theta1, theta2, gamma2(T)) (n, 3) of the root families the loop
-    cannot reach, where the lock rather than b sets one angle: with unit,
+    """(gamma1(T), theta1, gamma2(T), theta2) (n, 4) of the root families the
+    loop cannot reach, where the lock rather than b sets one angle: with unit,
     the two families with one factor +-1, then with quarter the one with
     both gamma_i(T) odd multiples of pi/2.
 
@@ -361,16 +345,16 @@ def _ntype_axis_roots(b, unit: bool, quarter: bool) -> np.ndarray:
         g = np.arctan2(math.hypot(b2, b4), sign * b1) + 2 * math.pi * _NTYPE_TURNS
         theta = np.arctan2(sign * b4, sign * b2)
         free = np.where(j == 0, math.pi / 2, np.arcsin(-g * np.sin(theta) / (math.pi * j)))
-        families.append(np.broadcast_arrays(free, theta, g))  # q = +-1
-        families.append(np.broadcast_arrays(theta, free, math.pi * j))  # p = +-1
+        families.append(np.broadcast_arrays(math.pi * j, free, g, theta))  # q = +-1
+        families.append(np.broadcast_arrays(g, theta, math.pi * j, free))  # p = +-1
     if quarter:
         half = (np.arange(-2.0, 2.0) + 0.5) * math.pi
         g1, g2 = half[:, None], half
         s = np.sin(g1) * np.sin(g2)
         delta = np.arctan2(s * b3, -s * b1)
         theta2 = np.arctan2(-g1 * np.sin(delta), g1 * np.cos(delta) + g2)
-        families.append(np.broadcast_arrays(theta2 + delta, theta2, g2))
-    return np.concatenate([np.stack(f, axis=-1).reshape(-1, 3) for f in families])
+        families.append(np.broadcast_arrays(g1, theta2 + delta, g2, theta2))
+    return np.concatenate([np.stack(f, axis=-1).reshape(-1, 4) for f in families])
 
 
 def _ntype_guess_points(b, gamma1: float, gamma2: float):
@@ -389,37 +373,32 @@ def _ntype_guess_points(b, gamma1: float, gamma2: float):
 
 
 def _ntype_candidates(b, unit_b, loop, families):
-    """The candidates (theta1, theta2, gamma2(T)) (n, 3), thetas modulo 2 pi:
-    the loop roots, then the axis families chosen by families = (unit,
-    quarter); with gamma1(T), gamma2(T) and the residual |q p - b|, inf
-    where |sin(theta1)| < _NTYPE_MIN_SIN or the state is not finite."""
+    """The candidates (x1, x2, z) (n, 3), v1 = (x1, 0, z), v2 = (x2, 0, -z),
+    of the rows (gamma1(T), theta1, gamma2(T), theta2) of the loop roots,
+    then of the axis families chosen by families = (unit, quarter): x_i =
+    gamma_i cos(theta_i) and z the mean of z1 = gamma1 sin(theta1) and -z2,
+    which splits the lock's rounding z1 + z2; the residual |q p - b| (inf if
+    not finite); and the area |v1| + |v2| where converged, else inf."""
     parts = [loop, _ntype_axis_roots(unit_b, *families)] if any(families) else [loop]
-    x = np.concatenate(parts)
-    x[:, :2] %= 2 * math.pi
-    t1, t2, g2 = x.T
-    sin1 = np.sin(t1)
-    g1 = -np.sin(t2) / sin1 * g2
-    state = _unchecked_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
-    res = np.linalg.norm(state - b, axis=1)
-    res = np.where(np.isfinite(res) & (np.abs(sin1) >= _NTYPE_MIN_SIN), res, np.inf)
-    return x, g1, g2, res
-
-
-def _ntype_area(g1, g2, res):
-    """The pulse area |gamma1(T)| + |gamma2(T)| of each converged candidate,
-    inf for the others: the guess-free solve takes the first least."""
-    return np.where(res <= _NTYPE_RESIDUAL_TOL, np.abs(g1) + np.abs(g2), np.inf)
+    g1, t1, g2, t2 = np.concatenate(parts).T
+    x1, x2, z = g1 * np.cos(t1), g2 * np.cos(t2), (g1 * np.sin(t1) - g2 * np.sin(t2)) / 2
+    res = np.linalg.norm(_vector_state((x1, 0.0, z), (x2, 0.0, -z)) - b, axis=1)
+    res = np.where(np.isfinite(res), res, np.inf)
+    area = np.where(res <= _NTYPE_RESIDUAL_TOL, np.hypot(x1, z) + np.hypot(x2, z), np.inf)
+    return np.stack((x1, x2, z), axis=1), res, area
 
 
 def _ntype_root(b, guess) -> np.ndarray:
-    """The chosen (theta1, theta2, gamma2(T)) of solve_ntype for a guess of
-    three floats, or None."""
+    """The chosen candidate (x1, x2, z) of solve_ntype for a guess of three
+    floats, or None."""
     unit_b = b / np.linalg.norm(b)
     if guess is not None:
-        theta_g = np.array(guess[:2])
-        gamma_g = guess[2] * np.array([-np.sin(theta_g[1]) / np.sin(theta_g[0]), 1.0])
-        if abs(np.sin(theta_g[0])) < _NTYPE_MIN_SIN or not np.isfinite(gamma_g[0]):
-            guess = None  # a singular guess, or one whose gamma1(T) overflows
+        theta1, theta2, gamma2 = guess
+        z = -gamma2 * math.sin(theta2)  # the lock: gamma1 sin(theta1) = z
+        gamma1 = z / np.sin(theta1)
+        guess_x = np.array([gamma1 * math.cos(theta1), gamma2 * math.cos(theta2), z])
+        if not np.isfinite(guess_x).all():
+            guess = None  # gamma1(T) beyond the float range, or 0 / 0
     b1, b2, b3, b4 = unit_b.tolist()
     families = (
         abs(b1 * b3) <= _NTYPE_UNIT_REACH * (1.0 + abs(b1)),
@@ -432,32 +411,26 @@ def _ntype_root(b, guess) -> np.ndarray:
         first = np.pi * (np.maximum(2 * k, -2 * k - 1) + np.maximum(2 * m, -2 * m - 1))
         first = first < _NTYPE_STAGE_AREA
         loop = _ntype_refine(unit_b, *(a[first] for a in brackets))
-        x, g1, g2, res = _ntype_candidates(b, unit_b, loop, families)
-        area = _ntype_area(g1, g2, res)
+        x, _, area = _ntype_candidates(b, unit_b, loop, families)
         if area.min(initial=np.inf) < _NTYPE_STAGE_AREA - _NTYPE_STAGE_MARGIN:
             return x[np.argmin(area)]
-        roots = np.empty((len(first), 3))  # every pair's roots, in the sample's order
+        roots = np.empty((len(first), 4))  # every pair's roots, in the sample's order
         roots[first], roots[~first] = loop, _ntype_refine(unit_b, *(a[~first] for a in brackets))
     else:
-        roots = _ntype_refine(unit_b, *_ntype_loop_brackets(unit_b, _ntype_guess_points(unit_b, *gamma_g)))
-    x, g1, g2, res = _ntype_candidates(b, unit_b, roots, families)
+        points = _ntype_guess_points(unit_b, gamma1, gamma2)
+        roots = _ntype_refine(unit_b, *_ntype_loop_brackets(unit_b, points))
+    x, res, area = _ntype_candidates(b, unit_b, roots, families)
     converged = np.flatnonzero(res <= _NTYPE_RESIDUAL_TOL)
     if converged.size == 0:  # the least residual over every family
-        res = _ntype_candidates(b, unit_b, roots, (True, True))[3]
+        res = _ntype_candidates(b, unit_b, roots, (True, True))[1]
         raise NoSolutionFoundError(
             "N-type boundary-value solve did not converge", float(np.min(res))
         )
     if guess is None:
-        return x[np.argmin(_ntype_area(g1, g2, res))]
-    # the rotation vectors gamma_i e^(i theta_i), equal for (gamma, theta)
-    # and (-gamma, theta + pi), which give the same factor
-    rotation = np.stack((g1, g2), axis=1) * np.exp(1j * x[:, :2])
-    dist = np.sum(np.abs(rotation - gamma_g * np.exp(1j * theta_g)) ** 2, axis=1)
-    root = x[converged[np.argmin(dist[converged])]]
-    flip = np.cos(root[:2] - theta_g) < 0  # to the guess's form
-    root[:2] = np.where(flip, root[:2] + math.pi, root[:2]) % (2 * math.pi)
-    root[2] = -root[2] if flip[1] else root[2]
-    return root
+        return x[np.argmin(area)]
+    # |v1 - v1'|^2 + |v2 - v2'|^2, with v1z = z and v2z = -z on both sides
+    dist = ((x - guess_x) ** 2) @ [1.0, 1.0, 2.0]
+    return x[converged[np.argmin(dist[converged])]]
 
 
 def solve_ntype(
@@ -465,62 +438,57 @@ def solve_ntype(
     horizon: float = 1.0,
     initial_guess: tuple[float, float, float] | None = None,
 ) -> SolvedAngles:
-    """Boundary angles for the N-type (chain) topology.
+    """Rotation vectors v1 = (x1, 0, z), v2 = (x2, 0, -z) for the N-type
+    (chain) topology: in angles phi1 = phi2 = pi/2, and the z parts are the
+    lock gamma1 sin(theta1) + gamma2 sin(theta2) = 0.
 
-    Constraints: phi1 = phi2 = pi/2, constant thetas, and the gamma rates
-    locked by gamma1 = -(sin(theta2)/sin(theta1)) gamma2 (both start at 0).
-    (theta1, theta2, gamma2(T)) solve q p = b with no start point: for each
-    gamma2(T) the state q p = b fixes gamma1(T), theta1 and theta2 in closed
-    form, on a loop through both square-root branches (_ntype_loop), so the
-    lock is one scalar equation in gamma2(T).  Its sign changes along the
-    loop, for gamma1(T), gamma2(T) shifted by 2 pi k, 2 pi m with k, m in
-    -1..1 (every root of pulse area at most 3 pi), are sampled at 128 points
-    (_ntype_loop_brackets) and refined to brackets 2 pi / 128 / 16**11 wide
-    (_ntype_refine); each bracket stops at that width, so its root does not
-    depend on which other brackets are refined with it.  For b2 = b4 = 0 the
-    loop is one point, whose sign changes are rounding, and it is skipped.
-    The axis families (_ntype_axis_roots) join the loop roots.  A candidate
-    converges if its residual |q p - b| is at most _NTYPE_RESIDUAL_TOL =
-    1e-8 and |sin(theta1)| >= 1e-6.
+    The search has no start point.  For each gamma2(T) the state q p = b
+    fixes gamma1(T), theta1 and theta2 in closed form, on a loop through both
+    square-root branches (_ntype_loop), so the lock is one scalar equation
+    on the loop.  Its sign changes, for gamma1(T), gamma2(T) shifted by 2 pi
+    k, 2 pi m with k, m in -1..1 (every root of pulse area at most 3 pi), are
+    sampled at 128 points (_ntype_loop_brackets) and refined to brackets
+    2 pi / 128 / 16**11 wide (_ntype_refine); each bracket stops at that
+    width, so its root does not depend on the brackets refined with it.  For
+    b2 = b4 = 0 the loop is one point, whose sign changes are rounding, and
+    it is skipped.  The axis families (_ntype_axis_roots) join the loop
+    roots.  Each root becomes the candidate (x1, x2, z) of
+    _ntype_candidates, which meets the constraints by assignment, with no
+    division by sin(theta1); it converges if its residual |q p - b| is at
+    most _NTYPE_RESIDUAL_TOL = 1e-8.
 
     An axis family is built only where its candidates can converge.  A
-    q = +-1 candidate has q = +-exp(delta n1), delta its lock-derived
-    gamma1(T) less j pi, and p = +-(b1, b2, 0, b4) / |(b1, b2, b4)|.  Its
-    state cos(delta) p + sin(delta) n1 p differs from b, in components 1,
-    2, 4, by a part orthogonal to p of norm at least |b1 sin(delta)|, and in
-    component 3 by at least |b3| - |sin(delta)|: a residual r needs |b1 b3|
-    <= r (1 + |b1|).  A p = +-1 candidate's third component is below 4e-16.
-    Both families are built when |b1 b3| <= (1e-8 + 1e-15) (1 + |b1|),
-    1e-15 covering the rounding of the state.  An odd-pi/2 candidate's
-    components 2 and 4 have norm at most |sin(delta)| + 5e-16, delta the
-    rounding of the lock's gamma1(T), about 1e-14 / |sin(theta1)| <= 1e-8:
-    the family is built when hypot(b2, b4) <= 2e-8 + 1e-15.  A failed solve
-    builds every family, for its least residual.
+    q = +-1 candidate has q = +-exp(delta n1), delta its |v1| less j pi,
+    and p = +-(b1, b2, 0, b4) / |(b1, b2, b4)|.  Its state cos(delta) p +
+    sin(delta) n1 p differs from b, in components 1, 2, 4, by a part
+    orthogonal to p of norm at least |b1 sin(delta)|, and in component 3 by
+    at least |b3| - |sin(delta)|: a residual r needs |b1 b3| <= r (1 +
+    |b1|).  A p = +-1 candidate's third component is below 4e-16.  Both
+    families are built when |b1 b3| <= (1e-8 + 1e-15) (1 + |b1|), 1e-15
+    covering the rounding of the state.  An odd-pi/2 candidate's components
+    2 and 4 have norm below 3e-15 (on 20,000 seeded targets), and the family
+    is built when hypot(b2, b4) <= 2e-8 + 1e-15.  A failed solve builds
+    every family, for its least residual.
 
     With gamma_i(psi) in [0, pi] on the loop, |gamma_i(psi) + 2 pi t| is at
     least 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0: only the turn pairs
     (0, 0), (-1, 0) and (0, -1) can hold a root of pulse area below 2 pi.  A
     solve with no guess refines their brackets first, and the other six
     pairs' brackets, from the same sample, only if no converged candidate
-    has an area below 2 pi - 1e-6 (a converged root's lock-derived gamma1(T)
-    is off by about its residual); it then picks among every candidate, in
-    the order below.  Either way it returns the root of the search over
-    every pair, bit for bit.
+    has an area |v1| + |v2| below 2 pi - 1e-6.  Either way it returns the
+    root of the search over every pair, bit for bit.
 
     initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
-    (ValueError otherwise), selects a root; it is not a start point.  The
-    search also runs at the guess's own turns (k, m), with sample points 1e-6
-    to either side of its place on the loop (_ntype_guess_points), and returns
-    the converged candidate nearest the guess by sum_i |gamma_i e^(i
-    theta_i) - gamma_i' e^(i theta_i')|^2, gamma1 from the lock on both
-    sides.  It comes in the guess's form: where cos(theta_i - theta_i') < 0,
-    theta_i gets + pi, and for i = 2 gamma2(T) is negated.  With no guess,
-    or one with |sin(theta1)| < 1e-6 or gamma1(T) beyond the float range,
-    the root has the least pulse area |gamma1(T)| + |gamma2(T)|.  Ties go
-    to the earlier candidate (loop roots by k, m, the guess's pair last,
-    and psi; then the axis families).  A failed solve reports the least
-    residual over every candidate.  theta1, theta2 are returned modulo
-    2 pi, in [0, 2 pi), as the state and the lock are 2 pi-periodic in both.
+    (ValueError otherwise), selects a root; it is not a start point.  Its
+    vectors (x1', x2', z') take gamma1(T) from the lock.  The search also
+    runs at the guess's turns (k, m), with sample points 1e-6 to either side
+    of its place on the loop (_ntype_guess_points), and returns the converged
+    candidate nearest the guess by |v1 - v1'|^2 + |v2 - v2'|^2.  With no
+    guess, or one whose vectors are not finite (sin(theta1) = 0, or gamma1(T)
+    beyond the float range), the root has the least pulse area |v1| + |v2|.
+    Ties go to the earlier candidate (loop roots by k, m, the guess's pair
+    last, and psi; then the axis families).  A failed solve reports the
+    least residual over every candidate.
     """
     _check_horizon(horizon)  # before the search, which may fail first
     if initial_guess is not None:
@@ -531,8 +499,5 @@ def solve_ntype(
             )
         initial_guess = tuple(map(float, guess))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
-        root = _ntype_root(target.b, initial_guess)
-    theta1, theta2, gamma2_T = (float(v) for v in root)
-    gamma1_T = -math.sin(theta2) / math.sin(theta1) * gamma2_T
-    boundary = AnglePair(gamma1_T, theta1, math.pi / 2, gamma2_T, theta2, math.pi / 2)
-    return _finish(LevelConfig.N_TYPE, boundary, horizon)
+        x1, x2, z = _ntype_root(target.b, initial_guess).tolist()
+    return _finish(LevelConfig.N_TYPE, (x1, 0.0, z), (x2, 0.0, -z), horizon)

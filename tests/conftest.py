@@ -12,8 +12,8 @@ from fourlevel.quat4 import Quaternion, hamilton
 from fourlevel.rotation import (
     AnglePair,
     CouplingSet,
-    _unchecked_state,
     _unit_quat,
+    _vector_state,
     ur_of_angles,
 )
 from fourlevel.solvers import LevelConfig, NoSolutionFoundError
@@ -232,9 +232,10 @@ def ntype_loop_brackets(b, guess=None):
 def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
     """N-type brackets (k, m, left, width, f_lo, f_hi) refined by 16-part
     cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part where the
-    lock's sign first changes, and the root at the midpoint of the last
-    part.  An oracle for _ntype_refine, whose secant steps end each bracket
-    at most as wide; the same candidates in the same order."""
+    lock's sign first changes, and the root (gamma1(T), theta1, gamma2(T),
+    theta2) at the midpoint of the last part, with the loop's gammas plus
+    the turns.  An oracle for _ntype_refine, whose secant steps end each
+    bracket at most as wide; the same candidates in the same order."""
     solvers = fourlevel.solvers
     left, width, sign = left[:, 0], width[:, 0], f_lo > 0
     cut = np.arange(1, 16) / 16
@@ -243,8 +244,9 @@ def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
         flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
         left = left + width / 16 * np.argmax(flip, axis=1)
         width = width / 16
-    _, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, b)
-    return np.stack((theta1, theta2, g2 + 2 * math.pi * m[:, 0]), axis=1)
+    g1, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, b)
+    turns = 2 * math.pi * np.concatenate((k, m), axis=1)
+    return np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1)
 
 
 def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
@@ -254,11 +256,31 @@ def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
     return ntype_cut_refine(b, *ntype_loop_brackets(b, guess))
 
 
-def ntype_all_pairs_root(b) -> AnglePair:
-    """The guess-free N-type boundary of the search over every turn pair at
-    once and every axis family: this module's sample (ntype_loop_brackets)
-    refined by _ntype_refine, then _ntype_axis_roots, and the converged
-    candidate (residual at most 1e-8, |sin(theta1)| >= _NTYPE_MIN_SIN) of
+def ntype_vector_candidates(b, rows):
+    """The rotation vectors (v1, v2) of the N-type roots (gamma1(T), theta1,
+    gamma2(T), theta2), v1 = (x1, 0, z) and v2 = (x2, 0, -z) with x_i =
+    gamma_i cos(theta_i) and z the mean of gamma1 sin(theta1) and -gamma2
+    sin(theta2), as float tuples; and each one's final-state residual |q p
+    - b|, inf where not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g1, t1, g2, t2 = np.asarray(rows, dtype=float).T
+        x1, x2, z = g1 * np.cos(t1), g2 * np.cos(t2), (g1 * np.sin(t1) - g2 * np.sin(t2)) / 2
+        res = np.linalg.norm(_vector_state((x1, 0.0, z), (x2, 0.0, -z)) - b, axis=1)
+    res[~np.isfinite(res)] = np.inf
+    vectors = [((u, 0.0, w), (v, 0.0, -w)) for u, v, w in zip(x1.tolist(), x2.tolist(), z.tolist())]
+    return vectors, res
+
+
+def pulse_area(vectors) -> float:
+    """|v1| + |v2| of a vector pair, or of a CosineRamp's."""
+    return math.hypot(*vectors[0]) + math.hypot(*vectors[1])
+
+
+def ntype_all_pairs_root(b):
+    """The guess-free N-type vectors (v1, v2) of the search over every turn
+    pair at once and every axis family: this module's sample
+    (ntype_loop_brackets) refined by _ntype_refine, then _ntype_axis_roots,
+    as vector candidates, and the converged one (residual at most 1e-8) of
     least pulse area, ties going to the earlier one; NoSolutionFoundError
     with the least residual over every candidate if none converges.  The
     reference that solve_ntype's staged search equals bit for bit."""
@@ -267,22 +289,20 @@ def ntype_all_pairs_root(b) -> AnglePair:
     unit_b = b / np.linalg.norm(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         loop = solvers._ntype_refine(unit_b, *ntype_loop_brackets(unit_b))
-        x = np.concatenate((loop, solvers._ntype_axis_roots(unit_b, True, True)))
-        x[:, :2] %= 2 * math.pi
-        t1, t2, g2 = x.T
-        g1 = -np.sin(t2) / np.sin(t1) * g2
-        state = _unchecked_state(AnglePair(g1, t1, math.pi / 2, g2, t2, math.pi / 2))
-        res = np.linalg.norm(state - b, axis=1)
-    res[~(np.isfinite(res) & (np.abs(np.sin(t1)) >= solvers._NTYPE_MIN_SIN))] = np.inf
+        rows = np.concatenate((loop, solvers._ntype_axis_roots(unit_b, True, True)))
+    vectors, res = ntype_vector_candidates(b, rows)
     if not np.any(res <= 1e-8):
         raise NoSolutionFoundError("N-type boundary-value solve did not converge", float(np.min(res)))
-    area = np.where(res <= 1e-8, np.abs(g1) + np.abs(g2), np.inf)
-    return ntype_boundary(*(float(v) for v in x[np.argmin(area)]))
+    area = [pulse_area(v) if r <= 1e-8 else math.inf for v, r in zip(vectors, res)]
+    return vectors[int(np.argmin(area))]
 
 
-#: N-type Levenberg-Marquardt iteration cap and initial damping
+#: N-type Levenberg-Marquardt iteration cap, initial damping, and least
+#: |sin(theta1)| of a regular step (nearer 0, one rounding of theta1 moves
+#: the lock's gamma1 beyond the tolerance)
 LM_MAX_ITER = 40
 LM_DAMPING = 1e-2
+LM_MIN_SIN = 1e-6
 
 
 def ntype_residual(x: np.ndarray, b: np.ndarray):
@@ -306,8 +326,7 @@ def ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
     for solve_ntype's root search.
 
     A step is taken if it lowers the residual and is regular: finite, with
-    |sin(theta1)| >= _NTYPE_MIN_SIN (nearer 0, one rounding of theta1 moves
-    the lock's gamma1 beyond the tolerance).  A start leaves at an irregular
+    |sin(theta1)| >= LM_MIN_SIN.  A start leaves at an irregular
     step or once converged (residual <= residual_tol, no further decrease).
     Returns the end points, theta in [0, 2 pi), and residuals, inf if never
     regular."""
@@ -319,7 +338,7 @@ def ntype_lm(x: np.ndarray, b: np.ndarray, residual_tol: float):
         f_new, jac_new = ntype_residual(x_new, b)
         res_new = np.linalg.norm(f_new, axis=1)
         regular = np.isfinite(res_new) & np.all(np.isfinite(jac_new), axis=(1, 2))
-        regular &= np.abs(np.sin(x_new[:, 0])) >= fourlevel.solvers._NTYPE_MIN_SIN
+        regular &= np.abs(np.sin(x_new[:, 0])) >= LM_MIN_SIN
         ok = regular & (res_new < res[i])
         x[i[ok]], f[i[ok]], jac[i[ok]] = x_new[ok], f_new[ok], jac_new[ok]
         res[i[ok]] = res_new[ok]
@@ -345,15 +364,10 @@ def ntype_fold(gamma) -> tuple[float, float]:
     return (float(n), r) if r <= math.pi else (float(-n - 1), 2 * math.pi - r)
 
 
-def rotation_distance(a: AnglePair, b: AnglePair) -> float:
-    """sum_i |gamma_i (cos theta_i, sin theta_i) - gamma_i' (cos theta_i',
-    sin theta_i')|^2 between two N-type boundaries, the same for (gamma,
-    theta) and (-gamma, theta + pi)."""
-    pairs = ((a.gamma1, a.theta1, b.gamma1, b.theta1), (a.gamma2, a.theta2, b.gamma2, b.theta2))
-    return sum(
-        (g * math.cos(t) - h * math.cos(u)) ** 2 + (g * math.sin(t) - h * math.sin(u)) ** 2
-        for g, t, h, u in pairs
-    )
+def rotation_distance(a, b) -> float:
+    """|v1 - v1'|^2 + |v2 - v2'|^2 between two vector pairs (v1, v2), or
+    CosineRamps."""
+    return sum((x - y) ** 2 for u, w in zip(a[:2], b[:2]) for x, y in zip(u, w))
 
 
 def ntype_boundary(theta1, theta2, gamma2) -> AnglePair:
@@ -362,12 +376,21 @@ def ntype_boundary(theta1, theta2, gamma2) -> AnglePair:
     return AnglePair(gamma1, theta1, math.pi / 2, gamma2, theta2, math.pi / 2)
 
 
-def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list[AnglePair]:
-    """The converged N-type candidates that a regular guess selects from:
-    the cut oracle's loop roots at the fixed turns and at the guess's own,
-    with samples 1e-6 to either side of the guess's place on the loop, and
-    the axis families, each with a final-state residual at most
-    residual_tol and |sin(theta1)| >= _NTYPE_MIN_SIN."""
+def ntype_vectors(theta1, theta2, gamma2):
+    """The vectors (v1, v2) of (theta1, theta2, gamma2(T)), v1 = (x1, 0, z)
+    and v2 = (x2, 0, -z), gamma1 by the lock: a guess's, in the library's
+    coordinates."""
+    z = -gamma2 * math.sin(theta2)
+    gamma1 = z / math.sin(theta1)
+    return (gamma1 * math.cos(theta1), 0.0, z), (gamma2 * math.cos(theta2), 0.0, -z)
+
+
+def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list:
+    """The converged N-type vector candidates that a finite guess selects
+    from: the cut oracle's loop roots at the fixed turns and at the guess's
+    own, with samples 1e-6 to either side of the guess's place on the loop,
+    and the axis families, each with a final-state residual at most
+    residual_tol."""
     b = np.asarray(b, dtype=float)
     (k, _), (m, g2) = ntype_fold(ntype_boundary(*guess).gamma1), ntype_fold(guess[2])
     # the loop runs gamma2(psi) = pi/2 - h cos(psi)
@@ -376,19 +399,13 @@ def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list[AnglePair]:
     points = (np.outer([psi, -psi], [1.0, 1.0]) + [-1e-6, 1e-6]).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         loop = ntype_cut_loop_roots(b, (k, m, points))
-        x = np.concatenate((loop, fourlevel.solvers._ntype_axis_roots(b, True, True)))
-        found = []
-        for theta1, theta2, gamma2 in x.tolist():
-            if abs(math.sin(theta1)) < fourlevel.solvers._NTYPE_MIN_SIN:
-                continue
-            boundary = ntype_boundary(theta1, theta2, gamma2)
-            if np.linalg.norm(_unchecked_state(boundary) - b) <= residual_tol:
-                found.append(boundary)
-    return found
+        rows = np.concatenate((loop, fourlevel.solvers._ntype_axis_roots(b, True, True)))
+    vectors, res = ntype_vector_candidates(b, rows)
+    return [v for v, r in zip(vectors, res) if r <= residual_tol]
 
 
-def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) -> AnglePair:
-    """The N-type boundary from one Levenberg-Marquardt batch over the guess,
+def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8):
+    """The N-type vectors (v1, v2) from one Levenberg-Marquardt batch over the guess,
     the grid and the seeded draws: a converged guess wins, else the converged
     start of least pulse area, ties going to the earlier start; a failure
     reports the least residual over the guess and every start.  A reference
@@ -412,4 +429,4 @@ def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8) ->
     area[~converged] = np.inf
     if len(guess) and converged[0]:
         area[0] = -1.0
-    return ntype_boundary(*(float(v) for v in x[np.argmin(area)]))
+    return ntype_vectors(*(float(v) for v in x[np.argmin(area)]))

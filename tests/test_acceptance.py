@@ -22,7 +22,7 @@ from fourlevel.quat4 import (
     quat_mul,
     right_isoclinic,
 )
-from fourlevel.rotation import hr_analytic, ur_of_angles
+from fourlevel.rotation import AnglePair, hr_analytic, rotation_vectors, ur_of_angles
 from fourlevel.solvers import (
     FORBIDDEN,
     LevelConfig,
@@ -106,11 +106,11 @@ def test_criterion_2_diamond_example():
         TargetSpec(np.array([0, 1, 1, 0]) / math.sqrt(2), {"theta1": math.pi / 2})
     )
     b = solved.boundary
-    angles_ok = (
-        abs(b.gamma1 - math.pi) < 1e-12
-        and abs(b.gamma2 - math.pi / 2) < 1e-12
-        and abs(b.theta2 + 3 * math.pi / 4) < 1e-12
-    )
+    # the paper's angles gamma1 = pi, gamma2 = pi/2, theta2 = -3 pi/4 (theta1
+    # = pi/2, phi = 0), as the rotation vectors the ramp stores
+    paper = AnglePair(math.pi, math.pi / 2, 0.0, math.pi / 2, -3 * math.pi / 4, 0.0)
+    paper = rotation_vectors(paper)
+    angles_ok = np.max(np.abs(np.subtract(solved.schedule[:2], paper))) < 1e-12
     residual = float(
         np.linalg.norm(ur_of_angles(b) @ E1 - np.array([0, 1, 1, 0]) / math.sqrt(2))
     )

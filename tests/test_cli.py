@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fourlevel.cli
 import fourlevel.rotation
@@ -46,6 +50,7 @@ class TestSolve:
         assert angles["theta1"] == pytest.approx(math.atan(math.sqrt(2)))
         assert angles["phi1"] == pytest.approx(math.pi / 4)
         assert payload["final_state_residual"] < 1e-10
+        # v1 = v2 = log(b)/2 has |v| <= pi/2, and its view gamma = |v| >= 0
         assert payload["within_canonical_ranges"] is True
 
     def test_identity_target(self, tmp_path):
@@ -185,14 +190,14 @@ class TestVerify:
         assert report.count("PASS") == 5
 
     def test_one_generator_evaluation_per_grid(self, tmp_path, monkeypatch):
-        # the solve computes the ramp's constant generator G once, verify
-        # reports the solve's residual, and the propagation takes 2 Gauss
-        # nodes per step in one evaluation of r'(t) G, which computes G once
-        # more; the finite-difference generator is a test oracle, not part of
-        # the library
+        # the solve reads the ramp's constant generator G off v1, v2 once,
+        # verify reports the solve's residual, and the propagation takes 2
+        # Gauss nodes per step in one evaluation of r'(t) G, which reads G
+        # once more; the finite-difference generator is a test oracle, not
+        # part of the library
         calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
-        assert calls == {"ramp_generator": 2} and shapes == [(200,)]
+        assert calls == {"_read_off": 2} and shapes == [(200,)]
         for module in (fourlevel, fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
             assert not hasattr(module, "hr_numeric")
 
@@ -205,11 +210,12 @@ class TestVerify:
         assert run("verify", SCENARIO_DIR / f"{name}.json", tmp_path / "verify") == 0
         assert f"forbidden_couplings_max = {residual:.3e} (" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["tripod", "diamond"])
+    @pytest.mark.parametrize("name", ["tripod", "diamond", "ntype"])
     def test_short_horizon_passes(self, tmp_path, name, capsys):
-        # G's forbidden entries are exactly 0 for the tripod (equal factors)
-        # and the diamond (phi = 0), so the gate holds at T = 1e-9, where the
-        # peak rate pi/(2T) would scale a rounding-level entry above 1e-8
+        # G's forbidden entries are exactly 0 for every topology, as each
+        # solver assigns the rotation vectors that meet its constraints, so
+        # the gate holds at T = 1e-9, where the peak rate pi/(2T) would scale
+        # a rounding-level entry above 1e-8
         payload = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
         scenario = write_scenario(tmp_path, {**payload, "T": 1e-9})
         assert run("solve", scenario, tmp_path / "solve") == 0
@@ -218,24 +224,30 @@ class TestVerify:
         assert run("verify", scenario, tmp_path / "verify") == 0
         assert "forbidden_couplings_max = 0.000e+00 (" in capsys.readouterr().out
 
-    def test_ntype_short_horizon_failure_is_reported(self, tmp_path, capsys):
-        # the N-type's lock is zero only to the rounding of its root, and
-        # pi/(2T) scales that rounding past 1e-8 at T = 1e-9: verify says so
-        payload = json.loads((SCENARIO_DIR / "ntype.json").read_text())
-        scenario = write_scenario(tmp_path, {**payload, "T": 1e-9})
-        assert run("verify", scenario, tmp_path) == 3
-        report = capsys.readouterr().out
-        assert "FAIL forbidden_couplings_max" in report and report.count("PASS") == 4
 
-
-@pytest.mark.parametrize("name", ["tripod", "diamond"])
+@pytest.mark.parametrize("name", ["tripod", "diamond", "ntype"])
 def test_forbidden_columns_are_zero(tmp_path, name):
-    # couplings.csv is r'(t) G, and G's forbidden entries are exactly 0 here
+    # couplings.csv is r'(t) G, and G's forbidden entries are exactly 0
     scenario = SCENARIO_DIR / f"{name}.json"
     assert run("simulate", scenario, tmp_path) == 0
     header, data = read_csv(tmp_path / "couplings.csv")
     names = fourlevel.solvers.FORBIDDEN[load_scenario(scenario).config]
     assert np.all(data[:, [header.index(n) for n in names]] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["tripod", "diamond", "ntype"]), log_horizon=st.floats(-9.0, 9.0))
+def test_any_horizon_verifies_exact_zero_forbidden_couplings(tmp_path_factory, name, log_horizon):
+    # T log-uniform in [1e-9, 1e9]: the peak rate pi/(2T) scales no rounding
+    # into the gate, as every forbidden entry of G is exactly 0; and dt H
+    # does not depend on T, so verify at 100 steps passes at every T
+    payload = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    out = tmp_path_factory.mktemp("verify")
+    scenario = write_scenario(out, {**payload, "T": 10.0**log_horizon})
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = run("verify", scenario, out, "--steps", "100")
+    assert "PASS forbidden_couplings_max = 0.000e+00 (" in stdout.getvalue()
+    assert code == 0, stdout.getvalue()
 
 
 BUNDLED_COMMANDS = [
@@ -258,12 +270,13 @@ COUPLING_GRIDS = {
 
 @pytest.mark.parametrize("command, name", BUNDLED_COMMANDS)
 def test_commands_read_the_generator_once(tmp_path, monkeypatch, command, name):
-    # a solved pulse is a CosineRamp (final, horizon): the solve computes G
-    # once for its residual, and each coupling grid is the ramp's couplings
-    # r'(t) G, which compute G once each; no command evaluates hr_analytic
+    # a solved pulse is a CosineRamp (v1, v2, horizon): the solve reads G off
+    # v1, v2 once for its residual, and each coupling grid is the ramp's
+    # couplings r'(t) G, which read G once each; no command evaluates
+    # hr_analytic
     calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
     assert run(command, SCENARIO_DIR / f"{name}.json", tmp_path, "--steps", "100") == 0
-    assert calls == {"ramp_generator": 1 + len(COUPLING_GRIDS[command])}
+    assert calls == {"_read_off": 1 + len(COUPLING_GRIDS[command])}
     assert shapes == COUPLING_GRIDS[command]
 
 
@@ -281,8 +294,9 @@ def spy_couplings(monkeypatch) -> list:
 
 
 def spy_generator_reads(monkeypatch) -> Counter:
-    """Counts of the library's hr_analytic calls and of its ramp_generator
-    calls, by the solvers and by the ramps."""
+    """Counts of the library's hr_analytic calls and of its reads of a
+    generator off two vectors (rotation._read_off, which CosineRamp.generator
+    and hr_analytic call)."""
     calls = Counter()
 
     def counted(name, fn):
@@ -295,9 +309,9 @@ def spy_generator_reads(monkeypatch) -> Counter:
     hr_analytic = counted("hr_analytic", fourlevel.rotation.hr_analytic)
     for module in (fourlevel.rotation, fourlevel.solvers, fourlevel.cli):
         monkeypatch.setattr(module, "hr_analytic", hr_analytic, raising=False)
-    reads = counted("ramp_generator", fourlevel.rotation.ramp_generator)
-    for module in (fourlevel.rotation, fourlevel.solvers):
-        monkeypatch.setattr(module, "ramp_generator", reads)
+    monkeypatch.setattr(
+        fourlevel.rotation, "_read_off", counted("_read_off", fourlevel.rotation._read_off)
+    )
     return calls
 
 

@@ -24,8 +24,9 @@ from fourlevel.rotation import (
     CosineRamp,
     CouplingSet,
     final_state,
+    _read_off,
     hr_analytic,
-    ramp_generator,
+    rotation_vectors,
     spherical_to_quats,
     ur_of_angles,
 )
@@ -46,6 +47,11 @@ ZERO = AnglePair(0, 0, 0, 0, 0, 0)
 
 def random_angle_pair(rng) -> AnglePair:
     return AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, size=6))
+
+
+def ramp_to(final: AnglePair, T: float) -> CosineRamp:
+    """The cosine ramp to the rotation vectors of the angles final."""
+    return CosineRamp(*rotation_vectors(final), T)
 
 
 class TestSphericalToQuats:
@@ -166,7 +172,7 @@ class TestHrNumeric:
     def test_peak_of_symmetric_ramp(self):
         th, ph = math.atan(math.sqrt(2)), math.pi / 4
         final = AnglePair(math.pi / 4, th, ph, math.pi / 4, th, ph)
-        sched = CosineRamp(final, 1.0)
+        sched = ramp_to(final, 1.0)
         peak = math.pi**2 / (8 * SQRT3)  # gamma rate at T/2 times cos(theta)
         out = hr_numeric(sched, 0.5, h=1e-6)
         # generator convention: rotation advances through 2*gamma
@@ -179,14 +185,14 @@ class TestHrNumeric:
 
     def test_second_order_in_h(self, rng):
         final = random_angle_pair(rng)
-        sched = CosineRamp(final, 1.0)
+        sched = ramp_to(final, 1.0)
         exact = hr_analytic(sched.value(0.3), sched.rate(0.3)).as_array()
         err_h = np.max(np.abs(hr_numeric(sched, 0.3, h=1e-3).as_array() - exact))
         err_h2 = np.max(np.abs(hr_numeric(sched, 0.3, h=5e-4).as_array() - exact))
         assert err_h2 < err_h / 3.0  # halving h must shrink the error ~4x
 
     def test_boundary_one_sided_warns(self):
-        sched = CosineRamp(AnglePair(1, 1, 1, 1, 1, 1), 1.0)
+        sched = ramp_to(AnglePair(1, 1, 1, 1, 1, 1), 1.0)
         with pytest.warns(UserWarning):
             hr_numeric(sched, 0.0)
         with pytest.warns(UserWarning):
@@ -202,7 +208,7 @@ class TestHrNumeric:
     def test_antisymmetry_of_raw_generator(self, rng):
         # the read-off generator comes from an orthogonal path, so the raw
         # finite-difference matrix is antisymmetric up to O(h^2)
-        sched = CosineRamp(random_angle_pair(rng), 1.0)
+        sched = ramp_to(random_angle_pair(rng), 1.0)
         h = 1e-5
         u_p = ur_of_angles(sched.value(0.4 + h))
         u_m = ur_of_angles(sched.value(0.4 - h))
@@ -212,23 +218,28 @@ class TestHrNumeric:
 
 class TestSchedules:
     def test_cosine_ramp_endpoints(self):
+        # the ramp ends at its AnglePair view, whose rotation vectors are the
+        # stored ones: the same rotation as final, in the view's form
         final = AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1)
-        sched = CosineRamp(final, 2.0)
+        sched = ramp_to(final, 2.0)
+        view = sched.final
         start = sched.value(0.0)
         assert start.gamma1 == 0.0 and start.gamma2 == 0.0
-        assert start.theta1 == final.theta1 and start.phi2 == final.phi2
+        assert start.theta1 == view.theta1 and start.phi2 == view.phi2
         np.testing.assert_allclose(
-            sched.value(2.0).as_array(), final.as_array(), atol=1e-12
+            sched.value(2.0).as_array(), view.as_array(), atol=1e-12
         )
+        np.testing.assert_allclose(rotation_vectors(view), sched[:2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(final_state(view), final_state(final), rtol=0, atol=1e-15)
         np.testing.assert_allclose(sched.rate(0.0).as_array(), 0, atol=1e-12)
         np.testing.assert_allclose(sched.rate(2.0).as_array(), 0, atol=1e-12)
 
     def test_consistency_check_passes(self):
-        sched = CosineRamp(AnglePair(1, 2, 3, -1, -2, -3), 1.0)
+        sched = ramp_to(AnglePair(1, 2, 3, -1, -2, -3), 1.0)
         assert check_consistency(sched) < 1e-6
 
     def test_consistency_check_catches_mismatch(self):
-        good = CosineRamp(AnglePair(1, 0, 0, 1, 0, 0), 1.0)
+        good = ramp_to(AnglePair(1, 0, 0, 1, 0, 0), 1.0)
         bad = Schedule(
             value=good.value, rate=lambda t: AnglePair(1, 0, 0, 1, 0, 0), horizon=1.0
         )
@@ -254,8 +265,8 @@ class TestCosineRampGenerator:
     # with theta and phi constant the two factors turn about fixed axes, so
     # the generator is r'(t) G for one constant G, and the commuting
     # isoclinic factors give U_r(t) = exp(r(t) G), r(t) = (1 - cos(pi t/T))/2;
-    # the ramp reads the same G off the rotation vectors (ramp_generator),
-    # and its couplings are r'(t) G
+    # the ramp stores the rotation vectors of final, reads the same G off
+    # them, and its couplings are r'(t) G
     @given(
         st.tuples(*(angle_floats for _ in range(6))),
         st.floats(0.1, 10.0),
@@ -265,7 +276,7 @@ class TestCosineRampGenerator:
     def test_generator_is_ramp_rate_times_constant_matrix(self, angles, T, u):
         expm = pytest.importorskip("scipy.linalg").expm
         final = AnglePair(*angles)
-        sched = CosineRamp(final, T)
+        sched = ramp_to(final, T)
         t = u * T
         g = _ramp_generator_matrix(final)
         rate = 0.5 * math.pi / T * math.sin(math.pi * t / T)
@@ -273,7 +284,7 @@ class TestCosineRampGenerator:
         generator = hr_analytic(sched.value(t), sched.rate(t)).to_matrix()
         scale = max(1.0, np.linalg.norm(g))
         np.testing.assert_allclose(generator, rate * g, rtol=0, atol=1e-14 * scale)
-        assert sched.generator == ramp_generator(final)
+        assert sched[:2] == rotation_vectors(final)
         np.testing.assert_allclose(sched.generator.to_matrix(), g, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(
             sched.couplings(t).to_matrix(), generator, rtol=0, atol=1e-14 * scale
@@ -313,6 +324,7 @@ class TestFloatRoute:
             ("angles", final_state),
             ("angles", ur_of_angles),
             ("angles", spherical_to_quats),
+            ("angles", rotation_vectors),
             ("angles", lambda a: hr_analytic(a, good)),
             ("angle rates", lambda a: hr_analytic(good, a)),
         ]
@@ -344,7 +356,7 @@ class TestValueTypes:
     # named tuples: fixed field names and order, no assignment
     def values(self):
         final = AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1)
-        ramp = CosineRamp(final, 2.0)
+        ramp = ramp_to(final, 2.0)
         solved = solve_tripod(TargetSpec(np.array([0.5, 0.5, 0.5, 0.5])))
         return [final, ramp.generator, ramp, solved]
 
@@ -353,10 +365,10 @@ class TestValueTypes:
         assert CouplingSet._fields == (
             "omega12", "omega13", "omega14", "omega23", "omega24", "omega34"
         )
-        assert CosineRamp._fields == ("final", "horizon")
-        assert SolvedAngles._fields == (
-            "config", "schedule", "constraint_residual", "within_canonical_ranges"
-        )
+        assert CosineRamp._fields == ("v1", "v2", "horizon")
+        # the boundary angles and their canonical-range flag are views of
+        # the schedule, not fields
+        assert SolvedAngles._fields == ("config", "schedule", "constraint_residual")
 
     def test_fields_cannot_be_assigned(self):
         for value in self.values():
@@ -372,23 +384,43 @@ class TestValueTypes:
                 assert type(other) is type(value) and other == value
 
     def test_ramp_replace_rebuilds_the_generator(self):
-        ramp = CosineRamp(AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1), 2.0)
-        final = AnglePair(0.4, 1.1, 0.3, 0.4, 1.1, 0.3)
-        moved = ramp._replace(final=final)
-        assert moved == CosineRamp(final, 2.0) and moved.generator == ramp_generator(final)
+        ramp = CosineRamp((1.3, 0.7, -0.2), (-0.9, 2.0, 0.1), 2.0)
+        moved = ramp._replace(v1=(0.4, 1.1, 0.3))
+        assert moved == CosineRamp((0.4, 1.1, 0.3), (-0.9, 2.0, 0.1), 2.0)
+        assert moved.generator == _read_off((0.4, 1.1, 0.3), (-0.9, 2.0, 0.1))
         assert ramp._replace(horizon=3.0).peak_rate == 0.5 * math.pi / 3.0
         with pytest.raises(ValueError, match="horizon"):
             ramp._replace(horizon=-1.0)
+        with pytest.raises(ValueError, match="^rotation vectors not finite: v2$"):
+            ramp._replace(v2=(0.0, math.nan, 0.0))
         with pytest.raises(ValueError, match="unexpected field"):
             ramp._replace(generator=ramp.generator)
 
     def test_ramp_make_builds_through_new(self):
-        final = AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1)
-        assert CosineRamp._make((final, 2.0)) == CosineRamp(final, 2.0)
+        v1, v2 = (1.3, 0.7, -0.2), (-0.9, 2.0, 0.1)
+        assert CosineRamp._make((v1, v2, 2.0)) == CosineRamp(v1, v2, 2.0)
         with pytest.raises(ValueError, match="horizon"):
-            CosineRamp._make((final, -1.0))
+            CosineRamp._make((v1, v2, -1.0))
         with pytest.raises(TypeError):
-            CosineRamp._make((final, 2.0, "junk"))
+            CosineRamp._make((v1, v2, 2.0, "junk"))
+
+    def test_ramp_rejects_non_finite_vectors(self):
+        # a NaN in the boundary gave NaN couplings; the ramp names each bad
+        # vector, and the map from angles each bad angle
+        good = (0.3, -1.1, 0.7)
+        for i in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                v = good[:i] + (bad,) + good[i + 1 :]
+                with pytest.raises(ValueError, match="^rotation vectors not finite: v1$"):
+                    CosineRamp(v, good, 1.0)
+                with pytest.raises(ValueError, match="^rotation vectors not finite: v1, v2$"):
+                    CosineRamp(v, v, 1.0)
+        with pytest.raises(ValueError, match="^angles not finite: gamma1$"):
+            rotation_vectors(AnglePair(math.nan, 0.0, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="unpack"):  # three components each
+            CosineRamp((0.0, 0.0), good, 1.0)
+        # components that are finite but sum past the float range pass
+        assert CosineRamp((1e308, 1e308, 0.0), good, 1.0).v1 == (1e308, 1e308, 0.0)
 
     @pytest.mark.parametrize("kind", [AnglePair, CouplingSet])
     def test_array_round_trip(self, kind, rng):
@@ -408,8 +440,9 @@ class TestValueTypes:
     @given(st.tuples(*(angle_floats for _ in range(6))), st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_ramp_generator_is_read_at_construction(self, angles, T):
-        # G is gamma_i(T) n_i read off in floats, with the reference's
-        # expressions, so it is the same bit for bit
+        # the vectors of angles are gamma_i(T) n_i in floats, with the
+        # reference's expressions, and G is read off them, so both are the
+        # same bit for bit
         def vector(g, th, ph):
             st = math.sin(th)
             return g * math.cos(th), g * (st * math.cos(ph)), g * (st * math.sin(ph))
@@ -417,8 +450,10 @@ class TestValueTypes:
         (lx, ly, lz), (rx, ry, rz) = vector(*angles[:3]), vector(*angles[3:])
         reference = (-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx)
         final = AnglePair(*angles)
-        generator = CosineRamp(final, T).generator
-        assert generator == ramp_generator(final) == reference
+        ramp = ramp_to(final, T)
+        generator = ramp.generator
+        assert ramp[:2] == (vector(*angles[:3]), vector(*angles[3:]))
+        assert generator == reference
         assert all(type(v) is float for v in generator)
         assert np.array(generator).tobytes() == np.array(reference).tobytes()  # signed zeros too
 
@@ -426,7 +461,7 @@ class TestValueTypes:
     def test_ramp_rejects_bad_horizon(self, T):
         # a NaN horizon gave NaN couplings and T = -1 a peak rate of -pi/2
         with pytest.raises(ValueError, match="horizon"):
-            CosineRamp(AnglePair(1.3, 0.7, -0.2, -0.9, 2.0, 0.1), T)
+            CosineRamp((1.3, 0.7, -0.2), (-0.9, 2.0, 0.1), T)
 
     @pytest.mark.parametrize("name", ["tripod", "diamond", "ntype"])
     def test_angles_json_lists_boundary_angles_in_field_order(self, tmp_path, name, capsys):

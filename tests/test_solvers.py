@@ -14,6 +14,7 @@ from fourlevel.rotation import (
     CosineRamp,
     final_state,
     hr_analytic,
+    rotation_vectors,
     ur_of_angles,
 )
 from fourlevel.solvers import (
@@ -37,6 +38,8 @@ from conftest import (
     ntype_cut_refine,
     ntype_lm,
     ntype_single_batch_root,
+    ntype_vectors,
+    pulse_area,
     rotation_distance,
     topology_couplings,
 )
@@ -158,12 +161,13 @@ class TestSolveDiamond:
     def test_loop_superposition(self):
         target = TargetSpec(np.array([0, 1, 1, 0]) / math.sqrt(2), {"theta1": math.pi / 2})
         solved = solve_diamond(target)
-        b = solved.boundary
-        assert abs(b.gamma1 - math.pi) < 1e-12
-        assert abs(b.gamma2 - math.pi / 2) < 1e-12
-        assert abs(b.theta2 + 3 * math.pi / 4) < 1e-12
-        assert b.phi1 == 0.0 and b.phi2 == 0.0
-        assert not solved.within_canonical_ranges  # theta2 < 0
+        v1, v2 = solved.schedule.v1, solved.schedule.v2
+        quarter = math.pi / (2 * math.sqrt(2))  # pi/2 along -(i + j)/sqrt(2)
+        np.testing.assert_allclose(v1, [0.0, math.pi, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2, [-quarter, -quarter, 0.0], rtol=0, atol=1e-12)
+        assert v1[2] == v2[2] == 0.0
+        # the view takes gamma2 = -pi/2 (theta2 = pi/4, phi2 = 0) for v2
+        assert not solved.within_canonical_ranges
 
     def test_identity_target(self):
         solved = solve_diamond(TargetSpec(E1))
@@ -190,16 +194,19 @@ class TestSolveDiamond:
         # gamma2 in [0, pi] and forbidden couplings of exactly 0
         b, theta1 = drawn
         solved = solve_diamond(TargetSpec(b, {"theta1": theta1}))
+        v1, v2 = solved.schedule.v1, solved.schedule.v2
         a = solved.boundary
-        assert all(type(v) is float and math.isfinite(v) for v in a)
-        assert 0.0 <= a.gamma2 <= math.pi
-        assert a.phi1 == 0.0 and a.phi2 == 0.0 and solved.constraint_residual == 0.0
+        assert all(type(v) is float and math.isfinite(v) for v in (*v1, *v2, *a))
+        assert math.hypot(*v2) <= math.pi + 1e-15  # p's angle, in [0, pi] to rounding
+        assert v1[2] == 0.0 and v2[2] == 0.0 and solved.constraint_residual == 0.0
+        assert a.phi1 == 0.0 and a.phi2 == 0.0
         assert np.linalg.norm(final_state(a) - b) <= 1e-14
 
     @pytest.mark.parametrize("solver", [solve_tripod, solve_diamond])
     def test_closed_form_boundary_is_python_floats(self, solver, rng):
-        # the generator is read with math's trig, and stays in floats
+        # the vectors are floats, and the generator read off them stays so
         solved = solver(random_target(rng))
+        assert all(type(v) is float for v in (*solved.schedule.v1, *solved.schedule.v2))
         assert all(type(v) is float for v in tuple(solved.boundary))
         assert all(type(v) is float for v in tuple(solved.schedule.generator))
         assert type(solved.constraint_residual) is float
@@ -224,10 +231,14 @@ class TestSolveNType:
         assert b.phi1 == math.pi / 2 and b.phi2 == math.pi / 2
 
     def test_gamma_rate_lock(self):
+        # the lock gamma1 sin(theta1) + gamma2 sin(theta2) = 0 is v1z + v2z = 0,
+        # and phi = pi/2 is v1y = v2y = 0: both hold by assignment
         solved = solve_ntype(
             TargetSpec(np.array([0.0, 0.0, 0.0, 1.0])),
             initial_guess=(math.pi / 6, math.pi / 2, -math.pi / 2),
         )
+        v1, v2 = solved.schedule.v1, solved.schedule.v2
+        assert v1[1] == v2[1] == 0.0 and v1[2] == -v2[2]
         b = solved.boundary
         assert abs(
             b.gamma1 + math.sin(b.theta2) / math.sin(b.theta1) * b.gamma2
@@ -288,8 +299,8 @@ class TestSolveNType:
             b = ntype_state(*x0)
             guess = ntype_guess(kind, x0, b, rng)
             seed = int(rng.integers(1 << 31))  # the single batch's draws
-            solved = solve_ntype(TargetSpec(b), initial_guess=guess).boundary
-            assert np.linalg.norm(final_state(solved) - b) < 1e-8
+            solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+            assert np.linalg.norm(final_state(solved.final) - b) < 1e-8
             if kind == "failing":
                 assert_nearest_candidate(b, guess, solved)
                 continue
@@ -310,15 +321,19 @@ class TestSolveNType:
             solve_ntype(TargetSpec(E4), initial_guess=guess, seed=seed)
 
     def test_singular_initial_guess_falls_back_to_the_starts(self, rng):
-        # |sin(theta1)| < 1e-6 is valid scenario input; such a guess selects
-        # nothing, and the solve is the guess-free one, bit for bit
+        # a guess whose vectors are not finite (sin(theta1) = 0, so gamma1(T)
+        # = z / 0, or gamma1(T) beyond the float range) is valid scenario
+        # input; it selects nothing, and the solve is the guess-free one, bit
+        # for bit.  A guess with sin(theta1) near 0 but finite vectors selects
+        # a root, as any other does
         for target in (TargetSpec(E4), random_target(rng), random_target(rng)):
             free = solve_ntype(target)
-            for guess in ((0.0, 1.0, 1.0), (math.pi, -2.0, 5.0), (9e-7, 1.0, 1.0)):
+            for guess in ((0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1e-300, 1.0, 1e300)):
                 solved = solve_ntype(target, initial_guess=guess)
-                assert solved.boundary == free.boundary
+                assert solved.schedule == free.schedule
                 assert solved.constraint_residual == free.constraint_residual
-        assert math.sin(free.boundary.theta1) != 0.0
+            for guess in ((math.pi, -2.0, 5.0), (9e-7, 1.0, 1.0)):
+                check_root_or_solver_error(target.b, guess)
 
     @pytest.mark.parametrize(
         "guess",
@@ -370,11 +385,11 @@ class TestSolveNType:
             assert res[0] <= 1e-12
             root = root[0]
             guess = tuple(root.tolist())
-            areas.append(pulse_area(ntype_boundary(*guess)))
-            solved = solve_ntype(TargetSpec(b), initial_guess=guess).boundary
-            assert same_root(solved, ntype_boundary(*guess), 1e-10)
+            areas.append(pulse_area(ntype_vectors(*guess)))
+            solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+            assert same_root(solved, ntype_vectors(*guess), 1e-10)
             perturbed = tuple((root + rng.normal(scale=0.05, size=3)).tolist())
-            solved = solve_ntype(TargetSpec(b), initial_guess=perturbed).boundary
+            solved = solve_ntype(TargetSpec(b), initial_guess=perturbed).schedule
             assert_nearest_candidate(b, perturbed, solved)
         assert sum(area > 3 * math.pi for area in areas) == 145
 
@@ -386,23 +401,28 @@ class TestSolveNType:
         b = ntype_state(*guess)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             free = loop_roots(b)
-        assert np.min(np.abs(turn(free[:, :2] - guess[:2])).max(axis=1)) > 0.01
-        solved = solve_ntype(TargetSpec(b), initial_guess=guess).boundary
-        assert same_root(solved, ntype_boundary(*guess), 1e-10)
+        assert np.min(np.abs(turn(free[:, [1, 3]] - guess[:2])).max(axis=1)) > 0.01
+        solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+        assert same_root(solved, ntype_vectors(*guess), 1e-10)
 
     def test_initial_guess_wins_when_it_converges(self):
         # the caller's root is kept although the search finds one of smaller area
         guess = (1.0, 2.0, 2.5)
         target = TargetSpec(ntype_state(*guess))
-        seeded = solve_ntype(target, initial_guess=guess).boundary
-        free = solve_ntype(target).boundary
-        assert abs(seeded.theta1 - guess[0]) < 1e-9
+        seeded = solve_ntype(target, initial_guess=guess).schedule
+        free = solve_ntype(target).schedule
+        assert same_root(seeded, ntype_vectors(*guess), 1e-9)
         assert pulse_area(free) < pulse_area(seeded) - 0.1
 
-    def test_angles_returned_modulo_two_pi(self, rng):
+    def test_boundary_view_is_in_its_ranges(self, rng):
+        # the boundary is the view of (x1, 0, z), (x2, 0, -z): theta in
+        # [0, pi], phi = pi/2 where z != 0, and gamma_i = +-|v_i|
         for _ in range(10):
-            b = solve_ntype(random_target(rng)).boundary
-            assert 0.0 <= b.theta1 < 2 * math.pi and 0.0 <= b.theta2 < 2 * math.pi
+            ramp = solve_ntype(random_target(rng)).schedule
+            b = ramp.final
+            assert 0.0 <= b.theta1 <= math.pi and 0.0 <= b.theta2 <= math.pi
+            assert b.phi1 == b.phi2 == math.pi / 2
+            assert (abs(b.gamma1), abs(b.gamma2)) == (math.hypot(*ramp.v1), math.hypot(*ramp.v2))
 
     def test_pulse_area_below_two_pi(self):
         # the smallest-area root rule keeps |gamma1(T)| + |gamma2(T)| < 2 pi
@@ -449,7 +469,7 @@ class TestSolveNType:
                 continue
             b = ntype_state(theta1, theta2, g2)
             solved = solve_ntype(TargetSpec(b))
-            assert pulse_area(solved.boundary) <= abs(g1) + abs(g2) + 1e-9
+            assert pulse_area(solved.schedule) <= abs(g1) + abs(g2) + 1e-9
             assert np.linalg.norm(final_state(solved.boundary) - b) <= 1e-8
             assert solved.constraint_residual <= 1e-8
 
@@ -461,14 +481,15 @@ class TestSolveNType:
             target = random_target(rng)
             seed = int(rng.integers(1 << 31))
             expected = ntype_single_batch_root(target.b, seed=seed)
-            solved = solve_ntype(target).boundary
+            solved = solve_ntype(target).schedule
             assert pulse_area(solved) <= pulse_area(expected) + 1e-9
 
     def test_near_axis_targets_give_root_or_no_solution(self, monkeypatch):
-        # +-e_k plus noise of size 1e-16..1e-3: a root within 1e-8, or
-        # NoSolutionFoundError; never NaN and never another error.  Against
-        # the search with 16-part cuts alone (31 of these 600 fail there):
-        # no new failure, and each root of the same pulse area within 1e-9
+        # +-e_k plus noise of size 1e-16..1e-3: every draw solves, finite,
+        # within 1e-8, with forbidden entries of exactly 0 (31 of these 600
+        # raised when gamma1(T) came from dividing by sin(theta1)).  The
+        # search with 16-part cuts alone solves them all too, each root of
+        # the same pulse area within 1e-9
         rng = np.random.default_rng(11)
         targets = []
         for i in range(600):
@@ -478,12 +499,8 @@ class TestSolveNType:
         roots = [near_axis_root(b) for b in targets]
         monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", ntype_cut_refine)
         cut_roots = [near_axis_root(b) for b in targets]
-        assert sum(root is None for root in cut_roots) == 31
         for root, cut_root in zip(roots, cut_roots):
-            if root is None:
-                assert cut_root is None
-            elif cut_root is not None:
-                assert abs(pulse_area(root) - pulse_area(cut_root)) <= 1e-9
+            assert abs(pulse_area(root) - pulse_area(cut_root)) <= 1e-9
 
     def test_loop_roots_match_the_cut_oracle(self, monkeypatch):
         # 200 seeded targets: the secant finish gives the candidates of
@@ -494,18 +511,16 @@ class TestSolveNType:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             found = [loop_roots(t.b) for t in targets]
             expected = [ntype_cut_loop_roots(t.b) for t in targets]
-        roots = [solve_ntype(t).boundary for t in targets]
+        roots = [solve_ntype(t).schedule for t in targets]
         monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", ntype_cut_refine)
         for target, x, y, root in zip(targets, found, expected, roots):
             assert x.shape == y.shape
-            assert np.max(np.abs(turn(x[:, :2] - y[:, :2])), initial=0.0) <= 1e-10
-            assert np.max(np.abs(x[:, 2] - y[:, 2]), initial=0.0) <= 1e-10
-            cut_root = solve_ntype(target).boundary
-            assert abs(turn(root.theta1 - cut_root.theta1)) <= 1e-10
-            assert abs(turn(root.theta2 - cut_root.theta2)) <= 1e-10
-            assert abs(root.gamma2 - cut_root.gamma2) <= 1e-10
+            assert np.max(np.abs(turn(x[:, [1, 3]] - y[:, [1, 3]])), initial=0.0) <= 1e-10
+            assert np.max(np.abs(x[:, [0, 2]] - y[:, [0, 2]]), initial=0.0) <= 1e-10
+            cut_root = solve_ntype(target).schedule
+            assert same_root(root, cut_root, 1e-10)
             assert abs(pulse_area(root) - pulse_area(cut_root)) <= 1e-9
-            assert np.linalg.norm(final_state(root) - target.b) <= 1e-12
+            assert np.linalg.norm(final_state(root.final) - target.b) <= 1e-12
 
     def test_lock_evaluations_per_solve(self, monkeypatch):
         # one lock call per refinement step, every bracket at once: the
@@ -548,10 +563,11 @@ class TestSolveNType:
         target = TargetSpec(np.array([0.6, 0.0, 0.8, 0.0]))
         solved = solve_ntype(target, initial_guess=guess)
         assert calls == []
-        half_pi = math.pi / 2
-        assert solved.boundary == AnglePair(
-            half_pi, 1.1071487177940904, half_pi, -half_pi, 2.0344439357957027, half_pi
-        )
+        # both factors turn by pi/2, about (1, 0, 2)/sqrt(5) and (1, 0, -2)/sqrt(5)
+        x, z = math.pi / (2 * math.sqrt(5)), math.pi / math.sqrt(5)
+        v1, v2 = solved.schedule.v1, solved.schedule.v2
+        np.testing.assert_allclose([v1, v2], [[x, 0.0, z], [x, 0.0, -z]], rtol=0, atol=1e-15)
+        assert v1[1] == v2[1] == 0.0 and v1[2] == -v2[2]
         assert np.linalg.norm(final_state(solved.boundary) - target.b) < 1e-15
 
     @pytest.mark.parametrize("kind", ["random", "near_axis", "b3_to_zero", "b2_b4_to_zero"])
@@ -670,7 +686,7 @@ class TestSolveNType:
         monkeypatch.setattr(fourlevel.solvers, "_ntype_loop", lambda psi, b: (psi,) * 4)
         roots = loop_roots(np.full(4, 0.5))
         assert points == [129, 15, 15, 15, 8, 8, 8, 8]
-        assert roots.shape == (1, 3)
+        assert roots.shape == (1, 4)
         assert abs(roots[0, 0] - psi0) <= 2 * math.pi / 128 / 16**11
 
 
@@ -692,9 +708,9 @@ def ntype_stress_targets(kind, n, rng) -> list[np.ndarray]:
 
 
 def solve_outcome(b, guess=None):
-    """solve_ntype's boundary for b, or its best residual if it fails."""
+    """solve_ntype's vectors (v1, v2) for b, or its best residual if it fails."""
     try:
-        return solve_ntype(TargetSpec(b), initial_guess=guess).boundary
+        return solve_ntype(TargetSpec(b), initial_guess=guess).schedule[:2]
     except NoSolutionFoundError as exc:
         return exc.best_residual
 
@@ -707,7 +723,7 @@ def loop_roots(b):
 
 
 def all_pairs_outcome(b):
-    """ntype_all_pairs_root's boundary for b, or its best residual."""
+    """ntype_all_pairs_root's vectors for b, or its best residual."""
     try:
         return ntype_all_pairs_root(b)
     except NoSolutionFoundError as exc:
@@ -715,17 +731,13 @@ def all_pairs_outcome(b):
 
 
 def near_axis_root(b):
-    """solve_ntype's boundary for b, checked finite and within 1e-8, or None
-    if it raises NoSolutionFoundError (its best residual checked)."""
-    try:
-        solved = solve_ntype(TargetSpec(b))
-    except NoSolutionFoundError as exc:
-        assert 1e-8 < exc.best_residual < math.inf
-        return None
+    """solve_ntype's ramp for b, checked finite, within 1e-8 and with a
+    constraint residual of exactly 0."""
+    solved = solve_ntype(TargetSpec(b))
     assert np.all(np.isfinite(tuple(solved.boundary)))
     assert np.linalg.norm(final_state(solved.boundary) - b) < 1e-8
-    assert solved.constraint_residual < 1e-8
-    return solved.boundary
+    assert solved.constraint_residual == 0.0
+    return solved.schedule
 
 
 def turn(angle):
@@ -740,31 +752,22 @@ def ntype_state(theta1, theta2, gamma2):
     return b / np.linalg.norm(b)
 
 
-def pulse_area(boundary):
-    return abs(boundary.gamma1) + abs(boundary.gamma2)
-
-
 def same_root(a, b, tol):
-    """Whether two N-type boundaries agree within tol, theta modulo 2 pi."""
-    return (
-        abs(turn(a.theta1 - b.theta1)) <= tol
-        and abs(turn(a.theta2 - b.theta2)) <= tol
-        and abs(a.gamma1 - b.gamma1) <= tol
-        and abs(a.gamma2 - b.gamma2) <= tol
-    )
+    """Whether two vector pairs (v1, v2), or CosineRamps, agree within tol
+    relative to their largest component, or to 1."""
+    parts = np.array([a[:2], b[:2]], dtype=float)
+    return np.max(np.abs(parts[0] - parts[1])) <= tol * max(1.0, np.max(np.abs(parts)))
 
 
 def assert_nearest_candidate(b, guess, solved):
-    """solved is, in the guess's form, the converged candidate nearest the
-    guess by the rotation-vector distance, ties within 1e-9 allowed."""
+    """solved is the converged candidate nearest the guess by the
+    rotation-vector distance, ties within 1e-9 allowed."""
     candidates = ntype_converged_candidates(b, guess)
-    target = ntype_boundary(*guess)
+    target = ntype_vectors(*guess)
     dist = rotation_distance(solved, target)
-    assert np.linalg.norm(final_state(solved) - b) <= 1e-8
+    assert np.linalg.norm(final_state(solved.final) - b) <= 1e-8
     assert dist <= min(rotation_distance(c, target) for c in candidates) + 1e-9
     assert min(rotation_distance(c, solved) for c in candidates) <= 1e-16
-    assert math.cos(solved.theta1 - target.theta1) >= 0.0
-    assert math.cos(solved.theta2 - target.theta2) >= 0.0
 
 
 def ntype_guess(kind, root, b, rng):
@@ -803,16 +806,49 @@ def cli_solve(scenario: Path, out: Path, seed: int) -> str:
     return (out / "angles.json").read_text()
 
 
-def check_root_or_solver_error(b, initial_guess):
-    """solve_ntype gives a finite root within 1e-8 or a SolverError, never
-    NaN and never another error (numpy's LinAlgError among them)."""
+def check_root_or_solver_error(b, initial_guess, solver=None):
+    """solve_ntype (or solver, which takes no guess) gives a finite root
+    within 1e-8, with forbidden entries of exactly 0, or a SolverError;
+    never NaN and never another error (numpy's LinAlgError among them)."""
     try:
-        solved = solve_ntype(TargetSpec(b), initial_guess=initial_guess)
+        if solver is None:
+            solved = solve_ntype(TargetSpec(b), initial_guess=initial_guess)
+        else:
+            solved = solver(TargetSpec(b))
     except SolverError:
         return
     assert np.all(np.isfinite(tuple(solved.boundary)))
     assert np.linalg.norm(final_state(solved.boundary) - b) < 1e-8
-    assert solved.constraint_residual < 1e-8
+    assert solved.constraint_residual == 0.0
+
+
+@st.composite
+def singular_manifold_targets(draw):
+    """(solver, b): for the N-type a signed axis +-e_k, or the state of
+    vectors v1 = (x1, 0, z), v2 = (x2, 0, -z) with |z| small, where sin(theta1)
+    and sin(theta2) tend to 0; for the tripod +-e1.  The axes get noise of 0
+    or 10^U(-16, -3), and z is 0 or +-10^U(-16, -3)."""
+    scale = draw(st.just(0.0) | st.floats(-16.0, -3.0).map(lambda u: 10.0**u))
+    kind = draw(st.sampled_from(["ntype_axis", "ntype_sin_theta1", "tripod_e1"]))
+    if kind == "ntype_sin_theta1":
+        x1, x2 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+        z = draw(st.sampled_from([1.0, -1.0])) * scale
+        b = final_state(CosineRamp((x1, 0.0, z), (x2, 0.0, -z), 1.0).final)
+        return solve_ntype, b / np.linalg.norm(b)
+    k = draw(st.integers(0, 3)) if kind == "ntype_axis" else 0
+    b = draw(st.sampled_from([1.0, -1.0])) * np.eye(4)[k]
+    b = b + scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    return (solve_ntype if kind == "ntype_axis" else solve_tripod), b / np.linalg.norm(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(singular_manifold_targets())
+def test_singular_manifold_targets_give_root_or_solver_error(drawn):
+    # near the axes and at sin(theta1) -> 0 the vectors have no singular
+    # point: a root within 1e-8 with exact-zero forbidden entries, or a
+    # typed SolverError, never NaN
+    solver, b = drawn
+    check_root_or_solver_error(b, None, solver)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
@@ -841,6 +877,27 @@ def test_extreme_accepted_horizon_gives_a_finite_residual(solver, horizon):
 
 
 class TestForbiddenCouplings:
+    @pytest.mark.parametrize("config", list(LevelConfig))
+    def test_forbidden_entries_are_exact_zeros(self, config):
+        # each solver assigns rotation vectors that meet its constraints
+        # (tripod v1 = v2, diamond v1z = v2z = 0, N-type v1y = v2y = 0 and
+        # v1z = -v2z), so G's forbidden entries are 0.0, not rounding: on
+        # seeded random targets (the diamond at random theta1 too) and the
+        # signed axes
+        rng = np.random.default_rng(26)
+        targets = [random_target(rng) for _ in range(150)]
+        targets += [TargetSpec(sign * e) for sign in (1.0, -1.0) for e in np.eye(4)]
+        if config is LevelConfig.DIAMOND:
+            free = [{"theta1": rng.uniform(-7, 7)} for _ in range(150)]
+            targets += [TargetSpec(random_target(rng).b, f) for f in free]
+        solver = {LevelConfig.INVERSE_TRIPOD: solve_tripod, LevelConfig.DIAMOND: solve_diamond}
+        for target in targets:
+            solved = solver.get(config, solve_ntype)(target)
+            generator = solved.schedule.generator
+            forbidden = [getattr(generator, n) for n in FORBIDDEN[config]]
+            assert forbidden == [0.0] * len(forbidden)
+            assert solved.constraint_residual == 0.0
+
     @pytest.mark.parametrize("config", list(LevelConfig))
     def test_forbidden_vanish_on_grid(self, config, rng):
         target = random_target(rng)
@@ -872,8 +929,8 @@ class TestForbiddenCouplings:
         # schedule that breaks the topology's constraint it must report the
         # forbidden couplings the finite-difference oracle finds on its grid,
         # whose odd point count puts the ramp's peak t = T/2 on it
-        sched = CosineRamp(boundary, 1.0)
-        residual = _finish(config, boundary, 1.0).constraint_residual
+        sched = CosineRamp(*rotation_vectors(boundary), 1.0)
+        residual = _finish(config, *sched[:2], 1.0).constraint_residual
         h = 1e-6
         oracle = max(
             abs(getattr(hr_numeric(sched, t, h=h), name))
@@ -895,7 +952,7 @@ class TestForbiddenCouplings:
         # schedule; the residual is G's largest forbidden entry times the
         # exact peak rate pi/(2T), and no grid value exceeds it
         boundary, T = AnglePair(*angles), 10.0**log_horizon
-        solved = _finish(config, boundary, T)
+        solved = _finish(config, *rotation_vectors(boundary), T)
         generator = solved.schedule.generator
         g = generator.as_array()
         grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)

@@ -26,6 +26,7 @@ from fourlevel.rotation import (
     CosineRamp,
     final_state,
     hr_analytic,
+    rotation_vectors,
     ur_of_angles,
 )
 from fourlevel.solvers import LevelConfig, SolvedAngles, TargetSpec, solve_diamond
@@ -48,9 +49,9 @@ def times(rng):
 @pytest.fixture
 def pipeline(rng):
     boundary = AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, 6))
-    sched = CosineRamp(boundary, T)
+    sched = CosineRamp(*rotation_vectors(boundary), T)
     ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=T)
-    solved = SolvedAngles(LevelConfig.DIAMOND, sched, 0.0, False)
+    solved = SolvedAngles(LevelConfig.DIAMOND, sched, 0.0)
 
     b = rng.normal(size=4)
     diamond = solve_diamond(TargetSpec(b / np.linalg.norm(b)), T).schedule
