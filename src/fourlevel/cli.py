@@ -28,6 +28,7 @@ import numpy as np
 
 from .hamiltonian import total_hamiltonian
 from .propagator import (
+    _CHUNK,
     AccuracyError,
     compare_with_analytic,
     fidelity,
@@ -74,12 +75,16 @@ def _expected_final(sc: Scenario) -> np.ndarray:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write rows of floats with 12 significant digits ("%.12g") per cell.
 
-    The body is one format string, the row template repeated per row, and
-    one % over all cells."""
+    The body is written one _CHUNK of rows at a time, each chunk one bytes
+    format string, the row template repeated per row, and one % over its
+    cells; bytes % formats a float as str % does."""
     values = np.asarray(rows, dtype=float)
-    row = ",".join(["%.12g"] * len(header)) + "\n"
-    body = row * len(values) % tuple(values.ravel().tolist())
-    path.write_text(",".join(header) + "\n" + body, newline="\n")
+    row = b",".join([b"%.12g"] * len(header)) + b"\n"
+    with path.open("wb") as f:
+        f.write(",".join(header).encode() + b"\n")
+        for lo in range(0, len(values), _CHUNK):
+            chunk = values[lo : lo + _CHUNK]
+            f.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def cmd_solve(sc: Scenario, out: Path) -> int:

@@ -51,7 +51,7 @@ _NTYPE_STAGE_MARGIN = 1e-6
 #: solve_ntype): q = +-1 and p = +-1 for |b1 b3| <= _NTYPE_UNIT_REACH (1 + |b1|),
 #: the odd multiples of pi/2 for hypot(b2, b4) <= _NTYPE_QUARTER_REACH.
 _NTYPE_UNIT_REACH = _NTYPE_RESIDUAL_TOL + 1e-15
-_NTYPE_QUARTER_REACH = _NTYPE_RESIDUAL_TOL + 1e-8 + 1e-15
+_NTYPE_QUARTER_REACH = _NTYPE_RESIDUAL_TOL + 3e-15
 
 
 class LevelConfig(enum.Enum):
@@ -466,9 +466,10 @@ def solve_ntype(
     |b1|).  A p = +-1 candidate's third component is below 4e-16.  Both
     families are built when |b1 b3| <= (1e-8 + 1e-15) (1 + |b1|), 1e-15
     covering the rounding of the state.  An odd-pi/2 candidate's components
-    2 and 4 have norm below 3e-15 (on 20,000 seeded targets), and the family
-    is built when hypot(b2, b4) <= 2e-8 + 1e-15.  A failed solve builds
-    every family, for its least residual.
+    2 and 4 have norm below 3e-15 (on 20,000 seeded targets), so a residual
+    r needs hypot(b2, b4) < r + 3e-15, and the family is built when
+    hypot(b2, b4) <= 1e-8 + 3e-15.  A failed solve builds every family, for
+    its least residual.
 
     With gamma_i(psi) in [0, pi] on the loop, |gamma_i(psi) + 2 pi t| is at
     least 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0: only the turn pairs

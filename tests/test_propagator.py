@@ -3,11 +3,13 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fourlevel import propagator
+from fourlevel.cli import _hamiltonian_of_t
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
 from fourlevel.propagator import (
     _CHUNK,
@@ -22,6 +24,7 @@ from fourlevel.propagator import (
     propagate,
 )
 from fourlevel.rotation import hr_analytic
+from fourlevel.scenario import load_scenario
 from fourlevel.solvers import TargetSpec, solve_diamond, solve_ntype, solve_tripod
 
 SQRT3 = math.sqrt(3.0)
@@ -113,6 +116,22 @@ class TestPropagate:
 
         with pytest.raises(InvalidHamiltonianError, match="not finite"):
             propagate(h, PSI0, 1.0, steps=100)
+
+    def test_rejects_non_finite_node_in_the_last_chunk(self):
+        # the earlier chunks are finite and propagate; the bad node, the
+        # second of the last chunk's 74, is checked before that chunk's
+        # exponentials and named by its time
+        steps = 2 * _CHUNK + 37
+        times = np.linspace(0.0, 1.0, steps + 1)
+        bad = times[2 * _CHUNK] + propagator._NODES[1] * (1.0 / steps)
+
+        def h(t):
+            out = np.zeros(np.shape(t) + (4, 4), complex)
+            out[t == bad, 2, 2] = math.nan
+            return out
+
+        with pytest.raises(InvalidHamiltonianError, match=rf"H\(t={bad}\) is not finite"):
+            propagate(h, PSI0, 1.0, steps)
 
     def test_rejects_hamiltonian_too_large_to_exponentiate(self):
         huge = np.diag([1e200, 0, 0, 0]).astype(complex)
@@ -349,9 +368,9 @@ class TestWorkspace:
             assert all(same_bits(states, expected) for states in runs)
 
     def test_warm_propagate_allocates_no_kernel_temporaries(self, rng):
-        # a warm 2000-step complex run of a precomputed stack allocates the
-        # trajectory and the Hermiticity check's temporaries; fresh
-        # temporaries for every product peaked at 4.3 MB
+        # a warm 2000-step complex run of precomputed stacks, replayed call
+        # by call, allocates the trajectory and the Hermiticity check's
+        # temporaries; fresh temporaries for every product peaked at 4.3 MB
         h, stack = drive(rng, complex), []
 
         def record(t):
@@ -359,9 +378,10 @@ class TestWorkspace:
             return stack[-1]
 
         propagate(record, PSI0, 1.3, 2000)
+        replay = iter(stack)
         tracemalloc.start()
         try:
-            propagate(lambda t: stack[0], PSI0, 1.3, 2000)
+            propagate(lambda t: next(replay), PSI0, 1.3, 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,6 +398,46 @@ class TestWorkspace:
             return sum(b.nbytes for b in propagator._WORKSPACE.buffers)
 
         assert in_fresh_thread(runs) == 4_530_176
+
+
+class TestMemory:
+    """propagate and compare_with_analytic hold one chunk of H and of the
+    exact evolution, so past the trajectory their memory does not grow with
+    the step count (tracemalloc peaks at 100,000 steps: 117.6 and 64.0 MB
+    when H and the evolution were evaluated on the whole grid)."""
+
+    STEPS = 100_000
+
+    @pytest.fixture(scope="class")
+    def ntype(self):
+        sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "ntype.json")
+        solved = solve_ntype(sc.target, sc.T, initial_guess=sc.initial_guess)
+        h = _hamiltonian_of_t(solved, sc)
+        propagate(h, PSI0, sc.T, 2000)  # this thread's workspace at its size for H
+        return sc, solved, h
+
+    def test_propagate_peak_stays_below_20_mb(self, ntype):
+        # the trajectory itself is about 14 MB
+        sc, _, h = ntype
+        tracemalloc.start()
+        try:
+            propagate(h, PSI0, sc.T, self.STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
+    def test_compare_with_analytic_peak_stays_below_5_mb(self, ntype):
+        sc, solved, h = ntype
+        traj = propagate(h, PSI0, sc.T, self.STEPS)
+        tracemalloc.start()
+        try:
+            error = compare_with_analytic(traj, solved, sc.phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert error < 1e-6  # verify's threshold
+        assert peak < 5_000_000
 
 
 def full_matrix_hermitian(h, atol=1e-9):

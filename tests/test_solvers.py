@@ -655,15 +655,24 @@ class TestSolveNType:
     def test_reachability_changes_no_axis_root(self, monkeypatch):
         # 305 targets with b2 = b4 = 0 (+-e1, +-e3, (0.6, 0, 0.8, 0) and 300
         # of the form (cos a, 0, sin a, 0)), where every root comes from an
-        # axis family, and 200 each of b3 -> 0 and random targets, every
-        # other one with a random guess: the roots, or the best residual of
-        # a failure, are those of the solve that builds every family, bit
-        # for bit, with a guess too
+        # axis family, 200 each of b3 -> 0 and random targets, and 60 with
+        # 1e-8 + 3e-15 < hypot(b2, b4) <= 2e-8, just past the odd-pi/2
+        # family's reach, every other one with a random guess: the roots, or
+        # the best residual of a failure, are those of the solve that builds
+        # every family, bit for bit, with a guess too
         rng = np.random.default_rng(21)
         targets = [np.eye(4)[0], -np.eye(4)[0], np.eye(4)[2], -np.eye(4)[2], np.array([0.6, 0, 0.8, 0])]
         targets += [np.array([math.cos(a), 0.0, math.sin(a), 0.0]) for a in rng.uniform(0, 2 * math.pi, 300)]
         targets += ntype_stress_targets("b3_to_zero", 200, rng) + ntype_stress_targets("random", 200, rng)
         guesses = [tuple(rng.uniform(-7.0, 7.0, 3)) if i % 2 else None for i in range(len(targets))]
+        band = np.random.default_rng(22)
+        for h in band.uniform(1e-8 + 3e-15, 2e-8, 60):
+            a, beta = band.uniform(0, 2 * math.pi, 2)
+            r = math.sqrt(1.0 - h * h)
+            b = np.array([r * math.cos(a), h * math.cos(beta), r * math.sin(a), h * math.sin(beta)])
+            assert fourlevel.solvers._NTYPE_QUARTER_REACH < math.hypot(b[1], b[3]) <= 2e-8
+            targets.append(b)
+            guesses.append(tuple(band.uniform(-7.0, 7.0, 3)) if len(targets) % 2 else None)
         cases = list(zip(targets, guesses))
         roots = [solve_outcome(b, g) for b, g in cases]
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_UNIT_REACH", math.inf)

@@ -13,7 +13,7 @@ from fourlevel.hamiltonian import (
     phase_operator,
     total_hamiltonian,
 )
-from fourlevel.propagator import propagate
+from fourlevel.propagator import _CHUNK, _NODES, propagate
 from fourlevel.qo import (
     TRANSITIONS,
     engineered_to_qo,
@@ -111,14 +111,26 @@ def test_array_equals_stacked_scalars(pipeline, times, name):
 
 
 def test_propagate_evaluates_the_grid_once():
-    # one Hamiltonian call on the Gauss nodes in time order
-    nodes = []
+    # every Gauss node once, in time order, one Hamiltonian call per chunk
+    # of _CHUNK steps; concatenated, the calls give the one-call grid
+    def run(steps):
+        nodes = []
 
-    def h(t):
-        nodes.append(t)
-        return np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)  # constant: one 4x4
+        def h(t):
+            nodes.append(t)
+            return np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)  # constant: one 4x4
 
-    traj = propagate(h, np.array([1.0, 0, 0, 0], dtype=complex), 1.0, steps=100)
+        traj = propagate(h, np.array([1.0, 0, 0, 0], dtype=complex), 1.0, steps=steps)
+        assert traj.norm_drift < 1e-14
+        return nodes
+
+    nodes = run(100)
     assert len(nodes) == 1 and nodes[0].shape == (200,)
     assert np.all(np.diff(nodes[0]) > 0) and 0.0 < nodes[0][0] and nodes[0][-1] < 1.0
-    assert traj.norm_drift < 1e-14
+
+    steps = 2 * _CHUNK + 37
+    nodes = run(steps)
+    assert [len(t) for t in nodes] == [2 * _CHUNK, 2 * _CHUNK, 74]
+    times = np.linspace(0.0, 1.0, steps + 1)
+    grid = (times[:-1, None] + _NODES * (1.0 / steps)).ravel()
+    assert np.concatenate(nodes).tobytes() == grid.tobytes()
