@@ -280,6 +280,12 @@ def _phase_readout(states: np.ndarray):
     return phases, relative
 
 
+def _check_steps(steps) -> None:
+    """The one test of a step count, for propagate and Scenario: an integer of at least 100."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 100:
+        raise ValueError(f"steps must be an integer of at least 100, got {steps!r}")
+
+
 def propagate(
     h_of_t: Callable[[np.ndarray], np.ndarray],
     psi0: np.ndarray,
@@ -300,8 +306,7 @@ def propagate(
     from one stacked Taylor exponential, and the states from a blocked scan
     of the step maps, in this thread's workspace.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 100:
-        raise ValueError(f"steps must be an integer of at least 100, got {steps!r}")
+    _check_steps(steps)
     _check_horizon(T)
     psi = np.asarray(psi0, dtype=complex).copy()
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # True for NaN
@@ -344,21 +349,15 @@ def propagate(
     )
 
 
-def fidelity(psi: np.ndarray, target: np.ndarray, mod_global_phase: bool = True) -> float:
-    """Overlap-squared between two states normalized within NORM_TOL.
-
-    With mod_global_phase the usual |<target|psi>|^2; without it the
-    squared real (Euclidean) overlap of the amplitude vectors, which is
-    sensitive to a global phase difference.
-    """
+def fidelity(psi: np.ndarray, target: np.ndarray) -> float:
+    """|<target|psi>|^2 between two states normalized within NORM_TOL,
+    blind to a global phase."""
     psi = np.asarray(psi, dtype=complex)
     target = np.asarray(target, dtype=complex)
     for name, v in (("psi", psi), ("target", target)):
         if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:  # True for NaN
             raise ValueError(f"state {name} must be finite and normalized, got {v}")
-    overlap = np.vdot(target, psi)
-    value = abs(overlap) ** 2 if mod_global_phase else overlap.real**2
-    return float(min(value, 1.0))
+    return float(min(abs(np.vdot(target, psi)) ** 2, 1.0))
 
 
 def compare_with_analytic(traj: Trajectory, solved, ph) -> float:

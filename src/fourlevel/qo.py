@@ -20,15 +20,15 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonian import PhaseSchedule, _diagonal, _hermitian, coupling_entries
-from .rotation import CouplingSet
+from .rotation import _UPPER, CouplingSet
 from .solvers import FORBIDDEN, LevelConfig
 
-TRANSITIONS = ("12", "13", "24", "34")
-_IDX = {"12": (0, 1), "13": (0, 2), "24": (1, 3), "34": (2, 3)}
+#: Position of each transition (a coupling the diamond does not forbid)
+#: among coupling_entries' six upper entries.
+_ENTRIES = [i for i, n in enumerate(CouplingSet._fields) if n not in FORBIDDEN[LevelConfig.DIAMOND]]
 #: Lower and upper level index of each transition, in TRANSITIONS order.
-_ROWS, _COLS = np.array([_IDX[k] for k in TRANSITIONS]).T
-#: Position of each transition among coupling_entries' six upper entries.
-_ENTRIES = [0, 1, 4, 5]
+_ROWS, _COLS = _UPPER[0][_ENTRIES], _UPPER[1][_ENTRIES]
+TRANSITIONS = tuple(f"{m + 1}{n + 1}" for m, n in zip(_ROWS, _COLS))
 
 
 class ResonanceViolationError(ValueError):

@@ -2,10 +2,11 @@
 
 A 4D rotation is represented as C -> q C p with unit quaternions q, p, or
 equivalently as the commuting product of a left- and a right-isoclinic
-matrix acting on the column vector (w, x, y, z)^T.  This module provides
-the quaternion algebra, the isoclinic matrices, their composition into a
-general rotation, and the extraction of the two invariant rotation planes
-and angles.
+matrix acting on the column vector (w, x, y, z)^T.  This module owns the
+quaternion algebra: the Hamilton product, the rotation-vector exp and log,
+and the one builder of the matrix of C -> q C p that gives U_r
+(rotation.ur_of_angles), M_L(q) and M_R(p), checked by their product
+cayley_rotation; and the two invariant rotation planes and angles.
 """
 
 from __future__ import annotations
@@ -29,14 +30,31 @@ class RotationKind(enum.Enum):
     IDENTITY = "identity"
 
 
+def _require_finite(what: str, names, values) -> None:
+    """Raise ValueError naming each of values (a float, array or tuple, each
+    tested on its own as shapes may differ) that is or holds NaN or +-inf."""
+    bad = [name for name, v in zip(names, values) if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"{what} not finite: {', '.join(bad)}")
+
+
+def _stack_last(parts) -> np.ndarray:
+    """np.stack(parts, axis=-1) for parts of one shape, at np.array's cost on floats."""
+    a = np.array(parts)
+    return a.transpose(*range(1, a.ndim), 0)
+
+
 @dataclass(frozen=True)
 class Quaternion:
-    """Real quaternion w + x*i + y*j + z*k."""
+    """Real quaternion w + x*i + y*j + z*k; rejects a non-finite component, float or array."""
 
     w: float
     x: float
     y: float
     z: float
+
+    def __post_init__(self):
+        _require_finite("quaternion components", "wxyz", (self.w, self.x, self.y, self.z))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -91,6 +109,26 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion(*hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
 
+def _exp(v) -> tuple:
+    """exp(v) = cos|v| + sin|v| v/|v|, (w, x, y, z), of the rotation vector
+    v = (x, y, z) of floats or arrays; (1, 0, 0, 0) at v = 0.  Unchecked."""
+    x, y, z = v
+    g = np.sqrt(x * x + y * y + z * z)
+    s = np.sin(g) / np.where(g == 0.0, 1.0, g)  # v = 0 at g = 0
+    return np.cos(g), s * x, s * y, s * z
+
+
+def _log(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The rotation vector of the unit quaternion (w, x, y, z): angle
+    atan2(|u|, w) in [0, pi] along u = (x, y, z), along i where u = 0 (pi i
+    for -1)."""
+    h = math.hypot(x, y, z)
+    if h == 0.0:
+        return math.atan2(0.0, w), 0.0, 0.0
+    a = math.atan2(h, w)
+    return a * (x / h), a * (y / h), a * (z / h)
+
+
 def quat_exp(u: Quaternion, gamma: float) -> Quaternion:
     """exp(u*gamma) = cos(gamma) + u*sin(gamma) for a pure unit quaternion u."""
     if not u.is_pure_unit(atol=1e-9):
@@ -101,32 +139,31 @@ def quat_exp(u: Quaternion, gamma: float) -> Quaternion:
     return Quaternion(c, s * u.x, s * u.y, s * u.z)
 
 
+def _sandwich(q: tuple, p: tuple) -> np.ndarray:
+    """The matrix (..., 4, 4) of C -> q C p for (w, x, y, z) tuples of floats
+    or arrays, column k = q e_k p (e_k = 1, i, j, k): M_L(q) at p = 1, M_R(p)
+    at q = 1, and with both U_r = M_L(q) M_R(p)."""
+    w, x, y, z = p
+    # e_k p for e_k = 1, i, j, k: the columns of M_R(p)
+    u = _stack_last(
+        hamilton(q, p)
+        + hamilton(q, (-x, w, -z, y))
+        + hamilton(q, (-y, z, w, -x))
+        + hamilton(q, (-z, -y, x, w))
+    )  # u[..., 4 k + i] = (q e_k p)_i
+    return np.swapaxes(u.reshape(u.shape[:-1] + (4, 4)), -1, -2)
+
+
 def left_isoclinic(q: Quaternion) -> np.ndarray:
     """Matrix of left multiplication by the unit quaternion q."""
     q = Quaternion.unit(q.w, q.x, q.y, q.z)
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    return _sandwich((q.w, q.x, q.y, q.z), (1.0, 0.0, 0.0, 0.0))
 
 
 def right_isoclinic(p: Quaternion) -> np.ndarray:
     """Matrix of right multiplication by the unit quaternion p."""
     p = Quaternion.unit(p.w, p.x, p.y, p.z)
-    w, x, y, z = p.w, p.x, p.y, p.z
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
+    return _sandwich((1.0, 0.0, 0.0, 0.0), (p.w, p.x, p.y, p.z))
 
 
 def cayley_rotation(q: Quaternion, p: Quaternion) -> np.ndarray:

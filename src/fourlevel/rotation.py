@@ -7,11 +7,11 @@ in the convention
     H_r = i * hbar * sum_{n<m} Omega_nm (|n><m| - |m><n|),
 
 i.e. Omega_nm is the (n, m) entry (n < m) of the real antisymmetric matrix
-dUr/dt * Ur^T.  U_r, its generator and the final state all come from the
-quaternion pair (q, p) through one angle-to-quaternion map and the Hamilton
-product: U_r = M_L(q) M_R(p), dUr/dt Ur^T = M_L(dq/dt conj(q)) +
-M_R(conj(p) dp/dt) and U_r e_1 = q p; the public maps reject a NaN or
-infinite angle or rate with a ValueError that names its field.  A solved
+dUr/dt * Ur^T.  This module keeps the angle maps, and quat4 the algebra they
+feed: U_r = M_L(q) M_R(p) is quat4's builder at the pair (q, p) of the one
+angle-to-quaternion map, and dUr/dt Ur^T = M_L(dq/dt conj(q)) +
+M_R(conj(p) dp/dt) and U_r e_1 = q p are Hamilton products; the public maps
+reject a NaN or infinite angle or rate with a ValueError that names it.  A solved
 pulse is a CosineRamp of the rotation vectors v_i = gamma_i(T) n_i, whose
 generator r'(t) (M_L(v1) + M_R(v2)) is read off them with no trig and whose
 angles are a view of them.  A ramp evaluated on a time array gives an
@@ -27,24 +27,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat4 import Quaternion, hamilton
+from .quat4 import Quaternion, _exp, _require_finite, _sandwich, _stack_last, hamilton
 
 
 #: Row and column of the couplings (1,2), (1,3), (1,4), (2,3), (2,4), (3,4).
 _UPPER = np.triu_indices(4, 1)
 
 
-def _stack_last(parts) -> np.ndarray:
-    """np.stack(parts, axis=-1) for parts of one shape, at np.array's cost on floats."""
-    a = np.array(parts)
-    return a.transpose(*range(1, a.ndim), 0)
-
-
 class AnglePair(NamedTuple):
     """Generalized spherical angles of the two quaternion factors (radians).
 
-    All real values are accepted; the solvers occasionally need angles
-    outside [0, pi] (e.g. theta2 = -3*pi/4 for the diamond example).
+    All real values are accepted.  The solvers' angles, the view
+    CosineRamp.final, keep theta in [0, pi] and phi in [0, pi) and sign
+    only gamma (theta2 = pi/4 for the diamond example).
     The fields may also be arrays of one shape (one entry per time
     sample); as_array stacks them on the last axis.
     """
@@ -112,14 +107,6 @@ def _unit_quat(g, th, ph, dg=None, dth=None, dph=None):
     return q, dq
 
 
-def _require_finite(what: str, names, values) -> None:
-    """Raise ValueError naming each of values (a float, array or tuple, each
-    tested on its own as shapes may differ) that is or holds NaN or +-inf."""
-    bad = [name for name, v in zip(names, values) if not np.isfinite(v).all()]
-    if bad:
-        raise ValueError(f"{what} not finite: {', '.join(bad)}")
-
-
 def _quat_pair(a: AnglePair):
     _require_finite("angles", a._fields, a)
     return _unit_quat(a.gamma1, a.theta1, a.phi1), _unit_quat(a.gamma2, a.theta2, a.phi2)
@@ -134,20 +121,11 @@ def spherical_to_quats(a: AnglePair) -> tuple[Quaternion, Quaternion]:
 def ur_of_angles(a: AnglePair) -> np.ndarray:
     """Evolution operator U_r = M_L(q) M_R(p) (real rotation, (..., 4, 4)).
 
-    Column k is the quaternion q e_k p for the basis e_k = 1, i, j, k;
-    cayley_rotation(*spherical_to_quats(a)) builds the same matrix from
-    the isoclinic factors and serves as its check.
+    quat4's builder at the angles' pair (q, p): column k is q e_k p for
+    e_k = 1, i, j, k.  cayley_rotation(*spherical_to_quats(a)) multiplies
+    the isoclinic factors instead and serves as its check.
     """
-    q, p = _quat_pair(a)
-    w, x, y, z = p
-    # e_k p for e_k = 1, i, j, k: the columns of M_R(p)
-    u = _stack_last(
-        hamilton(q, p)
-        + hamilton(q, (-x, w, -z, y))
-        + hamilton(q, (-y, z, w, -x))
-        + hamilton(q, (-z, -y, x, w))
-    )  # u[..., 4 k + i] = (q e_k p)_i
-    return np.swapaxes(u.reshape(u.shape[:-1] + (4, 4)), -1, -2)
+    return _sandwich(*_quat_pair(a))
 
 
 def final_state(a: AnglePair) -> np.ndarray:
@@ -158,13 +136,7 @@ def final_state(a: AnglePair) -> np.ndarray:
 def _vector_state(v1, v2) -> np.ndarray:
     """q p, (..., 4), for q = exp(v1), p = exp(v2) of rotation vectors (x, y,
     z) of floats or arrays; unchecked, for the N-type search's candidates."""
-
-    def exp(x, y, z):
-        g = np.sqrt(x * x + y * y + z * z)
-        s = np.sin(g) / np.where(g == 0.0, 1.0, g)  # v = 0 at g = 0
-        return np.cos(g), s * x, s * y, s * z
-
-    return _stack_last(hamilton(exp(*v1), exp(*v2)))
+    return _stack_last(hamilton(_exp(v1), _exp(v2)))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
@@ -210,17 +182,6 @@ def _angles(v) -> tuple[float, float, float]:
     rho = math.hypot(y, z)
     # + 0.0 turns a -0.0 into 0.0, so atan2 gives 0, not pi
     return s * math.hypot(x, y, z), math.atan2(rho, s * x + 0.0), math.atan2(abs(z), s * y + 0.0)
-
-
-def _log(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The rotation vector of the unit quaternion (w, x, y, z): angle
-    atan2(|u|, w) in [0, pi] along u = (x, y, z), along i where u = 0 (pi i
-    for -1)."""
-    h = math.hypot(x, y, z)
-    if h == 0.0:
-        return math.atan2(0.0, w), 0.0, 0.0
-    a = math.atan2(h, w)
-    return a * (x / h), a * (y / h), a * (z / h)
 
 
 def _check_horizon(horizon: float) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import PhaseSchedule
-from .propagator import DEFAULT_STEPS
+from .propagator import DEFAULT_STEPS, _check_steps
 from .solvers import LevelConfig, TargetSpec, _finite_real
 
 _ALLOWED_KEYS = {
@@ -44,8 +44,10 @@ class Scenario:
     omega_levels: np.ndarray | None = None
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 100:
-            raise ScenarioError(f"steps must be an integer of at least 100, got {self.steps!r}")
+        try:
+            _check_steps(self.steps)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     @property
     def T(self) -> float:  # the horizon, held and checked by the phase schedule

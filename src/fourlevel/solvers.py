@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat4 import hamilton
-from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _log, _vector_state
+from .quat4 import _log, hamilton
+from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _vector_state
 
 #: The largest final-state residual |q p - b| of a converged N-type candidate.
 _NTYPE_RESIDUAL_TOL = 1e-8

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from fourlevel.quat4 import (
     Quaternion,
     RotationKind,
+    _exp,
+    _log,
+    _sandwich,
     cayley_rotation,
     decompose_rotation,
     is_rotation_matrix,
@@ -111,6 +114,63 @@ class TestIsoclinic:
             if expected is None:
                 expected = ang
             assert abs(ang - expected) < 1e-9
+
+
+def literal_left(q):
+    w, x, y, z = q
+    return [[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]]
+
+
+def literal_right(p):
+    w, x, y, z = p
+    return [[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]]
+
+
+def basis_and_random_quaternions(n: int = 200):
+    """+-1, +-i, +-j, +-k and n seeded unit quaternions, as (w, x, y, z) float tuples."""
+    units = [tuple(float(s * (k == i)) for k in range(4)) for i in range(4) for s in (1, -1)]
+    v = np.random.default_rng(28).normal(size=(n, 4))
+    return units + [tuple(r) for r in (v / np.linalg.norm(v, axis=1, keepdims=True)).tolist()]
+
+
+class TestOneBuilder:
+    """M_L(q), M_R(p) and U_r come from one builder of the matrix of C -> q C p."""
+
+    def test_factors_equal_the_literal_cayley_matrices(self):
+        for q in basis_and_random_quaternions():
+            # both normalize their input first
+            u = Quaternion.unit(*q)
+            u = (u.w, u.x, u.y, u.z)
+            assert np.array_equal(left_isoclinic(Quaternion(*q)), literal_left(u))
+            assert np.array_equal(right_isoclinic(Quaternion(*q)), literal_right(u))
+
+    def test_stack_equals_the_per_sample_calls_bit_for_bit(self):
+        quats = basis_and_random_quaternions(100)
+        qs, ps = quats[:54], quats[54:]
+        stacked = _sandwich(tuple(np.array(qs).T), tuple(np.array(ps).T))
+        assert stacked.shape == (54, 4, 4)
+        for n, (q, p) in enumerate(zip(qs, ps)):
+            assert stacked[n].tobytes() == np.ascontiguousarray(_sandwich(q, p)).tobytes()
+
+    def test_exp_of_zero_is_exactly_one(self):
+        assert _exp((0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0, 0.0)
+        assert _exp((0, 0, 0)) == (1.0, 0.0, 0.0, 0.0)
+
+    def test_exp_on_arrays_equals_the_per_element_calls(self):
+        v = np.random.default_rng(3).uniform(-4.0, 4.0, size=(3, 50))
+        v[:, 7] = 0.0
+        stacked = np.array(_exp(tuple(v)))
+        for n in range(50):
+            assert stacked[:, n].tobytes() == np.array(_exp(tuple(v[:, n].tolist()))).tobytes()
+
+    def test_log_inverts_exp_below_pi(self):
+        rng = np.random.default_rng(4)
+        axes = rng.normal(size=(300, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        for u, g in zip(axes, rng.uniform(0.0, math.pi * (1 - 1e-9), 300)):
+            v = tuple((g * u).tolist())
+            np.testing.assert_allclose(_log(*map(float, _exp(v))), v, rtol=0, atol=1e-14)
+        assert _log(*map(float, _exp((0.0, 0.0, 0.0)))) == (0.0, 0.0, 0.0)
 
 
 class TestCayleyRotation:
@@ -308,23 +368,33 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rotations_reject(self, bad):
-        b = Quaternion(bad, 0, 0, 0)
         for call in (
-            lambda: left_isoclinic(b),
-            lambda: right_isoclinic(b),
-            lambda: cayley_rotation(b, ONE),
-            lambda: cayley_rotation(ONE, b),
-            lambda: decompose_rotation(b, ONE),
-            lambda: decompose_rotation(ONE, b),
+            lambda: left_isoclinic(Quaternion(bad, 0, 0, 0)),
+            lambda: right_isoclinic(Quaternion(bad, 0, 0, 0)),
+            lambda: cayley_rotation(Quaternion(bad, 0, 0, 0), ONE),
+            lambda: cayley_rotation(ONE, Quaternion(bad, 0, 0, 0)),
+            lambda: decompose_rotation(Quaternion(bad, 0, 0, 0), ONE),
+            lambda: decompose_rotation(ONE, Quaternion(bad, 0, 0, 0)),
         ):
-            with pytest.raises(ValueError, match=str(bad)):
+            with pytest.raises(ValueError, match="quaternion components not finite: w$"):
                 call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_construction_rejects(self, bad):
+        with pytest.raises(ValueError, match="not finite: w$"):
+            quat_mul(Quaternion(bad, 0, 0, 0), ONE)
+        with pytest.raises(ValueError, match="not finite: x, z$"):
+            Quaternion(0.0, bad, 0.5, bad)
+        # array fields too, each tested as a whole
+        with pytest.raises(ValueError, match="not finite: y$"):
+            Quaternion(np.zeros(3), np.ones(3), np.array([0.0, bad, 0.0]), 0.0)
+        Quaternion(np.zeros(3), np.ones(3), np.zeros(3), 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_quat_exp_rejects(self, bad):
         with pytest.raises(ValueError, match=f"gamma = {bad}"):
             quat_exp(I, bad)
-        with pytest.raises(ValueError, match="pure unit"):
+        with pytest.raises(ValueError, match="not finite: x$"):
             quat_exp(Quaternion(0, bad, 0, 0), 1.0)
 
 

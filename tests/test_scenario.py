@@ -225,5 +225,7 @@ class TestScenarioValidate:
     def test_replace_revalidates(self):
         sc = load_scenario(SCENARIO_DIR / "tripod.json")
         assert dataclasses.replace(sc, steps=500).steps == 500
+        # one test of the step count with propagate's, which takes numpy integers
+        assert dataclasses.replace(sc, steps=np.int64(500)).steps == 500
         with pytest.raises(ScenarioError, match="steps"):
             dataclasses.replace(sc, steps=10)
