@@ -32,7 +32,15 @@ class RotationKind(enum.Enum):
 
 def _require_finite(what: str, names, values) -> None:
     """Raise ValueError naming each of values (a float, array or tuple, each
-    tested on its own as shapes may differ) that is or holds NaN or +-inf."""
+    tested on its own as shapes may differ) that is or holds NaN or +-inf.
+    The fields are tested only when math.fsum of them, through which NaN and
+    +-inf carry, is not finite or raises (inf - inf, an overflow, an array or
+    a tuple)."""
+    try:
+        if math.isfinite(math.fsum(values)):
+            return
+    except (TypeError, ValueError, OverflowError):
+        pass
     bad = [name for name, v in zip(names, values) if not np.isfinite(v).all()]
     if bad:
         raise ValueError(f"{what} not finite: {', '.join(bad)}")
@@ -126,6 +134,9 @@ def _log(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
     if h == 0.0:
         return math.atan2(0.0, w), 0.0, 0.0
     a = math.atan2(h, w)
+    if h < 1e-300:  # a subnormal h leaves x / h few bits: scale by 2**600 first, exactly
+        x, y, z = x * 2.0**600, y * 2.0**600, z * 2.0**600
+        h = math.hypot(x, y, z)
     return a * (x / h), a * (y / h), a * (z / h)
 
 

@@ -17,7 +17,8 @@ generator r'(t) (M_L(v1) + M_R(v2)) is read off them with no trig and whose
 angles are a view of them.  A ramp evaluated on a time array gives an
 AnglePair of arrays, and the maps above then return one result per time, on
 the leading axes.  AnglePair, CouplingSet and CosineRamp are immutable named
-tuples, cheap to build.
+tuples, cheap to build; hot paths build one by tuple.__new__, not through the
+named tuple's Python-level __new__, which checks nothing.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:
 def _read_off(left, right) -> CouplingSet:
     """The couplings of M_L(l) + M_R(r), from the vectors l = left, r = right."""
     (lx, ly, lz), (rx, ry, rz) = left, right
-    return CouplingSet(-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx)
+    return tuple.__new__(CouplingSet, (-(lx + rx), -(ly + ry), -(lz + rz), rz - lz, ly - ry, rx - lx))
 
 
 def rotation_vectors(a: AnglePair) -> tuple[tuple, tuple]:

@@ -27,15 +27,14 @@ from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _vecto
 _NTYPE_RESIDUAL_TOL = 1e-8
 #: N-type loop search: lock sample points; the final bracket width, one sample step
 #: over 16 to the power _NTYPE_REFINE_STEPS (as many 16-part cuts would give;
-#: 0 refines nothing); the 16-part cuts that open each refinement, and the
-#: most secant steps after them; the distance from an axis +-e_k within
-#: which every step is a cut; and the turns k, m added to gamma1(T),
+#: 0 refines nothing); the regula falsi steps a bracket may take before it is
+#: only halved (_ntype_falsi); the distance from an axis +-e_k within which
+#: every step is a 16-part cut; and the turns k, m added to gamma1(T),
 #: gamma2(T) in units of 2 pi (every root of pulse area at most 3 pi has
 #: k, m in -1..1).
 _NTYPE_LOOP_POINTS = 128
 _NTYPE_REFINE_STEPS = 11
-_NTYPE_CUTS = 3
-_NTYPE_SECANT_STEPS = 4
+_NTYPE_FALSI_STEPS = 16
 _NTYPE_AXIS_DISTANCE = 1e-3
 _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
 #: The lock sample points added for a guess lie this far in psi to either side of
@@ -148,9 +147,9 @@ class SolvedAngles(NamedTuple):
 
 
 def _finish(config: LevelConfig, v1, v2, horizon: float) -> SolvedAngles:
-    ramp = CosineRamp(v1, v2, horizon)
+    ramp = CosineRamp(v1, v2, horizon)  # checks v1, v2 and the horizon
     worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp.generator)))
-    return SolvedAngles(config, ramp, worst * ramp.peak_rate)
+    return tuple.__new__(SolvedAngles, (config, ramp, worst * ramp.peak_rate))
 
 
 def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
@@ -204,28 +203,31 @@ def _ntype_loop(psi, b):
     smoothly at the folds root = 0 (psi = 0, pi).  root is the product form
     |(b2, b3, b4)| sqrt(sin(h - u) sin(h + u)), u = h cos(psi), with
     h - u = 2 h sin^2(psi/2) and h + u = 2 h cos^2(psi/2): it keeps its
-    relative accuracy at the folds.
+    relative accuracy at the folds.  One body serves arrays, with xp = numpy,
+    and floats (the per-bracket refinement), with xp = math.
     """
+    xp, atan2 = (math, math.atan2) if isinstance(psi, float) else (np, np.arctan2)
     b1, b2, b3, b4 = b
     r = math.hypot(b2, b4)
     h = math.atan2(r, abs(b3))
-    u = h * np.cos(psi)
-    c2, s2 = np.sin(u), np.cos(u)
-    root = np.sqrt(np.sin(2 * h * np.sin(psi / 2) ** 2) * np.sin(2 * h * np.cos(psi / 2) ** 2))
-    root = np.copysign(math.hypot(r, b3) * root, np.sin(psi))
+    u = h * xp.cos(psi)
+    c2, s2 = xp.sin(u), xp.cos(u)
+    root = xp.sqrt(xp.sin(2 * h * xp.sin(psi / 2) ** 2) * xp.sin(2 * h * xp.cos(psi / 2) ** 2))
+    root = xp.copysign(math.hypot(r, b3) * root, xp.sin(psi))
     c1 = b1 * c2 + root
-    s1 = np.hypot(c2 * root - b1 * s2 * s2, b3) / s2  # s1 s2 = |(c1 c2 - b1, b3)|
+    s1 = xp.hypot(c2 * root - b1 * s2 * s2, b3) / s2  # s1 s2 = |(c1 c2 - b1, b3)|
     w = math.atan2(b4, b2)
-    theta1 = w + np.arctan2(c1 * b3, c2 * (r * r + b3 * b3) - b1 * root)
-    theta2 = w - np.arctan2(c2 * b3, root)
-    return np.arctan2(s1, c1), theta1, math.pi / 2 - u, theta2
+    theta1 = w + atan2(c1 * b3, c2 * (r * r + b3 * b3) - b1 * root)
+    theta2 = w - atan2(c2 * b3, root)
+    return atan2(s1, c1), theta1, math.pi / 2 - u, theta2
 
 
 def _ntype_lock(psi, b, k, m):
-    """The lock gamma1 sin(theta1) + gamma2 sin(theta2) on the loop, with
-    gamma1 = gamma1(psi) + 2 pi k and gamma2 = gamma2(psi) + 2 pi m."""
+    """The lock gamma1 sin(theta1) + gamma2 sin(theta2) on the loop (floats or arrays),
+    with gamma1 = gamma1(psi) + 2 pi k and gamma2 = gamma2(psi) + 2 pi m."""
     g1, theta1, g2, theta2 = _ntype_loop(psi, b)
-    return (g1 + 2 * math.pi * k) * np.sin(theta1) + (g2 + 2 * math.pi * m) * np.sin(theta2)
+    sin = math.sin if isinstance(psi, float) else np.sin
+    return (g1 + 2 * math.pi * k) * sin(theta1) + (g2 + 2 * math.pi * m) * sin(theta2)
 
 
 def _ntype_loop_brackets(b, guess=None):
@@ -259,69 +261,73 @@ def _ntype_loop_brackets(b, guess=None):
 def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
     """(gamma1(T), theta1, gamma2(T), theta2) (n, 4), gamma_i(T) the loop's
     plus the turns, at the lock's sign change in each bracket of
-    _ntype_loop_brackets, all refined at once.
+    _ntype_loop_brackets.
 
-    Each refinement step evaluates the lock at a few points inside every
-    open bracket, in one call, and keeps the part between neighbouring
-    points where the sign first changes.  The first _NTYPE_CUTS steps cut
-    each bracket into 16 equal parts.  The next, at most
-    _NTYPE_SECANT_STEPS, are bracketed secant steps that reuse the lock
-    values known at the bracket's ends: regula falsi with the Illinois
-    modification (Dowell & Jarratt, BIT 11 (1971) 168; an end kept by two
-    steps in a row has its value halved) gives a point, and 8 points half a
-    final width apart straddle it, so the step closes the bracket once the
-    point is within 3.5 final widths of the sign change.  The point always
-    lies in its bracket (the end values differ in sign) and is moved in far
-    enough for the straddle.  A bracket still wider than the final width,
-    one sample step over 16**_NTYPE_REFINE_STEPS, is finished by 16-part
-    cuts.  Within _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final width in
-    psi moves a root's angles, and its pulse area, by up to about 1e-8, so
-    there every step is a cut and the roots stay those of the cut sequence.
-    A bracket stops once it is at most the final width, and its root is its
-    midpoint: each root depends on its own bracket alone, so refining the
-    brackets in parts gives the same roots.
+    Each bracket is closed to the final width, one sample step over
+    16**_NTYPE_REFINE_STEPS, and its root is the midpoint: it depends on its
+    own bracket alone, so refining the brackets in parts gives the same
+    roots.  Off the axes each bracket is refined on its own, on floats
+    (_ntype_falsi).  Within _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final
+    width in psi moves a root's pulse area by up to about 1e-8, so there
+    every step cuts every open bracket into 16 parts, in one lock call, and
+    keeps the part where the sign first changes: the cut sequence's roots.
     """
     final = 2 * math.pi / _NTYPE_LOOP_POINTS / 16.0**_NTYPE_REFINE_STEPS
-    cut, straddle = np.arange(1, 16) / 16, np.arange(-3.5, 4.0)
-    near_axis = max(abs(b)) ** 2 > 1.0 - _NTYPE_AXIS_DISTANCE**2
-    secants = range(_NTYPE_CUTS, _NTYPE_CUTS + (0 if near_axis else _NTYPE_SECANT_STEPS))
     turns = 2 * math.pi * np.concatenate((k, m), axis=1)  # added to gamma1(T), gamma2(T)
-    sign, mid = f_lo > 0, np.empty_like(left)
-    kept = np.full(len(left), -1)  # the part each secant step kept
-    i = np.arange(len(left))  # the open brackets' rows
-    # the cuts and secant steps, then at most the cuts a bracket still needs
-    for n_step in range(_NTYPE_SECANT_STEPS + _NTYPE_REFINE_STEPS):
-        done = width[:, 0] <= final
-        if done.all():
-            break
-        if done.any():  # these brackets stop here
-            mid[i[done]] = left[done] + width[done] / 2
-            i, k, m, sign, left, width, f_lo, f_hi, kept = (
-                a[~done] for a in (i, k, m, sign, left, width, f_lo, f_hi, kept)
-            )
-        secant = n_step in secants
-        right = left + width
-        if secant:  # points half a final width apart, closer in a narrower bracket
-            gap = np.minimum(final / 2, width / 8)
-            x = left + width * (f_lo / (f_lo - f_hi))
-            x = np.fmin(np.fmax(x, left + 3.5 * gap), right - 3.5 * gap)
-            points = x + gap * straddle
-            # Illinois: an end the last step kept counts half if this step keeps it too
-            f_lo[kept == 0] /= 2
-            f_hi[kept == len(straddle)] /= 2
-        else:
+    if max(abs(b)) ** 2 <= 1.0 - _NTYPE_AXIS_DISTANCE**2:
+        brackets = zip(*(a[:, 0].tolist() for a in (k, m, left, width, f_lo, f_hi)))
+        mid = np.array([_ntype_falsi(b.tolist(), *bracket, final) for bracket in brackets])
+    else:
+        sign, mid, cut = f_lo > 0, np.empty(len(left)), np.arange(1, 16) / 16
+        i = np.arange(len(left))  # the open brackets' rows
+        for _ in range(_NTYPE_REFINE_STEPS):
+            done = width[:, 0] <= final
+            if done.all():
+                break
+            if done.any():  # these brackets stop here
+                mid[i[done]] = left[done, 0] + width[done, 0] / 2
+                i, k, m, sign, left, width, f_hi = (
+                    a[~done] for a in (i, k, m, sign, left, width, f_hi)
+                )
             points = left + width * cut
-        values = np.concatenate((f_lo, _ntype_lock(points, b, k, m), f_hi), axis=1)
-        a = np.argmax((values[:, 1:] > 0) != sign, axis=1)  # the right end always flips
-        grid = np.concatenate((left, points, right), axis=1)
-        r = np.arange(len(a))
-        left = grid[r, a, None]
-        width = grid[r, a + 1, None] - left if secant else width / 16
-        f_lo, f_hi = values[r, a, None], values[r, a + 1, None]
-        kept = a if secant else kept
-    mid[i] = left + width / 2
-    g1, theta1, g2, theta2 = _ntype_loop(mid[:, 0], b)
+            values = np.concatenate((_ntype_lock(points, b, k, m), f_hi), axis=1)
+            a = np.argmax((values > 0) != sign, axis=1)  # the right end always flips
+            left = np.concatenate((left, points), axis=1)[np.arange(len(a)), a, None]
+            width = width / 16
+        mid[i] = left[:, 0] + width[:, 0] / 2
+    g1, theta1, g2, theta2 = _ntype_loop(mid, b)
     return np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1)
+
+
+def _ntype_falsi(b, k, m, lo, width, f_lo, f_hi, final) -> float:
+    """The midpoint, once at most final wide, of one bracket [lo, lo + width]
+    of the lock (floats b, k, m), whose end values f_lo, f_hi differ in sign
+    (> 0 against <= 0).  Each step evaluates the lock at one point and keeps
+    the part where the sign changes: regula falsi's point, with the Illinois
+    rule (Dowell & Jarratt, BIT 11 (1971) 168; an end kept twice in a row
+    counts half), held final/2 inside either end as in Brent's zeroin (1973,
+    ch. 4), so that a point within final/2 of the sign change closes the
+    bracket at the next step; the midpoint after _NTYPE_FALSI_STEPS steps or
+    at equal end values.  A bracket of at most one sample step then closes in
+    4 _NTYPE_REFINE_STEPS + 1 halvings (one for rounding): at most 61 lock
+    evaluations, and about 6 on average off the axes."""
+    hi, pos, kept = lo + width, f_lo > 0, 0  # kept: the end the last step kept, -1 lo, 1 hi
+    for n in range(_NTYPE_FALSI_STEPS + 4 * _NTYPE_REFINE_STEPS + 1):
+        if width <= final:
+            break
+        if n < _NTYPE_FALSI_STEPS and f_lo != f_hi:
+            x = min(max(lo + width * (f_lo / (f_lo - f_hi)), lo + final / 2), hi - final / 2)
+        else:
+            x = lo + width / 2
+        f = _ntype_lock(x, b, k, m)
+        if (f > 0) == pos:
+            lo, f_lo = x, f
+            f_hi, kept = (f_hi / 2 if kept == 1 else f_hi), 1
+        else:
+            hi, f_hi = x, f
+            f_lo, kept = (f_lo / 2 if kept == -1 else f_lo), -1
+        width = hi - lo
+    return lo + width / 2
 
 
 def _ntype_axis_roots(b, unit: bool, quarter: bool) -> np.ndarray:
@@ -448,8 +454,10 @@ def solve_ntype(
     on the loop.  Its sign changes, for gamma1(T), gamma2(T) shifted by 2 pi
     k, 2 pi m with k, m in -1..1 (every root of pulse area at most 3 pi), are
     sampled at 128 points (_ntype_loop_brackets) and refined to brackets
-    2 pi / 128 / 16**11 wide (_ntype_refine); each bracket stops at that
-    width, so its root does not depend on the brackets refined with it.  For
+    2 pi / 128 / 16**11 wide (_ntype_refine), off the axes each on its own
+    by regula falsi on floats (at most 61 lock evaluations, about 6), within
+    1e-3 of an axis +-e_k all at once by 16-part cuts; each bracket stops at
+    that width, so its root does not depend on the brackets refined with it.  For
     b2 = b4 = 0 the loop is one point, whose sign changes are rounding, and
     it is skipped.  The axis families (_ntype_axis_roots) join the loop
     roots.  Each root becomes the candidate (x1, x2, z) of

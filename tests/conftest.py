@@ -234,8 +234,8 @@ def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
     cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part where the
     lock's sign first changes, and the root (gamma1(T), theta1, gamma2(T),
     theta2) at the midpoint of the last part, with the loop's gammas plus
-    the turns.  An oracle for _ntype_refine, whose secant steps end each
-    bracket at most as wide; the same candidates in the same order."""
+    the turns.  An oracle for _ntype_refine, whose regula falsi steps end
+    each bracket at most as wide; the same candidates in the same order."""
     solvers = fourlevel.solvers
     left, width, sign = left[:, 0], width[:, 0], f_lo > 0
     cut = np.arange(1, 16) / 16

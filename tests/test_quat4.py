@@ -9,6 +9,7 @@ from fourlevel.quat4 import (
     RotationKind,
     _exp,
     _log,
+    _require_finite,
     _sandwich,
     cayley_rotation,
     decompose_rotation,
@@ -171,6 +172,15 @@ class TestOneBuilder:
             v = tuple((g * u).tolist())
             np.testing.assert_allclose(_log(*map(float, _exp(v))), v, rtol=0, atol=1e-14)
         assert _log(*map(float, _exp((0.0, 0.0, 0.0)))) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("tiny", [4.40674373e-316, 5e-324, 2e-308, 1e-301])
+    def test_log_of_a_subnormal_vector_part(self, tiny):
+        # (-1, 0, t, t) for tiny t: x / h of two subnormals kept about 26
+        # bits, so the tripod's vector had |v| = pi/2 - 5e-9 and missed its
+        # target by 1.05e-8; v is pi along (0, 1, 1) / sqrt(2)
+        v = _log(-1.0, 0.0, tiny, tiny)
+        np.testing.assert_allclose(v, (0.0, math.pi / 2**0.5, math.pi / 2**0.5), rtol=1e-15, atol=0)
+        assert abs(math.hypot(*v) - math.pi) <= 1e-15
 
 
 class TestCayleyRotation:
@@ -389,6 +399,35 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="not finite: y$"):
             Quaternion(np.zeros(3), np.ones(3), np.array([0.0, bad, 0.0]), 0.0)
         Quaternion(np.zeros(3), np.ones(3), np.zeros(3), 0.0)
+
+    def test_finite_fields_whose_sum_overflows_pass(self):
+        # the sum is only a fast test: finite fields whose sum overflows, or
+        # whose sum is inf - inf, are tested one by one and pass, or named
+        Quaternion(1e308, 1e308, 1e308, 0.0)
+        Quaternion(np.float64(1.7e308), np.float64(1.7e308), -1e308, -1e308)
+        _require_finite("fields", "ab", (np.full(3, 1e308), np.full(3, 1e308)))
+        with pytest.raises(ValueError, match="not finite: w, x$"):
+            Quaternion(math.inf, -math.inf, 0.0, 0.0)
+
+    def test_one_nan_among_arrays_is_named(self):
+        # six 2048-arrays, as hr_analytic checks per chunk of angles
+        names = ("gamma1", "theta1", "phi1", "gamma2", "theta2", "phi2")
+        rng = np.random.default_rng(26)
+        for bad in range(6):
+            fields = list(rng.normal(size=(6, 2048)))
+            fields[bad][int(rng.integers(2048))] = math.nan
+            with pytest.raises(ValueError, match=f"^angles not finite: {names[bad]}$"):
+                _require_finite("angles", names, fields)
+            fields[bad] = np.zeros(2048)
+            _require_finite("angles", names, fields)
+
+    def test_mixed_float_and_tuple_fields(self):
+        # a float beside a tuple, as a CosineRamp's vectors are checked
+        _require_finite("fields", ("a", "b"), (1.0, (2.0, 3.0, 4.0)))
+        with pytest.raises(ValueError, match="^fields not finite: b$"):
+            _require_finite("fields", ("a", "b"), (1.0, (2.0, math.nan, 4.0)))
+        with pytest.raises(ValueError, match="^fields not finite: a$"):
+            _require_finite("fields", ("a", "b"), (math.inf, (2.0, 3.0, 4.0)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_quat_exp_rejects(self, bad):

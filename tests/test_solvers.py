@@ -523,28 +523,25 @@ class TestSolveNType:
             assert np.linalg.norm(final_state(root.final) - target.b) <= 1e-12
 
     def test_lock_evaluations_per_solve(self, monkeypatch):
-        # one lock call per refinement step, every bracket at once: the
-        # sample, three 16-part cuts (15 points per bracket) and secant
-        # steps (8 points), in place of the sample and eleven cuts; near an
-        # axis the cuts alone; with no refinement the sample alone
-        points = []
-        lock = fourlevel.solvers._ntype_lock
-
-        def spy(psi, b, k, m):
-            points.append(np.shape(psi)[-1])
-            return lock(psi, b, k, m)
-
-        monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", spy)
+        # off the axes the lock is sampled in one call, 129 points for every
+        # turn pair, and each bracket is then refined on its own, one float
+        # evaluation per step; near an axis one call per 16-part cut, 15
+        # points per bracket; with no refinement the sample alone
+        calls, per_bracket = spy_lock_evaluations(monkeypatch)
         solve_ntype(TargetSpec(np.full(4, 0.5)))
-        assert points == [129, 15, 15, 15, 8, 8]
-        points.clear()
+        assert calls[0] == 129 and set(calls[1:]) == {"float"}
+        assert per_bracket == [6] * 6 and len(calls) == 1 + sum(per_bracket)
+        calls.clear()
+        per_bracket.clear()
         solve_ntype(TargetSpec(E4))
-        assert points == [129] + [15] * 11
-        points.clear()
+        assert calls == [129] + [15] * 11
+        assert per_bracket == []
+        calls.clear()
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_REFINE_STEPS", 0)
         with pytest.raises(NoSolutionFoundError):
             solve_ntype(TargetSpec(np.full(4, 0.5)))
-        assert points == [129]
+        assert calls == [129]
+        assert set(per_bracket) == {0}
 
     @pytest.mark.parametrize("guess", [None, (1.0, 2.0, 0.5)])
     def test_collapsed_loop_is_skipped(self, monkeypatch, guess):
@@ -679,24 +676,71 @@ class TestSolveNType:
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_QUARTER_REACH", math.inf)
         assert [solve_outcome(b, g) for b, g in cases] == roots
 
-    def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
-        # a lock exp(2000 (psi - psi0)) - 1 bends across the bracket that the
-        # cuts leave, so plain regula falsi keeps its steep end and creeps;
-        # halving the kept end's value brings the bracket to the final width
-        # within the four secant steps, with no cuts after them
-        psi0, points = 4.0 / 3.0, []
-
-        def lock(psi, b, k, m):
-            points.append(np.shape(psi)[-1])
-            curve = np.expm1(np.minimum(2000.0 * (psi - psi0), 30.0))
-            return np.where((k == 0) & (m == 0), curve, 1.0)
-
-        monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", lock)
+    def test_every_bracket_closes_within_the_bound(self, monkeypatch):
+        # on 300 seeded targets, every bracket of every turn pair closes in
+        # at most 16 regula falsi steps and 45 halvings, 61 evaluations (the
+        # bound of _ntype_falsi), and the brackets take at most 7 on average
+        _, per_bracket = spy_lock_evaluations(monkeypatch)
+        rng = np.random.default_rng(24)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(300):
+                loop_roots(random_target(rng).b)
+        assert len(per_bracket) > 5000
+        assert max(per_bracket) <= 61 and np.mean(per_bracket) <= 7.0
+        # a lock that steps from 5e-324 down to 0 at psi0: regula falsi's
+        # point is always the right end, held final/2 inside it, and the
+        # Illinois halving takes the left end's value to 0 too, where the
+        # point is the midpoint; the bracket closes by halvings
+        psi0, final = 4.0 / 3.0, 2 * math.pi / 128 / 16**11
+        monkeypatch.setattr(
+            fourlevel.solvers, "_ntype_lock", turn_pair_lock(lambda psi: np.where(psi < psi0, 5e-324, 0.0))
+        )
         monkeypatch.setattr(fourlevel.solvers, "_ntype_loop", lambda psi, b: (psi,) * 4)
+        _, per_bracket = spy_lock_evaluations(monkeypatch)
         roots = loop_roots(np.full(4, 0.5))
-        assert points == [129, 15, 15, 15, 8, 8, 8, 8]
+        assert roots.shape == (1, 4) and 45 <= per_bracket[0] <= 61
+        assert abs(roots[0, 0] - psi0) <= final
+
+    def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
+        # a lock exp(100 (psi - psi0)) - 1 bends across its sample bracket,
+        # so plain regula falsi keeps its steep end and creeps, 65 steps in
+        # the reference loop below; halving the kept end's value closes the
+        # bracket in 12 evaluations, every one a regula falsi step
+        psi0, final = 4.0 / 3.0, 2 * math.pi / 128 / 16**11
+        curve = turn_pair_lock(lambda psi: np.expm1(100.0 * (psi - psi0)))
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", curve)
+        monkeypatch.setattr(fourlevel.solvers, "_ntype_loop", lambda psi, b: (psi,) * 4)
+        _, per_bracket = spy_lock_evaluations(monkeypatch)
+        b = np.full(4, 0.5)
+        roots = loop_roots(b)
+        assert per_bracket == [12]
         assert roots.shape == (1, 4)
-        assert abs(roots[0, 0] - psi0) <= 2 * math.pi / 128 / 16**11
+        assert abs(roots[0, 0] - psi0) <= final
+        _, _, left, width, f_lo, f_hi = (a[0, 0] for a in fourlevel.solvers._ntype_loop_brackets(b))
+        lo, hi, steps = left, left + width, 0
+        while hi - lo > final:  # plain regula falsi, the point held final/2 inside either end
+            x = min(max(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), lo + final / 2), hi - final / 2)
+            f, steps = curve(x, None, 0.0, 0.0), steps + 1
+            lo, f_lo, hi, f_hi = (x, f, hi, f_hi) if f <= 0.0 else (lo, f_lo, x, f)
+        assert steps == 65
+
+    def test_float_and_array_loops_agree(self):
+        # _ntype_loop is one body over numpy's ufuncs on arrays and math's
+        # functions on floats: on 10,000 seeded (psi, b, k, m) the angles and
+        # the lock agree within 1e-12, and the float lock is a float
+        rng = np.random.default_rng(25)
+        solvers = fourlevel.solvers
+        for _ in range(100):
+            b = random_target(rng).b
+            psi = rng.uniform(0.0, 2 * math.pi + 0.05, 100)
+            k, m = rng.integers(-1, 2, (2, 100)).astype(float)
+            angles = np.array(solvers._ntype_loop(psi, b))
+            lock = solvers._ntype_lock(psi, b, k, m)
+            for i, p in enumerate(psi.tolist()):
+                floats = solvers._ntype_loop(p, b.tolist())
+                np.testing.assert_allclose(floats, angles[:, i], rtol=0, atol=1e-12)
+                f = solvers._ntype_lock(p, b.tolist(), float(k[i]), float(m[i]))
+                assert type(f) is float and abs(f - lock[i]) <= 1e-12
 
 
 def ntype_stress_targets(kind, n, rng) -> list[np.ndarray]:
@@ -729,6 +773,40 @@ def loop_roots(b):
     _ntype_loop_brackets, refined by _ntype_refine."""
     solvers = fourlevel.solvers
     return solvers._ntype_refine(b, *solvers._ntype_loop_brackets(b))
+
+
+def spy_lock_evaluations(monkeypatch):
+    """Spies on the library's lock as it stands: the lists of its calls, each
+    the number of points or "float", and of the float evaluations each
+    _ntype_falsi call makes."""
+    calls, per_bracket = [], []
+    solvers = fourlevel.solvers
+    lock, falsi = solvers._ntype_lock, solvers._ntype_falsi
+
+    def spy_lock(psi, b, k, m):
+        calls.append("float" if isinstance(psi, float) else np.shape(psi)[-1])
+        return lock(psi, b, k, m)
+
+    def spy_falsi(*bracket):
+        before = len(calls)
+        root = falsi(*bracket)
+        per_bracket.append(len(calls) - before)
+        return root
+
+    monkeypatch.setattr(solvers, "_ntype_lock", spy_lock)
+    monkeypatch.setattr(solvers, "_ntype_falsi", spy_falsi)
+    return calls, per_bracket
+
+
+def turn_pair_lock(shape):
+    """A stand-in lock: shape(psi) for the turn pair (0, 0) and 1 for every
+    other, on a float or an array as _ntype_lock."""
+
+    def lock(psi, b, k, m):
+        f = np.where((np.asarray(k) == 0) & (np.asarray(m) == 0), shape(psi), 1.0)
+        return float(f) if isinstance(psi, float) else f
+
+    return lock
 
 
 def all_pairs_outcome(b):
