@@ -27,7 +27,7 @@ from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _vecto
 _NTYPE_RESIDUAL_TOL = 1e-8
 #: N-type loop search: lock sample points; the final bracket width, one sample step
 #: over 16 to the power _NTYPE_REFINE_STEPS (as many 16-part cuts would give;
-#: 0 refines nothing); the regula falsi steps a bracket may take before it is
+#: 0 refines nothing); the interpolation steps a bracket may take before it is
 #: only halved (_ntype_falsi); the distance from an axis +-e_k within which
 #: every step is a 16-part cut; and the turns k, m added to gamma1(T),
 #: gamma2(T) in units of 2 pi (every root of pulse area at most 3 pi has
@@ -37,6 +37,14 @@ _NTYPE_REFINE_STEPS = 11
 _NTYPE_FALSI_STEPS = 16
 _NTYPE_AXIS_DISTANCE = 1e-3
 _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
+#: The lock sample's inputs: the closed grid of psi (last = first + 2 pi), the
+#: steps between its points, and the turn pairs (k, m) in _NTYPE_TURNS, k-major.
+_NTYPE_SAMPLE_PSI = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * (2 * math.pi / _NTYPE_LOOP_POINTS)
+_NTYPE_SAMPLE_STEPS = np.full(_NTYPE_LOOP_POINTS, 2 * math.pi / _NTYPE_LOOP_POINTS)
+_NTYPE_PAIRS = np.stack(np.meshgrid(_NTYPE_TURNS, _NTYPE_TURNS, indexing="ij"), axis=-1).reshape(-1, 2)
+#: The least |gamma + 2 pi t| over gamma in [0, pi], for each turn t in _NTYPE_TURNS:
+#: 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0.
+_NTYPE_TURN_AREA = np.pi * np.maximum(2 * _NTYPE_TURNS, -2 * _NTYPE_TURNS - 1)
 #: The lock sample points added for a guess lie this far in psi to either side of
 #: its loop points; rounding in the guess moves those by up to about 1e-8.
 _NTYPE_GUESS_OFFSET = 1e-6
@@ -237,16 +245,16 @@ def _ntype_loop_brackets(b, guess=None):
     pair last), psi.  The lock is sampled at _NTYPE_LOOP_POINTS points for
     every turn pair (k, m) with k, m in _NTYPE_TURNS; with guess = (k, m,
     points), also for the guess's turn pair, with the guess's points added
-    to the sample points.  For b2 = b4 = 0 the loop is one point, whose
-    sign changes are rounding: there are no brackets, and no lock call.
+    to the sample points.  The grid, its steps and the nine turn pairs are
+    module constants; the guess's points and pair make new arrays.  Off the
+    axes _ntype_falsi closes each bracket in at most 61 lock evaluations:
+    on 3,000 seeded random targets (55,328 brackets) 4.9 on average and 51
+    at most; with b3 = 0 each takes 43-60.  For b2 = b4 = 0 the loop is one point, whose sign changes
+    are rounding: there are no brackets, and no lock call.
     """
     if math.hypot(b[1], b[3]) == 0.0:
         return (np.empty((0, 1)),) * 6
-    step = 2 * math.pi / _NTYPE_LOOP_POINTS
-    psi = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * step  # closed: last = first + 2 pi
-    steps = np.full(_NTYPE_LOOP_POINTS, step)
-    pairs = np.stack(np.meshgrid(_NTYPE_TURNS, _NTYPE_TURNS, indexing="ij"), axis=-1)
-    pairs = pairs.reshape(-1, 2)
+    psi, steps, pairs = _NTYPE_SAMPLE_PSI, _NTYPE_SAMPLE_STEPS, _NTYPE_PAIRS
     if guess is not None:
         k, m, points = guess
         pairs = np.concatenate((pairs, [[k, m]]))
@@ -267,34 +275,37 @@ def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
     16**_NTYPE_REFINE_STEPS, and its root is the midpoint: it depends on its
     own bracket alone, so refining the brackets in parts gives the same
     roots.  Off the axes each bracket is refined on its own, on floats
-    (_ntype_falsi).  Within _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final
-    width in psi moves a root's pulse area by up to about 1e-8, so there
-    every step cuts every open bracket into 16 parts, in one lock call, and
-    keeps the part where the sign first changes: the cut sequence's roots.
+    (_ntype_falsi: at most 61 lock evaluations, 4.9 on average), and its
+    root is read off by the float _ntype_loop at its midpoint.  Within
+    _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final width in psi moves a
+    root's pulse area by up to about 1e-8, so there every step cuts every
+    open bracket into 16 parts, in one lock call, and keeps the part where
+    the sign first changes: the cut sequence's roots, read off in one array
+    _ntype_loop call.
     """
     final = 2 * math.pi / _NTYPE_LOOP_POINTS / 16.0**_NTYPE_REFINE_STEPS
-    turns = 2 * math.pi * np.concatenate((k, m), axis=1)  # added to gamma1(T), gamma2(T)
     if max(abs(b)) ** 2 <= 1.0 - _NTYPE_AXIS_DISTANCE**2:
-        brackets = zip(*(a[:, 0].tolist() for a in (k, m, left, width, f_lo, f_hi)))
-        mid = np.array([_ntype_falsi(b.tolist(), *bracket, final) for bracket in brackets])
-    else:
-        sign, mid, cut = f_lo > 0, np.empty(len(left)), np.arange(1, 16) / 16
-        i = np.arange(len(left))  # the open brackets' rows
-        for _ in range(_NTYPE_REFINE_STEPS):
-            done = width[:, 0] <= final
-            if done.all():
-                break
-            if done.any():  # these brackets stop here
-                mid[i[done]] = left[done, 0] + width[done, 0] / 2
-                i, k, m, sign, left, width, f_hi = (
-                    a[~done] for a in (i, k, m, sign, left, width, f_hi)
-                )
-            points = left + width * cut
-            values = np.concatenate((_ntype_lock(points, b, k, m), f_hi), axis=1)
-            a = np.argmax((values > 0) != sign, axis=1)  # the right end always flips
-            left = np.concatenate((left, points), axis=1)[np.arange(len(a)), a, None]
-            width = width / 16
-        mid[i] = left[:, 0] + width[:, 0] / 2
+        floats, roots = b.tolist(), []
+        for t, u, *bracket in zip(*(a[:, 0].tolist() for a in (k, m, left, width, f_lo, f_hi))):
+            g1, theta1, g2, theta2 = _ntype_loop(_ntype_falsi(floats, t, u, *bracket, final), floats)
+            roots.append((g1 + 2 * math.pi * t, theta1, g2 + 2 * math.pi * u, theta2))
+        return np.array(roots).reshape(-1, 4)
+    turns = 2 * math.pi * np.concatenate((k, m), axis=1)  # added to gamma1(T), gamma2(T)
+    sign, mid, cut = f_lo > 0, np.empty(len(left)), np.arange(1, 16) / 16
+    i = np.arange(len(left))  # the open brackets' rows
+    for _ in range(_NTYPE_REFINE_STEPS):
+        done = width[:, 0] <= final
+        if done.all():
+            break
+        if done.any():  # these brackets stop here
+            mid[i[done]] = left[done, 0] + width[done, 0] / 2
+            i, k, m, sign, left, width, f_hi = (a[~done] for a in (i, k, m, sign, left, width, f_hi))
+        points = left + width * cut
+        values = np.concatenate((_ntype_lock(points, b, k, m), f_hi), axis=1)
+        a = np.argmax((values > 0) != sign, axis=1)  # the right end always flips
+        left = np.concatenate((left, points), axis=1)[np.arange(len(a)), a, None]
+        width = width / 16
+    mid[i] = left[:, 0] + width[:, 0] / 2
     g1, theta1, g2, theta2 = _ntype_loop(mid, b)
     return np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1)
 
@@ -303,29 +314,39 @@ def _ntype_falsi(b, k, m, lo, width, f_lo, f_hi, final) -> float:
     """The midpoint, once at most final wide, of one bracket [lo, lo + width]
     of the lock (floats b, k, m), whose end values f_lo, f_hi differ in sign
     (> 0 against <= 0).  Each step evaluates the lock at one point and keeps
-    the part where the sign changes: regula falsi's point, with the Illinois
-    rule (Dowell & Jarratt, BIT 11 (1971) 168; an end kept twice in a row
-    counts half), held final/2 inside either end as in Brent's zeroin (1973,
-    ch. 4), so that a point within final/2 of the sign change closes the
-    bracket at the next step; the midpoint after _NTYPE_FALSI_STEPS steps or
-    at equal end values.  A bracket of at most one sample step then closes in
-    4 _NTYPE_REFINE_STEPS + 1 halvings (one for rounding): at most 61 lock
-    evaluations, and about 6 on average off the axes."""
+    the part where the sign changes.  The point is the inverse quadratic
+    interpolation through both ends and the point the last step dropped,
+    wherever it falls inside the bracket (as in Brent's zeroin, 1973, ch. 4),
+    and otherwise regula falsi's point with the Illinois rule (Dowell &
+    Jarratt, BIT 11 (1971) 168; an end kept twice in a row counts half); it
+    is held final/2 inside either end, as in zeroin, so that a point within
+    final/2 of the sign change closes the bracket at the next step.  The
+    point is the midpoint after _NTYPE_FALSI_STEPS steps or at equal
+    Illinois end values.  A bracket of at most one sample step then closes
+    in 4 _NTYPE_REFINE_STEPS + 1 halvings (one for rounding): at most 61
+    lock evaluations, and about 4.9 on average off the axes."""
     hi, pos, kept = lo + width, f_lo > 0, 0  # kept: the end the last step kept, -1 lo, 1 hi
+    w_lo, w_hi, d, f_d = f_lo, f_hi, lo, f_lo  # the Illinois end values; the dropped point
     for n in range(_NTYPE_FALSI_STEPS + 4 * _NTYPE_REFINE_STEPS + 1):
         if width <= final:
             break
-        if n < _NTYPE_FALSI_STEPS and f_lo != f_hi:
-            x = min(max(lo + width * (f_lo / (f_lo - f_hi)), lo + final / 2), hi - final / 2)
+        if n < _NTYPE_FALSI_STEPS and w_lo != w_hi:
+            x = math.nan  # no dropped point before the first step: d, f_d = lo, f_lo
+            if f_d != f_lo and f_d != f_hi:  # Lagrange weights of hi and d; no divisor is 0
+                x = lo + width * (f_lo / (f_lo - f_hi)) * (f_d / (f_d - f_hi))
+                x += (d - lo) * (f_lo / (f_lo - f_d)) * (f_hi / (f_hi - f_d))
+            if not lo < x < hi:
+                x = lo + width * (w_lo / (w_lo - w_hi))
+            x = min(max(x, lo + final / 2), hi - final / 2)
         else:
             x = lo + width / 2
         f = _ntype_lock(x, b, k, m)
         if (f > 0) == pos:
-            lo, f_lo = x, f
-            f_hi, kept = (f_hi / 2 if kept == 1 else f_hi), 1
+            d, f_d, lo, f_lo, w_lo = lo, f_lo, x, f, f
+            w_hi, kept = (w_hi / 2 if kept == 1 else w_hi), 1
         else:
-            hi, f_hi = x, f
-            f_lo, kept = (f_lo / 2 if kept == -1 else f_lo), -1
+            d, f_d, hi, f_hi, w_hi = hi, f_hi, x, f, f
+            w_lo, kept = (w_lo / 2 if kept == -1 else w_lo), -1
         width = hi - lo
     return lo + width / 2
 
@@ -412,10 +433,8 @@ def _ntype_root(b, guess) -> np.ndarray:
     )
     if guess is None:
         brackets = _ntype_loop_brackets(unit_b)
-        # |gamma + 2 pi t| >= 2 pi t for t >= 0, 2 pi |t| - pi for t < 0 (gamma in [0, pi])
-        k, m = brackets[0][:, 0], brackets[1][:, 0]
-        first = np.pi * (np.maximum(2 * k, -2 * k - 1) + np.maximum(2 * m, -2 * m - 1))
-        first = first < _NTYPE_STAGE_AREA
+        k, m = (np.searchsorted(_NTYPE_TURNS, a[:, 0]) for a in brackets[:2])  # turn indices
+        first = _NTYPE_TURN_AREA[k] + _NTYPE_TURN_AREA[m] < _NTYPE_STAGE_AREA
         loop = _ntype_refine(unit_b, *(a[first] for a in brackets))
         x, _, area = _ntype_candidates(b, unit_b, loop, families)
         if area.min(initial=np.inf) < _NTYPE_STAGE_AREA - _NTYPE_STAGE_MARGIN:
@@ -455,8 +474,8 @@ def solve_ntype(
     k, 2 pi m with k, m in -1..1 (every root of pulse area at most 3 pi), are
     sampled at 128 points (_ntype_loop_brackets) and refined to brackets
     2 pi / 128 / 16**11 wide (_ntype_refine), off the axes each on its own
-    by regula falsi on floats (at most 61 lock evaluations, about 6), within
-    1e-3 of an axis +-e_k all at once by 16-part cuts; each bracket stops at
+    by inverse quadratic and Illinois steps on floats (at most 61 lock
+    evaluations, 4.9 on average on random targets), within 1e-3 of an axis +-e_k all at once by 16-part cuts; each bracket stops at
     that width, so its root does not depend on the brackets refined with it.  For
     b2 = b4 = 0 the loop is one point, whose sign changes are rounding, and
     it is skipped.  The axis families (_ntype_axis_roots) join the loop

@@ -530,7 +530,7 @@ class TestSolveNType:
         calls, per_bracket = spy_lock_evaluations(monkeypatch)
         solve_ntype(TargetSpec(np.full(4, 0.5)))
         assert calls[0] == 129 and set(calls[1:]) == {"float"}
-        assert per_bracket == [6] * 6 and len(calls) == 1 + sum(per_bracket)
+        assert per_bracket == [5] * 6 and len(calls) == 1 + sum(per_bracket)
         calls.clear()
         per_bracket.clear()
         solve_ntype(TargetSpec(E4))
@@ -678,19 +678,21 @@ class TestSolveNType:
 
     def test_every_bracket_closes_within_the_bound(self, monkeypatch):
         # on 300 seeded targets, every bracket of every turn pair closes in
-        # at most 16 regula falsi steps and 45 halvings, 61 evaluations (the
-        # bound of _ntype_falsi), and the brackets take at most 7 on average
+        # at most 16 interpolation steps and 45 halvings, 61 evaluations (the
+        # bound of _ntype_falsi), and the brackets take at most 5.3 on average
+        # (4.80 measured; 6.18 with Illinois steps alone)
         _, per_bracket = spy_lock_evaluations(monkeypatch)
         rng = np.random.default_rng(24)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(300):
                 loop_roots(random_target(rng).b)
         assert len(per_bracket) > 5000
-        assert max(per_bracket) <= 61 and np.mean(per_bracket) <= 7.0
-        # a lock that steps from 5e-324 down to 0 at psi0: regula falsi's
-        # point is always the right end, held final/2 inside it, and the
-        # Illinois halving takes the left end's value to 0 too, where the
-        # point is the midpoint; the bracket closes by halvings
+        assert max(per_bracket) <= 61 and np.mean(per_bracket) <= 5.3
+        # a lock that steps from 5e-324 down to 0 at psi0 takes two values,
+        # so no inverse quadratic step: regula falsi's point is always the
+        # right end, held final/2 inside it, and the Illinois halving takes
+        # the left end's value to 0 too, where the point is the midpoint;
+        # the bracket closes by halvings
         psi0, final = 4.0 / 3.0, 2 * math.pi / 128 / 16**11
         monkeypatch.setattr(
             fourlevel.solvers, "_ntype_lock", turn_pair_lock(lambda psi: np.where(psi < psi0, 5e-324, 0.0))
@@ -701,11 +703,25 @@ class TestSolveNType:
         assert roots.shape == (1, 4) and 45 <= per_bracket[0] <= 61
         assert abs(roots[0, 0] - psi0) <= final
 
+    def test_b3_zero_brackets_stay_within_their_count(self, monkeypatch):
+        # with b3 = 0 the lock on the loop is rounding noise (b4 = 0) or jumps
+        # where an atan2 of a signed zero flips a theta by pi (b2 = 0): each
+        # bracket runs out the interpolation steps and then halves, 43-60
+        # evaluations; each solve's float evaluations stay within 10% of the
+        # 549 and 292 measured
+        _, per_bracket = spy_lock_evaluations(monkeypatch)
+        for b, count in (((math.cos(1), math.sin(1), 0.0, 0.0), 549), ((math.cos(1), 0.0, 0.0, math.sin(1)), 292)):
+            per_bracket.clear()
+            solved = solve_ntype(TargetSpec(np.array(b)))
+            assert np.linalg.norm(final_state(solved.boundary) - b) <= 1e-8
+            assert sum(per_bracket) <= 1.1 * count
+
     def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
         # a lock exp(100 (psi - psi0)) - 1 bends across its sample bracket,
         # so plain regula falsi keeps its steep end and creeps, 65 steps in
-        # the reference loop below; halving the kept end's value closes the
-        # bracket in 12 evaluations, every one a regula falsi step
+        # the reference loop below; halving the kept end's value (Illinois)
+        # closes the bracket in 12, and the library, which also takes inverse
+        # quadratic steps wherever they fall inside the bracket, in 11
         psi0, final = 4.0 / 3.0, 2 * math.pi / 128 / 16**11
         curve = turn_pair_lock(lambda psi: np.expm1(100.0 * (psi - psi0)))
         monkeypatch.setattr(fourlevel.solvers, "_ntype_lock", curve)
@@ -713,16 +729,23 @@ class TestSolveNType:
         _, per_bracket = spy_lock_evaluations(monkeypatch)
         b = np.full(4, 0.5)
         roots = loop_roots(b)
-        assert per_bracket == [12]
+        assert per_bracket == [11]
         assert roots.shape == (1, 4)
         assert abs(roots[0, 0] - psi0) <= final
         _, _, left, width, f_lo, f_hi = (a[0, 0] for a in fourlevel.solvers._ntype_loop_brackets(b))
-        lo, hi, steps = left, left + width, 0
-        while hi - lo > final:  # plain regula falsi, the point held final/2 inside either end
-            x = min(max(lo + (hi - lo) * (f_lo / (f_lo - f_hi)), lo + final / 2), hi - final / 2)
-            f, steps = curve(x, None, 0.0, 0.0), steps + 1
-            lo, f_lo, hi, f_hi = (x, f, hi, f_hi) if f <= 0.0 else (lo, f_lo, x, f)
-        assert steps == 65
+
+        def regula_falsi(illinois):  # the point held final/2 inside either end
+            lo, hi, a_lo, a_hi, kept, steps = left, left + width, f_lo, f_hi, 0, 0
+            while hi - lo > final:
+                x = min(max(lo + (hi - lo) * (a_lo / (a_lo - a_hi)), lo + final / 2), hi - final / 2)
+                f, steps = curve(x, None, 0.0, 0.0), steps + 1
+                if f <= 0.0:  # keeps hi, halving its value if it kept hi last time too
+                    lo, a_lo, a_hi, kept = x, f, a_hi / 2 if illinois and kept == 1 else a_hi, 1
+                else:
+                    hi, a_hi, a_lo, kept = x, f, a_lo / 2 if illinois and kept == -1 else a_lo, -1
+            return steps
+
+        assert regula_falsi(illinois=False) == 65 and regula_falsi(illinois=True) == 12
 
     def test_float_and_array_loops_agree(self):
         # _ntype_loop is one body over numpy's ufuncs on arrays and math's
