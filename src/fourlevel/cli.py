@@ -11,9 +11,9 @@ qomap     write the quantum-optics mapping of a diamond scenario
 verify    run the scenario's invariant checks and report pass/fail
 
 Exit codes: 0 success, 1 validation failure (a bad scenario or option, or a
-ValueError a command raises on its input, such as a non-finite H(t) at a
-horizon so short that the pulse rates overflow, or overflowing laser
-frequencies), 2 solver failure, 3 accuracy failure.
+ValueError a command raises on its input, such as non-finite couplings or an
+H(t) too large at a horizon so short that the pulse rates overflow, or
+overflowing laser frequencies), 2 solver failure, 3 accuracy failure.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quat4 import _require_finite
 from .rotation import _UPPER, CouplingSet, _check_horizon, ur_of_angles
 from .solvers import SolvedAngles
 
@@ -57,7 +58,10 @@ class PhaseSchedule:
         return self.eps + np.multiply.outer(t, self.detunings)
 
     def frame(self, t) -> np.ndarray:
-        """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0."""
+        """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0;
+        ValueError for a t that is not finite."""
+        if not np.isfinite(t).all():
+            raise ValueError(f"time t not finite: {np.extract(~np.isfinite(t), t)[0]}")
         k = np.ones(np.shape(t) + (4,), dtype=complex)
         k[..., 1:] = np.exp(1j * self.phases(t))
         return k
@@ -86,9 +90,14 @@ def phase_operator(ph: PhaseSchedule, t) -> np.ndarray:
 
 def coupling_entries(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray:
     """The six upper entries i * Omega_nm * e^{i (phi_n - phi_m)} of H(t),
-    phi_1 = 0, in the order (1,2), (1,3), (1,4), (2,3), (2,4), (3,4): (..., 6)."""
+    phi_1 = 0, in the order (1,2), (1,3), (1,4), (2,3), (2,4), (3,4): (..., 6).
+    ValueError naming each non-finite coupling, or from ph.frame for a bad t."""
     k = ph.frame(t)
-    return (k[..., _UPPER[0]] * (1j * couplings.as_array())) * k[..., _UPPER[1]].conj()
+    with np.errstate(invalid="ignore"):  # tested below
+        upper = (k[..., _UPPER[0]] * (1j * couplings.as_array())) * k[..., _UPPER[1]].conj()
+        if not np.isfinite(upper.sum()):  # NaN and +-inf carry; it raises only for such a field
+            _require_finite("couplings", CouplingSet._fields, couplings)
+    return upper
 
 
 def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray:

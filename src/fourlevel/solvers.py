@@ -249,11 +249,9 @@ def _ntype_loop_brackets(b, guess=None):
     module constants; the guess's points and pair make new arrays.  Off the
     axes _ntype_falsi closes each bracket in at most 61 lock evaluations:
     on 3,000 seeded random targets (55,328 brackets) 4.9 on average and 51
-    at most; with b3 = 0 each takes 43-60.  For b2 = b4 = 0 the loop is one point, whose sign changes
-    are rounding: there are no brackets, and no lock call.
+    at most.  It tests no target: _ntype_root calls it only where the loop
+    can hold a root that no axis family holds.
     """
-    if math.hypot(b[1], b[3]) == 0.0:
-        return (np.empty((0, 1)),) * 6
     psi, steps, pairs = _NTYPE_SAMPLE_PSI, _NTYPE_SAMPLE_STEPS, _NTYPE_PAIRS
     if guess is not None:
         k, m, points = guess
@@ -394,7 +392,7 @@ def _ntype_guess_points(b, gamma1: float, gamma2: float):
     folded = [g if math.sin(g) >= 0.0 else -g for g in (gamma1, gamma2)]
     k, m = (g // (2 * math.pi) for g in folded)
     h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
-    u = (math.pi / 2 - (folded[1] - 2 * math.pi * m)) / h if h > 0.0 else 1.0
+    u = (math.pi / 2 - (folded[1] - 2 * math.pi * m)) / h
     psi = math.acos(max(-1.0, min(1.0, u)))
     return k, m, (np.array([[psi], [-psi]]) + [-_NTYPE_GUESS_OFFSET, _NTYPE_GUESS_OFFSET]).ravel()
 
@@ -417,7 +415,9 @@ def _ntype_candidates(b, unit_b, loop, families):
 
 def _ntype_root(b, guess) -> np.ndarray:
     """The chosen candidate (x1, x2, z) of solve_ntype for a guess of three
-    floats, or None."""
+    floats, or None.  Before any lock sample it decides by solve_ntype's
+    rule whether the loop is searched: not for b2 = b4 = 0, nor for b3 = 0
+    unless a guess is given and |b4| <= _NTYPE_RESIDUAL_TOL."""
     unit_b = b / np.linalg.norm(b)
     if guess is not None:
         theta1, theta2, gamma2 = guess
@@ -431,7 +431,9 @@ def _ntype_root(b, guess) -> np.ndarray:
         abs(b1 * b3) <= _NTYPE_UNIT_REACH * (1.0 + abs(b1)),
         math.hypot(b2, b4) <= _NTYPE_QUARTER_REACH,
     )
-    if guess is None:
+    if b2 == b4 == 0.0 or b3 == 0.0 and (guess is None or abs(b4) > _NTYPE_RESIDUAL_TOL):
+        roots = np.empty((0, 4))  # the axis families hold every root (solve_ntype)
+    elif guess is None:
         brackets = _ntype_loop_brackets(unit_b)
         k, m = (np.searchsorted(_NTYPE_TURNS, a[:, 0]) for a in brackets[:2])  # turn indices
         first = _NTYPE_TURN_AREA[k] + _NTYPE_TURN_AREA[m] < _NTYPE_STAGE_AREA
@@ -475,14 +477,14 @@ def solve_ntype(
     sampled at 128 points (_ntype_loop_brackets) and refined to brackets
     2 pi / 128 / 16**11 wide (_ntype_refine), off the axes each on its own
     by inverse quadratic and Illinois steps on floats (at most 61 lock
-    evaluations, 4.9 on average on random targets), within 1e-3 of an axis +-e_k all at once by 16-part cuts; each bracket stops at
-    that width, so its root does not depend on the brackets refined with it.  For
-    b2 = b4 = 0 the loop is one point, whose sign changes are rounding, and
-    it is skipped.  The axis families (_ntype_axis_roots) join the loop
-    roots.  Each root becomes the candidate (x1, x2, z) of
-    _ntype_candidates, which meets the constraints by assignment, with no
-    division by sin(theta1); it converges if its residual |q p - b| is at
-    most _NTYPE_RESIDUAL_TOL = 1e-8.
+    evaluations, 4.9 on average on random targets), within 1e-3 of an axis
+    +-e_k all at once by 16-part cuts; each bracket stops at that width, so
+    its root does not depend on the brackets refined with it.  The axis
+    families (_ntype_axis_roots) join the loop roots, or, where they hold
+    every root (below), stand alone.  Each root becomes the candidate (x1,
+    x2, z) of _ntype_candidates, which meets the constraints by assignment,
+    with no division by sin(theta1); it converges if its residual |q p - b|
+    is at most _NTYPE_RESIDUAL_TOL = 1e-8.
 
     An axis family is built only where its candidates can converge.  A
     q = +-1 candidate has q = +-exp(delta n1), delta its |v1| less j pi,
@@ -498,6 +500,23 @@ def solve_ntype(
     hypot(b2, b4) <= 1e-8 + 3e-15.  A failed solve builds every family, for
     its least residual.
 
+    One rule, checked before any lock sample, skips the loop where the
+    axis families hold every root.  For b2 = b4 = 0 the loop is one point,
+    whose sign changes are rounding.  For b3 = 0: with S_i = sin|v_i| /
+    |v_i| and c_i = cos|v_i|, q p = (c1 c2 - S1 S2 (x1 x2 - z^2), c1 S2 x2 +
+    c2 S1 x1, S1 S2 z (x1 + x2), z (c2 S1 - c1 S2)), so b3 = 0 needs q =
+    +-1, p = +-1, z = 0 or v2 = -v1.  z = 0 gives q p = exp((x1 + x2) i)
+    and v2 = -v1 gives q p = 1, both of residual at least |b4|.  So every
+    root has q = +-1 or p = +-1, the unit families, unless b4 = 0, where the
+    roots also fill the line z = 0, x1 + x2 = atan2(b2, b1) + 2 pi n; its
+    least pulse area |x1| + |x2|, |atan2(b2, b1)|, is that of its point
+    x1 = 0, a q = 1 root.  A solve with no guess therefore skips the loop
+    for every b3 = 0.  A guess may select any point of the line, so it
+    skips the loop only for |b4| > _NTYPE_RESIDUAL_TOL, where no candidate
+    on the line or with v2 = -v1 converges.  No other component factors
+    so: b4 = 0 also holds on the surface c2 S1 = c1 S2 (|v1| = |v2| among
+    it), which no family holds.
+
     With gamma_i(psi) in [0, pi] on the loop, |gamma_i(psi) + 2 pi t| is at
     least 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0: only the turn pairs
     (0, 0), (-1, 0) and (0, -1) can hold a root of pulse area below 2 pi.  A
@@ -508,12 +527,13 @@ def solve_ntype(
 
     initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
     (ValueError otherwise), selects a root; it is not a start point.  Its
-    vectors (x1', x2', z') take gamma1(T) from the lock.  The search also
-    runs at the guess's turns (k, m), with sample points 1e-6 to either side
-    of its place on the loop (_ntype_guess_points), and returns the converged
-    candidate nearest the guess by |v1 - v1'|^2 + |v2 - v2'|^2.  With no
-    guess, or one whose vectors are not finite (sin(theta1) = 0, or gamma1(T)
-    beyond the float range), the root has the least pulse area |v1| + |v2|.
+    vectors (x1', x2', z') take gamma1(T) from the lock.  Where the loop is
+    searched, it also runs at the guess's turns (k, m), with sample points
+    1e-6 to either side of its place on the loop (_ntype_guess_points).  The
+    solve returns the converged candidate nearest the guess by |v1 - v1'|^2
+    + |v2 - v2'|^2.  With no guess, or one whose vectors are not finite
+    (sin(theta1) = 0, or gamma1(T) beyond the float range), the root has the
+    least pulse area |v1| + |v2|.
     Ties go to the earlier candidate (loop roots by k, m, the guess's pair
     last, and psi; then the axis families).  A failed solve reports the
     least residual over every candidate.

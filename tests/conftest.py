@@ -395,7 +395,7 @@ def ntype_converged_candidates(b, guess, residual_tol=1e-8) -> list:
     (k, _), (m, g2) = ntype_fold(ntype_boundary(*guess).gamma1), ntype_fold(guess[2])
     # the loop runs gamma2(psi) = pi/2 - h cos(psi)
     h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
-    psi = math.acos(np.clip((math.pi / 2 - g2) / h, -1.0, 1.0))
+    psi = math.acos(np.clip((math.pi / 2 - g2) / h, -1.0, 1.0)) if h > 0.0 else 0.0  # b2 = b4 = 0: no loop
     points = (np.outer([psi, -psi], [1.0, 1.0]) + [-1e-6, 1e-6]).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         loop = ntype_cut_loop_roots(b, (k, m, points))

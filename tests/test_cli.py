@@ -464,9 +464,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("name, horizon", [("tripod", 1e-300), ("diamond", 1.75e-308)])
     def test_horizon_too_short_to_propagate(self, tmp_path, command, name, horizon):
-        # accepted horizons whose H(t) the propagator rejects: dt |H| overflows
-        # (tripod), or the ramp's rate overflows to a non-finite H (diamond,
-        # with RuntimeWarnings on the way, so in a fresh interpreter)
+        # accepted horizons whose H(t) cannot be propagated: dt |H| overflows
+        # (tripod), or the ramp's rate overflows to non-finite couplings,
+        # which coupling_entries rejects (diamond, with RuntimeWarnings on
+        # the way, so in a fresh interpreter)
         payload = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
         payload["T"] = horizon
         scenario = write_scenario(tmp_path, payload)

@@ -6,6 +6,7 @@ import pytest
 from fourlevel.hamiltonian import (
     PhaseSchedule,
     analytic_evolution,
+    coupling_entries,
     phase_operator,
     total_hamiltonian,
 )
@@ -136,6 +137,38 @@ class TestTotalHamiltonian:
         assert np.array_equal(h[diagonal], oracle[diagonal])
         assert np.array_equal(h[..., cols, rows], h[..., rows, cols].conj())
         assert np.max(np.abs(h[..., cols, rows] - oracle[..., cols, rows])) < 1e-14
+
+    @pytest.mark.parametrize("field", CouplingSet._fields)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [total_hamiltonian, coupling_entries])
+    def test_rejects_non_finite_coupling(self, rng, field, bad, build):
+        # a NaN coupling once gave a NaN H (row 1 [0, nan+nanj, 0, 0] for
+        # omega12); one bad sample among 2048 is named by its field
+        values = dict(zip(CouplingSet._fields, rng.normal(size=(6, 2048))))
+        values[field][1000] = bad
+        with pytest.raises(ValueError, match=rf"couplings not finite: {field}$"):
+            build(CouplingSet(**values), tripod_phases(), np.linspace(0.0, 1.0, 2048))
+        with pytest.raises(ValueError, match=rf"couplings not finite: {field}$"):
+            build(CouplingSet(*[bad if f == field else 0.5 for f in CouplingSet._fields]), tripod_phases(), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ph, t: total_hamiltonian(CouplingSet(*[0.5] * 6), ph, t),
+            lambda ph, t: coupling_entries(CouplingSet(*[0.5] * 6), ph, t),
+            phase_operator,
+        ],
+        ids=["total_hamiltonian", "coupling_entries", "phase_operator"],
+    )
+    def test_rejects_non_finite_time(self, bad, build):
+        # phase_operator(ph, nan) once gave a NaN K; one bad time among 2048
+        # is rejected too, and so is a bad time with zero detunings
+        t = np.linspace(0.0, 1.0, 2048)
+        t[7] = bad
+        for ph, times in ((tripod_phases(), bad), (tripod_phases(), t), (flat_phases(), bad)):
+            with pytest.raises(ValueError, match="time t not finite"):
+                build(ph, times)
 
     def test_phase_factors_on_couplings(self):
         cs = CouplingSet(1.0, 0, 0, 0, 0, 0)

@@ -38,6 +38,7 @@ from conftest import (
     ntype_cut_refine,
     ntype_lm,
     ntype_single_batch_root,
+    ntype_vector_candidates,
     ntype_vectors,
     pulse_area,
     rotation_distance,
@@ -526,17 +527,23 @@ class TestSolveNType:
         # off the axes the lock is sampled in one call, 129 points for every
         # turn pair, and each bracket is then refined on its own, one float
         # evaluation per step; near an axis one call per 16-part cut, 15
-        # points per bracket; with no refinement the sample alone
+        # points per bracket; the bundled target e4, with b3 = 0, takes its
+        # roots from the axis families alone, with or without its guess; with
+        # no refinement the sample alone
         calls, per_bracket = spy_lock_evaluations(monkeypatch)
         solve_ntype(TargetSpec(np.full(4, 0.5)))
         assert calls[0] == 129 and set(calls[1:]) == {"float"}
         assert per_bracket == [5] * 6 and len(calls) == 1 + sum(per_bracket)
         calls.clear()
         per_bracket.clear()
-        solve_ntype(TargetSpec(E4))
+        near_e4 = np.array([0.0, 0.0, 1e-4, 1.0])
+        solve_ntype(TargetSpec(near_e4 / np.linalg.norm(near_e4)))
         assert calls == [129] + [15] * 11
         assert per_bracket == []
         calls.clear()
+        solve_ntype(TargetSpec(E4))
+        solve_ntype(TargetSpec(E4), initial_guess=E4_ROOT)
+        assert calls == []
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_REFINE_STEPS", 0)
         with pytest.raises(NoSolutionFoundError):
             solve_ntype(TargetSpec(np.full(4, 0.5)))
@@ -704,17 +711,63 @@ class TestSolveNType:
         assert abs(roots[0, 0] - psi0) <= final
 
     def test_b3_zero_brackets_stay_within_their_count(self, monkeypatch):
-        # with b3 = 0 the lock on the loop is rounding noise (b4 = 0) or jumps
-        # where an atan2 of a signed zero flips a theta by pi (b2 = 0): each
-        # bracket runs out the interpolation steps and then halves, 43-60
-        # evaluations; each solve's float evaluations stay within 10% of the
-        # 549 and 292 measured
-        _, per_bracket = spy_lock_evaluations(monkeypatch)
-        for b, count in (((math.cos(1), math.sin(1), 0.0, 0.0), 549), ((math.cos(1), 0.0, 0.0, math.sin(1)), 292)):
-            per_bracket.clear()
-            solved = solve_ntype(TargetSpec(np.array(b)))
+        # with b3 = 0 every root has q = +-1 or p = +-1, or for |b4| <= 1e-8
+        # may lie on the line z = 0 (solve_ntype): the search samples no lock
+        # for (cos 1, 0, 0, sin 1), with or without a guess, nor for
+        # (cos 1, sin 1, 0, b4), b4 = 0 or 1e-12, without one (the loop
+        # search took 292 and 549 float evaluations on the first two); a
+        # guess there keeps the loop, one sample with the guess's four points
+        # and its refinement, and selects the nearest converged candidate
+        calls, _ = spy_lock_evaluations(monkeypatch)
+        guess = (1.0, 2.0, 0.5)
+        cases = [((math.cos(1), 0.0, 0.0, math.sin(1)), g) for g in (None, guess)]
+        cases += [((math.cos(1), math.sin(1), 0.0, b4), None) for b4 in (0.0, 1e-12)]
+        for b, initial_guess in cases:
+            solved = solve_ntype(TargetSpec(np.array(b)), initial_guess=initial_guess)
             assert np.linalg.norm(final_state(solved.boundary) - b) <= 1e-8
-            assert sum(per_bracket) <= 1.1 * count
+            assert calls == []
+        for b4 in (0.0, 1e-12):
+            b = np.array([math.cos(1), math.sin(1), 0.0, b4])
+            solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+            assert calls[0] == 133 and len(calls) > 1
+            assert_nearest_candidate(b, guess, solved)
+            calls.clear()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.just(0.0) | st.floats(-1.0, 1.0)).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        guess=st.tuples(*[st.floats(-7.0, 7.0)] * 3).filter(lambda g: abs(math.sin(g[0])) > 1e-3),
+    )
+    def test_b3_zero_roots_come_from_the_axis_families(self, v, guess):
+        # targets with b3 = 0, b4 = 0 on some draws.  The guess-free solve,
+        # which samples no lock, gives the root of the search over every
+        # turn pair and family, or one whose pulse area is within the
+        # residual tolerance of it: where two roots tie (near -e1, q = -1
+        # against p = -1), or where a loop candidate converged only to about
+        # 1e-9 undercuts the exact family root by as much (b4 near but not
+        # 0; rare).  For |b4| > 1e-8 a guess, which samples no lock either,
+        # selects the root nearest it among the loop's and the families'
+        # (the loop's candidates that converge only to 1e-9..1e-8, for |b4|
+        # up to about 1e-7, are no roots); for |b4| <= 1e-8 the loop runs,
+        # and the guess selects a root at least as near as every converged
+        # family candidate
+        b = np.array([v[0], v[1], 0.0, v[2]]) / np.linalg.norm(v)
+        solved, expected = solve_ntype(TargetSpec(b)).schedule, ntype_all_pairs_root(b)
+        assert same_root(solved, expected, 1e-12) or abs(pulse_area(solved) - pulse_area(expected)) <= 1e-8
+        assert np.linalg.norm(final_state(solved.final) - b) <= 1e-8
+        solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+        if abs(b[3]) > 1e-8:
+            assert_nearest_candidate(b, guess, solved, residual_tol=1e-12)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                families = fourlevel.solvers._ntype_axis_roots(b, True, True)
+            vectors, res = ntype_vector_candidates(b, families)
+            target = ntype_vectors(*guess)
+            nearest = min(rotation_distance(c, target) for c, r in zip(vectors, res) if r <= 1e-8)
+            assert rotation_distance(solved, target) <= nearest + 1e-9
+            assert np.linalg.norm(final_state(solved.final) - b) <= 1e-8
 
     def test_illinois_steps_close_a_curved_bracket(self, monkeypatch):
         # a lock exp(100 (psi - psi0)) - 1 bends across its sample bracket,
@@ -869,10 +922,10 @@ def same_root(a, b, tol):
     return np.max(np.abs(parts[0] - parts[1])) <= tol * max(1.0, np.max(np.abs(parts)))
 
 
-def assert_nearest_candidate(b, guess, solved):
-    """solved is the converged candidate nearest the guess by the
-    rotation-vector distance, ties within 1e-9 allowed."""
-    candidates = ntype_converged_candidates(b, guess)
+def assert_nearest_candidate(b, guess, solved, residual_tol=1e-8):
+    """solved is the candidate converged within residual_tol nearest the
+    guess by the rotation-vector distance, ties within 1e-9 allowed."""
+    candidates = ntype_converged_candidates(b, guess, residual_tol)
     target = ntype_vectors(*guess)
     dist = rotation_distance(solved, target)
     assert np.linalg.norm(final_state(solved.final) - b) <= 1e-8
