@@ -13,6 +13,7 @@ the time axes in front, e.g. total_hamiltonian returns (..., 4, 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,14 @@ class PhaseSchedule:
 
     def frame(self, t) -> np.ndarray:
         """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0;
-        ValueError for a t that is not finite."""
-        if not np.isfinite(t).all():
-            raise ValueError(f"time t not finite: {np.extract(~np.isfinite(t), t)[0]}")
+        ValueError naming the first t at which |t| max|Delta_k| + max|eps_k|,
+        a bound on every |phi_k(t)|, is not finite (a t that is not finite
+        among them), after one scalar test at the largest |t|."""
+        rate, offset = max(map(abs, self.detunings.tolist())), max(map(abs, self.eps.tolist()))
+        if not math.isfinite(float(max(-np.min(t, initial=0.0), np.max(t, initial=0.0))) * rate + offset):
+            for bad in np.ravel(t).tolist():  # the first t at which that bound is not finite
+                if not math.isfinite(abs(bad) * rate + offset):
+                    raise ValueError(f"time t not finite, or a phase eps_k + Delta_k t overflows there: {bad}")
         k = np.ones(np.shape(t) + (4,), dtype=complex)
         k[..., 1:] = np.exp(1j * self.phases(t))
         return k

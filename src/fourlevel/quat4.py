@@ -119,11 +119,13 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 
 def _exp(v) -> tuple:
     """exp(v) = cos|v| + sin|v| v/|v|, (w, x, y, z), of the rotation vector
-    v = (x, y, z) of floats or arrays; (1, 0, 0, 0) at v = 0.  Unchecked."""
+    v = (x, y, z) of arrays, or of floats on math's functions, with the same
+    bits; (1, 0, 0, 0) at v = 0.  Unchecked."""
     x, y, z = v
-    g = np.sqrt(x * x + y * y + z * z)
-    s = np.sin(g) / np.where(g == 0.0, 1.0, g)  # v = 0 at g = 0
-    return np.cos(g), s * x, s * y, s * z
+    xp = math if isinstance(x, float) else np
+    g = xp.sqrt(x * x + y * y + z * z)
+    s = xp.sin(g) / (g + (g == 0.0))  # v = 0 at g = 0
+    return xp.cos(g), s * x, s * y, s * z
 
 
 def _log(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:

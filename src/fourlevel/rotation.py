@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat4 import Quaternion, _exp, _require_finite, _sandwich, _stack_last, hamilton
+from .quat4 import Quaternion, _require_finite, _sandwich, _stack_last, hamilton
 
 
 #: Row and column of the couplings (1,2), (1,3), (1,4), (2,3), (2,4), (3,4).
@@ -132,12 +132,6 @@ def ur_of_angles(a: AnglePair) -> np.ndarray:
 def final_state(a: AnglePair) -> np.ndarray:
     """U_r e_1 = q p: the real state reached from level 1, shape (..., 4)."""
     return _stack_last(hamilton(*_quat_pair(a)))
-
-
-def _vector_state(v1, v2) -> np.ndarray:
-    """q p, (..., 4), for q = exp(v1), p = exp(v2) of rotation vectors (x, y,
-    z) of floats or arrays; unchecked, for the N-type search's candidates."""
-    return _stack_last(hamilton(_exp(v1), _exp(v2)))
 
 
 def hr_analytic(a: AnglePair, adot: AnglePair) -> CouplingSet:

@@ -15,13 +15,15 @@ import math
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .quat4 import _log, hamilton
-from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon, _vector_state
+from .quat4 import _exp, _log, hamilton
+from .rotation import AnglePair, CosineRamp, CouplingSet, _check_horizon
 
 #: The largest final-state residual |q p - b| of a converged N-type candidate.
 _NTYPE_RESIDUAL_TOL = 1e-8
@@ -42,17 +44,12 @@ _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
 _NTYPE_SAMPLE_PSI = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * (2 * math.pi / _NTYPE_LOOP_POINTS)
 _NTYPE_SAMPLE_STEPS = np.full(_NTYPE_LOOP_POINTS, 2 * math.pi / _NTYPE_LOOP_POINTS)
 _NTYPE_PAIRS = np.stack(np.meshgrid(_NTYPE_TURNS, _NTYPE_TURNS, indexing="ij"), axis=-1).reshape(-1, 2)
-#: The least |gamma + 2 pi t| over gamma in [0, pi], for each turn t in _NTYPE_TURNS:
-#: 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0.
-_NTYPE_TURN_AREA = np.pi * np.maximum(2 * _NTYPE_TURNS, -2 * _NTYPE_TURNS - 1)
 #: The lock sample points added for a guess lie this far in psi to either side of
 #: its loop points; rounding in the guess moves those by up to about 1e-8.
 _NTYPE_GUESS_OFFSET = 1e-6
-#: A guess-free solve refines first the turn pairs whose pulse area can lie below
-#: _NTYPE_STAGE_AREA, and the others only if no converged candidate has an area
-#: below it less _NTYPE_STAGE_MARGIN (a converged root's |v_i| differ from
-#: |gamma_i(T)| on the loop by about its residual, at most 1e-8).
-_NTYPE_STAGE_AREA = 2 * math.pi
+#: A guess-free solve stops at the first bracket whose _ntype_bounds exceeds the
+#: least converged area by more than this (a converged candidate's |v1| + |v2|
+#: differs from |gamma1(T)| + |gamma2(T)| by at most 1.4e-8 on stress targets).
 _NTYPE_STAGE_MARGIN = 1e-6
 #: The axis families are built only where their candidates can converge (see
 #: solve_ntype): q = +-1 and p = +-1 for |b1 b3| <= _NTYPE_UNIT_REACH (1 + |b1|),
@@ -264,48 +261,53 @@ def _ntype_loop_brackets(b, guess=None):
     return pairs[n, :1], pairs[n, 1:], psi[j, None], steps[j, None], f[n, j, None], f[n, j + 1, None]
 
 
-def _ntype_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
-    """(gamma1(T), theta1, gamma2(T), theta2) (n, 4), gamma_i(T) the loop's
+def _ntype_bounds(b, k, m, left, width) -> list:
+    """A lower bound on the pulse area |gamma1(T)| + |gamma2(T)| of a root in
+    each bracket of _ntype_loop_brackets (solve_ntype): the least |gamma1(psi)
+    + 2 pi k| over the loop plus the least |gamma2(psi) + 2 pi m| over the
+    bracket, at an end or at the fold the bracket holds."""
+    h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
+    # |gamma2(psi) + 2 pi m| = |pi/2 + 2 pi m| - h cos(psi - pi [m < 0]): least where the cosine
+    # is most, 1 at a multiple of 2 pi in the shifted bracket [lo, hi], else at an end
+    lo = left - math.pi * (m < 0)
+    hi = lo + width
+    top = np.where(hi // (2 * math.pi) > lo // (2 * math.pi), 1.0, np.maximum(np.cos(lo), np.cos(hi)))
+    return (math.pi * (np.maximum(2 * k, -2 * k - 1) + np.abs(2 * m + 0.5)) - h * top)[:, 0].tolist()
+
+
+def _ntype_refine(b, k, m, left, width, f_lo, f_hi):
+    """Yields (gamma1(T), theta1, gamma2(T), theta2), gamma_i(T) the loop's
     plus the turns, at the lock's sign change in each bracket of
-    _ntype_loop_brackets.
+    _ntype_loop_brackets, in order.
 
     Each bracket is closed to the final width, one sample step over
     16**_NTYPE_REFINE_STEPS, and its root is the midpoint: it depends on its
-    own bracket alone, so refining the brackets in parts gives the same
-    roots.  Off the axes each bracket is refined on its own, on floats
-    (_ntype_falsi: at most 61 lock evaluations, 4.9 on average), and its
-    root is read off by the float _ntype_loop at its midpoint.  Within
-    _NTYPE_AXIS_DISTANCE of an axis +-e_k, one final width in psi moves a
-    root's pulse area by up to about 1e-8, so there every step cuts every
-    open bracket into 16 parts, in one lock call, and keeps the part where
-    the sign first changes: the cut sequence's roots, read off in one array
-    _ntype_loop call.
+    own bracket alone, so refining the brackets in parts, or not at all,
+    changes no other root.  Off the axes each bracket is refined on its own,
+    on floats, when its root is asked for (_ntype_falsi: at most 61 lock
+    evaluations, 4.9 on average), and its root is read off by the float
+    _ntype_loop at its midpoint.  Within _NTYPE_AXIS_DISTANCE of an axis
+    +-e_k, one final width in psi moves a root's pulse area by up to about
+    1e-8, so there, at the first ask, every step cuts every open bracket
+    into 16 parts, in one lock call, and keeps the part where the sign
+    first changes: the cut sequence's roots, read off in one array
+    _ntype_loop call.  A call is one batch, refined whole.
     """
     final = 2 * math.pi / _NTYPE_LOOP_POINTS / 16.0**_NTYPE_REFINE_STEPS
     if max(abs(b)) ** 2 <= 1.0 - _NTYPE_AXIS_DISTANCE**2:
-        floats, roots = b.tolist(), []
+        floats = b.tolist()
         for t, u, *bracket in zip(*(a[:, 0].tolist() for a in (k, m, left, width, f_lo, f_hi))):
             g1, theta1, g2, theta2 = _ntype_loop(_ntype_falsi(floats, t, u, *bracket, final), floats)
-            roots.append((g1 + 2 * math.pi * t, theta1, g2 + 2 * math.pi * u, theta2))
-        return np.array(roots).reshape(-1, 4)
-    turns = 2 * math.pi * np.concatenate((k, m), axis=1)  # added to gamma1(T), gamma2(T)
-    sign, mid, cut = f_lo > 0, np.empty(len(left)), np.arange(1, 16) / 16
-    i = np.arange(len(left))  # the open brackets' rows
+            yield g1 + 2 * math.pi * t, theta1, g2 + 2 * math.pi * u, theta2
+        return
+    sign, cut = f_lo > 0, np.arange(1, 16) / 16
     for _ in range(_NTYPE_REFINE_STEPS):
-        done = width[:, 0] <= final
-        if done.all():
-            break
-        if done.any():  # these brackets stop here
-            mid[i[done]] = left[done, 0] + width[done, 0] / 2
-            i, k, m, sign, left, width, f_hi = (a[~done] for a in (i, k, m, sign, left, width, f_hi))
-        points = left + width * cut
-        values = np.concatenate((_ntype_lock(points, b, k, m), f_hi), axis=1)
-        a = np.argmax((values > 0) != sign, axis=1)  # the right end always flips
-        left = np.concatenate((left, points), axis=1)[np.arange(len(a)), a, None]
-        width = width / 16
-    mid[i] = left[:, 0] + width[:, 0] / 2
-    g1, theta1, g2, theta2 = _ntype_loop(mid, b)
-    return np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1)
+        part = width / 16 * (width > final)  # 0 for a closed bracket, which keeps its ends
+        values = np.concatenate((_ntype_lock(left + width * cut, b, k, m), f_hi), axis=1)
+        left = left + part * np.argmax((values > 0) != sign, axis=1)[:, None]  # the right end always flips
+        width = np.where(part > 0, part, width)
+    g1, theta1, g2, theta2 = _ntype_loop(left[:, 0] + width[:, 0] / 2, b)
+    yield from np.stack((g1 + 2 * math.pi * k[:, 0], theta1, g2 + 2 * math.pi * m[:, 0], theta2), axis=1).tolist()
 
 
 def _ntype_falsi(b, k, m, lo, width, f_lo, f_hi, final) -> float:
@@ -397,27 +399,29 @@ def _ntype_guess_points(b, gamma1: float, gamma2: float):
     return k, m, (np.array([[psi], [-psi]]) + [-_NTYPE_GUESS_OFFSET, _NTYPE_GUESS_OFFSET]).ravel()
 
 
-def _ntype_candidates(b, unit_b, loop, families):
-    """The candidates (x1, x2, z) (n, 3), v1 = (x1, 0, z), v2 = (x2, 0, -z),
-    of the rows (gamma1(T), theta1, gamma2(T), theta2) of the loop roots,
-    then of the axis families chosen by families = (unit, quarter): x_i =
+def _ntype_candidate(b, root):
+    """The candidate (x1, x2, z), v1 = (x1, 0, z), v2 = (x2, 0, -z), of a root
+    (gamma1(T), theta1, gamma2(T), theta2), on floats (b a list): x_i =
     gamma_i cos(theta_i) and z the mean of z1 = gamma1 sin(theta1) and -z2,
-    which splits the lock's rounding z1 + z2; the residual |q p - b| (inf if
-    not finite); and the area |v1| + |v2| where converged, else inf."""
-    parts = [loop, _ntype_axis_roots(unit_b, *families)] if any(families) else [loop]
-    g1, t1, g2, t2 = np.concatenate(parts).T
-    x1, x2, z = g1 * np.cos(t1), g2 * np.cos(t2), (g1 * np.sin(t1) - g2 * np.sin(t2)) / 2
-    res = np.linalg.norm(_vector_state((x1, 0.0, z), (x2, 0.0, -z)) - b, axis=1)
-    res = np.where(np.isfinite(res), res, np.inf)
-    area = np.where(res <= _NTYPE_RESIDUAL_TOL, np.hypot(x1, z) + np.hypot(x2, z), np.inf)
-    return np.stack((x1, x2, z), axis=1), res, area
+    which splits the lock's rounding z1 + z2; its residual |q p - b| (inf if
+    not finite), with the bits of numpy's norm over the same products; and
+    its area |v1| + |v2| where converged, else inf."""
+    g1, theta1, g2, theta2 = root
+    x1, x2, z = g1 * math.cos(theta1), g2 * math.cos(theta2), (g1 * math.sin(theta1) - g2 * math.sin(theta2)) / 2
+    try:
+        res = math.sqrt(sum((u - v) ** 2 for u, v in zip(hamilton(_exp((x1, 0.0, z)), _exp((x2, 0.0, -z))), b)))
+    except ValueError:  # sin |v| at |v| = inf, for a guess's turns near the float range
+        res = math.inf
+    area = math.hypot(x1, z) + math.hypot(x2, z) if res <= _NTYPE_RESIDUAL_TOL else math.inf
+    return (x1, x2, z), res if res < math.inf else math.inf, area
 
 
-def _ntype_root(b, guess) -> np.ndarray:
+def _ntype_root(b, guess) -> tuple:
     """The chosen candidate (x1, x2, z) of solve_ntype for a guess of three
     floats, or None.  Before any lock sample it decides by solve_ntype's
     rule whether the loop is searched: not for b2 = b4 = 0, nor for b3 = 0
-    unless a guess is given and |b4| <= _NTYPE_RESIDUAL_TOL."""
+    unless a guess is given and |b4| <= _NTYPE_RESIDUAL_TOL.  A guess has
+    every bracket refined; with none, the bound prunes them (solve_ntype)."""
     unit_b = b / np.linalg.norm(b)
     if guess is not None:
         theta1, theta2, gamma2 = guess
@@ -432,32 +436,38 @@ def _ntype_root(b, guess) -> np.ndarray:
         math.hypot(b2, b4) <= _NTYPE_QUARTER_REACH,
     )
     if b2 == b4 == 0.0 or b3 == 0.0 and (guess is None or abs(b4) > _NTYPE_RESIDUAL_TOL):
-        roots = np.empty((0, 4))  # the axis families hold every root (solve_ntype)
-    elif guess is None:
-        brackets = _ntype_loop_brackets(unit_b)
-        k, m = (np.searchsorted(_NTYPE_TURNS, a[:, 0]) for a in brackets[:2])  # turn indices
-        first = _NTYPE_TURN_AREA[k] + _NTYPE_TURN_AREA[m] < _NTYPE_STAGE_AREA
-        loop = _ntype_refine(unit_b, *(a[first] for a in brackets))
-        x, _, area = _ntype_candidates(b, unit_b, loop, families)
-        if area.min(initial=np.inf) < _NTYPE_STAGE_AREA - _NTYPE_STAGE_MARGIN:
-            return x[np.argmin(area)]
-        roots = np.empty((len(first), 4))  # every pair's roots, in the sample's order
-        roots[first], roots[~first] = loop, _ntype_refine(unit_b, *(a[~first] for a in brackets))
+        brackets = (np.empty((0, 1)),) * 6  # the axis families hold every root (solve_ntype)
     else:
-        points = _ntype_guess_points(unit_b, gamma1, gamma2)
-        roots = _ntype_refine(unit_b, *_ntype_loop_brackets(unit_b, points))
-    x, res, area = _ntype_candidates(b, unit_b, roots, families)
-    converged = np.flatnonzero(res <= _NTYPE_RESIDUAL_TOL)
-    if converged.size == 0:  # the least residual over every family
-        res = _ntype_candidates(b, unit_b, roots, (True, True))[1]
-        raise NoSolutionFoundError(
-            "N-type boundary-value solve did not converge", float(np.min(res))
-        )
+        points = None if guess is None else _ntype_guess_points(unit_b, gamma1, gamma2)
+        brackets = _ntype_loop_brackets(unit_b, points)
+    n, candidate = len(brackets[0]), partial(_ntype_candidate, b.tolist())
+    # (x, residual, area) of the loop roots by bracket (inf until refined), then of the axis families
+    found = [(None, math.inf, math.inf)] * n
+    found += map(candidate, _ntype_axis_roots(unit_b, *families).tolist()) if any(families) else ()
+    best = min(map(itemgetter(2), found), default=math.inf)  # the least converged area
+    bound = _ntype_bounds(unit_b, *brackets[:4])
+    order = sorted(range(n), key=bound.__getitem__)
+    # with no guess, the brackets that can win if the first one's root (of area at most its bound
+    # + pi + one sample step) converges are refined first, and the rest only when reached: on the
+    # 16-part cuts, two passes at most, each of 11 lock calls whatever its width
+    first = n if guess else sum(bound[i] <= bound[order[0]] + math.pi + 2 * math.pi / _NTYPE_LOOP_POINTS for i in order)
+    parts = (_ntype_refine(unit_b, *map(itemgetter(part), brackets)) for part in (order[:first], order[first:]))
+    roots = chain.from_iterable(parts)
+    for i in order:
+        if guess is None and bound[i] > best + _NTYPE_STAGE_MARGIN:
+            break
+        found[i] = candidate(next(roots))
+        best = min(best, found[i][2])
+    if best == math.inf:  # every bracket was refined; the least residual over every family too
+        res = found[:n] + list(map(candidate, _ntype_axis_roots(unit_b, True, True).tolist()))
+        raise NoSolutionFoundError("N-type boundary-value solve did not converge", min(map(itemgetter(1), res)))
     if guess is None:
-        return x[np.argmin(area)]
+        return min(found, key=itemgetter(2))[0]
+    x, _, area = map(np.array, zip(*found))
+    converged = np.flatnonzero(area < math.inf)
     # |v1 - v1'|^2 + |v2 - v2'|^2, with v1z = z and v2z = -z on both sides
     dist = ((x - guess_x) ** 2) @ [1.0, 1.0, 2.0]
-    return x[converged[np.argmin(dist[converged])]]
+    return found[converged[np.argmin(dist[converged])]][0]
 
 
 def solve_ntype(
@@ -478,11 +488,12 @@ def solve_ntype(
     2 pi / 128 / 16**11 wide (_ntype_refine), off the axes each on its own
     by inverse quadratic and Illinois steps on floats (at most 61 lock
     evaluations, 4.9 on average on random targets), within 1e-3 of an axis
-    +-e_k all at once by 16-part cuts; each bracket stops at that width, so
-    its root does not depend on the brackets refined with it.  The axis
+    +-e_k by 16-part cuts, a batch of brackets at a time; each bracket stops
+    at that width, so its root does not depend on the brackets refined with
+    it.  The axis
     families (_ntype_axis_roots) join the loop roots, or, where they hold
     every root (below), stand alone.  Each root becomes the candidate (x1,
-    x2, z) of _ntype_candidates, which meets the constraints by assignment,
+    x2, z) of _ntype_candidate, which meets the constraints by assignment,
     with no division by sin(theta1); it converges if its residual |q p - b|
     is at most _NTYPE_RESIDUAL_TOL = 1e-8.
 
@@ -517,13 +528,23 @@ def solve_ntype(
     so: b4 = 0 also holds on the surface c2 S1 = c1 S2 (|v1| = |v2| among
     it), which no family holds.
 
-    With gamma_i(psi) in [0, pi] on the loop, |gamma_i(psi) + 2 pi t| is at
-    least 2 pi t for t >= 0 and 2 pi |t| - pi for t < 0: only the turn pairs
-    (0, 0), (-1, 0) and (0, -1) can hold a root of pulse area below 2 pi.  A
-    solve with no guess refines their brackets first, and the other six
-    pairs' brackets, from the same sample, only if no converged candidate
-    has an area |v1| + |v2| below 2 pi - 1e-6.  Either way it returns the
-    root of the search over every pair, bit for bit.
+    A solve with no guess refines only the brackets that can hold its root
+    (branch and bound; Land & Doig, Econometrica 28 (1960) 497).  On the
+    loop gamma1(psi) lies in [0, pi], so |gamma1(psi) + 2 pi k| >= 2 pi k
+    for k >= 0 and 2 pi |k| - pi for k < 0; gamma2(psi) = pi/2 - h cos(psi)
+    lies in [0, pi] and is monotone between the folds psi = 0, pi (mod 2
+    pi), so over a bracket |gamma2(psi) + 2 pi m| is least at an end or at
+    a fold it holds (pi/2 -+ h).  The sum bounds |gamma1(T)| + |gamma2(T)|
+    for any root in the bracket (_ntype_bounds).  The brackets are refined
+    in increasing bound, ties in the sample's order, up to the first whose
+    bound exceeds the least converged area so far, the axis families' where
+    built, by more than 1e-6.  A converged candidate's area |v1| + |v2|
+    differs from |gamma1(T)| + |gamma2(T)| by at most the lock at its root
+    (z splits it), 1.4e-8 at most on 2,000 stress targets, so no skipped
+    bracket holds a candidate of smaller or equal area; and each bracket's
+    root depends on that bracket alone.  So the solve returns the root of
+    the search over every pair, bit for bit.  Without a converged candidate
+    it refines every bracket.
 
     initial_guess = (theta1, theta2, gamma2(T)), three finite real numbers
     (ValueError otherwise), selects a root; it is not a start point.  Its
@@ -547,5 +568,5 @@ def solve_ntype(
             )
         initial_guess = tuple(map(float, guess))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
-        x1, x2, z = _ntype_root(target.b, initial_guess).tolist()
+        x1, x2, z = _ntype_root(target.b, initial_guess)
     return _finish(LevelConfig.N_TYPE, (x1, 0.0, z), (x2, 0.0, -z), horizon)

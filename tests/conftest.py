@@ -8,12 +8,11 @@ import pytest
 from hypothesis import strategies as st
 
 import fourlevel.solvers
-from fourlevel.quat4 import Quaternion, hamilton
+from fourlevel.quat4 import Quaternion, _exp, _stack_last, hamilton
 from fourlevel.rotation import (
     AnglePair,
     CouplingSet,
     _unit_quat,
-    _vector_state,
     ur_of_angles,
 )
 from fourlevel.solvers import LevelConfig, NoSolutionFoundError
@@ -229,13 +228,14 @@ def ntype_loop_brackets(b, guess=None):
     return pairs[n, :1], pairs[n, 1:], psi[j, None], width[j, None], f[n, j, None], f[n, j + 1, None]
 
 
-def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
+def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi):
     """N-type brackets (k, m, left, width, f_lo, f_hi) refined by 16-part
     cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part where the
-    lock's sign first changes, and the root (gamma1(T), theta1, gamma2(T),
-    theta2) at the midpoint of the last part, with the loop's gammas plus
-    the turns.  An oracle for _ntype_refine, whose interpolation steps end
-    each bracket at most as wide; the same candidates in the same order."""
+    lock's sign first changes, and yields the root (gamma1(T), theta1,
+    gamma2(T), theta2) at the midpoint of the last part, with the loop's
+    gammas plus the turns.  An oracle for _ntype_refine, whose interpolation
+    steps end each bracket at most as wide; the same candidates in the same
+    order."""
     solvers = fourlevel.solvers
     left, width, sign = left[:, 0], width[:, 0], f_lo > 0
     cut = np.arange(1, 16) / 16
@@ -246,14 +246,21 @@ def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi) -> np.ndarray:
         width = width / 16
     g1, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, b)
     turns = 2 * math.pi * np.concatenate((k, m), axis=1)
-    return np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1)
+    yield from np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1).tolist()
 
 
 def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
     """The N-type loop search's candidates from this module's own sample
     (ntype_loop_brackets), every bracket refined by 16-part cuts alone
     (ntype_cut_refine): an oracle for the library's loop search."""
-    return ntype_cut_refine(b, *ntype_loop_brackets(b, guess))
+    return np.reshape([*ntype_cut_refine(b, *ntype_loop_brackets(b, guess))], (-1, 4))
+
+
+def _vector_state(v1, v2) -> np.ndarray:
+    """q p, (..., 4), for q = exp(v1), p = exp(v2) of rotation vectors (x, y,
+    z) of floats or arrays, from quat4's exp and Hamilton product: an oracle
+    for the N-type search's float candidates."""
+    return _stack_last(hamilton(_exp(v1), _exp(v2)))
 
 
 def ntype_vector_candidates(b, rows):
@@ -288,7 +295,7 @@ def ntype_all_pairs_root(b):
     b = np.asarray(b, dtype=float)
     unit_b = b / np.linalg.norm(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        loop = solvers._ntype_refine(unit_b, *ntype_loop_brackets(unit_b))
+        loop = np.reshape([*solvers._ntype_refine(unit_b, *ntype_loop_brackets(unit_b))], (-1, 4))
         rows = np.concatenate((loop, solvers._ntype_axis_roots(unit_b, True, True)))
     vectors, res = ntype_vector_candidates(b, rows)
     if not np.any(res <= 1e-8):

@@ -170,6 +170,28 @@ class TestTotalHamiltonian:
             with pytest.raises(ValueError, match="time t not finite"):
                 build(ph, times)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ph, t: ph.frame(t),
+            phase_operator,
+            lambda ph, t: total_hamiltonian(CouplingSet(*[0.5] * 6), ph, t),
+        ],
+        ids=["frame", "phase_operator", "total_hamiltonian"],
+    )
+    def test_rejects_a_time_whose_phase_overflows(self, build):
+        # eps_k + Delta_k t overflows at a finite t: frame(10.0) of this
+        # schedule was [1, nan+nanj, 1, 1]; that t is named, alone or among
+        # 2048, and the times in [0, 1], where phi_2 reaches 1e308, pass
+        ph = PhaseSchedule(np.zeros(3), [1e308, 0.0, 0.0], 1.0)
+        t = np.linspace(0.0, 1.0, 2048)
+        t[7] = -10.0
+        for times, named in ((10.0, "10.0"), (t, "-10.0")):
+            with pytest.raises(ValueError, match=f"overflows there: {named}$"):
+                build(ph, times)
+        assert np.isfinite(build(ph, np.linspace(0.0, 1.0, 5))).all()
+        assert build(ph, np.empty(0)).shape[0] == 0
+
     def test_phase_factors_on_couplings(self):
         cs = CouplingSet(1.0, 0, 0, 0, 0, 0)
         ph = PhaseSchedule(

@@ -525,20 +525,24 @@ class TestSolveNType:
 
     def test_lock_evaluations_per_solve(self, monkeypatch):
         # off the axes the lock is sampled in one call, 129 points for every
-        # turn pair, and each bracket is then refined on its own, one float
-        # evaluation per step; near an axis one call per 16-part cut, 15
-        # points per bracket; the bundled target e4, with b3 = 0, takes its
-        # roots from the axis families alone, with or without its guess; with
-        # no refinement the sample alone
+        # turn pair, and the brackets that the pulse-area bound keeps, 2 of
+        # the 18 of (1/2, 1/2, 1/2, 1/2) (6 with the two-stage split), are
+        # then refined each on its own in 5 float evaluations; near an
+        # axis one call per 16-part cut, 15 points for every bracket that
+        # can win if the first one's root converges (5 of the 18 near e4) at
+        # once; the bundled target e4, with b3 = 0, takes its roots
+        # from the axis families alone, with or without its guess; with no
+        # refinement the sample alone
+        assert len(fourlevel.solvers._ntype_loop_brackets(np.full(4, 0.5))[0]) == 18
         calls, per_bracket = spy_lock_evaluations(monkeypatch)
         solve_ntype(TargetSpec(np.full(4, 0.5)))
         assert calls[0] == 129 and set(calls[1:]) == {"float"}
-        assert per_bracket == [5] * 6 and len(calls) == 1 + sum(per_bracket)
+        assert per_bracket == [5] * 2 and len(calls) == 1 + sum(per_bracket)
         calls.clear()
         per_bracket.clear()
         near_e4 = np.array([0.0, 0.0, 1e-4, 1.0])
         solve_ntype(TargetSpec(near_e4 / np.linalg.norm(near_e4)))
-        assert calls == [129] + [15] * 11
+        assert calls == [129] + [15 * 5] * 11
         assert per_bracket == []
         calls.clear()
         solve_ntype(TargetSpec(E4))
@@ -574,66 +578,72 @@ class TestSolveNType:
         assert v1[1] == v2[1] == 0.0 and v1[2] == -v2[2]
         assert np.linalg.norm(final_state(solved.boundary) - target.b) < 1e-15
 
-    @pytest.mark.parametrize("kind", ["random", "near_axis", "b3_to_zero", "b2_b4_to_zero"])
+    @pytest.mark.parametrize("kind", ["random", "near_axis", "b3_to_zero", "b2_b4_to_zero", "e1_b3_to_zero"])
     def test_staged_solve_equals_the_all_pairs_oracle(self, kind, monkeypatch):
         # 520 seeded targets of each kind: the guess-free solve refines the
-        # turn pairs of area bound below 2 pi first and builds an axis family
-        # only where it can converge, yet returns the boundary of the search
-        # over every pair and family bit for bit, and on a failure the same
-        # least residual; forcing the second stage (no pair in the first)
-        # changes no bit either
+        # brackets in increasing pulse-area bound, stops once no bracket can
+        # win, and builds an axis family only where it can converge, yet
+        # returns the boundary of the search over every pair and family bit
+        # for bit, and on a failure the same least residual; refining every
+        # bracket (the margin set to inf, so nothing is pruned) changes no
+        # bit either
         targets = ntype_stress_targets(kind, 520, np.random.default_rng(18))
         expected = [all_pairs_outcome(b) for b in targets]
         assert [solve_outcome(b) for b in targets] == expected
-        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_AREA", 0.0)
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_MARGIN", math.inf)
         assert [solve_outcome(b) for b in targets[::2]] == expected[::2]
 
+    @pytest.mark.parametrize("kind", ["random", "near_axis", "b3_to_zero", "b2_b4_to_zero", "e1_b3_to_zero"])
+    def test_area_bound_holds_for_every_bracket(self, kind):
+        # 200 seeded targets of each kind, every bracket refined (the bound
+        # switched off): each converged candidate's pulse area |v1| + |v2|
+        # is at least its bracket's bound less 1e-8, so a bracket whose bound
+        # exceeds the least converged area by 1e-6 holds no root that wins
+        solvers = fourlevel.solvers
+        converged = 0
+        for b in ntype_stress_targets(kind, 200, np.random.default_rng(33)):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                brackets = solvers._ntype_loop_brackets(b)
+                candidates = [solvers._ntype_candidate(b.tolist(), r) for r in solvers._ntype_refine(b, *brackets)]
+            for bound, (_, res, area) in zip(solvers._ntype_bounds(b, *brackets[:4]), candidates):
+                if res <= 1e-8:
+                    assert bound <= area + 1e-8
+                    converged += 1
+        assert converged > 1000
+
     def test_second_stage_runs_only_without_a_small_area_root(self, monkeypatch):
-        # the six pairs of area bound >= 2 pi are refined only for a target
-        # whose converged candidates all have an area near 2 pi or more, or
-        # that has none: never on 200 random targets, and on a failure
-        refined = []
-        refine = fourlevel.solvers._ntype_refine
-
-        def spy(b, k, m, *brackets):
-            refined.append({(float(t), float(u)) for t, u in zip(k[:, 0], m[:, 0])})
-            return refine(b, k, m, *brackets)
-
-        monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", spy)
+        # the bound keeps few brackets: on 200 random targets, with 18.4
+        # brackets each, at most 2.5 are refined per solve on average (2.2
+        # measured; 6.1 with the two-stage split) and at least one; a
+        # failure, which has no converged area to bound the rest, refines
+        # every bracket
+        _, per_bracket = spy_lock_evaluations(monkeypatch)
         rng = np.random.default_rng(19)
         for _ in range(200):
+            before = len(per_bracket)
             solve_ntype(random_target(rng))
-        assert len(refined) == 200
-        assert set().union(*refined) <= {(-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)}
-        refined.clear()
+            assert len(per_bracket) > before
+        assert len(per_bracket) <= 2.5 * 200
+        per_bracket.clear()
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_REFINE_STEPS", 0)
         with pytest.raises(NoSolutionFoundError):
             solve_ntype(TargetSpec(np.full(4, 0.5)))
-        assert len(refined) == 2
-        assert refined[1].isdisjoint({(-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)})
+        assert len(per_bracket) == 18
 
     def test_second_stage_keeps_the_all_pairs_order(self, monkeypatch):
-        # with no first-stage root accepted, the second stage hands on every
-        # pair's roots in the order of the search over all pairs at once, bit
-        # for bit: ties and the best residual of a failure come out the same
-        loops = []
-        candidates = fourlevel.solvers._ntype_candidates
-
-        def spy(b, unit_b, loop, families):
-            loops.append(loop)
-            return candidates(b, unit_b, loop, families)
-
-        monkeypatch.setattr(fourlevel.solvers, "_ntype_candidates", spy)
-        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_MARGIN", math.inf)
+        # with the margin set to inf nothing is pruned: every bracket of 50
+        # random targets is refined, and each solve's boundary is the same
+        # bit for bit
+        _, per_bracket = spy_lock_evaluations(monkeypatch)
         rng = np.random.default_rng(22)
-        for _ in range(50):
-            target = random_target(rng)
-            solve_ntype(target)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                expected = loop_roots(target.b / np.linalg.norm(target.b))
-            assert len(loops) == 2 and 0 < len(loops[0]) < len(loops[1])
-            assert np.array_equal(loops[1], expected, equal_nan=True)
-            loops.clear()
+        targets = [random_target(rng).b for _ in range(50)]
+        expected = [solve_outcome(b) for b in targets]
+        per_bracket.clear()
+        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_MARGIN", math.inf)
+        for b, outcome in zip(targets, expected):
+            assert solve_outcome(b) == outcome
+            assert len(per_bracket) == len(fourlevel.solvers._ntype_loop_brackets(b / np.linalg.norm(b))[0])
+            per_bracket.clear()
 
     def test_axis_families_only_where_reachable(self, monkeypatch):
         # _ntype_axis_roots runs for no generic target; for b3 = 0 it builds
@@ -822,7 +832,8 @@ class TestSolveNType:
 def ntype_stress_targets(kind, n, rng) -> list[np.ndarray]:
     """n seeded unit targets: random, +-e_k plus noise of size 10^U(-16, -3),
     or random with b3, or b2 and b4 together, scaled by 10^U(-16, -3) (every
-    eighth exactly 0)."""
+    eighth exactly 0); or +-e1 plus noise of size 10^U(-5, -3) with b3 so
+    scaled, whose roots near p = +-1 lie near the loop's folds."""
     targets = []
     for i in range(n):
         b, scale = rng.normal(size=4), 0.0 if i % 8 == 0 else 10.0 ** rng.uniform(-16, -3)
@@ -832,6 +843,9 @@ def ntype_stress_targets(kind, n, rng) -> list[np.ndarray]:
             b[2] *= scale
         elif kind == "b2_b4_to_zero":
             b[[1, 3]] *= scale
+        elif kind == "e1_b3_to_zero":
+            b = np.eye(4)[0] * (1.0 if i % 2 else -1.0) + 10.0 ** rng.uniform(-5, -3) * b
+            b[2] *= scale
         targets.append(b / np.linalg.norm(b))
     return targets
 
@@ -845,22 +859,23 @@ def solve_outcome(b, guess=None):
 
 
 def loop_roots(b):
-    """The library's guess-free loop search over every turn pair at once:
-    _ntype_loop_brackets, refined by _ntype_refine."""
+    """The library's loop search over every turn pair, with no bracket left
+    out: _ntype_loop_brackets, every bracket refined by _ntype_refine, as an
+    (n, 4) array."""
     solvers = fourlevel.solvers
-    return solvers._ntype_refine(b, *solvers._ntype_loop_brackets(b))
+    return np.reshape([*solvers._ntype_refine(b, *solvers._ntype_loop_brackets(b))], (-1, 4))
 
 
 def spy_lock_evaluations(monkeypatch):
     """Spies on the library's lock as it stands: the lists of its calls, each
-    the number of points or "float", and of the float evaluations each
-    _ntype_falsi call makes."""
+    the number of points (over every bracket) or "float", and of the float
+    evaluations each _ntype_falsi call makes."""
     calls, per_bracket = [], []
     solvers = fourlevel.solvers
     lock, falsi = solvers._ntype_lock, solvers._ntype_falsi
 
     def spy_lock(psi, b, k, m):
-        calls.append("float" if isinstance(psi, float) else np.shape(psi)[-1])
+        calls.append("float" if isinstance(psi, float) else np.size(psi))
         return lock(psi, b, k, m)
 
     def spy_falsi(*bracket):
