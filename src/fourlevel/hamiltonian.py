@@ -47,12 +47,11 @@ class PhaseSchedule:
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "eps_prime", epsp)
         with np.errstate(over="ignore"):  # an overflow is rejected here
+            object.__setattr__(self, "detunings", (epsp - eps) / self.T)
             if not np.all(np.isfinite(self.detunings)):
                 raise ValueError(f"detunings (eps' - eps) / T not finite: {self.detunings}")
-
-    @property
-    def detunings(self) -> np.ndarray:
-        return (self.eps_prime - self.eps) / self.T
+        # (|eps_k|, |Delta_k|) per level: |phi_k(t)| <= |eps_k| + |Delta_k| |t| (frame)
+        object.__setattr__(self, "_reach", np.abs([eps, self.detunings]).T.tolist())
 
     def phases(self, t) -> np.ndarray:
         """phi_k(t) for k = 2, 3, 4, shape (..., 3)."""
@@ -60,14 +59,13 @@ class PhaseSchedule:
 
     def frame(self, t) -> np.ndarray:
         """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0;
-        ValueError naming the first t at which |t| max|Delta_k| + max|eps_k|,
-        a bound on every |phi_k(t)|, is not finite (a t that is not finite
-        among them), after one scalar test at the largest |t|."""
-        rate, offset = max(map(abs, self.detunings.tolist())), max(map(abs, self.eps.tolist()))
-        if not math.isfinite(float(max(-np.min(t, initial=0.0), np.max(t, initial=0.0))) * rate + offset):
-            for bad in np.ravel(t).tolist():  # the first t at which that bound is not finite
-                if not math.isfinite(abs(bad) * rate + offset):
-                    raise ValueError(f"time t not finite, or a phase eps_k + Delta_k t overflows there: {bad}")
+        ValueError naming the t of largest |t| if some |eps_k| + |Delta_k| |t|
+        is not finite there: that sum bounds |phi_k| at every smaller |t|,
+        and is not finite for a t that is not finite."""
+        worst = float(max(np.minimum.reduce(t, None, initial=0.0), np.maximum.reduce(t, None, initial=0.0), key=abs))
+        for e, d in self._reach:
+            if not math.isfinite(e + d * abs(worst)):
+                raise ValueError(f"time t not finite, or a phase eps_k + Delta_k t overflows there: {worst}")
         k = np.ones(np.shape(t) + (4,), dtype=complex)
         k[..., 1:] = np.exp(1j * self.phases(t))
         return k

@@ -15,9 +15,8 @@ import math
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from functools import partial
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -291,12 +290,12 @@ def _ntype_refine(b, k, m, left, width, f_lo, f_hi):
     1e-8, so there, at the first ask, every step cuts every open bracket
     into 16 parts, in one lock call, and keeps the part where the sign
     first changes: the cut sequence's roots, read off in one array
-    _ntype_loop call.  A call is one batch, refined whole.
+    _ntype_loop call.
     """
     final = 2 * math.pi / _NTYPE_LOOP_POINTS / 16.0**_NTYPE_REFINE_STEPS
     if max(abs(b)) ** 2 <= 1.0 - _NTYPE_AXIS_DISTANCE**2:
         floats = b.tolist()
-        for t, u, *bracket in zip(*(a[:, 0].tolist() for a in (k, m, left, width, f_lo, f_hi))):
+        for t, u, *bracket in np.concatenate((k, m, left, width, f_lo, f_hi), axis=1).tolist():
             g1, theta1, g2, theta2 = _ntype_loop(_ntype_falsi(floats, t, u, *bracket, final), floats)
             yield g1 + 2 * math.pi * t, theta1, g2 + 2 * math.pi * u, theta2
         return
@@ -409,7 +408,7 @@ def _ntype_candidate(b, root):
     g1, theta1, g2, theta2 = root
     x1, x2, z = g1 * math.cos(theta1), g2 * math.cos(theta2), (g1 * math.sin(theta1) - g2 * math.sin(theta2)) / 2
     try:
-        res = math.sqrt(sum((u - v) ** 2 for u, v in zip(hamilton(_exp((x1, 0.0, z)), _exp((x2, 0.0, -z))), b)))
+        res = math.sqrt(sum(map(pow, map(sub, hamilton(_exp((x1, 0.0, z)), _exp((x2, 0.0, -z))), b), (2,) * 4)))
     except ValueError:  # sin |v| at |v| = inf, for a guess's turns near the float range
         res = math.inf
     area = math.hypot(x1, z) + math.hypot(x2, z) if res <= _NTYPE_RESIDUAL_TOL else math.inf
@@ -421,7 +420,8 @@ def _ntype_root(b, guess) -> tuple:
     floats, or None.  Before any lock sample it decides by solve_ntype's
     rule whether the loop is searched: not for b2 = b4 = 0, nor for b3 = 0
     unless a guess is given and |b4| <= _NTYPE_RESIDUAL_TOL.  A guess has
-    every bracket refined; with none, the bound prunes them (solve_ntype)."""
+    every bracket refined; with none, the bound prunes them (solve_ntype),
+    or near the axes, where one pass refines them all, their candidates."""
     unit_b = b / np.linalg.norm(b)
     if guess is not None:
         theta1, theta2, gamma2 = guess
@@ -447,12 +447,7 @@ def _ntype_root(b, guess) -> tuple:
     best = min(map(itemgetter(2), found), default=math.inf)  # the least converged area
     bound = _ntype_bounds(unit_b, *brackets[:4])
     order = sorted(range(n), key=bound.__getitem__)
-    # with no guess, the brackets that can win if the first one's root (of area at most its bound
-    # + pi + one sample step) converges are refined first, and the rest only when reached: on the
-    # 16-part cuts, two passes at most, each of 11 lock calls whatever its width
-    first = n if guess else sum(bound[i] <= bound[order[0]] + math.pi + 2 * math.pi / _NTYPE_LOOP_POINTS for i in order)
-    parts = (_ntype_refine(unit_b, *map(itemgetter(part), brackets)) for part in (order[:first], order[first:]))
-    roots = chain.from_iterable(parts)
+    roots = _ntype_refine(unit_b, *map(itemgetter(order), brackets))
     for i in order:
         if guess is None and bound[i] > best + _NTYPE_STAGE_MARGIN:
             break
@@ -488,9 +483,8 @@ def solve_ntype(
     2 pi / 128 / 16**11 wide (_ntype_refine), off the axes each on its own
     by inverse quadratic and Illinois steps on floats (at most 61 lock
     evaluations, 4.9 on average on random targets), within 1e-3 of an axis
-    +-e_k by 16-part cuts, a batch of brackets at a time; each bracket stops
-    at that width, so its root does not depend on the brackets refined with
-    it.  The axis
+    +-e_k all at once by 16-part cuts; each bracket stops at that width, so
+    its root does not depend on the brackets refined with it.  The axis
     families (_ntype_axis_roots) join the loop roots, or, where they hold
     every root (below), stand alone.  Each root becomes the candidate (x1,
     x2, z) of _ntype_candidate, which meets the constraints by assignment,

@@ -181,8 +181,11 @@ class TestTotalHamiltonian:
     )
     def test_rejects_a_time_whose_phase_overflows(self, build):
         # eps_k + Delta_k t overflows at a finite t: frame(10.0) of this
-        # schedule was [1, nan+nanj, 1, 1]; that t is named, alone or among
-        # 2048, and the times in [0, 1], where phi_2 reaches 1e308, pass
+        # schedule was [1, nan+nanj, 1, 1]; that t, the largest |t| alone or
+        # among 2048, is named, and the times in [0, 1], where phi_2 reaches
+        # 1e308, pass; so does t = 1 where the largest eps_k and the largest
+        # Delta_k belong to different levels, each phi_k finite, though
+        # their sum is not
         ph = PhaseSchedule(np.zeros(3), [1e308, 0.0, 0.0], 1.0)
         t = np.linspace(0.0, 1.0, 2048)
         t[7] = -10.0
@@ -191,6 +194,7 @@ class TestTotalHamiltonian:
                 build(ph, times)
         assert np.isfinite(build(ph, np.linspace(0.0, 1.0, 5))).all()
         assert build(ph, np.empty(0)).shape[0] == 0
+        assert np.isfinite(build(PhaseSchedule([1e308, 0.0, 0.0], [1e308, 1e308, 0.0], 1.0), 1.0)).all()
 
     def test_phase_factors_on_couplings(self):
         cs = CouplingSet(1.0, 0, 0, 0, 0, 0)

@@ -528,9 +528,8 @@ class TestSolveNType:
         # turn pair, and the brackets that the pulse-area bound keeps, 2 of
         # the 18 of (1/2, 1/2, 1/2, 1/2) (6 with the two-stage split), are
         # then refined each on its own in 5 float evaluations; near an
-        # axis one call per 16-part cut, 15 points for every bracket that
-        # can win if the first one's root converges (5 of the 18 near e4) at
-        # once; the bundled target e4, with b3 = 0, takes its roots
+        # axis one call per 16-part cut, 15 points for every bracket (18
+        # near e4) at once; the bundled target e4, with b3 = 0, takes its roots
         # from the axis families alone, with or without its guess; with no
         # refinement the sample alone
         assert len(fourlevel.solvers._ntype_loop_brackets(np.full(4, 0.5))[0]) == 18
@@ -542,7 +541,7 @@ class TestSolveNType:
         per_bracket.clear()
         near_e4 = np.array([0.0, 0.0, 1e-4, 1.0])
         solve_ntype(TargetSpec(near_e4 / np.linalg.norm(near_e4)))
-        assert calls == [129] + [15 * 5] * 11
+        assert calls == [129] + [15 * 18] * 11
         assert per_bracket == []
         calls.clear()
         solve_ntype(TargetSpec(E4))
@@ -584,14 +583,16 @@ class TestSolveNType:
         # brackets in increasing pulse-area bound, stops once no bracket can
         # win, and builds an axis family only where it can converge, yet
         # returns the boundary of the search over every pair and family bit
-        # for bit, and on a failure the same least residual; refining every
-        # bracket (the margin set to inf, so nothing is pruned) changes no
-        # bit either
+        # for bit, and on a failure the same least residual; with the margin
+        # set to inf nothing is pruned: every bracket is refined, and no bit
+        # changes either
         targets = ntype_stress_targets(kind, 520, np.random.default_rng(18))
         expected = [all_pairs_outcome(b) for b in targets]
         assert [solve_outcome(b) for b in targets] == expected
         monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_MARGIN", math.inf)
+        refined = spy_refined_brackets(monkeypatch)
         assert [solve_outcome(b) for b in targets[::2]] == expected[::2]
+        assert all(taken == given for given, taken in refined) and sum(given for given, _ in refined) > 0
 
     @pytest.mark.parametrize("kind", ["random", "near_axis", "b3_to_zero", "b2_b4_to_zero", "e1_b3_to_zero"])
     def test_area_bound_holds_for_every_bracket(self, kind):
@@ -629,21 +630,6 @@ class TestSolveNType:
         with pytest.raises(NoSolutionFoundError):
             solve_ntype(TargetSpec(np.full(4, 0.5)))
         assert len(per_bracket) == 18
-
-    def test_second_stage_keeps_the_all_pairs_order(self, monkeypatch):
-        # with the margin set to inf nothing is pruned: every bracket of 50
-        # random targets is refined, and each solve's boundary is the same
-        # bit for bit
-        _, per_bracket = spy_lock_evaluations(monkeypatch)
-        rng = np.random.default_rng(22)
-        targets = [random_target(rng).b for _ in range(50)]
-        expected = [solve_outcome(b) for b in targets]
-        per_bracket.clear()
-        monkeypatch.setattr(fourlevel.solvers, "_NTYPE_STAGE_MARGIN", math.inf)
-        for b, outcome in zip(targets, expected):
-            assert solve_outcome(b) == outcome
-            assert len(per_bracket) == len(fourlevel.solvers._ntype_loop_brackets(b / np.linalg.norm(b))[0])
-            per_bracket.clear()
 
     def test_axis_families_only_where_reachable(self, monkeypatch):
         # _ntype_axis_roots runs for no generic target; for b3 = 0 it builds
@@ -864,6 +850,22 @@ def loop_roots(b):
     (n, 4) array."""
     solvers = fourlevel.solvers
     return np.reshape([*solvers._ntype_refine(b, *solvers._ntype_loop_brackets(b))], (-1, 4))
+
+
+def spy_refined_brackets(monkeypatch):
+    """Spies on the library's _ntype_refine: a list with, for each call, the
+    number of brackets it is given and the number of roots taken from it."""
+    refined = []
+    refine = fourlevel.solvers._ntype_refine
+
+    def spy(b, k, *bracket):
+        refined.append([len(k), 0])
+        for root in refine(b, k, *bracket):
+            refined[-1][1] += 1
+            yield root
+
+    monkeypatch.setattr(fourlevel.solvers, "_ntype_refine", spy)
+    return refined
 
 
 def spy_lock_evaluations(monkeypatch):
