@@ -8,12 +8,14 @@ simulate  write coupling and population/phase traces (couplings.csv,
           populations.csv) from a full Schrodinger propagation
 qomap     write the quantum-optics mapping of a diamond scenario
           (qomap.json, rabi.csv)
-verify    run the scenario's invariant checks and report pass/fail
+verify    print one PASS/FAIL line per invariant check, exit 3 if one fails
 
 Exit codes: 0 success, 1 validation failure (a bad scenario or option, or a
 ValueError a command raises on its input, such as non-finite couplings or an
 H(t) too large at a horizon so short that the pulse rates overflow, or
-overflowing laser frequencies), 2 solver failure, 3 accuracy failure.
+overflowing laser frequencies), 2 solver failure, 3 accuracy failure.  Past
+argparse, the commands raise these as typed errors, and main alone prints
+each as one stdout line ("accuracy failure: ..."), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .propagator import (
 )
 from .qo import TRANSITIONS, check_resonance, engineered_to_qo
 from .rotation import CouplingSet, final_state
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, load_scenario
 from .solvers import (
     LevelConfig,
     SolvedAngles,
@@ -120,19 +122,16 @@ def cmd_simulate(sc: Scenario, out: Path) -> int:
 
     fid = fidelity(traj.final_state, _expected_final(sc))
     if fid < 1.0 - 1e-6:
-        print(f"accuracy failure: final-state fidelity {fid:.9f} < 1 - 1e-6")
-        return EXIT_ACCURACY
+        raise AccuracyError(f"final-state fidelity {fid:.9f} < 1 - 1e-6")
     print(f"final-state fidelity {fid:.9f}, norm drift {traj.norm_drift:.3e}")
     return 0
 
 
 def cmd_qomap(sc: Scenario, out: Path) -> int:
     if sc.config is not LevelConfig.DIAMOND:
-        print("validation failure: qomap requires a diamond scenario")
-        return EXIT_VALIDATION
+        raise ValueError("qomap requires a diamond scenario")
     if sc.omega_levels is None:
-        print("validation failure: qomap requires qo.omega_levels in the scenario")
-        return EXIT_VALIDATION
+        raise ValueError("qomap requires qo.omega_levels in the scenario")
     solved = _solve(sc)
     qo = engineered_to_qo(solved.schedule.couplings, sc.phases, sc.omega_levels)
     payload = {
@@ -162,11 +161,7 @@ def cmd_verify(sc: Scenario, out: Path) -> int:
         ("forbidden_couplings_max", solved.constraint_residual, 1e-8),
         ("target_round_trip_residual", round_trip, 1e-8),
     ]
-    try:
-        traj = propagate(_hamiltonian_of_t(solved, sc), PSI0, sc.T, sc.steps)
-    except AccuracyError as exc:
-        print(f"FAIL propagation ({exc})")
-        return EXIT_ACCURACY
+    traj = propagate(_hamiltonian_of_t(solved, sc), PSI0, sc.T, sc.steps)
     checks += [
         ("norm_drift", traj.norm_drift, 1e-8),
         ("analytic_vs_numeric_max", compare_with_analytic(traj, solved, sc.phases), 1e-6),
@@ -204,21 +199,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.seed < 0:
-        print(f"validation failure: --seed must be a non-negative integer, got {args.seed}")
-        return EXIT_VALIDATION
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         sc = load_scenario(args.scenario)
         if args.steps is not None:
             sc = dataclasses.replace(sc, steps=args.steps)
-    except ScenarioError as exc:
-        print(f"validation failure: {exc}")
-        return EXIT_VALIDATION
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    try:
+        args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](sc, args.out)
-    except ValueError as exc:  # a typed input error, InvalidHamiltonianError among them
+    except ValueError as exc:  # ScenarioError and InvalidHamiltonianError among them
         print(f"validation failure: {exc}")
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quat4 import _require_finite
-from .rotation import _UPPER, CouplingSet, _check_horizon, ur_of_angles
+from .rotation import _UPPER, CouplingSet, _check_horizon, _largest_magnitude, ur_of_angles
 from .solvers import SolvedAngles
 
 
@@ -54,18 +54,19 @@ class PhaseSchedule:
         object.__setattr__(self, "_reach", np.abs([eps, self.detunings]).T.tolist())
 
     def phases(self, t) -> np.ndarray:
-        """phi_k(t) for k = 2, 3, 4, shape (..., 3)."""
-        return self.eps + np.multiply.outer(t, self.detunings)
-
-    def frame(self, t) -> np.ndarray:
-        """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0;
-        ValueError naming the t of largest |t| if some |eps_k| + |Delta_k| |t|
-        is not finite there: that sum bounds |phi_k| at every smaller |t|,
-        and is not finite for a t that is not finite."""
-        worst = float(max(np.minimum.reduce(t, None, initial=0.0), np.maximum.reduce(t, None, initial=0.0), key=abs))
+        """phi_k(t) for k = 2, 3, 4, shape (..., 3); ValueError naming the t
+        of largest |t| if some |eps_k| + |Delta_k| |t| is not finite there:
+        that sum bounds |phi_k| at every smaller |t|, and is not finite for a
+        t that is not finite."""
+        worst = _largest_magnitude(t)
         for e, d in self._reach:
             if not math.isfinite(e + d * abs(worst)):
                 raise ValueError(f"time t not finite, or a phase eps_k + Delta_k t overflows there: {worst}")
+        return self.eps + np.multiply.outer(t, self.detunings)
+
+    def frame(self, t) -> np.ndarray:
+        """Diagonal of K(t): (1, e^{i phi_2}, e^{i phi_3}, e^{i phi_4}), phi_1 = 0,
+        and phases' ValueError for a bad t."""
         k = np.ones(np.shape(t) + (4,), dtype=complex)
         k[..., 1:] = np.exp(1j * self.phases(t))
         return k
@@ -97,7 +98,7 @@ def coupling_entries(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarray
     phi_1 = 0, in the order (1,2), (1,3), (1,4), (2,3), (2,4), (3,4): (..., 6).
     ValueError naming each non-finite coupling, or from ph.frame for a bad t."""
     k = ph.frame(t)
-    with np.errstate(invalid="ignore"):  # tested below
+    with np.errstate(invalid="ignore", over="ignore"):  # tested below
         upper = (k[..., _UPPER[0]] * (1j * couplings.as_array())) * k[..., _UPPER[1]].conj()
         if not np.isfinite(upper.sum()):  # NaN and +-inf carry; it raises only for such a field
             _require_finite("couplings", CouplingSet._fields, couplings)

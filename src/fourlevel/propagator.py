@@ -309,8 +309,9 @@ def propagate(
     _check_steps(steps)
     _check_horizon(T)
     psi = np.asarray(psi0, dtype=complex).copy()
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # True for NaN
-        raise ValueError(f"initial state psi0 must be finite and normalized, got {psi0}")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected here
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # True for NaN
+            raise ValueError(f"initial state psi0 must be finite and normalized, got {psi0}")
 
     dt = T / steps
     times = np.linspace(0.0, T, steps + 1)
@@ -354,9 +355,10 @@ def fidelity(psi: np.ndarray, target: np.ndarray) -> float:
     blind to a global phase."""
     psi = np.asarray(psi, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    for name, v in (("psi", psi), ("target", target)):
-        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:  # True for NaN
-            raise ValueError(f"state {name} must be finite and normalized, got {v}")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected here
+        for name, v in (("psi", psi), ("target", target)):
+            if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:  # True for NaN
+                raise ValueError(f"state {name} must be finite and normalized, got {v}")
     return float(min(abs(np.vdot(target, psi)) ** 2, 1.0))
 
 

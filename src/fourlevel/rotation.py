@@ -189,6 +189,13 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon T = {horizon} out of range: pi/T or pi*T overflows")
 
 
+def _largest_magnitude(t) -> float:
+    """The entry of largest |t| of a time or time array t (0.0 if empty, NaN
+    if t holds a NaN), from two ufunc reductions: no temporary the size of
+    t.  An overflow test of a term monotone in |t| needs only this entry."""
+    return float(max(np.minimum.reduce(t, None, initial=0.0), np.maximum.reduce(t, None, initial=0.0), key=abs))
+
+
 class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("horizon", float)])):
     """The pulse of every solver: q(t) = exp(r(t) v1), p(t) = exp(r(t) v2),
     r(t) = [1 - cos(pi t/T)] / 2, for the rotation vectors v1, v2 (3-tuples
@@ -196,7 +203,8 @@ class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("hori
     The factors turn about fixed axes, so the generator is r'(t) G, G =
     M_L(v1) + M_R(v2), and U_r(t) = exp(r(t) G).  final is the AnglePair view
     of v1, v2; value and rate give that of gamma_i(T) r(t), theta, phi and of
-    its rate, at a time or on an array of times."""
+    its rate, at a time or on an array of times, and reject (ValueError) a t
+    at which pi t/T is not finite, as couplings does."""
 
     __slots__ = ()
 
@@ -226,13 +234,20 @@ class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("hori
         """The largest r'(t), pi/(2T), at t = T/2."""
         return 0.5 * math.pi / self.horizon
 
+    def _phase(self, t):
+        """pi t/T; ValueError naming the t of largest |t| where it is not finite."""
+        worst = _largest_magnitude(t)
+        if not math.isfinite(math.pi * worst / self.horizon):
+            raise ValueError(f"time t not finite, or pi t/T overflows there: {worst}")
+        return np.pi * t / self.horizon
+
     def ramp_rate(self, t):
         """r'(t) = pi/(2T) sin(pi t/T)."""
-        return self.peak_rate * np.sin(np.pi * t / self.horizon)
+        return self.peak_rate * np.sin(self._phase(t))
 
     def value(self, t) -> AnglePair:
         f = self.final
-        ramp = 0.5 * (1.0 - np.cos(np.pi * t / self.horizon))
+        ramp = 0.5 * (1.0 - np.cos(self._phase(t)))
         one = 0.0 * ramp + 1.0  # 1 in t's shape, for the constant angles
         return AnglePair(
             f.gamma1 * ramp, f.theta1 * one, f.phi1 * one,
@@ -246,5 +261,7 @@ class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("hori
         return AnglePair(f.gamma1 * dramp, zero, zero, f.gamma2 * dramp, zero, zero)
 
     def couplings(self, t) -> CouplingSet:
-        """The couplings r'(t) G of the generator at a time or a time array."""
-        return CouplingSet(*np.multiply.outer(self.generator.as_array(), self.ramp_rate(t)))
+        """The couplings r'(t) G of the generator at a time or a time array;
+        one that overflows is +-inf, which H(t) rejects by name."""
+        with np.errstate(over="ignore"):
+            return CouplingSet(*np.multiply.outer(self.generator.as_array(), self.ramp_rate(t)))

@@ -102,8 +102,10 @@ class TargetSpec:
             raise ValueError("target must have four components")
         if not np.all(np.isfinite(b)):
             raise ValueError("target components must be finite")
-        if abs(b @ b - 1.0) > 1e-10:
-            raise ValueError(f"target norm^2 = {b @ b} is not 1 within 1e-10")
+        with np.errstate(over="ignore"):  # an overflow is rejected here
+            norm2 = b @ b
+        if abs(norm2 - 1.0) > 1e-10:
+            raise ValueError(f"target norm^2 = {norm2} is not 1 within 1e-10")
         object.__setattr__(self, "b", b)
         if not isinstance(self.free_params, Mapping):
             raise ValueError("free_params must map names to numbers")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import fourlevel.cli
 import fourlevel.rotation
 import fourlevel.solvers
 from fourlevel.cli import main
+from fourlevel.propagator import AccuracyError
 from fourlevel.qo import engineered_to_qo, lab_hamiltonian, rwa_hamiltonian
 from fourlevel.scenario import load_scenario
 
@@ -32,6 +34,19 @@ def write_scenario(tmp_path, payload, name="s.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def run_fresh(command, scenario, out):
+    """The command through python -m fourlevel.cli in a fresh interpreter,
+    whose warnings go to stderr as numpy's defaults send them."""
+    src = Path(fourlevel.cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "fourlevel.cli", command, "--scenario", str(scenario), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def read_csv(path):
@@ -449,7 +464,8 @@ class TestExitCodes:
     def test_negative_seed(self, tmp_path, capsys):
         code = run("solve", SCENARIO_DIR / "ntype.json", tmp_path / "out", "--seed", "-1")
         assert code == fourlevel.cli.EXIT_VALIDATION
-        assert capsys.readouterr().out.startswith("validation failure:")
+        assert capsys.readouterr().out == "validation failure: --seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
     @pytest.mark.parametrize("horizon", [1e-310, 1.7e308])
@@ -465,24 +481,60 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, horizon", [("tripod", 1e-300), ("diamond", 1.75e-308)])
     def test_horizon_too_short_to_propagate(self, tmp_path, command, name, horizon):
         # accepted horizons whose H(t) cannot be propagated: dt |H| overflows
-        # (tripod), or the ramp's rate overflows to non-finite couplings,
-        # which coupling_entries rejects (diamond, with RuntimeWarnings on
-        # the way, so in a fresh interpreter)
+        # (tripod), or the ramp's rate times G overflows to infinite
+        # couplings, which coupling_entries rejects by name (diamond); one
+        # stdout line and an empty stderr, in a fresh interpreter
         payload = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
         payload["T"] = horizon
         scenario = write_scenario(tmp_path, payload)
-        src = Path(fourlevel.cli.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "fourlevel.cli", command,
-             "--scenario", str(scenario), "--out", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_fresh(command, scenario, tmp_path / "out")
         assert proc.returncode == fourlevel.cli.EXIT_VALIDATION
-        assert proc.stdout.startswith("validation failure:")
-        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("validation failure:") and proc.stdout.count("\n") == 1
+        assert proc.stderr == ""
+
+    def test_overflowing_target_fails_with_one_line_alone(self, tmp_path):
+        # b . b overflows: TargetSpec's ValueError is the whole output
+        scenario = write_scenario(
+            tmp_path,
+            {
+                "config": "tripod",
+                "target": [1e308, 0.0, 0.0, 0.0],
+                "T": 1.0,
+                "phases": {"eps": [0, 0, 0], "eps_prime": [0, 0, 0]},
+            },
+        )
+        proc = run_fresh("solve", scenario, tmp_path / "out")
+        assert proc.returncode == fourlevel.cli.EXIT_VALIDATION
+        assert proc.stdout == "validation failure: target norm^2 = inf is not 1 within 1e-10\n"
+        assert proc.stderr == ""
+
+    def test_verify_reports_a_failed_propagation_as_simulate_does(self, tmp_path, capsys):
+        # at T = 1e300 and 100 steps the state drifts off unit norm, so
+        # propagate raises AccuracyError: both commands print its one line
+        payload = json.loads((SCENARIO_DIR / "tripod.json").read_text())
+        scenario = write_scenario(tmp_path, {**payload, "T": 1e300})
+        out = {}
+        for command in ("simulate", "verify"):
+            code = run(command, scenario, tmp_path / command, "--steps", "100")
+            assert code == fourlevel.cli.EXIT_ACCURACY
+            out[command] = capsys.readouterr().out
+        assert out["verify"] == out["simulate"]
+        assert out["verify"].startswith("accuracy failure: norm drift ") and out["verify"].count("\n") == 1
+
+    def test_commands_raise_typed_errors_and_print_no_failure_line(self, tmp_path, capsys):
+        # main alone prints the failure line; the commands raise
+        tripod = load_scenario(SCENARIO_DIR / "tripod.json")
+        with pytest.raises(ValueError, match="qomap requires a diamond scenario"):
+            fourlevel.cli.cmd_qomap(tripod, tmp_path)
+        diamond = load_scenario(SCENARIO_DIR / "diamond.json")
+        with pytest.raises(ValueError, match="qomap requires qo.omega_levels"):
+            fourlevel.cli.cmd_qomap(dataclasses.replace(diamond, omega_levels=None), tmp_path)
+        payload = json.loads((SCENARIO_DIR / "tripod.json").read_text())
+        payload["phases"]["eps_prime"] = [1e5] * 3
+        coarse = load_scenario(write_scenario(tmp_path, {**payload, "steps": 100}))
+        with pytest.raises(AccuracyError, match="final-state fidelity"):
+            fourlevel.cli.cmd_simulate(coarse, tmp_path)
+        assert "failure" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "verify", "qomap"])
     def test_overflowing_detunings_fail_to_load(self, tmp_path, capsys, command):

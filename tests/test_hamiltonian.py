@@ -224,6 +224,17 @@ class TestAnalyticEvolution:
         )
         np.testing.assert_allclose(psi, expected, atol=1e-12)
 
+    def test_rejects_a_time_whose_ramp_phase_overflows(self, tripod):
+        # pi t/T overflows at t = 1e308: the ramp names that t, where the
+        # angle map once blamed "angles not finite: gamma1, ..." and H(t)
+        # the couplings; the phases of flat_phases() stay finite there
+        for build in (
+            lambda t: analytic_evolution(tripod, flat_phases(), t),
+            lambda t: total_hamiltonian(tripod.schedule.couplings(t), flat_phases(), t),
+        ):
+            with pytest.raises(ValueError, match=r"pi t/T overflows there: 1e\+308$"):
+                build(1e308)
+
     def test_unitary_along_path(self, tripod, rng):
         ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=1.0)
         for t in rng.uniform(0, 1, size=10):

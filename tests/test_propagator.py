@@ -579,6 +579,17 @@ class TestFidelity:
         with pytest.raises(ValueError, match="state target "):
             fidelity(PSI0, state)
 
+    def test_rejects_a_state_whose_norm_overflows(self):
+        # |psi|^2 overflows to inf, which the norm test rejects, with no
+        # RuntimeWarning first (pytest turns one into an error)
+        state = np.array([1e308, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="state psi "):
+            fidelity(state, PSI0)
+        with pytest.raises(ValueError, match="state target "):
+            fidelity(PSI0, state)
+        with pytest.raises(ValueError, match="initial state psi0"):
+            propagate(lambda t: np.zeros((4, 4)), state, 1.0, steps=100)
+
 
 class TestCompareWithAnalytic:
     @pytest.mark.parametrize(

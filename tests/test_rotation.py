@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import pickle
+import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from fourlevel.rotation import (
     CosineRamp,
     CouplingSet,
     final_state,
+    _largest_magnitude,
     _read_off,
     hr_analytic,
     rotation_vectors,
@@ -456,6 +459,38 @@ class TestValueTypes:
         assert generator == reference
         assert all(type(v) is float for v in generator)
         assert np.array(generator).tobytes() == np.array(reference).tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("method", ["value", "rate", "ramp_rate", "couplings"])
+    @pytest.mark.parametrize("T", [1.0, 1e-300])
+    def test_ramp_rejects_a_time_whose_phase_overflows(self, method, T):
+        # pi t/T overflows at a finite t (t = 1e308 of couplings gave nan,
+        # t = inf a RuntimeWarning, t = nan nan); that t, the largest |t|
+        # alone or among 2048, is named, and times up to the float range
+        # of pi t/T pass
+        ramp = CosineRamp((1.3, 0.7, -0.2), (-0.9, 2.0, 0.1), T)
+        f = getattr(ramp, method)
+        t = np.linspace(0.0, 1.0, 2048)
+        t[7] = -3e308 * T / math.pi
+        for times, named in ((1e308 * T, 1e308 * T), (t, t[7]), (math.inf, math.inf), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match=re.escape(f"overflows there: {named}") + "$"):
+                f(times)
+        assert np.isfinite(np.asarray(f(np.array([0.0, 5e307 * T])))).all()
+        assert np.asarray(f(np.empty(0))).size == 0
+
+    def test_largest_magnitude_takes_no_temporary_the_size_of_t(self):
+        # two ufunc reductions, not np.abs(t) or np.isfinite(t): the peak
+        # allocation stays far below t's 800 KB
+        t = np.linspace(-2.0, 1.0, 100_000)
+        tracemalloc.start()
+        try:
+            assert _largest_magnitude(t) == -2.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        for times, expected in ((3.0, 3.0), (np.empty(0), 0.0), (np.array([[1.0, -4.0], [2.0, 0.5]]), -4.0)):
+            assert _largest_magnitude(times) == expected
+        assert math.isnan(_largest_magnitude(np.array([1.0, math.nan, math.inf])))
 
     @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320])
     def test_ramp_rejects_bad_horizon(self, T):

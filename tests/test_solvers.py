@@ -95,6 +95,12 @@ class TestTargetSpec:
         with pytest.raises(ValueError):
             TargetSpec(np.array([1.0, 0.0, 0.0]))
 
+    def test_rejects_an_overflowing_norm_without_a_warning(self):
+        # b . b overflows to inf, which the norm test rejects; pytest turns a
+        # RuntimeWarning on the way into an error
+        with pytest.raises(ValueError, match=r"target norm\^2 = inf is not 1"):
+            TargetSpec(np.array([1e308, 0.0, 0.0, 0.0]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -405,6 +411,28 @@ class TestSolveNType:
         assert np.min(np.abs(turn(free[:, [1, 3]] - guess[:2])).max(axis=1)) > 0.01
         solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
         assert same_root(solved, ntype_vectors(*guess), 1e-10)
+
+    def test_guess_turns_beyond_the_float_range(self, monkeypatch):
+        # at gamma2(T) = 1e200 the guess's own turns put two candidates at
+        # |v| = inf, where sin |v| raises and _ntype_candidate gives the
+        # residual inf; the solve still returns a converged root
+        raised = []
+
+        def spy(v):
+            try:
+                return exp(v)
+            except ValueError:
+                raised.append(v)
+                raise
+
+        exp = fourlevel.solvers._exp
+        monkeypatch.setattr(fourlevel.solvers, "_exp", spy)
+        b = np.full(4, 0.5)
+        solved = solve_ntype(TargetSpec(b), initial_guess=(1.0, 1.0, 1e200))
+        assert len(raised) == 2
+        assert np.linalg.norm(final_state(solved.boundary) - b) <= 1e-8
+        generator = solved.schedule.generator
+        assert [getattr(generator, n) for n in FORBIDDEN[LevelConfig.N_TYPE]] == [0.0] * 3
 
     def test_initial_guess_wins_when_it_converges(self):
         # the caller's root is kept although the search finds one of smaller area
