@@ -416,7 +416,7 @@ class TestSolveNType:
         # at gamma2(T) = 1e200 the guess's own turns put two candidates at
         # |v| = inf, where sin |v| raises and _ntype_candidate gives the
         # residual inf; the solve still returns a converged root
-        raised = []
+        raised, exp = [], fourlevel.solvers._exp
 
         def spy(v):
             try:
@@ -425,7 +425,6 @@ class TestSolveNType:
                 raised.append(v)
                 raise
 
-        exp = fourlevel.solvers._exp
         monkeypatch.setattr(fourlevel.solvers, "_exp", spy)
         b = np.full(4, 0.5)
         solved = solve_ntype(TargetSpec(b), initial_guess=(1.0, 1.0, 1e200))
