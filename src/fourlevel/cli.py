@@ -10,12 +10,14 @@ qomap     write the quantum-optics mapping of a diamond scenario
           (qomap.json, rabi.csv)
 verify    print one PASS/FAIL line per invariant check, exit 3 if one fails
 
-Exit codes: 0 success, 1 validation failure (a bad scenario or option, or a
-ValueError a command raises on its input, such as non-finite couplings or an
-H(t) too large at a horizon so short that the pulse rates overflow, or
-overflowing laser frequencies), 2 solver failure, 3 accuracy failure.  Past
-argparse, the commands raise these as typed errors, and main alone prints
-each as one stdout line ("accuracy failure: ..."), with nothing on stderr.
+Exit codes: 0 success (--help too), 1 validation failure (a command line
+argparse rejects, a bad scenario or option, an --out that cannot be made a
+directory, or a ValueError a command raises on its input, such as non-finite
+couplings or an H(t) too large at a horizon so short that the pulse rates
+overflow, or overflowing laser frequencies), 2 solver failure, 3 accuracy
+failure.  The parser and the commands raise these as typed errors, and main
+alone prints each as one stdout line ("validation failure: ..."), with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -29,24 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import total_hamiltonian
-from .propagator import (
-    _CHUNK,
-    AccuracyError,
-    compare_with_analytic,
-    fidelity,
-    propagate,
-)
+from .propagator import _CHUNK, AccuracyError, compare_with_analytic, fidelity, propagate
 from .qo import TRANSITIONS, check_resonance, engineered_to_qo
 from .rotation import CouplingSet, final_state
 from .scenario import Scenario, load_scenario
-from .solvers import (
-    LevelConfig,
-    SolvedAngles,
-    SolverError,
-    solve_diamond,
-    solve_ntype,
-    solve_tripod,
-)
+from .solvers import LevelConfig, SolvedAngles, SolverError, solve_diamond, solve_ntype, solve_tripod
 
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
@@ -184,8 +173,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a rejected command line is a validation failure, not argparse's exit 2
+        raise ValueError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fourlevel",
         description="Inverse-engineer and simulate four-level state-preparation pulses.",
     )
@@ -197,15 +191,17 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0,
         help="non-negative integer; accepted, but no solver draws random numbers",
     )
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         sc = load_scenario(args.scenario)
         if args.steps is not None:
             sc = dataclasses.replace(sc, steps=args.steps)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, or no permission
+            raise ValueError(f"cannot create output directory {args.out}: {exc}") from exc
         return COMMANDS[args.command](sc, args.out)
     except ValueError as exc:  # ScenarioError and InvalidHamiltonianError among them
         print(f"validation failure: {exc}")

@@ -132,17 +132,20 @@ def _finite_real(value) -> bool:
 
 class SolvedAngles(NamedTuple):
     """The cosine ramp to the rotation vectors v1, v2, with generator r'(t)
-    G, G = schedule.generator, and its AnglePair view as boundary;
-    constraint_residual is G's largest forbidden entry times the ramp's peak
+    G, G = schedule.generator, and its views: boundary, the AnglePair, and
+    constraint_residual, G's largest forbidden entry times the ramp's peak
     rate pi/(2T), 0.0 for every solve."""
 
     config: LevelConfig
     schedule: CosineRamp
-    constraint_residual: float
 
     @property
     def boundary(self) -> AnglePair:
         return self.schedule.final
+
+    @property
+    def constraint_residual(self) -> float:
+        return max(map(abs, _FORBIDDEN_ITEMS[self.config](self.schedule.generator))) * self.schedule.peak_rate
 
     @property
     def within_canonical_ranges(self) -> bool:
@@ -152,12 +155,6 @@ class SolvedAngles(NamedTuple):
         return 0.0 <= a.gamma1 <= math.pi and 0.0 <= a.gamma2 <= math.pi
 
 
-def _finish(config: LevelConfig, v1, v2, horizon: float) -> SolvedAngles:
-    ramp = CosineRamp(v1, v2, horizon)  # checks v1, v2 and the horizon
-    worst = max(map(abs, _FORBIDDEN_ITEMS[config](ramp.generator)))
-    return tuple.__new__(SolvedAngles, (config, ramp, worst * ramp.peak_rate))
-
-
 def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     """Closed-form rotation vectors for the inverse-tripod topology.
 
@@ -165,8 +162,9 @@ def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     log(b) / 2: the angle atan2(|(b2, b3, b4)|, b1) / 2 along (b2, b3, b4),
     along i for b = -e1 (and v = 0 for b = e1).
     """
-    v = tuple(0.5 * c for c in _log(*target.b.tolist()))
-    return _finish(LevelConfig.INVERSE_TRIPOD, v, v, horizon)
+    x, y, z = _log(*target.b.tolist())
+    v = (0.5 * x, 0.5 * y, 0.5 * z)
+    return SolvedAngles(LevelConfig.INVERSE_TRIPOD, CosineRamp(v, v, horizon))
 
 
 def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
@@ -189,7 +187,7 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     s1 = math.sin(gamma1)
     pw, px, py, _ = hamilton((math.cos(gamma1), -s1 * E, -s1 * G, 0.0), b)
     v1 = (gamma1 * E, gamma1 * G, 0.0)
-    return _finish(LevelConfig.DIAMOND, v1, _log(pw, px, py, 0.0), horizon)
+    return SolvedAngles(LevelConfig.DIAMOND, CosineRamp(v1, _log(pw, px, py, 0.0), horizon))
 
 
 def _ntype_loop(psi, b):
@@ -565,4 +563,4 @@ def solve_ntype(
         initial_guess = tuple(map(float, guess))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
         x1, x2, z = _ntype_root(target.b, initial_guess)
-    return _finish(LevelConfig.N_TYPE, (x1, 0.0, z), (x2, 0.0, -z), horizon)
+    return SolvedAngles(LevelConfig.N_TYPE, CosineRamp((x1, 0.0, z), (x2, 0.0, -z), horizon))

@@ -205,11 +205,11 @@ class TestVerify:
         assert report.count("PASS") == 5
 
     def test_one_generator_evaluation_per_grid(self, tmp_path, monkeypatch):
-        # the solve reads the ramp's constant generator G off v1, v2 once,
-        # verify reports the solve's residual, and the propagation takes 2
-        # Gauss nodes per step in one evaluation of r'(t) G, which reads G
-        # once more; the finite-difference generator is a test oracle, not
-        # part of the library
+        # the solve reads no generator; verify reads the ramp's constant
+        # generator G off v1, v2 once for its residual view, and the
+        # propagation takes 2 Gauss nodes per step in one evaluation of
+        # r'(t) G, which reads G once more; the finite-difference generator
+        # is a test oracle, not part of the library
         calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
         assert run("verify", SCENARIO_DIR / "tripod.json", tmp_path, "--steps", "100") == 0
         assert calls == {"_read_off": 2} and shapes == [(200,)]
@@ -285,13 +285,14 @@ COUPLING_GRIDS = {
 
 @pytest.mark.parametrize("command, name", BUNDLED_COMMANDS)
 def test_commands_read_the_generator_once(tmp_path, monkeypatch, command, name):
-    # a solved pulse is a CosineRamp (v1, v2, horizon): the solve reads G off
-    # v1, v2 once for its residual, and each coupling grid is the ramp's
-    # couplings r'(t) G, which read G once each; no command evaluates
-    # hr_analytic
+    # a solved pulse is a CosineRamp (v1, v2, horizon) and the solve reads
+    # no generator: solve and verify read G off v1, v2 once for the residual
+    # view, and each coupling grid is the ramp's couplings r'(t) G, which
+    # read G once each; no command evaluates hr_analytic
     calls, shapes = spy_generator_reads(monkeypatch), spy_couplings(monkeypatch)
     assert run(command, SCENARIO_DIR / f"{name}.json", tmp_path, "--steps", "100") == 0
-    assert calls == {"_read_off": 1 + len(COUPLING_GRIDS[command])}
+    residual_reads = command in ("solve", "verify")
+    assert calls == {"_read_off": residual_reads + len(COUPLING_GRIDS[command])}
     assert shapes == COUPLING_GRIDS[command]
 
 
@@ -579,3 +580,38 @@ class TestExitCodes:
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json", tmp_path / "out") == 1
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("solve", ["--steps", "x"], "argument --steps: invalid int value: 'x'"),
+            ("bogus", [], "argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["steps_not_an_int", "unknown_command"],
+    )
+    def test_rejected_command_line(self, tmp_path, capsys, command, extra, message):
+        # a command line argparse rejects is a validation failure: exit 1
+        # and one stdout line, not argparse's exit 2 (the solver-failure
+        # code) with its usage on stderr
+        assert run(command, SCENARIO_DIR / "tripod.json", tmp_path / "out", *extra) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith(f"validation failure: {message}") and out.count("\n") == 1
+        assert err == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fourlevel ")
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        # mkdir's FileExistsError is one validation failure line, not a
+        # traceback, and the file is left as it was
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert run("solve", SCENARIO_DIR / "tripod.json", out) == fourlevel.cli.EXIT_VALIDATION
+        stdout, stderr = capsys.readouterr()
+        assert stdout.startswith(f"validation failure: cannot create output directory {out}: ")
+        assert stdout.count("\n") == 1 and stderr == ""
+        assert out.read_text() == "kept"

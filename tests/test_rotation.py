@@ -369,9 +369,9 @@ class TestValueTypes:
             "omega12", "omega13", "omega14", "omega23", "omega24", "omega34"
         )
         assert CosineRamp._fields == ("v1", "v2", "horizon")
-        # the boundary angles and their canonical-range flag are views of
-        # the schedule, not fields
-        assert SolvedAngles._fields == ("config", "schedule", "constraint_residual")
+        # the boundary angles, their canonical-range flag and the
+        # forbidden-coupling residual are views of the schedule, not fields
+        assert SolvedAngles._fields == ("config", "schedule")
 
     def test_fields_cannot_be_assigned(self):
         for value in self.values():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourlevel.rotation
 import fourlevel.solvers
 from fourlevel.cli import main
 from fourlevel.rotation import (
@@ -21,9 +22,9 @@ from fourlevel.solvers import (
     FORBIDDEN,
     LevelConfig,
     NoSolutionFoundError,
+    SolvedAngles,
     SolverError,
     TargetSpec,
-    _finish,
     solve_diamond,
     solve_ntype,
     solve_tripod,
@@ -1106,6 +1107,31 @@ class TestForbiddenCouplings:
             assert solved.constraint_residual == 0.0
 
     @pytest.mark.parametrize("config", list(LevelConfig))
+    @pytest.mark.parametrize("horizon", [1e-9, 1.0, 1e9])
+    def test_residual_is_a_view_that_no_solve_reads(self, config, horizon, monkeypatch):
+        # a solve returns its pulse alone and reads no generator off it; the
+        # residual view is G's largest forbidden entry times pi/(2T), bit
+        # for bit as the solve computed it when it was a field: on seeded
+        # solves (0.0 each) and on ramps to seeded vectors that break the
+        # constraints
+        rng = np.random.default_rng(35)
+        targets = [random_target(rng) for _ in range(40)]
+        solver = {LevelConfig.INVERSE_TRIPOD: solve_tripod, LevelConfig.DIAMOND: solve_diamond}
+        read_off, reads = fourlevel.rotation._read_off, []
+        monkeypatch.setattr(fourlevel.rotation, "_read_off", lambda *v: reads.append(v) or read_off(*v))
+        solved = [solver.get(config, solve_ntype)(target, horizon) for target in targets]
+        assert reads == []
+        monkeypatch.undo()
+        ramps = [CosineRamp(*rng.uniform(-7.0, 7.0, (2, 3)).tolist(), horizon) for _ in range(40)]
+        solved += [SolvedAngles(config, ramp) for ramp in ramps]
+        for s in solved:
+            generator = read_off(s.schedule.v1, s.schedule.v2)
+            worst = max(abs(getattr(generator, name)) for name in FORBIDDEN[config])
+            expected = worst * (0.5 * math.pi / horizon)
+            assert float.hex(s.constraint_residual) == float.hex(expected)
+        assert all(s.constraint_residual > 0.0 for s in solved[len(targets):])
+
+    @pytest.mark.parametrize("config", list(LevelConfig))
     def test_forbidden_vanish_on_grid(self, config, rng):
         target = random_target(rng)
         if config is LevelConfig.INVERSE_TRIPOD:
@@ -1137,7 +1163,7 @@ class TestForbiddenCouplings:
         # forbidden couplings the finite-difference oracle finds on its grid,
         # whose odd point count puts the ramp's peak t = T/2 on it
         sched = CosineRamp(*rotation_vectors(boundary), 1.0)
-        residual = _finish(config, *sched[:2], 1.0).constraint_residual
+        residual = SolvedAngles(config, sched).constraint_residual
         h = 1e-6
         oracle = max(
             abs(getattr(hr_numeric(sched, t, h=h), name))
@@ -1159,7 +1185,7 @@ class TestForbiddenCouplings:
         # schedule; the residual is G's largest forbidden entry times the
         # exact peak rate pi/(2T), and no grid value exceeds it
         boundary, T = AnglePair(*angles), 10.0**log_horizon
-        solved = _finish(config, *rotation_vectors(boundary), T)
+        solved = SolvedAngles(config, CosineRamp(*rotation_vectors(boundary), T))
         generator = solved.schedule.generator
         g = generator.as_array()
         grid = np.linspace(1e-6 * T, T - 1e-6 * T, samples)

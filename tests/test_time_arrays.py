@@ -51,7 +51,7 @@ def pipeline(rng):
     boundary = AnglePair.from_array(rng.uniform(-2 * math.pi, 2 * math.pi, 6))
     sched = CosineRamp(*rotation_vectors(boundary), T)
     ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=T)
-    solved = SolvedAngles(LevelConfig.DIAMOND, sched, 0.0)
+    solved = SolvedAngles(LevelConfig.DIAMOND, sched)
 
     b = rng.normal(size=4)
     diamond = solve_diamond(TargetSpec(b / np.linalg.norm(b)), T).schedule
