@@ -182,7 +182,7 @@ def _angles(v) -> tuple[float, float, float]:
 def _check_horizon(horizon: float) -> None:
     """Reject a horizon T that is not finite and positive, or so near 0 or
     the float range that pi/T or pi*T overflows (a ramp's rate and phase, a
-    phase schedule's detunings): the one test of T, where either is built."""
+    phase schedule's detunings); a ramp calls it where its fused test fails."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon T must be finite and positive, got {horizon}")
     if not (math.isfinite(math.pi / horizon) and math.isfinite(math.pi * horizon)):
@@ -199,7 +199,7 @@ def _largest_magnitude(t) -> float:
 class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("horizon", float)])):
     """The pulse of every solver: q(t) = exp(r(t) v1), p(t) = exp(r(t) v2),
     r(t) = [1 - cos(pi t/T)] / 2, for the rotation vectors v1, v2 (3-tuples
-    of floats, checked finite by __new__, as is T); zero rate at both ends.
+    of floats, checked finite by __new__ in one test with T); zero rate at both ends.
     The factors turn about fixed axes, so the generator is r'(t) G, G =
     M_L(v1) + M_R(v2), and U_r(t) = exp(r(t) G).  final is the AnglePair view
     of v1, v2; value and rate give that of gamma_i(T) r(t), theta, phi and of
@@ -210,9 +210,9 @@ class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("hori
 
     def __new__(cls, v1, v2, horizon: float):
         (x1, y1, z1), (x2, y2, z2) = v1, v2  # a ValueError unless three components each
-        if not math.isfinite(x1 + y1 + z1 + x2 + y2 + z2):  # else every component is finite
+        if not (horizon > 0.0 and math.isfinite(x1 + y1 + z1 + x2 + y2 + z2 + math.pi / horizon + math.pi * horizon)):
             _require_finite("rotation vectors", ("v1", "v2"), (v1, v2))
-        _check_horizon(horizon)
+            _check_horizon(horizon)
         return tuple.__new__(cls, ((x1, y1, z1), (x2, y2, z2), horizon))
 
     @classmethod

@@ -38,11 +38,28 @@ _NTYPE_REFINE_STEPS = 11
 _NTYPE_FALSI_STEPS = 16
 _NTYPE_AXIS_DISTANCE = 1e-3
 _NTYPE_TURNS = np.array([-1.0, 0.0, 1.0])
-#: The lock sample's inputs: the closed grid of psi (last = first + 2 pi), the
-#: steps between its points, and the turn pairs (k, m) in _NTYPE_TURNS, k-major.
+#: The lock sample's inputs, each computed once: the closed grid of psi (last =
+#: first + 2 pi), the steps between its points, the grid's trig in _ntype_loop
+#: (cos psi, sin^2(psi/2), cos^2(psi/2), sin psi), and the turn pairs (k, m) in
+#: _NTYPE_TURNS, k-major, as the angles (2 pi k, 2 pi m) that the lock adds.
 _NTYPE_SAMPLE_PSI = (np.arange(_NTYPE_LOOP_POINTS + 1) + 0.5) * (2 * math.pi / _NTYPE_LOOP_POINTS)
 _NTYPE_SAMPLE_STEPS = np.full(_NTYPE_LOOP_POINTS, 2 * math.pi / _NTYPE_LOOP_POINTS)
+_NTYPE_SAMPLE_TRIG = (
+    np.cos(_NTYPE_SAMPLE_PSI), np.sin(_NTYPE_SAMPLE_PSI / 2) ** 2,
+    np.cos(_NTYPE_SAMPLE_PSI / 2) ** 2, np.sin(_NTYPE_SAMPLE_PSI),
+)
 _NTYPE_PAIRS = np.stack(np.meshgrid(_NTYPE_TURNS, _NTYPE_TURNS, indexing="ij"), axis=-1).reshape(-1, 2)
+_NTYPE_PAIR_TURNS = 2 * math.pi * _NTYPE_PAIRS
+#: _ntype_bounds' terms for the sample's bracket of pair n and step j: the pair's
+#: pi (max(2k, -2k - 1) + |2m + 1/2|), and the most of cos(psi - pi [m < 0]) over
+#: the bracket, 1 where it holds a multiple of 2 pi, else at an end (solve_ntype).
+_NTYPE_PAIR_AREA = math.pi * (
+    np.maximum(2 * _NTYPE_PAIRS[:, 0], -2 * _NTYPE_PAIRS[:, 0] - 1) + np.abs(2 * _NTYPE_PAIRS[:, 1] + 0.5)
+)
+_lo = _NTYPE_SAMPLE_PSI[:-1] - math.pi * (_NTYPE_PAIRS[:, 1:] < 0)
+_hi = _lo + _NTYPE_SAMPLE_STEPS
+_NTYPE_SAMPLE_TOP = np.where(_hi // (2 * math.pi) > _lo // (2 * math.pi), 1.0, np.maximum(np.cos(_lo), np.cos(_hi)))
+del _lo, _hi
 #: The lock sample points added for a guess lie this far in psi to either side of
 #: its loop points; rounding in the guess moves those by up to about 1e-8.
 _NTYPE_GUESS_OFFSET = 1e-6
@@ -134,7 +151,7 @@ class SolvedAngles(NamedTuple):
     """The cosine ramp to the rotation vectors v1, v2, with generator r'(t)
     G, G = schedule.generator, and its views: boundary, the AnglePair, and
     constraint_residual, G's largest forbidden entry times the ramp's peak
-    rate pi/(2T), 0.0 for every solve."""
+    rate pi/(2T), 0.0 for every solve.  It checks nothing (built by tuple.__new__)."""
 
     config: LevelConfig
     schedule: CosineRamp
@@ -164,7 +181,7 @@ def solve_tripod(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     """
     x, y, z = _log(*target.b.tolist())
     v = (0.5 * x, 0.5 * y, 0.5 * z)
-    return SolvedAngles(LevelConfig.INVERSE_TRIPOD, CosineRamp(v, v, horizon))
+    return tuple.__new__(SolvedAngles, (LevelConfig.INVERSE_TRIPOD, CosineRamp(v, v, horizon)))
 
 
 def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
@@ -187,10 +204,19 @@ def solve_diamond(target: TargetSpec, horizon: float = 1.0) -> SolvedAngles:
     s1 = math.sin(gamma1)
     pw, px, py, _ = hamilton((math.cos(gamma1), -s1 * E, -s1 * G, 0.0), b)
     v1 = (gamma1 * E, gamma1 * G, 0.0)
-    return SolvedAngles(LevelConfig.DIAMOND, CosineRamp(v1, _log(pw, px, py, 0.0), horizon))
+    return tuple.__new__(SolvedAngles, (LevelConfig.DIAMOND, CosineRamp(v1, _log(pw, px, py, 0.0), horizon)))
 
 
-def _ntype_loop(psi, b):
+def _ntype_loop_constants(b) -> tuple:
+    """_ntype_loop's constants of a unit target b, floats, once per solve: (b1, b3,
+    r^2 + b3^2, hypot(r, b3), 2 h, h, w), r = hypot(b2, b4), as named there."""
+    b1, b2, b3, b4 = b.tolist()
+    r = math.hypot(b2, b4)
+    h = math.atan2(r, abs(b3))
+    return b1, b3, r * r + b3 * b3, math.hypot(r, b3), 2 * h, h, math.atan2(b4, b2)
+
+
+def _ntype_loop(psi, loop):
     """(gamma1, theta1, gamma2, theta2) at psi on the loop of states with q p = b.
 
     With c_i = cos(gamma_i), s_i = sin(gamma_i) and Delta = theta1 - theta2,
@@ -208,83 +234,76 @@ def _ntype_loop(psi, b):
     |(b2, b3, b4)| sqrt(sin(h - u) sin(h + u)), u = h cos(psi), with
     h - u = 2 h sin^2(psi/2) and h + u = 2 h cos^2(psi/2): it keeps its
     relative accuracy at the folds.  One body serves arrays, with xp = numpy,
-    and floats (the per-bracket refinement), with xp = math.
-    """
+    and floats (the per-bracket refinement), with xp = math; it reads b from
+    loop = _ntype_loop_constants(b), and the grid's trig from _NTYPE_SAMPLE_TRIG."""
     xp, atan2 = (math, math.atan2) if isinstance(psi, float) else (np, np.arctan2)
-    b1, b2, b3, b4 = b
-    r = math.hypot(b2, b4)
-    h = math.atan2(r, abs(b3))
-    u = h * xp.cos(psi)
+    b1, b3, rb, hyp, h2, h, w = loop
+    if psi is _NTYPE_SAMPLE_PSI:
+        cos_psi, sin2_half, cos2_half, sin_psi = _NTYPE_SAMPLE_TRIG
+    else:
+        cos_psi, sin2_half, cos2_half, sin_psi = xp.cos(psi), xp.sin(psi / 2) ** 2, xp.cos(psi / 2) ** 2, xp.sin(psi)
+    u = h * cos_psi
     c2, s2 = xp.sin(u), xp.cos(u)
-    root = xp.sqrt(xp.sin(2 * h * xp.sin(psi / 2) ** 2) * xp.sin(2 * h * xp.cos(psi / 2) ** 2))
-    root = xp.copysign(math.hypot(r, b3) * root, xp.sin(psi))
+    root = xp.copysign(hyp * xp.sqrt(xp.sin(h2 * sin2_half) * xp.sin(h2 * cos2_half)), sin_psi)
     c1 = b1 * c2 + root
     s1 = xp.hypot(c2 * root - b1 * s2 * s2, b3) / s2  # s1 s2 = |(c1 c2 - b1, b3)|
-    w = math.atan2(b4, b2)
-    theta1 = w + atan2(c1 * b3, c2 * (r * r + b3 * b3) - b1 * root)
+    theta1 = w + atan2(c1 * b3, c2 * rb - b1 * root)
     theta2 = w - atan2(c2 * b3, root)
     return atan2(s1, c1), theta1, math.pi / 2 - u, theta2
 
 
-def _ntype_lock(psi, b, k, m):
+def _ntype_lock(psi, loop, turn1, turn2):
     """The lock gamma1 sin(theta1) + gamma2 sin(theta2) on the loop (floats or arrays),
-    with gamma1 = gamma1(psi) + 2 pi k and gamma2 = gamma2(psi) + 2 pi m."""
-    g1, theta1, g2, theta2 = _ntype_loop(psi, b)
+    with gamma_i = gamma_i(psi) + turn_i, the turns (2 pi k, 2 pi m) of a pair."""
+    g1, theta1, g2, theta2 = _ntype_loop(psi, loop)
     sin = math.sin if isinstance(psi, float) else np.sin
-    return (g1 + 2 * math.pi * k) * sin(theta1) + (g2 + 2 * math.pi * m) * sin(theta2)
+    return (g1 + turn1) * sin(theta1) + (g2 + turn2) * sin(theta2)
 
 
-def _ntype_loop_brackets(b, guess=None):
-    """The sign changes of the lock along the loop, as brackets (k, m, left,
-    width, f_lo, f_hi), each (n, 1): the turns, the bracket [left, left +
-    width] in psi and the lock at its ends, in the order k, m (the guess's
-    pair last), psi.  The lock is sampled at _NTYPE_LOOP_POINTS points for
-    every turn pair (k, m) with k, m in _NTYPE_TURNS; with guess = (k, m,
-    points), also for the guess's turn pair, with the guess's points added
-    to the sample points.  The grid, its steps and the nine turn pairs are
-    module constants; the guess's points and pair make new arrays.  Off the
-    axes _ntype_falsi closes each bracket in at most 61 lock evaluations:
-    on 3,000 seeded random targets (55,328 brackets) 4.9 on average and 51
-    at most.  It tests no target: _ntype_root calls it only where the loop
-    can hold a root that no axis family holds.
-    """
-    psi, steps, pairs = _NTYPE_SAMPLE_PSI, _NTYPE_SAMPLE_STEPS, _NTYPE_PAIRS
+def _ntype_loop_brackets(loop, guess=None):
+    """The sign changes of the lock along the loop of _ntype_loop_constants
+    loop, as (loop, turns, psi, steps, f, n, j): the lock f[p, s] at psi[s]
+    for the turns (2 pi k, 2 pi m) = turns[p]; bracket i is the step j[i] of
+    the pair n[i], in the order k, m (the guess's pair last), psi.  The lock
+    is sampled at _NTYPE_LOOP_POINTS points for every turn pair with k, m in
+    _NTYPE_TURNS (module constants); with guess = (k, m, points), also for
+    the guess's pair, with its points added to the sample.  Off the axes
+    _ntype_falsi closes each bracket in at most 61 lock evaluations: on
+    3,000 seeded random targets (55,328 brackets) 4.9 on average and 51 at
+    most.  It tests no target: _ntype_root calls it only where the loop can
+    hold a root that no axis family holds."""
+    psi, steps, turns = _NTYPE_SAMPLE_PSI, _NTYPE_SAMPLE_STEPS, _NTYPE_PAIR_TURNS
     if guess is not None:
         k, m, points = guess
-        pairs = np.concatenate((pairs, [[k, m]]))
+        turns = np.concatenate((turns, [[2 * math.pi * k, 2 * math.pi * m]]))
         psi = np.sort(np.concatenate((psi, (points - psi[0]) % (2 * math.pi) + psi[0])))
         steps = np.diff(psi)
-    f = _ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
+    f = _ntype_lock(psi, loop, turns[:, :1], turns[:, 1:])
     pos, finite = f > 0, np.isfinite(f)
     n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
-    return pairs[n, :1], pairs[n, 1:], psi[j, None], steps[j, None], f[n, j, None], f[n, j + 1, None]
+    return loop, turns, psi, steps, f, n, j
 
 
-def _ntype_bounds(b, k, m, left, width) -> list:
+def _ntype_bounds(brackets) -> list:
     """A lower bound on the pulse area |gamma1(T)| + |gamma2(T)| of a root in
-    each bracket of _ntype_loop_brackets (solve_ntype): the least |gamma1(psi)
-    + 2 pi k| over the loop plus the least |gamma2(psi) + 2 pi m| over the
-    bracket, at an end or at the fold the bracket holds."""
-    h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
-    # |gamma2(psi) + 2 pi m| = |pi/2 + 2 pi m| - h cos(psi - pi [m < 0]): least where the cosine
-    # is most, 1 at a multiple of 2 pi in the shifted bracket [lo, hi], else at an end
-    lo = left - math.pi * (m < 0)
-    hi = lo + width
-    top = np.where(hi // (2 * math.pi) > lo // (2 * math.pi), 1.0, np.maximum(np.cos(lo), np.cos(hi)))
-    return (math.pi * (np.maximum(2 * k, -2 * k - 1) + np.abs(2 * m + 0.5)) - h * top)[:, 0].tolist()
+    each bracket of a guess-free _ntype_loop_brackets (solve_ntype): the
+    least |gamma1(psi) + 2 pi k| over the loop plus the least |gamma2(psi) +
+    2 pi m| over the bracket, from _NTYPE_PAIR_AREA and _NTYPE_SAMPLE_TOP."""
+    (*_, h, _), *_, n, j = brackets
+    return (_NTYPE_PAIR_AREA[n] - h * _NTYPE_SAMPLE_TOP[n, j]).tolist()
 
 
-def _ntype_refine(b, k, m, left, width, f_lo, f_hi):
+def _ntype_refine(b, brackets, order):
     """Yields (gamma1(T), theta1, gamma2(T), theta2), gamma_i(T) the loop's
-    plus the turns, at the lock's sign change in each bracket of
-    _ntype_loop_brackets, in order.
+    plus the turns, at the lock's sign change in each bracket i of
+    _ntype_loop_brackets, for i in order.
 
     Each bracket is closed to the final width, one sample step over
     16**_NTYPE_REFINE_STEPS, and its root is the midpoint: it depends on its
     own bracket alone, so refining the brackets in parts, or not at all,
-    changes no other root.  Off the axes each bracket is refined on its own,
-    on floats, when its root is asked for (_ntype_falsi: at most 61 lock
-    evaluations, 4.9 on average), and its root is read off by the float
+    changes no other root.  Off the axes each bracket is read and refined on
+    its own, on floats, when its root is asked for (_ntype_falsi: at most 61
+    lock evaluations, 4.9 on average), and its root is read off by the float
     _ntype_loop at its midpoint.  Within _NTYPE_AXIS_DISTANCE of an axis
     +-e_k, one final width in psi moves a root's pulse area by up to about
     1e-8, so there, at the first ask, every step cuts every open bracket
@@ -293,25 +312,29 @@ def _ntype_refine(b, k, m, left, width, f_lo, f_hi):
     _ntype_loop call.
     """
     final = 2 * math.pi / _NTYPE_LOOP_POINTS / 16.0**_NTYPE_REFINE_STEPS
+    loop, turns, psi, steps, f, n, j = brackets
+    n, j = n[order], j[order]
     if max(abs(b)) ** 2 <= 1.0 - _NTYPE_AXIS_DISTANCE**2:
-        floats = b.tolist()
-        for t, u, *bracket in np.concatenate((k, m, left, width, f_lo, f_hi), axis=1).tolist():
-            g1, theta1, g2, theta2 = _ntype_loop(_ntype_falsi(floats, t, u, *bracket, final), floats)
-            yield g1 + 2 * math.pi * t, theta1, g2 + 2 * math.pi * u, theta2
+        for p, s in zip(n.tolist(), j.tolist()):
+            t, u = turns[p].tolist()
+            root = _ntype_falsi(loop, t, u, psi[s].item(), steps[s].item(), *f[p, s : s + 2].tolist(), final)
+            g1, theta1, g2, theta2 = _ntype_loop(root, loop)
+            yield g1 + t, theta1, g2 + u, theta2
         return
-    sign, cut = f_lo > 0, np.arange(1, 16) / 16
+    k, m, left, width, f_hi = turns[n, :1], turns[n, 1:], psi[j, None], steps[j, None], f[n, j + 1, None]
+    sign, cut = f[n, j, None] > 0, np.arange(1, 16) / 16
     for _ in range(_NTYPE_REFINE_STEPS):
         part = width / 16 * (width > final)  # 0 for a closed bracket, which keeps its ends
-        values = np.concatenate((_ntype_lock(left + width * cut, b, k, m), f_hi), axis=1)
+        values = np.concatenate((_ntype_lock(left + width * cut, loop, k, m), f_hi), axis=1)
         left = left + part * np.argmax((values > 0) != sign, axis=1)[:, None]  # the right end always flips
         width = np.where(part > 0, part, width)
-    g1, theta1, g2, theta2 = _ntype_loop(left[:, 0] + width[:, 0] / 2, b)
-    yield from np.stack((g1 + 2 * math.pi * k[:, 0], theta1, g2 + 2 * math.pi * m[:, 0], theta2), axis=1).tolist()
+    g1, theta1, g2, theta2 = _ntype_loop(left[:, 0] + width[:, 0] / 2, loop)
+    yield from np.stack((g1 + k[:, 0], theta1, g2 + m[:, 0], theta2), axis=1).tolist()
 
 
-def _ntype_falsi(b, k, m, lo, width, f_lo, f_hi, final) -> float:
+def _ntype_falsi(loop, turn1, turn2, lo, width, f_lo, f_hi, final) -> float:
     """The midpoint, once at most final wide, of one bracket [lo, lo + width]
-    of the lock (floats b, k, m), whose end values f_lo, f_hi differ in sign
+    of the lock (on floats), whose end values f_lo, f_hi differ in sign
     (> 0 against <= 0).  Each step evaluates the lock at one point and keeps
     the part where the sign changes.  The point is the inverse quadratic
     interpolation through both ends and the point the last step dropped,
@@ -339,7 +362,7 @@ def _ntype_falsi(b, k, m, lo, width, f_lo, f_hi, final) -> float:
             x = min(max(x, lo + final / 2), hi - final / 2)
         else:
             x = lo + width / 2
-        f = _ntype_lock(x, b, k, m)
+        f = _ntype_lock(x, loop, turn1, turn2)
         if (f > 0) == pos:
             d, f_d, lo, f_lo, w_lo = lo, f_lo, x, f, f
             w_hi, kept = (w_hi / 2 if kept == 1 else w_hi), 1
@@ -383,7 +406,7 @@ def _ntype_axis_roots(b, unit: bool, quarter: bool) -> np.ndarray:
     return np.concatenate([np.stack(f, axis=-1).reshape(-1, 4) for f in families])
 
 
-def _ntype_guess_points(b, gamma1: float, gamma2: float):
+def _ntype_guess_points(loop, gamma1: float, gamma2: float):
     """The turn pair (k, m) of a guess, and its loop points: gamma_i or
     -gamma_i, whichever has a non-negative sine, is g_i + 2 pi k_i with g_i
     in [0, pi], as a loop root's gamma_i(psi) + 2 pi k_i is, and the points
@@ -392,7 +415,7 @@ def _ntype_guess_points(b, gamma1: float, gamma2: float):
     the lock changes sign between them, unless another root lies as near."""
     folded = [g if math.sin(g) >= 0.0 else -g for g in (gamma1, gamma2)]
     k, m = (g // (2 * math.pi) for g in folded)
-    h = math.atan2(math.hypot(b[1], b[3]), abs(b[2]))
+    *_, h, _ = loop
     u = (math.pi / 2 - (folded[1] - 2 * math.pi * m)) / h
     psi = math.acos(max(-1.0, min(1.0, u)))
     return k, m, (np.array([[psi], [-psi]]) + [-_NTYPE_GUESS_OFFSET, _NTYPE_GUESS_OFFSET]).ravel()
@@ -435,21 +458,20 @@ def _ntype_root(b, guess) -> tuple:
         abs(b1 * b3) <= _NTYPE_UNIT_REACH * (1.0 + abs(b1)),
         math.hypot(b2, b4) <= _NTYPE_QUARTER_REACH,
     )
-    if b2 == b4 == 0.0 or b3 == 0.0 and (guess is None or abs(b4) > _NTYPE_RESIDUAL_TOL):
-        brackets = (np.empty((0, 1)),) * 6  # the axis families hold every root (solve_ntype)
-    else:
-        points = None if guess is None else _ntype_guess_points(unit_b, gamma1, gamma2)
-        brackets = _ntype_loop_brackets(unit_b, points)
-    n, candidate = len(brackets[0]), partial(_ntype_candidate, b.tolist())
+    brackets, n, candidate = None, 0, partial(_ntype_candidate, b.tolist())
+    if not (b2 == b4 == 0.0 or b3 == 0.0 and (guess is None or abs(b4) > _NTYPE_RESIDUAL_TOL)):
+        loop = _ntype_loop_constants(unit_b)  # else the axis families hold every root (solve_ntype)
+        brackets = _ntype_loop_brackets(loop, None if guess is None else _ntype_guess_points(loop, gamma1, gamma2))
+        n = len(brackets[-1])
     # (x, residual, area) of the loop roots by bracket (inf until refined), then of the axis families
     found = [(None, math.inf, math.inf)] * n
     found += map(candidate, _ntype_axis_roots(unit_b, *families).tolist()) if any(families) else ()
     best = min(map(itemgetter(2), found), default=math.inf)  # the least converged area
-    bound = _ntype_bounds(unit_b, *brackets[:4])
+    bound = _ntype_bounds(brackets) if guess is None and n else [-math.inf] * n  # a guess refines every bracket
     order = sorted(range(n), key=bound.__getitem__)
-    roots = _ntype_refine(unit_b, *map(itemgetter(order), brackets))
+    roots = _ntype_refine(unit_b, brackets, order)
     for i in order:
-        if guess is None and bound[i] > best + _NTYPE_STAGE_MARGIN:
+        if bound[i] > best + _NTYPE_STAGE_MARGIN:
             break
         found[i] = candidate(next(roots))
         best = min(best, found[i][2])
@@ -460,9 +482,12 @@ def _ntype_root(b, guess) -> tuple:
         return min(found, key=itemgetter(2))[0]
     x, _, area = map(np.array, zip(*found))
     converged = np.flatnonzero(area < math.inf)
-    # |v1 - v1'|^2 + |v2 - v2'|^2, with v1z = z and v2z = -z on both sides
-    dist = ((x - guess_x) ** 2) @ [1.0, 1.0, 2.0]
-    return found[converged[np.argmin(dist[converged])]][0]
+    weight = np.array([1.0, 1.0, 2.0])  # |v1 - v1'|^2 + |v2 - v2'|^2, with v1z = z and v2z = -z on both sides
+    dist = (((x - guess_x) ** 2) @ weight)[converged]
+    if dist.min() == math.inf:  # each overflows: the same less |v'|^2, on a scale where no term overflows
+        y, scale = x[converged], np.max(np.abs(x[converged]), initial=np.max(np.abs(guess_x)))
+        dist = (y / scale * (y / scale - 2 * (guess_x / scale))) @ weight
+    return found[converged[np.argmin(dist)]][0]
 
 
 def solve_ntype(
@@ -479,11 +504,11 @@ def solve_ntype(
     square-root branches (_ntype_loop), so the lock is one scalar equation
     on the loop.  Its sign changes, for gamma1(T), gamma2(T) shifted by 2 pi
     k, 2 pi m with k, m in -1..1 (every root of pulse area at most 3 pi), are
-    sampled at 128 points (_ntype_loop_brackets) and refined to brackets
-    2 pi / 128 / 16**11 wide (_ntype_refine), off the axes each on its own
-    by inverse quadratic and Illinois steps on floats (at most 61 lock
-    evaluations, 4.9 on average on random targets), within 1e-3 of an axis
-    +-e_k all at once by 16-part cuts; each bracket stops at that width, so
+    sampled at 128 points (_ntype_loop_brackets, on the _NTYPE_SAMPLE_*
+    constants) and refined to brackets 2 pi / 128 / 16**11 wide
+    (_ntype_refine), off the axes each on its own by inverse quadratic and
+    Illinois steps on floats (at most 61 lock evaluations of about 1.2 us,
+    4.9 on average on random targets), within 1e-3 of an axis +-e_k all at once by 16-part cuts; each bracket stops at that width, so
     its root does not depend on the brackets refined with it.  The axis
     families (_ntype_axis_roots) join the loop roots, or, where they hold
     every root (below), stand alone.  Each root becomes the candidate (x1,
@@ -546,9 +571,10 @@ def solve_ntype(
     searched, it also runs at the guess's turns (k, m), with sample points
     1e-6 to either side of its place on the loop (_ntype_guess_points).  The
     solve returns the converged candidate nearest the guess by |v1 - v1'|^2
-    + |v2 - v2'|^2.  With no guess, or one whose vectors are not finite
-    (sin(theta1) = 0, or gamma1(T) beyond the float range), the root has the
-    least pulse area |v1| + |v2|.
+    + |v2 - v2'|^2 (where each overflows, by that less |v1'|^2 + |v2'|^2,
+    scaled so that no term overflows).  With no guess, or one whose vectors
+    are not finite (sin(theta1) = 0, or gamma1(T) beyond the float range),
+    the root has the least pulse area |v1| + |v2|.
     Ties go to the earlier candidate (loop roots by k, m, the guess's pair
     last, and psi; then the axis families).  A failed solve reports the
     least residual over every candidate.
@@ -563,4 +589,4 @@ def solve_ntype(
         initial_guess = tuple(map(float, guess))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # irregular points
         x1, x2, z = _ntype_root(target.b, initial_guess)
-    return SolvedAngles(LevelConfig.N_TYPE, CosineRamp((x1, 0.0, z), (x2, 0.0, -z), horizon))
+    return tuple.__new__(SolvedAngles, (LevelConfig.N_TYPE, CosineRamp((x1, 0.0, z), (x2, 0.0, -z), horizon)))

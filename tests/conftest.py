@@ -202,16 +202,15 @@ def rotation_angles_from_matrix(r: np.ndarray) -> tuple[float, float]:
 
 def ntype_loop_brackets(b, guess=None):
     """The N-type lock's sign changes along the loop, sampled here: an oracle
-    for _ntype_loop_brackets, with the same brackets (k, m, left, width,
-    f_lo, f_hi), each (n, 1).  The lock at 129 points psi = (j + 1/2) 2 pi
-    / 128, j = 0..128, for the turn pairs (k, m) in _NTYPE_TURNS squared,
-    in that order, and with guess = (k, m, points), the guess's pair last,
-    with its points merged into the sample modulo 2 pi; a bracket between
+    for _ntype_loop_brackets, with the same brackets (loop, turns, psi,
+    steps, f, n, j).  The lock at 129 points psi = (j + 1/2) 2 pi / 128,
+    j = 0..128, for the turn pairs (k, m) in _NTYPE_TURNS squared, in that
+    order, and with guess = (k, m, points), the guess's pair last, with its
+    points merged into the sample modulo 2 pi; a bracket between
     neighbouring samples with finite lock values of opposite sign.  For
     b2 = b4 = 0 the loop is one point and there are no brackets."""
     solvers = fourlevel.solvers
-    if math.hypot(b[1], b[3]) == 0.0:
-        return (np.empty((0, 1)),) * 6
+    loop = solvers._ntype_loop_constants(b)
     pairs = [(k, m) for k in solvers._NTYPE_TURNS for m in solvers._NTYPE_TURNS]
     step = 2 * math.pi / solvers._NTYPE_LOOP_POINTS
     psi = (np.arange(solvers._NTYPE_LOOP_POINTS + 1) + 0.5) * step
@@ -221,39 +220,50 @@ def ntype_loop_brackets(b, guess=None):
         pairs.append((k, m))
         psi = np.sort(np.concatenate((psi, (np.asarray(points) - psi[0]) % (2 * math.pi) + psi[0])))
         width = np.diff(psi)
-    pairs = np.array(pairs)
-    f = solvers._ntype_lock(psi, b, pairs[:, :1], pairs[:, 1:])
+    turns = 2 * math.pi * np.array(pairs)
+    if math.hypot(b[1], b[3]) == 0.0:
+        none = np.empty(0, dtype=int)
+        return loop, turns, psi, width, np.empty((0, 0)), none, none
+    f = solvers._ntype_lock(psi, loop, turns[:, :1], turns[:, 1:])
     pos, finite = f > 0, np.isfinite(f)
     n, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & finite[:, :-1] & finite[:, 1:])
-    return pairs[n, :1], pairs[n, 1:], psi[j, None], width[j, None], f[n, j, None], f[n, j + 1, None]
+    return loop, turns, psi, width, f, n, j
 
 
-def ntype_cut_refine(b, k, m, left, width, f_lo, f_hi):
-    """N-type brackets (k, m, left, width, f_lo, f_hi) refined by 16-part
-    cuts alone: _NTYPE_REFINE_STEPS times, each keeping the part where the
-    lock's sign first changes, and yields the root (gamma1(T), theta1,
-    gamma2(T), theta2) at the midpoint of the last part, with the loop's
-    gammas plus the turns.  An oracle for _ntype_refine, whose interpolation
-    steps end each bracket at most as wide; the same candidates in the same
-    order."""
+def every_bracket(brackets) -> list:
+    """The refinement order that takes every bracket of _ntype_loop_brackets
+    (or of its oracle), in sample order."""
+    return list(range(len(brackets[-1])))
+
+
+def ntype_cut_refine(b, brackets, order):
+    """N-type brackets (loop, turns, psi, steps, f, n, j) refined by 16-part
+    cuts alone, those in order: _NTYPE_REFINE_STEPS times, each keeping the
+    part where the lock's sign first changes, and yields the root (gamma1(T),
+    theta1, gamma2(T), theta2) at the midpoint of the last part, with the
+    loop's gammas plus the turns.  An oracle for _ntype_refine, whose
+    interpolation steps end each bracket at most as wide; the same
+    candidates in the same order."""
     solvers = fourlevel.solvers
-    left, width, sign = left[:, 0], width[:, 0], f_lo > 0
+    loop, turns, psi, steps, f, n, j = brackets
+    n, j = n[list(order)], j[list(order)]
+    k, m, left, width, sign = turns[n, :1], turns[n, 1:], psi[j], steps[j], f[n, j, None] > 0
     cut = np.arange(1, 16) / 16
     for _ in range(solvers._NTYPE_REFINE_STEPS):
-        flip = (solvers._ntype_lock(left[:, None] + width[:, None] * cut, b, k, m) > 0) != sign
+        flip = (solvers._ntype_lock(left[:, None] + width[:, None] * cut, loop, k, m) > 0) != sign
         flip = np.concatenate((flip, np.ones_like(sign)), axis=1)  # the right end
         left = left + width / 16 * np.argmax(flip, axis=1)
         width = width / 16
-    g1, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, b)
-    turns = 2 * math.pi * np.concatenate((k, m), axis=1)
-    yield from np.stack((g1 + turns[:, 0], theta1, g2 + turns[:, 1], theta2), axis=1).tolist()
+    g1, theta1, g2, theta2 = solvers._ntype_loop(left + width / 2, loop)
+    yield from np.stack((g1 + k[:, 0], theta1, g2 + m[:, 0], theta2), axis=1).tolist()
 
 
 def ntype_cut_loop_roots(b, guess=None) -> np.ndarray:
     """The N-type loop search's candidates from this module's own sample
     (ntype_loop_brackets), every bracket refined by 16-part cuts alone
     (ntype_cut_refine): an oracle for the library's loop search."""
-    return np.reshape([*ntype_cut_refine(b, *ntype_loop_brackets(b, guess))], (-1, 4))
+    brackets = ntype_loop_brackets(b, guess)
+    return np.reshape([*ntype_cut_refine(b, brackets, every_bracket(brackets))], (-1, 4))
 
 
 def _vector_state(v1, v2) -> np.ndarray:
@@ -295,7 +305,8 @@ def ntype_all_pairs_root(b):
     b = np.asarray(b, dtype=float)
     unit_b = b / np.linalg.norm(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        loop = np.reshape([*solvers._ntype_refine(unit_b, *ntype_loop_brackets(unit_b))], (-1, 4))
+        brackets = ntype_loop_brackets(unit_b)
+        loop = np.reshape([*solvers._ntype_refine(unit_b, brackets, every_bracket(brackets))], (-1, 4))
         rows = np.concatenate((loop, solvers._ntype_axis_roots(unit_b, True, True)))
     vectors, res = ntype_vector_candidates(b, rows)
     if not np.any(res <= 1e-8):

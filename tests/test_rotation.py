@@ -422,8 +422,10 @@ class TestValueTypes:
             rotation_vectors(AnglePair(math.nan, 0.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="unpack"):  # three components each
             CosineRamp((0.0, 0.0), good, 1.0)
-        # components that are finite but sum past the float range pass
-        assert CosineRamp((1e308, 1e308, 0.0), good, 1.0).v1 == (1e308, 1e308, 0.0)
+        # components that are finite but sum past the float range pass, at
+        # the least and the largest T accepted too
+        for T in (1.0, 1.75e-308, 5.72e307):
+            assert CosineRamp((1e308, 1e308, 0.0), good, T) == ((1e308, 1e308, 0.0), good, T)
 
     @pytest.mark.parametrize("kind", [AnglePair, CouplingSet])
     def test_array_round_trip(self, kind, rng):
@@ -492,11 +494,20 @@ class TestValueTypes:
             assert _largest_magnitude(times) == expected
         assert math.isnan(_largest_magnitude(np.array([1.0, math.nan, math.inf])))
 
-    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320])
-    def test_ramp_rejects_bad_horizon(self, T):
-        # a NaN horizon gave NaN couplings and T = -1 a peak rate of -pi/2
-        with pytest.raises(ValueError, match="horizon"):
-            CosineRamp((1.3, 0.7, -0.2), (-0.9, 2.0, 0.1), T)
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-320, 5e-324, 5.73e307])
+    @pytest.mark.parametrize(
+        "v1, message",
+        [
+            ((1.3, 0.7, -0.2), "^horizon T"),
+            ((1.3, math.nan, -0.2), "^rotation vectors not finite: v1$"),
+            ((1.3, 0.7, -math.inf), "^rotation vectors not finite: v1$"),
+        ],
+    )
+    def test_ramp_rejects_bad_horizon(self, T, v1, message):
+        # a NaN horizon gave NaN couplings and T = -1 a peak rate of -pi/2;
+        # a bad T with a NaN or infinite component names the vector first
+        with pytest.raises(ValueError, match=message):
+            CosineRamp(v1, (-0.9, 2.0, 0.1), T)
 
     @pytest.mark.parametrize("name", ["tripod", "diamond", "ntype"])
     def test_angles_json_lists_boundary_angles_in_field_order(self, tmp_path, name, capsys):

@@ -15,7 +15,7 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["run_examples.py", "rwa_sweep.py"])
+@pytest.mark.parametrize("name", ["import_cost.py", "run_examples.py", "rwa_sweep.py"])
 def test_script_imports(name):
     namespace = runpy.run_path(str(SCRIPTS / name), run_name="smoke")
     assert callable(namespace["run"])

@@ -31,6 +31,7 @@ from fourlevel.solvers import (
 )
 
 from conftest import (
+    every_bracket,
     hr_numeric,
     ntype_all_pairs_root,
     ntype_boundary,
@@ -434,6 +435,26 @@ class TestSolveNType:
         generator = solved.schedule.generator
         assert [getattr(generator, n) for n in FORBIDDEN[LevelConfig.N_TYPE]] == [0.0] * 3
 
+    @pytest.mark.parametrize("guess", [(1.0, 1.0, 1e200), (1.0, 1.0, -1e200), (0.3, 2.0, 1e300), (2.0, 1.0, 1.7e308)])
+    def test_overflowing_guess_distances_select_the_nearest_root(self, guess):
+        # every squared distance to these guesses overflows, and the solve
+        # took the first converged candidate (area 8.32 for (1, 1, 1e200)):
+        # it selects the one nearest the guess by |v|^2 - 2 v.v', the
+        # distance less the common |v'|^2, on the guess's scale, among the
+        # cut oracle's candidates within rounding
+        b = np.full(4, 0.5)
+        solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+        target = ntype_vectors(*guess)
+        scale = max(map(abs, target[0] + target[1]))
+
+        def nearness(c):
+            return sum(x / scale * (x / scale - 2 * (y / scale)) for u, w in zip(c[:2], target) for x, y in zip(u, w))
+
+        candidates = ntype_converged_candidates(b, guess)
+        least = min(map(nearness, candidates))
+        assert least < 0.0 and nearness(solved) - least <= 1e-12 * abs(least)
+        assert min(rotation_distance(c, solved) for c in candidates) <= 1e-16
+
     def test_initial_guess_wins_when_it_converges(self):
         # the caller's root is kept although the search finds one of smaller area
         guess = (1.0, 2.0, 2.5)
@@ -560,7 +581,8 @@ class TestSolveNType:
         # near e4) at once; the bundled target e4, with b3 = 0, takes its roots
         # from the axis families alone, with or without its guess; with no
         # refinement the sample alone
-        assert len(fourlevel.solvers._ntype_loop_brackets(np.full(4, 0.5))[0]) == 18
+        loop = fourlevel.solvers._ntype_loop_constants(np.full(4, 0.5))
+        assert len(fourlevel.solvers._ntype_loop_brackets(loop)[-1]) == 18
         calls, per_bracket = spy_lock_evaluations(monkeypatch)
         solve_ntype(TargetSpec(np.full(4, 0.5)))
         assert calls[0] == 129 and set(calls[1:]) == {"float"}
@@ -632,9 +654,10 @@ class TestSolveNType:
         converged = 0
         for b in ntype_stress_targets(kind, 200, np.random.default_rng(33)):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                brackets = solvers._ntype_loop_brackets(b)
-                candidates = [solvers._ntype_candidate(b.tolist(), r) for r in solvers._ntype_refine(b, *brackets)]
-            for bound, (_, res, area) in zip(solvers._ntype_bounds(b, *brackets[:4]), candidates):
+                brackets = solvers._ntype_loop_brackets(solvers._ntype_loop_constants(b))
+                roots = solvers._ntype_refine(b, brackets, every_bracket(brackets))
+                candidates = [solvers._ntype_candidate(b.tolist(), r) for r in roots]
+            for bound, (_, res, area) in zip(solvers._ntype_bounds(brackets), candidates):
                 if res <= 1e-8:
                     assert bound <= area + 1e-8
                     converged += 1
@@ -809,7 +832,10 @@ class TestSolveNType:
         assert per_bracket == [11]
         assert roots.shape == (1, 4)
         assert abs(roots[0, 0] - psi0) <= final
-        _, _, left, width, f_lo, f_hi = (a[0, 0] for a in fourlevel.solvers._ntype_loop_brackets(b))
+        _, _, psi, widths, f, (n, *_), (j, *_) = fourlevel.solvers._ntype_loop_brackets(
+            fourlevel.solvers._ntype_loop_constants(b)
+        )
+        left, width, f_lo, f_hi = psi[j], widths[j], f[n, j], f[n, j + 1]
 
         def regula_falsi(illinois):  # the point held final/2 inside either end
             lo, hi, a_lo, a_hi, kept, steps = left, left + width, f_lo, f_hi, 0, 0
@@ -834,12 +860,13 @@ class TestSolveNType:
             b = random_target(rng).b
             psi = rng.uniform(0.0, 2 * math.pi + 0.05, 100)
             k, m = rng.integers(-1, 2, (2, 100)).astype(float)
-            angles = np.array(solvers._ntype_loop(psi, b))
-            lock = solvers._ntype_lock(psi, b, k, m)
+            loop = solvers._ntype_loop_constants(b)
+            angles = np.array(solvers._ntype_loop(psi, loop))
+            lock = solvers._ntype_lock(psi, loop, k, m)
             for i, p in enumerate(psi.tolist()):
-                floats = solvers._ntype_loop(p, b.tolist())
+                floats = solvers._ntype_loop(p, loop)
                 np.testing.assert_allclose(floats, angles[:, i], rtol=0, atol=1e-12)
-                f = solvers._ntype_lock(p, b.tolist(), float(k[i]), float(m[i]))
+                f = solvers._ntype_lock(p, loop, float(k[i]), float(m[i]))
                 assert type(f) is float and abs(f - lock[i]) <= 1e-12
 
 
@@ -876,8 +903,8 @@ def loop_roots(b):
     """The library's loop search over every turn pair, with no bracket left
     out: _ntype_loop_brackets, every bracket refined by _ntype_refine, as an
     (n, 4) array."""
-    solvers = fourlevel.solvers
-    return np.reshape([*solvers._ntype_refine(b, *solvers._ntype_loop_brackets(b))], (-1, 4))
+    brackets = fourlevel.solvers._ntype_loop_brackets(fourlevel.solvers._ntype_loop_constants(b))
+    return np.reshape([*fourlevel.solvers._ntype_refine(b, brackets, every_bracket(brackets))], (-1, 4))
 
 
 def spy_refined_brackets(monkeypatch):
@@ -886,9 +913,9 @@ def spy_refined_brackets(monkeypatch):
     refined = []
     refine = fourlevel.solvers._ntype_refine
 
-    def spy(b, k, *bracket):
-        refined.append([len(k), 0])
-        for root in refine(b, k, *bracket):
+    def spy(b, brackets, order):
+        refined.append([len(order), 0])
+        for root in refine(b, brackets, order):
             refined[-1][1] += 1
             yield root
 
@@ -1059,19 +1086,20 @@ def test_singular_manifold_targets_give_root_or_solver_error(drawn):
     check_root_or_solver_error(b, None, solver)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("horizon", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("solver", [solve_tripod, solve_diamond, solve_ntype])
 def test_solvers_reject_bad_horizon(solver, horizon):
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match="^horizon T must be finite and positive"):
         solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
 
 
-@pytest.mark.parametrize("horizon", [1e-310, 1.7e308])
+@pytest.mark.parametrize("horizon", [5e-324, 1e-310, 1.7e-308, 5.73e307, 1.7e308])
 @pytest.mark.parametrize("solver", [solve_tripod, solve_diamond, solve_ntype])
 def test_solvers_reject_overflowing_horizon(solver, horizon):
-    # pi/T overflows at a subnormal T and pi*T at the top of the float
-    # range: the ramp's rate or phase would turn the residual into NaN
-    with pytest.raises(ValueError, match="overflows"):
+    # pi/T overflows at a subnormal T and just below the least T accepted,
+    # and pi*T just above the largest and at the top of the float range: the
+    # ramp's rate or phase would turn the residual into NaN
+    with pytest.raises(ValueError, match="^horizon T = .* out of range: pi/T or pi\\*T overflows$"):
         solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
 
 
@@ -1082,6 +1110,8 @@ def test_extreme_accepted_horizon_gives_a_finite_residual(solver, horizon):
     # stays finite, so a zero entry of G cannot make the residual NaN
     solved = solver(TargetSpec(np.array([0.0, 1.0, 1.0, 1.0]) / SQRT3), horizon)
     assert math.isfinite(solved.constraint_residual)
+    ramp = solved.schedule
+    assert ramp.horizon == horizon and CosineRamp(ramp.v1, ramp.v2, horizon) == ramp
 
 
 class TestForbiddenCouplings:
