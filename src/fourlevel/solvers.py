@@ -484,10 +484,12 @@ def _ntype_root(b, guess) -> tuple:
     converged = np.flatnonzero(area < math.inf)
     weight = np.array([1.0, 1.0, 2.0])  # |v1 - v1'|^2 + |v2 - v2'|^2, with v1z = z and v2z = -z on both sides
     dist = (((x - guess_x) ** 2) @ weight)[converged]
-    if dist.min() == math.inf:  # each overflows: the same less |v'|^2, on a scale where no term overflows
-        y, scale = x[converged], np.max(np.abs(x[converged]), initial=np.max(np.abs(guess_x)))
-        dist = (y / scale * (y / scale - 2 * (guess_x / scale))) @ weight
-    return found[converged[np.argmin(dist)]][0]
+    # each distance is within 5 roundings (2^-53) of its exact value, so those
+    # within 2^-48 of the least (every one if all overflow) are told apart by
+    # the same less |v'|^2, on a scale where no term overflows
+    tied = converged[dist <= dist.min() * (1.0 + 2.0**-48)]
+    y, scale = x[tied], np.max(np.abs(x[tied]), initial=np.max(np.abs(guess_x)))
+    return found[tied[np.argmin((y / scale * (y / scale - 2 * (guess_x / scale))) @ weight)]][0]
 
 
 def solve_ntype(

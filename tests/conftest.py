@@ -448,3 +448,13 @@ def ntype_single_batch_root(b, initial_guess=None, seed=0, residual_tol=1e-8):
     if len(guess) and converged[0]:
         area[0] = -1.0
     return ntype_vectors(*(float(v) for v in x[np.argmin(area)]))
+
+
+def broadcast_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two stacks of 4x4 matrices in the (4, 4, ...) layout as
+    four broadcast multiply-adds, in k order from the k = 0 product: the
+    oracle of propagator._matmul, whose real stacks go through np.einsum."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, 4):
+        out += a[:, k, None] * b[k]
+    return out

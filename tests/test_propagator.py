@@ -7,15 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fourlevel import propagator
-from fourlevel.cli import _hamiltonian_of_t
+from fourlevel.cli import _hamiltonian_of_t, _solve
 from fourlevel.hamiltonian import PhaseSchedule, total_hamiltonian
+from fourlevel.qo import engineered_to_qo, lab_hamiltonian
 from fourlevel.propagator import (
     _CHUNK,
     AccuracyError,
     InvalidHamiltonianError,
     _check_hermitian,
+    _matmul,
+    _phase_readout,
     _scan,
     _step_exponentials,
     _taylor_degree,
@@ -26,6 +31,8 @@ from fourlevel.propagator import (
 from fourlevel.rotation import hr_analytic
 from fourlevel.scenario import load_scenario
 from fourlevel.solvers import TargetSpec, solve_diamond, solve_ntype, solve_tripod
+
+from conftest import broadcast_matmul
 
 SQRT3 = math.sqrt(3.0)
 PSI0 = np.array([1.0, 0, 0, 0], dtype=complex)
@@ -235,13 +242,15 @@ class TestStepExponentials:
 
     @pytest.mark.parametrize("norm", STEP_NORMS + [700])
     def test_real_path_equals_complex_path(self, rng, norm):
-        # a real stack takes its powers and Horner stage in real arithmetic;
-        # the result is a view into the workspace, which the next call reuses
+        # a real stack takes its powers and Horner stage in real arithmetic,
+        # with the same bits, signs of zero included (at a step norm of 0
+        # every imaginary part is a zero); the result is a view into the
+        # workspace, which the next call reuses
         h = random_symmetric(rng, 50)
         h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
         real = _step_exponentials(soa(h), float(norm)).copy()
         assert real.dtype == complex
-        assert np.array_equal(real, _step_exponentials(soa(h).astype(complex), float(norm)))
+        assert same_bits(real, _step_exponentials(soa(h).astype(complex), float(norm)))
 
     @pytest.mark.parametrize("norm", [700, 1e3, 1e6])
     def test_large_step_norms_match_expm(self, rng, norm):
@@ -255,6 +264,55 @@ class TestStepExponentials:
         assert np.max(np.abs(got - expected)) <= 5e-15 * norm
         unitarity = np.swapaxes(got.conj(), -1, -2) @ got - np.eye(4)
         assert np.max(np.abs(unitarity)) <= 5e-15 * norm
+
+
+# exact zeros of either sign, subnormals and entries near 1e150, whose
+# products near 1e300 may sum past the float range
+SPECIAL_ENTRIES = (
+    st.sampled_from([0.0, -0.0])
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+    | st.floats(1e149, 1e151)
+    | st.floats(-1e151, -1e149)
+)
+
+
+@st.composite
+def real_stack_pairs(draw):
+    """Two real (4, 4, n) stacks of entries N(0, 1) 10^U{-3..3}, a drawn
+    share of them replaced by a few drawn special entries."""
+    n = draw(st.sampled_from([1, 32, 1024, 2048]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.lists(SPECIAL_ENTRIES, min_size=1, max_size=4))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    stacks = rng.normal(size=(2, 4, 4, n)) * 10.0 ** rng.integers(-3, 4, (2, 4, 4, n))
+    mask = rng.random(stacks.shape) < share
+    stacks[mask] = rng.choice(np.array(special), int(mask.sum()))
+    return stacks
+
+
+def negative_zero_products():
+    """Stacks of two matrices whose product has one entry, (0, 0) of the
+    first, with four -0.0 products and a -0.0 sum, the others nonzero."""
+    a, b = np.ones((4, 4, 2)), np.ones((4, 4, 2))
+    a[0, :, 0] = [-0.0, 0.0, -1.0, 1.0]
+    b[:, 0, 0] = [2.0, -3.0, 0.0, -0.0]
+    return np.stack((a, b))
+
+
+class TestMatmul:
+    @settings(max_examples=200, deadline=None)
+    @given(real_stack_pairs())
+    @example(np.stack((np.full((4, 4, 1), -0.0), np.ones((4, 4, 1)))))
+    @example(negative_zero_products())
+    def test_real_stacks_equal_the_broadcast_product(self, stacks):
+        # np.einsum sums from +0.0, so four -0.0 products give +0.0 there and
+        # -0.0 in the broadcast sum; every other entry has the same bits
+        a, b = stacks
+        out, term = np.empty_like(a), np.empty_like(a)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            expected = broadcast_matmul(a, b)
+            got = _matmul(a, b, out, term)
+        assert got is out and same_bits(got, expected)
 
 
 class TestBlockedScan:
@@ -296,7 +354,7 @@ class TestBlockedScan:
         h = drive(rng, float)
         real = propagate(h, PSI0, T, steps)
         cast = propagate(lambda t: h(t).astype(complex), PSI0, T, steps)
-        assert np.array_equal(real.states, cast.states)
+        assert same_bits(real.states, cast.states)
         assert real.norm_drift == cast.norm_drift
 
 
@@ -544,6 +602,60 @@ class TestScenarios:
         traj = propagate(hamiltonian_of(solved, ph), PSI0, 1.0, steps=500)
         mid = len(traj.times) // 2
         assert traj.phase_relative_to_ground[mid]
+
+
+def bundled_run(name):
+    """h_of_t, T and steps of the simulate command on a bundled scenario."""
+    sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
+    return _hamiltonian_of_t(_solve(sc), sc), sc.T, sc.steps
+
+
+def lab_frame_run():
+    """The bundled diamond mapped to lasers at carrier scale 300, in the lab
+    frame at 40 steps per period of its fastest field."""
+    sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "diamond.json")
+    sched = _solve(sc).schedule
+    levels = [w * 0.3 for w in sc.omega_levels]
+    qo = engineered_to_qo(lambda t: hr_analytic(sched.value(t), sched.rate(t)), sc.phases, levels)
+    steps = math.ceil(40 * max(qo.omega_fields.values()) * sc.T / (2 * math.pi))
+    return (lambda t: lab_hamiltonian(qo, t)), sc.T, steps
+
+
+class TestReadouts:
+    """A Trajectory computes its populations and phases when first read."""
+
+    @pytest.fixture
+    def readouts(self, monkeypatch):
+        calls, readout = [], propagator._phase_readout
+
+        def counted(states):
+            calls.append(states)
+            return readout(states)
+
+        monkeypatch.setattr(propagator, "_phase_readout", counted)
+        return calls
+
+    @pytest.mark.parametrize("first", ["phases", "phase_relative_to_ground"])
+    def test_phase_readout_runs_once_on_first_read(self, rng, readouts, first):
+        traj = propagate(drive(rng, complex), PSI0, 1.3, 100)
+        assert readouts == []
+        getattr(traj, first)
+        assert len(readouts) == 1 and readouts[0] is traj.states
+        for name in ("phases", "phase_relative_to_ground", "populations", first):
+            getattr(traj, name)
+        assert len(readouts) == 1
+
+    @pytest.mark.parametrize("run", ["tripod", "diamond", "ntype", "lab frame"])
+    def test_readouts_equal_the_eager_expressions(self, readouts, run):
+        h, T, steps = lab_frame_run() if run == "lab frame" else bundled_run(run)
+        traj = propagate(h, PSI0, T, steps)
+        assert readouts == []
+        states = traj.states.copy()
+        phases, relative = _phase_readout(states)
+        assert same_bits(traj.populations, np.abs(states) ** 2)
+        assert same_bits(traj.phases, phases)
+        assert same_bits(traj.phase_relative_to_ground, relative)
+        assert same_bits(traj.states, states) and len(readouts) == 1
 
 
 class TestFidelity:

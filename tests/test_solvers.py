@@ -435,15 +435,11 @@ class TestSolveNType:
         generator = solved.schedule.generator
         assert [getattr(generator, n) for n in FORBIDDEN[LevelConfig.N_TYPE]] == [0.0] * 3
 
-    @pytest.mark.parametrize("guess", [(1.0, 1.0, 1e200), (1.0, 1.0, -1e200), (0.3, 2.0, 1e300), (2.0, 1.0, 1.7e308)])
-    def test_overflowing_guess_distances_select_the_nearest_root(self, guess):
-        # every squared distance to these guesses overflows, and the solve
-        # took the first converged candidate (area 8.32 for (1, 1, 1e200)):
-        # it selects the one nearest the guess by |v|^2 - 2 v.v', the
-        # distance less the common |v'|^2, on the guess's scale, among the
-        # cut oracle's candidates within rounding
-        b = np.full(4, 0.5)
-        solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+    @staticmethod
+    def assert_nearest_candidate(b, guess, solved):
+        # the solve's root is the one nearest the guess by |v|^2 - 2 v.v',
+        # the distance less the common |v'|^2, on the guess's scale, among
+        # the cut oracle's candidates within rounding
         target = ntype_vectors(*guess)
         scale = max(map(abs, target[0] + target[1]))
 
@@ -454,6 +450,25 @@ class TestSolveNType:
         least = min(map(nearness, candidates))
         assert least < 0.0 and nearness(solved) - least <= 1e-12 * abs(least)
         assert min(rotation_distance(c, solved) for c in candidates) <= 1e-16
+
+    @pytest.mark.parametrize("guess", [(1.0, 1.0, 1e200), (1.0, 1.0, -1e200), (0.3, 2.0, 1e300), (2.0, 1.0, 1.7e308)])
+    def test_overflowing_guess_distances_select_the_nearest_root(self, guess):
+        # every squared distance to these guesses overflows, and the solve
+        # took the first converged candidate (area 8.32 for (1, 1, 1e200))
+        b = np.full(4, 0.5)
+        self.assert_nearest_candidate(b, guess, solve_ntype(TargetSpec(b), initial_guess=guess).schedule)
+
+    @pytest.mark.parametrize("guess", [(1.0, 1.0, 1e100), (1.0, 1.0, -1e100), (1.0, 1.0, 1e30), (1.0, 1.0, 1e20)])
+    def test_guess_distances_equal_to_rounding_select_the_nearest_root(self, guess):
+        # every squared distance to these guesses is finite, and they differ
+        # by less than their rounding (each about 1e200, apart by about 1e100,
+        # for (1, 1, 1e100)): the solve took the first converged candidate,
+        # of area 8.32, where the nearest has area 17.0
+        b = np.full(4, 0.5)
+        solved = solve_ntype(TargetSpec(b), initial_guess=guess).schedule
+        self.assert_nearest_candidate(b, guess, solved)
+        if guess == (1.0, 1.0, 1e100):
+            assert pulse_area(solved) == pytest.approx(17.0084, abs=1e-4)
 
     def test_initial_guess_wins_when_it_converges(self):
         # the caller's root is kept although the search finds one of smaller area
