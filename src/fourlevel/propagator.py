@@ -72,8 +72,7 @@ class Trajectory:
     times: np.ndarray  # (n,)
     states: np.ndarray  # (n, 4) complex
     norm_drift: float
-    # computed when first read: populations (n, 4), phases (n, 3) of levels 2..4
-    # and phase_relative_to_ground (n,), the per-sample convention flag
+    # computed when first read: populations (n, 4), phases (n, 3) of levels 2..4, the (n,) flag
     populations = cached_property(lambda self: np.abs(self.states) ** 2)
     _readout = cached_property(lambda self: _phase_readout(self.states))
     phases = property(lambda self: self._readout[0])
@@ -132,18 +131,28 @@ _WORKSPACE = _Workspace()
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """Products of two stacks of 4x4 matrices in the (4, 4, ...) layout,
     written to out through the term buffer; neither may overlap a or b.
-    Each entry sums its products in k order.  A complex stack takes four
-    broadcast multiply-adds, a real one np.einsum (88 against 129 us at 2048
-    matrices, zero test included), whose sums start from +0.0 and so differ
-    only where four -0.0 products give -0.0: a result with a zero is redone."""
-    if out.dtype == float:
-        np.einsum("ik...,kj...->ij...", a, b, out=out)
-        if out.all():  # no entry is zero; a buffered reduction, no stack-sized temporary
-            return out
+    Each entry sums its products in k order: four broadcast multiply-adds,
+    or for a real stack np.einsum (88 against 129 us at 2048 matrices), whose
+    sums start from +0.0, so a result with a zero (where four -0.0 products
+    give -0.0) is redone.  A zero in the first matrices' product is taken for
+    a zero of the stack's structure, which every product holds: no einsum."""
+    if out.dtype == float and _REAL_EINSUM:
+        if (a.reshape(4, 4, -1)[..., 0] @ b.reshape(4, 4, -1)[..., 0]).all():
+            np.einsum("ik...,kj...->ij...", a, b, out=out)
+            if out.all():  # a buffered reduction, no stack-sized temporary
+                return out
     np.multiply(a[:, 0, None], b[0], out=out)
     for k in range(1, 4):
         out += np.multiply(a[:, k, None], b[k], out=term)
     return out
+
+
+# Real stacks take np.einsum only if, on a probe of 67 matrices (a SIMD body and
+# a tail), it rounds each product before adding in k order (aarch64's fuses them).
+_PROBE = tuple(f(np.arange(1.0, 1073.0)).reshape(4, 4, 67) for f in (np.cos, np.sin))
+_REAL_EINSUM = np.einsum("ik...,kj...->ij...", *_PROBE).tobytes() == sum(
+    _PROBE[0][:, k, None] * _PROBE[1][k] for k in range(4)
+).tobytes()
 
 
 # The squarings leave each step map unitary to about 1e-15 dt |H|: past this

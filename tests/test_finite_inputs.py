@@ -35,6 +35,7 @@ from fourlevel import (
     PhaseSchedule,
     Quaternion,
     TargetSpec,
+    Trajectory,
     analytic_evolution,
     cayley_rotation,
     compare_with_analytic,
@@ -139,11 +140,15 @@ CASES = {
 
 
 def numbers(result):
-    """The numeric arrays a result holds, through tuples, dataclasses and mappings."""
+    """The numeric arrays a result holds, through tuples, dataclasses and
+    mappings, a Trajectory's readouts (computed on first read) included."""
     if isinstance(result, (enum.Enum, str)) or result is None:
         return
     if dataclasses.is_dataclass(result):
-        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+        names = [f.name for f in dataclasses.fields(result)]
+        if isinstance(result, Trajectory):
+            names += ["populations", "phases", "phase_relative_to_ground"]
+        result = [getattr(result, name) for name in names]
     if isinstance(result, Mapping):
         result = list(result.values())
     if isinstance(result, (tuple, list)):
@@ -161,6 +166,14 @@ def test_every_public_name_is_a_case_or_exempt():
     covered = {name.split("(")[0].split(".")[0] for name in CASES}
     assert covered | EXEMPT == set(fourlevel.__all__)
     assert not covered & EXEMPT
+
+
+def test_numbers_read_a_trajectorys_readouts():
+    # they are properties, not fields, and are checked all the same
+    readouts = (TRAJ.populations, TRAJ.phases, TRAJ.phase_relative_to_ground)
+    assert [a.shape for a in numbers(TRAJ)] == [
+        a.shape for a in (TRAJ.times, TRAJ.states, np.asarray(TRAJ.norm_drift), *readouts)
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

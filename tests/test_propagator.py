@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -292,11 +293,35 @@ def real_stack_pairs(draw):
 
 def negative_zero_products():
     """Stacks of two matrices whose product has one entry, (0, 0) of the
-    first, with four -0.0 products and a -0.0 sum, the others nonzero."""
+    second, with four -0.0 products and a -0.0 sum, the others nonzero."""
     a, b = np.ones((4, 4, 2)), np.ones((4, 4, 2))
-    a[0, :, 0] = [-0.0, 0.0, -1.0, 1.0]
-    b[:, 0, 0] = [2.0, -3.0, 0.0, -0.0]
+    a[0, :, 1] = [-0.0, 0.0, -1.0, 1.0]
+    b[:, 0, 1] = [2.0, -3.0, 0.0, -0.0]
     return np.stack((a, b))
+
+
+def counted_einsum(monkeypatch) -> list:
+    """The np.einsum calls made from here on, one entry each."""
+    calls, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    return calls
+
+
+def fused_sums(a, b, pairwise=False):
+    """The (4, 4, n) product sums of an einsum whose k-order multiply-adds
+    round once each (fused), or that adds its rounded products pairwise."""
+    out = np.empty(a.shape)
+    for i, j, n in np.ndindex(out.shape):
+        p = [Fraction(a[i, k, n]) * Fraction(b[k, j, n]) for k in range(4)]
+        if pairwise:
+            r = [float(x) for x in p]
+            out[i, j, n] = (r[0] + r[1]) + (r[2] + r[3])
+        else:
+            acc = 0.0
+            for x in p:
+                acc = float(x + Fraction(acc))
+            out[i, j, n] = acc
+    return out
 
 
 class TestMatmul:
@@ -313,6 +338,43 @@ class TestMatmul:
             expected = broadcast_matmul(a, b)
             got = _matmul(a, b, out, term)
         assert got is out and same_bits(got, expected)
+
+    @pytest.mark.parametrize("case", ["dense", "redone", "diagonal", "first-diagonal", "complex"])
+    def test_route(self, rng, monkeypatch, case):
+        # einsum for a real stack whose first product has no zero (a result
+        # with a zero is then redone), none for a structural zero or a
+        # complex stack; the bits are the broadcast form's on each route
+        a, b = rng.normal(size=(2, 4, 4, 64))
+        if case == "redone":
+            a, b = negative_zero_products()
+        elif case in ("diagonal", "first-diagonal"):
+            first = slice(None if case == "diagonal" else 1)
+            a[..., first] *= np.eye(4)[..., None]
+            b[..., first] *= np.eye(4)[..., None]
+        elif case == "complex":
+            a, b = a + 1j * b, b - 1j * a
+        calls = counted_einsum(monkeypatch)
+        got = _matmul(a, b, np.empty_like(a), np.empty_like(a))
+        expected = propagator._REAL_EINSUM and case in ("dense", "redone")
+        assert len(calls) == expected and same_bits(got, broadcast_matmul(a, b))
+
+    def test_without_the_probe_real_stacks_take_the_broadcast_form(self, rng, monkeypatch):
+        monkeypatch.setattr(propagator, "_REAL_EINSUM", False)
+        a, b = rng.normal(size=(2, 4, 4, 64))
+        calls = counted_einsum(monkeypatch)
+        assert same_bits(_matmul(a, b, np.empty_like(a), np.empty_like(a)), broadcast_matmul(a, b))
+        assert calls == []
+
+    def test_the_probe_tells_a_fused_or_reordered_einsum(self):
+        # _REAL_EINSUM holds where einsum equals the rounded k-order sum on
+        # the probe, which a fused einsum (an FMA build) or a pairwise one
+        # would not: each changes entries of it
+        a, b = propagator._PROBE
+        assert np.all(a) and np.all(b)  # no zero, so the sum from 0 is the broadcast form
+        rounded = broadcast_matmul(a, b)
+        assert propagator._REAL_EINSUM == same_bits(np.einsum("ik...,kj...->ij...", a, b), rounded)
+        assert np.sum(fused_sums(a, b) != rounded) > 100
+        assert np.sum(fused_sums(a, b, pairwise=True) != rounded) > 100
 
 
 class TestBlockedScan:
