@@ -6,18 +6,22 @@ For each source tree given (default: this repository's src/), prints
   - each src/fourlevel/*.py module's compile() time, the least of
     COMPILES runs, and their sum;
   - the summed `python -X importtime` self time of the fourlevel modules
-    when `import fourlevel.cli` compiles the package from source, the
-    median of INTERPRETERS fresh interpreters.
+    of `import fourlevel.cli`, the median of INTERPRETERS fresh
+    interpreters, once compiling the package from source and once from
+    cached bytecode; their difference is what compiling costs an import.
 
-The interpreters import a copy of the package that has no __pycache__,
-with PYTHONDONTWRITEBYTECODE=1, as an interpreter does that finds no
-cached bytecode; numpy and the standard library keep theirs.  The script
-only reports; it compares nothing and fails only if an import fails.
+The interpreters import a copy of the package, with
+PYTHONDONTWRITEBYTECODE=1: from source, a copy that has no __pycache__,
+as an interpreter does that finds no cached bytecode; cached, a copy whose
+__pycache__ compileall writes first.  numpy and the standard library keep
+their bytecode either way.  The script only reports; it compares nothing
+and fails only if a compile or an import fails.
 
     python scripts/import_cost.py [SRC ...]
 """
 
 import argparse
+import compileall
 import os
 import re
 import shutil
@@ -47,11 +51,15 @@ def compile_seconds(path: Path) -> float:
     return best
 
 
-def import_self_seconds(src: Path) -> float:
+def import_self_seconds(src: Path, cached: bool) -> float:
     """The fourlevel modules' summed -X importtime self time of one fresh
-    interpreter that compiles the package from source."""
+    interpreter that imports the package from cached bytecode (cached) or
+    compiles it from source."""
     with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(src / "fourlevel", Path(tmp) / "fourlevel", ignore=shutil.ignore_patterns("__pycache__"))
+        package = Path(tmp) / "fourlevel"
+        shutil.copytree(src / "fourlevel", package, ignore=shutil.ignore_patterns("__pycache__"))
+        if cached and not compileall.compile_dir(package, quiet=1):
+            raise RuntimeError(f"compileall failed on {package}")
         env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-c", "import fourlevel.cli"],
@@ -78,9 +86,10 @@ def run(args=None):
         for name, seconds in times.items():
             print(f"  compile_s {name:<12} {seconds * 1e3:8.3f} ms")
         print(f"  compile_s {'total':<12} {sum(times.values()) * 1e3:8.3f} ms (least of {COMPILES} each)")
-        imports = [import_self_seconds(src) for _ in range(INTERPRETERS)]
-        print(f"  import_self_s fourlevel {statistics.median(imports) * 1e3:8.3f} ms"
-              f" (median of {INTERPRETERS} fresh interpreters, from source)")
+        for cached, how in ((False, "from source"), (True, "cached bytecode")):
+            imports = [import_self_seconds(src, cached) for _ in range(INTERPRETERS)]
+            print(f"  import_self_s fourlevel {statistics.median(imports) * 1e3:8.3f} ms"
+                  f" (median of {INTERPRETERS} fresh interpreters, {how})")
     return 0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -178,7 +179,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line parser, built once, on first use and not at import."""
     parser = _Parser(
         prog="fourlevel",
         description="Inverse-engineer and simulate four-level state-preparation pulses.",
@@ -191,8 +194,12 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0,
         help="non-negative integer; accepted, but no solver draws random numbers",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         sc = load_scenario(args.scenario)

@@ -7,6 +7,10 @@ generator picks up the phase factors on its off-diagonal couplings:
 
     H(t) = -hbar * sum_k Delta_k |k><k| + K(t) H_r(t) K(t)^dag,  hbar = 1.
 
+Its exact evolution is K(t) U_r(t) K(0)^dag, U_r(t) the matrix of
+C -> q C p at the pulse's q = exp(r(t) v1), p = exp(r(t) v2): quat4's exp
+and builder on the two stored rotation vectors, with no angles.
+
 Every function of t broadcasts over an array of times: the results gain
 the time axes in front, e.g. total_hamiltonian returns (..., 4, 4).
 """
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat4 import _require_finite
-from .rotation import _UPPER, CouplingSet, _check_horizon, _largest_magnitude, ur_of_angles
+from .quat4 import _exp, _require_finite, _sandwich
+from .rotation import _UPPER, CouplingSet, _check_horizon, _largest_magnitude
 from .solvers import SolvedAngles
 
 
@@ -115,6 +119,8 @@ def total_hamiltonian(couplings: CouplingSet, ph: PhaseSchedule, t) -> np.ndarra
 
 
 def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t) -> np.ndarray:
-    """Exact evolution operator U(t) = K(t) U_r(t) K(0)^dag."""
-    ur = ur_of_angles(solved.schedule.value(t))
+    """Exact evolution operator U(t) = K(t) U_r(t) K(0)^dag (module docstring)."""
+    ramp = solved.schedule
+    r = ramp.ramp(t)
+    ur = _sandwich(_exp(np.multiply.outer(ramp.v1, r)), _exp(np.multiply.outer(ramp.v2, r)))
     return ph.frame(t)[..., :, None] * ur * ph.frame(0.0).conj()

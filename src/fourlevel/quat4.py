@@ -3,17 +3,19 @@
 A 4D rotation is represented as C -> q C p with unit quaternions q, p, or
 equivalently as the commuting product of a left- and a right-isoclinic
 matrix acting on the column vector (w, x, y, z)^T.  This module owns the
-quaternion algebra: the Hamilton product, the rotation-vector exp and log,
-and the one builder of the matrix of C -> q C p that gives U_r
-(rotation.ur_of_angles), M_L(q) and M_R(p), checked by their product
-cayley_rotation; and the two invariant rotation planes and angles.
+quaternion algebra on (w, x, y, z) tuples: the Hamilton product, the
+rotation-vector exp and log, and the one builder of the matrix of
+C -> q C p that gives U_r, M_L(q) and M_R(p), checked by their product
+cayley_rotation; and the two invariant rotation planes and angles.  A
+Quaternion is such a tuple, checked finite where it is built, which the
+algebra takes as it is; the public functions are views over it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,28 +54,30 @@ def _stack_last(parts) -> np.ndarray:
     return a.transpose(*range(1, a.ndim), 0)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Real quaternion w + x*i + y*j + z*k; rejects a non-finite component, float or array."""
+class Quaternion(NamedTuple("_Quaternion", [("w", float), ("x", float), ("y", float), ("z", float)])):
+    """Real quaternion w + x*i + y*j + z*k, the (w, x, y, z) tuple the
+    algebra takes; __new__ rejects a non-finite component, float or array."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("quaternion components", "wxyz", (self.w, self.x, self.y, self.z))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
+    def __new__(cls, w, x, y, z):
+        _require_finite("quaternion components", "wxyz", (w, x, y, z))
+        return tuple.__new__(cls, (w, x, y, z))
 
     @classmethod
-    def from_array(cls, a) -> "Quaternion":
+    def _make(cls, fields):  # built by __new__, so _replace checks the fields too
+        return cls(*fields)
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self)
+
+    @classmethod
+    def from_array(cls, a) -> Quaternion:
         w, x, y, z = np.asarray(a, dtype=float)
         return cls(w, x, y, z)
 
     @classmethod
-    def unit(cls, w: float, x: float, y: float, z: float) -> "Quaternion":
+    def unit(cls, w: float, x: float, y: float, z: float) -> Quaternion:
         """Construct a unit quaternion, normalizing away rounding error.
 
         Inputs farther than UNIT_NORM_ATOL from unit norm, or with a
@@ -92,16 +96,16 @@ class Quaternion:
     def is_pure_unit(self, atol: float = 1e-12) -> bool:
         return abs(self.w) <= atol and abs(self.norm - 1.0) <= atol
 
-    def __neg__(self) -> "Quaternion":
+    def __neg__(self) -> Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
 
-def hamilton(a: tuple, b: tuple) -> tuple:
-    """Hamilton product of (w, x, y, z) float tuples, i^2 = j^2 = k^2 = ijk = -1.
+_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 
-    Plain floats keep the per-call cost low on the library's hot paths;
-    quat_mul is the same product on Quaternion values.
-    """
+
+def hamilton(a: tuple, b: tuple) -> tuple:
+    """Hamilton product of (w, x, y, z) tuples, i^2 = j^2 = k^2 = ijk = -1;
+    unchecked, a plain tuple."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return (
@@ -114,7 +118,7 @@ def hamilton(a: tuple, b: tuple) -> tuple:
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product, i^2 = j^2 = k^2 = ijk = -1."""
-    return Quaternion(*hamilton((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+    return Quaternion(*hamilton(a, b))
 
 
 def _exp(v) -> tuple:
@@ -169,14 +173,12 @@ def _sandwich(q: tuple, p: tuple) -> np.ndarray:
 
 def left_isoclinic(q: Quaternion) -> np.ndarray:
     """Matrix of left multiplication by the unit quaternion q."""
-    q = Quaternion.unit(q.w, q.x, q.y, q.z)
-    return _sandwich((q.w, q.x, q.y, q.z), (1.0, 0.0, 0.0, 0.0))
+    return _sandwich(Quaternion.unit(*q), _ONE)
 
 
 def right_isoclinic(p: Quaternion) -> np.ndarray:
     """Matrix of right multiplication by the unit quaternion p."""
-    p = Quaternion.unit(p.w, p.x, p.y, p.z)
-    return _sandwich((1.0, 0.0, 0.0, 0.0), (p.w, p.x, p.y, p.z))
+    return _sandwich(_ONE, Quaternion.unit(*p))
 
 
 def cayley_rotation(q: Quaternion, p: Quaternion) -> np.ndarray:
@@ -192,8 +194,7 @@ def is_rotation_matrix(m: np.ndarray, atol: float = ROTATION_ATOL) -> bool:
     return ortho <= atol and abs(np.linalg.det(m) - 1.0) <= atol
 
 
-@dataclass(frozen=True)
-class RotationDecomposition:
+class RotationDecomposition(NamedTuple):
     """Invariant planes and angles of a 4D rotation.
 
     plane1 rotates through angle1 = |gamma1 + gamma2| and plane2 through
@@ -208,22 +209,6 @@ class RotationDecomposition:
     kind: RotationKind
 
 
-def _axis_angle(q: Quaternion):
-    """Split a unit quaternion into (pure unit axis, angle in [0, pi])."""
-    h = math.hypot(q.x, math.hypot(q.y, q.z))
-    gamma = math.atan2(h, q.w)
-    if math.sin(gamma) < 1e-15:
-        return None, gamma
-    # h, not sin(gamma): near gamma = pi, sin(gamma) carries pi's rounding of ~1e-16.
-    return Quaternion(0.0, q.x / h, q.y / h, q.z / h), gamma
-
-
-def _fold_angle(a: float) -> float:
-    """Fold an angle into [0, pi] (rotation angle of a plane, orientation-free)."""
-    a = abs(a) % (2.0 * math.pi)
-    return 2.0 * math.pi - a if a > math.pi else a
-
-
 def decompose_rotation(q: Quaternion, p: Quaternion) -> RotationDecomposition:
     """Invariant-plane/angle decomposition of the rotation C -> q C p.
 
@@ -231,33 +216,29 @@ def decompose_rotation(q: Quaternion, p: Quaternion) -> RotationDecomposition:
     involution that commutes with the rotation (q commutes with u, p with v).
     Where u C v = -C, u C = C v and q C p = cos(g1 + g2) C + sin(g1 + g2) C v;
     where u C v = C, q C p = cos(g1 - g2) C - sin(g1 - g2) C v.  So one eigh
-    of S gives plane1 (eigenvalue -1) and plane2 (+1).  A factor +-1 has no
-    axis and takes the other's; i stands in when neither has one.
-
-    Both factor angles are taken in [0, pi], which resolves the (q, p) vs
-    (-q, -p) ambiguity deterministically.
+    of S gives plane1 (eigenvalue -1) and plane2 (+1).  Each factor's axis
+    and angle in [0, pi] come from its rotation vector (_log), which resolves
+    the (q, p) vs (-q, -p) ambiguity; a factor 1 has no axis and takes the
+    other's, and i stands in when neither has one.  IDENTITY is the rotation
+    whose two plane angles fold to 0: -I, q or p alone -1, is LEFT_ISOCLINIC
+    (M_L(-1)), with both angles pi.
     """
-    q = Quaternion.unit(q.w, q.x, q.y, q.z)
-    p = Quaternion.unit(p.w, p.x, p.y, p.z)
-    u, g1 = _axis_angle(q)
-    v, g2 = _axis_angle(p)
-
-    a1 = _fold_angle(g1 + g2)
-    a2 = _fold_angle(g1 - g2)
-
-    u = u or v or Quaternion(0.0, 1.0, 0.0, 0.0)
+    rv1, rv2 = _log(*Quaternion.unit(*q)), _log(*Quaternion.unit(*p))
+    g1, g2 = min(math.hypot(*rv1), math.pi), min(math.hypot(*rv2), math.pi)
+    a1, a2 = min(g1 + g2, 2.0 * math.pi - (g1 + g2)), abs(g1 - g2)  # folded into [0, pi]
+    u = (0.0, *np.divide(rv1, g1)) if g1 else None
+    v = (0.0, *np.divide(rv2, g2)) if g2 else None
+    u = u or v or (0.0, 1.0, 0.0, 0.0)
     v = v or u
     # eigh sorts the eigenvalues ascending: -1, -1, +1, +1.
-    _, basis = np.linalg.eigh(left_isoclinic(u) @ right_isoclinic(v))
+    _, basis = np.linalg.eigh(_sandwich(u, v))
     plane1, plane2 = basis[:, :2].T, basis[:, 2:].T
 
-    q_trivial = abs(math.sin(g1)) < ANGLE_ATOL
-    p_trivial = abs(math.sin(g2)) < ANGLE_ATOL
-    if q_trivial and p_trivial:
+    if a1 < ANGLE_ATOL and a2 < ANGLE_ATOL:
         kind = RotationKind.IDENTITY
-    elif p_trivial:
+    elif abs(math.sin(g2)) < ANGLE_ATOL:
         kind = RotationKind.LEFT_ISOCLINIC
-    elif q_trivial:
+    elif abs(math.sin(g1)) < ANGLE_ATOL:
         kind = RotationKind.RIGHT_ISOCLINIC
     elif a1 < ANGLE_ATOL or a2 < ANGLE_ATOL:
         kind = RotationKind.SIMPLE

@@ -203,8 +203,8 @@ class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("hori
     The factors turn about fixed axes, so the generator is r'(t) G, G =
     M_L(v1) + M_R(v2), and U_r(t) = exp(r(t) G).  final is the AnglePair view
     of v1, v2; value and rate give that of gamma_i(T) r(t), theta, phi and of
-    its rate, at a time or on an array of times, and reject (ValueError) a t
-    at which pi t/T is not finite, as couplings does."""
+    its rate, and ramp r(t) itself, at a time or on an array of times; each
+    rejects (ValueError) a t at which pi t/T is not finite, as couplings does."""
 
     __slots__ = ()
 
@@ -241,13 +241,17 @@ class CosineRamp(NamedTuple("_CosineRamp", [("v1", tuple), ("v2", tuple), ("hori
             raise ValueError(f"time t not finite, or pi t/T overflows there: {worst}")
         return np.pi * t / self.horizon
 
+    def ramp(self, t):
+        """r(t) = [1 - cos(pi t/T)] / 2."""
+        return 0.5 * (1.0 - np.cos(self._phase(t)))
+
     def ramp_rate(self, t):
         """r'(t) = pi/(2T) sin(pi t/T)."""
         return self.peak_rate * np.sin(self._phase(t))
 
     def value(self, t) -> AnglePair:
         f = self.final
-        ramp = 0.5 * (1.0 - np.cos(self._phase(t)))
+        ramp = self.ramp(t)
         one = 0.0 * ramp + 1.0  # 1 in t's shape, for the constant angles
         return AnglePair(
             f.gamma1 * ramp, f.theta1 * one, f.phi1 * one,

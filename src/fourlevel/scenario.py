@@ -27,7 +27,7 @@ _ALLOWED_PHASE_KEYS = {"eps", "eps_prime"}
 _ALLOWED_QO_KEYS = {"omega_levels"}
 _ANSATZ = {"name": "cosine_ramp"}  # the only ansatz: the solvers' pulse is rotation.CosineRamp
 #: The optional keys that one config alone reads.
-_CONFIG_KEYS = {"free_params": LevelConfig.DIAMOND, "initial_guess": LevelConfig.N_TYPE}
+_CONFIG_KEYS = {"free_params": LevelConfig.DIAMOND, "initial_guess": LevelConfig.N_TYPE, "qo": LevelConfig.DIAMOND}
 
 
 class ScenarioError(ValueError):

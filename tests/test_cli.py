@@ -605,6 +605,19 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: fourlevel ")
 
+    def test_parser_is_built_on_first_use_and_reused(self, tmp_path, capsys):
+        # not at import, which every fresh interpreter pays, and once per
+        # process: building it costs more than a parse
+        src = Path(fourlevel.cli.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, "-c", "import fourlevel.cli as c; assert c._parser.cache_info().currsize == 0"],
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True,
+        )
+        fourlevel.cli._parser.cache_clear()
+        assert run("bogus", SCENARIO_DIR / "tripod.json", tmp_path / "out") == 1
+        assert run("solve", SCENARIO_DIR / "tripod.json", tmp_path / "out") == 0
+        assert fourlevel.cli._parser.cache_info()[:2] == (1, 1)  # hits, misses
+
     def test_out_names_a_file(self, tmp_path, capsys):
         # mkdir's FileExistsError is one validation failure line, not a
         # traceback, and the file is left as it was

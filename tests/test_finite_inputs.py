@@ -90,6 +90,7 @@ def time_cases(name, f):
 CASES = {
     "CosineRamp": ([0.3, -0.2, 0.5, 0.1, 0.4, -0.6, 2.0], lambda x: CosineRamp(x[0:3], x[3:6], x[6])),
     **time_cases("CosineRamp.value", SOLVED.schedule.value),
+    **time_cases("CosineRamp.ramp", SOLVED.schedule.ramp),
     **time_cases("CosineRamp.rate", SOLVED.schedule.rate),
     **time_cases("CosineRamp.ramp_rate", SOLVED.schedule.ramp_rate),
     **time_cases("CosineRamp.couplings", SOLVED.schedule.couplings),

@@ -10,8 +10,8 @@ from fourlevel.hamiltonian import (
     phase_operator,
     total_hamiltonian,
 )
-from fourlevel.rotation import _UPPER, CouplingSet, hr_analytic
-from fourlevel.solvers import TargetSpec, solve_tripod
+from fourlevel.rotation import _UPPER, CouplingSet, hr_analytic, ur_of_angles
+from fourlevel.solvers import TargetSpec, solve_diamond, solve_ntype, solve_tripod
 
 from conftest import full_matrix_total_hamiltonian
 
@@ -234,6 +234,19 @@ class TestAnalyticEvolution:
         ):
             with pytest.raises(ValueError, match=r"pi t/T overflows there: 1e\+308$"):
                 build(1e308)
+
+    @pytest.mark.parametrize("solve", [solve_tripod, solve_diamond, solve_ntype])
+    def test_equals_the_angle_route(self, solve):
+        # U_r(t) from the pulse's two rotation vectors against the route
+        # through the six angles, ur_of_angles(value(t)), to rounding; at
+        # flat phases K(t) = I exactly
+        rng = np.random.default_rng(39)
+        t = np.linspace(0.0, 1.5, 2001)
+        for _ in range(200):
+            b = rng.normal(size=4)
+            solved = solve(TargetSpec(b / np.linalg.norm(b)), 1.5)
+            u = analytic_evolution(solved, flat_phases(1.5), t)
+            assert np.max(np.abs(u - ur_of_angles(solved.schedule.value(t)))) <= 4e-15
 
     def test_unitary_along_path(self, tripod, rng):
         ph = PhaseSchedule(eps=rng.normal(size=3), eps_prime=rng.normal(size=3), T=1.0)

@@ -13,6 +13,7 @@ from fourlevel.quat4 import (
     _sandwich,
     cayley_rotation,
     decompose_rotation,
+    hamilton,
     is_rotation_matrix,
     left_isoclinic,
     quat_exp,
@@ -36,6 +37,7 @@ class TestQuatMul:
 
     def test_ij_equals_k(self):
         assert quat_mul(I, J) == K
+        assert hamilton(I, J) == K  # a Quaternion is the tuple the algebra takes
 
     def test_pure_unit_squares_to_minus_one(self):
         assert quat_mul(I, I) == Quaternion(-1, 0, 0, 0)
@@ -220,6 +222,19 @@ class TestDecomposeRotation:
         d = decompose_rotation(Quaternion(-1, 0, 0, 0), Quaternion(-1, 0, 0, 0))
         assert d.kind is RotationKind.IDENTITY
 
+    def test_identity_kind_exactly_when_the_rotation_is_identity(self, rng):
+        # (-1, 1) and (1, -1) give -I: left-isoclinic, M_L(-1), both angles pi
+        pairs = [(q, p) for q in (ONE, -ONE) for p in (ONE, -ONE)]
+        pairs += [(random_unit_quaternion(rng), random_unit_quaternion(rng)) for _ in range(100)]
+        for q, p in pairs:
+            d = decompose_rotation(q, p)
+            is_identity = np.max(np.abs(cayley_rotation(q, p) - np.eye(4))) <= 1e-12
+            assert (d.kind is RotationKind.IDENTITY) == is_identity, (q, p)
+        for q, p in ((-ONE, ONE), (ONE, -ONE)):
+            d = decompose_rotation(q, p)
+            assert d.kind is RotationKind.LEFT_ISOCLINIC
+            assert d.angle1 == d.angle2 == math.pi
+
     def test_shared_axis_angles(self):
         g1, g2 = 0.7, 0.3
         d = decompose_rotation(quat_exp(I, g1), quat_exp(I, g2))
@@ -395,6 +410,8 @@ class TestNonFinite:
             quat_mul(Quaternion(bad, 0, 0, 0), ONE)
         with pytest.raises(ValueError, match="not finite: x, z$"):
             Quaternion(0.0, bad, 0.5, bad)
+        with pytest.raises(ValueError, match="not finite: y$"):
+            ONE._replace(y=bad)  # _make builds through __new__ too
         # array fields too, each tested as a whole
         with pytest.raises(ValueError, match="not finite: y$"):
             Quaternion(np.zeros(3), np.ones(3), np.array([0.0, bad, 0.0]), 0.0)

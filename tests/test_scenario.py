@@ -119,12 +119,14 @@ class TestLoadScenario:
             ("tripod", "initial_guess", [0.5, 1.5, -1.5]),
             ("diamond", "initial_guess", [0.5, 1.5, -1.5]),
             ("ntype", "free_params", {"theta1": 1.0}),
+            ("tripod", "qo", {"omega_levels": [1000, 1350, 2600]}),
+            ("ntype", "qo", {"omega_levels": [1000, 1350, 2600]}),
         ],
     )
     def test_key_of_another_config_rejected(self, tmp_path, capsys, config, key, value):
         # free_params is read by the diamond solve alone, initial_guess by the
-        # N-type's: elsewhere either would be dropped without a word; the CLI
-        # reports it as a validation failure
+        # N-type's and qo by the diamond's qomap: elsewhere each would be
+        # dropped without a word; the CLI reports it as a validation failure
         payload = minimal(config=config, target=[0, 1, 0, 0])
         payload[key] = value
         scenario = write_scenario(tmp_path, payload)

@@ -34,3 +34,11 @@ def test_rwa_sweep_gaps(tmp_path):
     gaps = [float(r["lab_vs_rwa_gap"]) for r in rows]
     assert 0.0 < gaps[1] < gaps[0]
     assert all(float(r["rwa_vs_engineered_gap"]) <= 1e-12 for r in rows)
+
+
+def test_import_cost_times_the_import_from_source_and_from_bytecode():
+    # one fresh interpreter each: a copy with no __pycache__, and a copy
+    # whose bytecode compileall writes first
+    import_self_seconds = runpy.run_path(str(SCRIPTS / "import_cost.py"), run_name="smoke")["import_self_seconds"]
+    for cached in (False, True):
+        assert import_self_seconds(SCRIPTS.parent / "src", cached) > 0.0
