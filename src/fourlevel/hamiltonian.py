@@ -122,5 +122,5 @@ def analytic_evolution(solved: SolvedAngles, ph: PhaseSchedule, t) -> np.ndarray
     """Exact evolution operator U(t) = K(t) U_r(t) K(0)^dag (module docstring)."""
     ramp = solved.schedule
     r = ramp.ramp(t)
-    ur = _sandwich(_exp(np.multiply.outer(ramp.v1, r)), _exp(np.multiply.outer(ramp.v2, r)))
+    ur = _sandwich(_exp([r * c for c in ramp.v1]), _exp([r * c for c in ramp.v2]))
     return ph.frame(t)[..., :, None] * ur * ph.frame(0.0).conj()
