@@ -72,12 +72,12 @@ class Quaternion(NamedTuple("_Quaternion", [("w", float), ("x", float), ("y", fl
         return np.array(self)
 
     @classmethod
-    def from_array(cls, a) -> Quaternion:
+    def from_array(cls, a) -> "Quaternion":
         w, x, y, z = np.asarray(a, dtype=float)
         return cls(w, x, y, z)
 
     @classmethod
-    def unit(cls, w: float, x: float, y: float, z: float) -> Quaternion:
+    def unit(cls, w: float, x: float, y: float, z: float) -> "Quaternion":
         """Construct a unit quaternion, normalizing away rounding error.
 
         Inputs farther than UNIT_NORM_ATOL from unit norm, or with a
@@ -96,7 +96,7 @@ class Quaternion(NamedTuple("_Quaternion", [("w", float), ("x", float), ("y", fl
     def is_pure_unit(self, atol: float = 1e-12) -> bool:
         return abs(self.w) <= atol and abs(self.norm - 1.0) <= atol
 
-    def __neg__(self) -> Quaternion:
+    def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
 
@@ -224,7 +224,7 @@ def decompose_rotation(q: Quaternion, p: Quaternion) -> RotationDecomposition:
     (M_L(-1)), with both angles pi.
     """
     rv1, rv2 = _log(*Quaternion.unit(*q)), _log(*Quaternion.unit(*p))
-    g1, g2 = min(math.hypot(*rv1), math.pi), min(math.hypot(*rv2), math.pi)
+    g1, g2 = min(math.hypot(*rv1), math.pi), min(math.hypot(*rv2), math.pi)  # |_log| rounds past pi
     a1, a2 = min(g1 + g2, 2.0 * math.pi - (g1 + g2)), abs(g1 - g2)  # folded into [0, pi]
     u = (0.0, *np.divide(rv1, g1)) if g1 else None
     v = (0.0, *np.divide(rv2, g2)) if g2 else None
